@@ -709,7 +709,11 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("agreements-cli-tests");
+        // One directory per test (the harness names each thread after
+        // its test): tests run in parallel, and several write and read
+        // `scenario.json`.
+        let test = std::thread::current().name().unwrap_or("main").replace("::", "-");
+        let dir = std::env::temp_dir().join("agreements-cli-tests").join(test);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }

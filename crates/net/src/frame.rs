@@ -74,10 +74,13 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// built at compile time — the container has no crc crate and needs none.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) slicing-by-8
+/// lookup tables, built at compile time — the container has no crc crate
+/// and needs none. `CRC_TABLES[0]` is the classic bytewise table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// which is what lets eight input bytes fold in one step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -86,19 +89,48 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
+
+/// Fold `bytes` into the running (pre-inverted) CRC register `c`, eight
+/// bytes per step and the tail bytewise.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
 /// Append one encoded frame carrying `payload` to `out`. Fails only when
@@ -117,14 +149,35 @@ pub fn encode_frame_limited(
     out: &mut Vec<u8>,
     max_len: usize,
 ) -> Result<(), FrameError> {
-    if payload.len() > max_len || payload.len() > u32::MAX as usize {
+    if payload.len() > max_len {
         return Err(FrameError::Oversized { len: payload.len() });
     }
     out.reserve(FRAME_OVERHEAD + payload.len());
+    encode_frame_with(out, max_len, |out| out.extend_from_slice(payload))
+}
+
+/// Append one frame whose payload `fill` writes straight onto the end of
+/// `out`: the header is reserved first, then the length is patched in
+/// and the CRC taken over the payload where it lies — no intermediate
+/// payload buffer. On an oversized payload `out` is restored and
+/// nothing is appended.
+pub(crate) fn encode_frame_with(
+    out: &mut Vec<u8>,
+    max_len: usize,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), FrameError> {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    fill(out);
+    let len = out.len() - start - 6;
+    if len > max_len || len > u32::MAX as usize {
+        out.truncate(start);
+        return Err(FrameError::Oversized { len });
+    }
+    out[start + 2..start + 6].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[start + 6..]);
+    out.extend_from_slice(&crc.to_le_bytes());
     Ok(())
 }
 
@@ -263,12 +316,55 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise table loop the slicing-by-8 path replaced: the
+    /// reference the fast path must match on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        /// Any length (so every remainder 0..8 after the 8-byte steps)
+        /// and any split point (so the steps start at every alignment):
+        /// the sliced CRC, whole or resumed mid-stream, is the bytewise one.
+        #[test]
+        fn sliced_crc32_equals_bytewise_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            split in 0usize..600,
+        ) {
+            let want = crc32_bytewise(&bytes);
+            prop_assert_eq!(crc32(&bytes), want);
+            let (head, tail) = bytes.split_at(split.min(bytes.len()));
+            let resumed = crc32_update(crc32_update(0xFFFF_FFFF, head), tail) ^ 0xFFFF_FFFF;
+            prop_assert_eq!(resumed, want);
+        }
+    }
+
+    #[test]
+    fn in_place_frame_encoding_matches_the_copying_encoder() {
+        let payload: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        let mut copied = vec![0xEE];
+        encode_frame(&payload, &mut copied).unwrap();
+        let mut in_place = vec![0xEE];
+        encode_frame_with(&mut in_place, MAX_FRAME_LEN, |out| out.extend_from_slice(&payload))
+            .unwrap();
+        assert_eq!(in_place, copied);
+        // Oversized: the buffer is handed back as it was.
+        let err = encode_frame_with(&mut in_place, 4, |out| out.extend_from_slice(&payload));
+        assert_eq!(err, Err(FrameError::Oversized { len: 300 }));
+        assert_eq!(in_place, copied);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! journaled event sequence, so a sequenced federation resumes without
 //! re-applying history.
 
+use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -41,9 +42,10 @@ use agreements_grm::{GrmError, GrmServer, RecordedDecision, RequestId};
 use agreements_sched::{Allocation, MultiAllocation};
 use agreements_telemetry::{HistKind, Telemetry};
 
-use crate::frame::{encode_frame_limited, FrameDecoder};
+use crate::frame::FrameDecoder;
 use crate::wire::{
-    decode_decision, encode_decision, get_request_id, put_request_id, Reader, Writer,
+    decode_decision, frame_with, get_request_id, put_decision, put_request_id, DecisionRef, Reader,
+    Writer,
 };
 
 /// Per-record frame limit in journal segments. Wire frames stay under
@@ -117,6 +119,17 @@ pub enum DecisionBody {
 }
 
 impl DecisionBody {
+    /// The error this decision carries, if it is a denial.
+    pub(crate) fn error(&self) -> Option<&GrmError> {
+        match self {
+            DecisionBody::Grant(r) => r.as_ref().err(),
+            DecisionBody::GrantMulti(r) => r.as_ref().err(),
+            DecisionBody::Release { result, .. } | DecisionBody::Replay { result, .. } => {
+                result.as_ref().err()
+            }
+        }
+    }
+
     /// The dedup-window form of this decision.
     pub fn to_recorded(&self) -> RecordedDecision {
         match self {
@@ -201,12 +214,7 @@ fn get_matrix(r: &mut Reader) -> Result<AgreementMatrix, String> {
 fn put_unit_res(w: &mut Writer, res: &Result<(), GrmError>) {
     // Route through the decision codec so error encoding stays single-
     // sourced (Release/Replay bodies reuse RecordedDecision's layout).
-    let d = RecordedDecision::Release(res.clone());
-    let bytes = encode_decision(&d);
-    w.u32(bytes.len() as u32);
-    for &b in &bytes {
-        w.u8(b);
-    }
+    w.len_prefixed(|w| put_decision(w, DecisionRef::Release(res)));
 }
 
 fn get_unit_res(r: &mut Reader) -> Result<Result<(), GrmError>, String> {
@@ -220,27 +228,32 @@ fn get_unit_res(r: &mut Reader) -> Result<Result<(), GrmError>, String> {
     }
 }
 
+/// A snapshot record's payload, from the borrow.
+fn put_snapshot(w: &mut Writer, s: &Snapshot) {
+    w.u8(0);
+    put_matrix(w, &s.matrix);
+    w.u64(s.level as u64);
+    w.f64s(&s.availability);
+    w.u64(s.next_seq);
+    w.u32(s.dedup.len() as u32);
+    for (id, d) in &s.dedup {
+        put_request_id(w, id);
+        w.len_prefixed(|w| put_decision(w, d.into()));
+    }
+}
+
 impl JournalRecord {
     /// Encode to a record payload (to be wrapped in one CRC frame).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.put(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`JournalRecord::encode`]'s bytes, appended to `w`.
+    fn put(&self, w: &mut Writer) {
         match self {
-            JournalRecord::Snapshot(s) => {
-                w.u8(0);
-                put_matrix(&mut w, &s.matrix);
-                w.u64(s.level as u64);
-                w.f64s(&s.availability);
-                w.u64(s.next_seq);
-                w.u32(s.dedup.len() as u32);
-                for (id, d) in &s.dedup {
-                    put_request_id(&mut w, id);
-                    let bytes = encode_decision(d);
-                    w.u32(bytes.len() as u32);
-                    for &b in &bytes {
-                        w.u8(b);
-                    }
-                }
-            }
+            JournalRecord::Snapshot(s) => put_snapshot(w, s),
             JournalRecord::AgreementSet { from, to, share } => {
                 w.u8(1);
                 w.u64(*from);
@@ -254,52 +267,43 @@ impl JournalRecord {
             }
             JournalRecord::Report { seq, lrm, available } => {
                 w.u8(4);
-                put_opt_u64(&mut w, seq);
+                put_opt_u64(w, seq);
                 w.u64(*lrm);
                 w.f64(*available);
             }
             JournalRecord::Decision { seq, id, body } => {
                 w.u8(5);
-                put_opt_u64(&mut w, seq);
+                put_opt_u64(w, seq);
                 match id {
                     None => w.u8(0),
                     Some(id) => {
                         w.u8(1);
-                        put_request_id(&mut w, id);
+                        put_request_id(w, id);
                     }
                 }
                 match body {
                     DecisionBody::Grant(res) => {
                         w.u8(0);
-                        let bytes = encode_decision(&RecordedDecision::Grant(res.clone()));
-                        w.u32(bytes.len() as u32);
-                        for &b in &bytes {
-                            w.u8(b);
-                        }
+                        w.len_prefixed(|w| put_decision(w, DecisionRef::Grant(res)));
                     }
                     DecisionBody::Release { draws, result } => {
                         w.u8(1);
                         w.f64s(draws);
-                        put_unit_res(&mut w, result);
+                        put_unit_res(w, result);
                     }
                     DecisionBody::GrantMulti(res) => {
                         w.u8(3);
-                        let bytes = encode_decision(&RecordedDecision::GrantMulti(res.clone()));
-                        w.u32(bytes.len() as u32);
-                        for &b in &bytes {
-                            w.u8(b);
-                        }
+                        w.len_prefixed(|w| put_decision(w, DecisionRef::GrantMulti(res)));
                     }
                     DecisionBody::Replay { lrm, amount, result } => {
                         w.u8(2);
                         w.u64(*lrm);
                         w.f64(*amount);
-                        put_unit_res(&mut w, result);
+                        put_unit_res(w, result);
                     }
                 }
             }
         }
-        w.into_bytes()
     }
 
     /// Decode a record payload.
@@ -389,6 +393,55 @@ fn get_opt_u64(r: &mut Reader) -> Result<Option<u64>, String> {
     }
 }
 
+/// The recovered dedup window: decisions by id plus their recency order
+/// — the shape of the live server's window, so the duplicate check, the
+/// insert and the eviction are O(1) per decision.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DedupIndex {
+    decisions: HashMap<RequestId, RecordedDecision>,
+    /// Ids oldest first; exactly the keys of `decisions`.
+    order: VecDeque<RequestId>,
+}
+
+impl DedupIndex {
+    /// Entries in the window.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// True when the window holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// Is `id` in the window (a decision the server answers from cache)?
+    fn contains(&self, id: &RequestId) -> bool {
+        self.decisions.contains_key(id)
+    }
+
+    /// The entries, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = (&RequestId, &RecordedDecision)> + '_ {
+        self.order.iter().map(|id| (id, &self.decisions[id]))
+    }
+
+    /// Record `decision` under `id` as the newest entry, evicting the
+    /// oldest once past the live window's capacity so snapshots do not
+    /// grow without bound across compactions.
+    fn insert(&mut self, id: RequestId, decision: RecordedDecision) {
+        if self.decisions.insert(id, decision).is_some() {
+            // Re-applied id: refresh its recency. Rare — the listener
+            // never journals a duplicate — so the scan is fine.
+            self.order.retain(|j| *j != id);
+        }
+        self.order.push_back(id);
+        if self.order.len() > agreements_grm::server::DEDUP_WINDOW {
+            if let Some(old) = self.order.pop_front() {
+                self.decisions.remove(&old);
+            }
+        }
+    }
+}
+
 /// What recovery rebuilt from the journal.
 #[derive(Debug, Clone)]
 pub struct RecoveredState {
@@ -401,8 +454,8 @@ pub struct RecoveredState {
     pub availability: Vec<f64>,
     /// One past the highest journaled event sequence.
     pub next_seq: u64,
-    /// Dedup entries to seed into the respawned server, oldest first.
-    pub dedup: Vec<(RequestId, RecordedDecision)>,
+    /// Dedup entries to seed into the respawned server.
+    pub dedup: DedupIndex,
     /// Complete records replayed (including the snapshot).
     pub records: u64,
     /// Bytes of torn tail truncated away (0 on a clean shutdown).
@@ -417,25 +470,32 @@ impl RecoveredState {
             level: 0,
             availability: Vec::new(),
             next_seq: 0,
-            dedup: Vec::new(),
-            records: 0,
+            dedup: DedupIndex::default(),
+            // The snapshot record itself.
+            records: 1,
             truncated_bytes: 0,
         };
-        st.apply(&JournalRecord::Snapshot(snapshot.clone()));
+        st.load(snapshot);
         st
+    }
+
+    /// Replace the state with `s` (a snapshot record's whole effect).
+    fn load(&mut self, s: &Snapshot) {
+        self.matrix = s.matrix.clone();
+        self.level = s.level;
+        self.availability = s.availability.clone();
+        self.next_seq = s.next_seq;
+        self.dedup = DedupIndex::default();
+        for (id, d) in &s.dedup {
+            self.dedup.insert(*id, d.clone());
+        }
     }
 
     /// Apply one record to the in-memory state. Shared by segment replay
     /// and by tests that build expected states by hand.
     pub fn apply(&mut self, rec: &JournalRecord) {
         match rec {
-            JournalRecord::Snapshot(s) => {
-                self.matrix = s.matrix.clone();
-                self.level = s.level;
-                self.availability = s.availability.clone();
-                self.next_seq = s.next_seq;
-                self.dedup = s.dedup.clone();
-            }
+            JournalRecord::Snapshot(s) => self.load(s),
             JournalRecord::AgreementSet { from, to, share } => {
                 // The live server accepted this op before it was
                 // journaled, so re-applying cannot fail; ignore defends
@@ -462,8 +522,7 @@ impl RecoveredState {
                 // A decision whose id is already in the window is a
                 // duplicate the server answered from cache: its pool
                 // effect already happened and must not be re-applied.
-                let duplicate = matches!(id, Some(id) if self.dedup.iter().any(|(j, _)| j == id));
-                if !duplicate {
+                if !self.is_duplicate(rec) {
                     match body {
                         DecisionBody::Grant(Ok(alloc)) => {
                             for (v, d) in self.availability.iter_mut().zip(&alloc.draws) {
@@ -480,18 +539,20 @@ impl RecoveredState {
                     }
                 }
                 if let Some(id) = id {
-                    self.dedup.retain(|(j, _)| j != id);
-                    self.dedup.push((*id, body.to_recorded()));
-                    // Mirror the live window's capacity so snapshots do
-                    // not grow without bound across compactions.
-                    while self.dedup.len() > agreements_grm::server::DEDUP_WINDOW {
-                        self.dedup.remove(0);
-                    }
+                    self.dedup.insert(*id, body.to_recorded());
                 }
                 self.bump_seq(*seq);
             }
         }
         self.records += 1;
+    }
+
+    /// Is `rec` a decision whose id is already in the window — one the
+    /// server answered from cache? The listener skips journaling these:
+    /// replaying one would fold no pool effect anyway, and the journal
+    /// stays one record per settled id.
+    pub(crate) fn is_duplicate(&self, rec: &JournalRecord) -> bool {
+        matches!(rec, JournalRecord::Decision { id: Some(id), .. } if self.dedup.contains(id))
     }
 
     fn bump_seq(&mut self, seq: Option<u64>) {
@@ -520,7 +581,7 @@ impl RecoveredState {
         for (i, &v) in self.availability.iter().enumerate() {
             h.report(i, v)?;
         }
-        for (id, d) in &self.dedup {
+        for (id, d) in self.dedup.iter() {
             h.seed_decision(*id, d.clone())?;
         }
         Ok(server)
@@ -533,7 +594,7 @@ impl RecoveredState {
             level: self.level,
             availability: self.availability.clone(),
             next_seq: self.next_seq,
-            dedup: self.dedup.clone(),
+            dedup: self.dedup.iter().map(|(id, d)| (*id, d.clone())).collect(),
         }
     }
 }
@@ -565,6 +626,12 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// Append one journal frame to `framed`, its record body encoded in place.
+fn frame_record(framed: &mut Vec<u8>, body: impl FnOnce(&mut Writer)) -> io::Result<()> {
+    frame_with(framed, MAX_JOURNAL_FRAME_LEN, body)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
+}
+
 /// The append side of the durable journal. See the module docs for the
 /// on-disk format and the recovery story.
 pub struct DurableJournal {
@@ -585,6 +652,11 @@ pub struct DurableJournal {
     telemetry: Telemetry,
     /// Total bytes appended by this handle (telemetry/monitoring).
     bytes_written: u64,
+    /// A write or fsync failed: the segment may end in a partial frame,
+    /// and recovery stops at the first damaged frame, so anything
+    /// appended after it would be acknowledged and then lost. Every
+    /// later append is refused instead (fail-stop).
+    failed: bool,
 }
 
 impl DurableJournal {
@@ -623,8 +695,9 @@ impl DurableJournal {
             synced_lsn: 0,
             telemetry,
             bytes_written: 0,
+            failed: false,
         };
-        j.append(&JournalRecord::Snapshot(snapshot.clone()))?;
+        j.write_snapshot(snapshot)?;
         j.sync()?;
         sync_dir(dir)?;
         Ok(j)
@@ -675,6 +748,7 @@ impl DurableJournal {
                     synced_lsn: 0,
                     telemetry,
                     bytes_written: 0,
+                    failed: false,
                 };
                 return Ok((j, state));
             }
@@ -707,7 +781,7 @@ impl DurableJournal {
     /// Append one record, fsyncing per policy. When this returns under
     /// [`FsyncPolicy::EveryOp`], the record is durable.
     pub fn append(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        self.write_record(rec)?;
+        self.append_wal(rec)?;
         match self.policy {
             FsyncPolicy::EveryOp => self.sync()?,
             FsyncPolicy::Batched { max_pending } => {
@@ -725,24 +799,55 @@ impl DurableJournal {
     /// [`DurableJournal::sync_handle`] + [`DurableJournal::note_synced`]
     /// — or an explicit [`DurableJournal::sync`] barrier.
     pub fn append_wal(&mut self, rec: &JournalRecord) -> io::Result<u64> {
-        self.write_record(rec)?;
+        let mut framed = Vec::new();
+        frame_record(&mut framed, |w| rec.put(w))?;
+        self.write_frames(&framed, 1)?;
         Ok(self.lsn)
     }
 
-    fn write_record(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        let payload = rec.encode();
+    /// Append a run of records with **one** `write_all` and return the
+    /// last one's LSN (the current LSN for an empty run). Under
+    /// [`FsyncPolicy::EveryOp`] the run is durable on return — one fsync
+    /// for the whole run; under [`FsyncPolicy::Batched`] nothing is
+    /// synced inline, as with [`DurableJournal::append_wal`]. A record
+    /// stays the unit of atomicity: a crash mid-write leaves a prefix of
+    /// the run's bytes, and recovery keeps the whole records in it.
+    pub fn append_run(&mut self, run: &[&JournalRecord]) -> io::Result<u64> {
         let mut framed = Vec::new();
-        encode_frame_limited(&payload, &mut framed, MAX_JOURNAL_FRAME_LEN)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        // One `write_all` per record: a kill -9 (which preserves the page
-        // cache) can never leave a record half-appended, only a power
-        // loss can tear one mid-frame.
-        self.file.write_all(&framed)?;
+        for rec in run {
+            frame_record(&mut framed, |w| rec.put(w))?;
+        }
+        self.write_frames(&framed, run.len())?;
+        if self.policy == FsyncPolicy::EveryOp {
+            self.sync()?;
+        }
+        Ok(self.lsn)
+    }
+
+    /// Append `count` already framed records with one write.
+    fn write_frames(&mut self, framed: &[u8], count: usize) -> io::Result<()> {
+        if self.failed {
+            return Err(io::Error::other("journal failed earlier; appends are refused"));
+        }
+        // One `write_all` per append: a kill -9 (which preserves the page
+        // cache) can never leave it half-done, only a power loss can
+        // tear it mid-frame.
+        if let Err(e) = self.file.write_all(framed) {
+            self.failed = true;
+            return Err(e);
+        }
         self.bytes_written += framed.len() as u64;
-        self.seg_records += 1;
-        self.pending += 1;
-        self.lsn += 1;
+        self.seg_records += count as u64;
+        self.pending += count;
+        self.lsn += count as u64;
         Ok(())
+    }
+
+    /// Roll-over and creation: one snapshot record, from the borrow.
+    fn write_snapshot(&mut self, snapshot: &Snapshot) -> io::Result<()> {
+        let mut framed = Vec::new();
+        frame_record(&mut framed, |w| put_snapshot(w, snapshot))?;
+        self.write_frames(&framed, 1)
     }
 
     /// Durability barrier: fsync anything appended since the last sync.
@@ -751,7 +856,10 @@ impl DurableJournal {
             return Ok(());
         }
         let span = self.telemetry.start();
-        self.file.sync_data()?;
+        if let Err(e) = self.file.sync_data() {
+            self.failed = true;
+            return Err(e);
+        }
         self.telemetry.stop(HistKind::JournalFsyncSeconds, span);
         self.pending = 0;
         self.synced_lsn = self.lsn;
@@ -800,7 +908,7 @@ impl DurableJournal {
         self.file = file;
         self.segment = next;
         self.seg_records = 0;
-        self.append(&JournalRecord::Snapshot(snapshot.clone()))?;
+        self.write_snapshot(snapshot)?;
         self.sync()?;
         sync_dir(&self.dir)?;
         for seg in list_segments(&self.dir)? {
@@ -831,6 +939,13 @@ impl DurableJournal {
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
+
+    /// Swap the segment handle for a read-only one, so the next append's
+    /// `write_all` fails the way a full or failing disk would.
+    #[cfg(test)]
+    pub(crate) fn break_writes(&mut self) {
+        self.file = File::open(segment_path(&self.dir, self.segment)).expect("segment exists");
+    }
 }
 
 /// Replay one segment file. Returns `None` when the segment's first
@@ -860,17 +975,7 @@ fn replay_segment(path: &Path) -> io::Result<Option<(RecoveredState, u64, u64)>>
                 };
                 match (&mut state, rec) {
                     (None, JournalRecord::Snapshot(s)) => {
-                        let mut st = RecoveredState {
-                            matrix: AgreementMatrix::zeros(0),
-                            level: 0,
-                            availability: Vec::new(),
-                            next_seq: 0,
-                            dedup: Vec::new(),
-                            records: 0,
-                            truncated_bytes: 0,
-                        };
-                        st.apply(&JournalRecord::Snapshot(s));
-                        state = Some(st);
+                        state = Some(RecoveredState::from_snapshot(&s));
                     }
                     // A segment must open with a snapshot.
                     (None, _) => return Ok(None),

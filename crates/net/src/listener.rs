@@ -10,20 +10,34 @@
 //! original decision out of the recovered dedup window instead of
 //! re-executing.
 //!
-//! # Pipelined connections
+//! # Runs: submit order, commit turns
 //!
-//! Each connection runs two threads. The *reader* decodes frames and
-//! executes them serially in arrival order; the *writer* releases the
-//! encoded replies. Splitting them means a connection can have many
-//! RPCs in flight: the reader keeps executing (and appending journal
-//! records) while earlier replies are still parked waiting for their
-//! covering fsync. Clients multiplex by correlation id, so reply order
-//! within a connection carries no meaning — the writer simply drains
-//! its queue in FIFO order.
+//! Each connection runs two threads. After every socket read the
+//! *reader* takes the complete frames the decoder holds — at most
+//! `RUN_MAX` at a time — as one **run**: it submits them to the GRM in
+//! order *without blocking* (the serve loop drains them as one window, a
+//! hierarchical engine admits them as one batch), collects the
+//! decisions, appends the run's records with one journal write, and
+//! queues the run's replies as one entry, which the *writer* puts on the
+//! wire with one write once the run's last LSN is durable. A lone frame
+//! is a run of one through the same code. Clients multiplex by
+//! correlation id, so reply order within a connection carries no meaning.
+//!
+//! Connections race like the in-process federation's threads do. A run's
+//! place in the journal is fixed when it is *submitted* — a ticket taken
+//! under the short lock that also orders the mailbox sends — and runs
+//! append in ticket order: journal order = execution order, so the
+//! recovery fold replays exactly the interleaving that happened. The
+//! journal lock is held for the append only, never across engine time.
+//! The ticket is an RAII guard: a connection that dies between submit
+//! and commit passes its turn on instead of wedging the rest. A
+//! sequenced frame, a read, and a multi-resource request (no
+//! non-blocking entry point: decided under the submit lock) each close
+//! the open run and execute as a run of one. DESIGN.md §17 has the why.
 //!
 //! # Group commit
 //!
-//! Under [`crate::journal::FsyncPolicy::Batched`] the execute path never
+//! Under [`crate::journal::FsyncPolicy::Batched`] the commit path never
 //! fsyncs. Every state-mutating record is appended (write-ahead) and its
 //! reply is tagged with the record's LSN; a dedicated *syncer* thread
 //! accumulates appends until the group fills (`max_pending`) or the
@@ -34,9 +48,11 @@
 //! LSN, so the write-ahead-of-reply invariant (and with it at-most-once
 //! settlement across kill -9) holds under group commit exactly as it
 //! does under `EveryOp`; the fsync cost is simply amortized over the
-//! whole group. If an fsync fails the watermark is frozen, gated replies
-//! are dropped, and their connections are torn down: the client retries
-//! and observes `JOURNAL_DOWN` instead of an undurable decision.
+//! whole group. If an fsync or an append fails the listener fail-stops
+//! (the segment may end mid-frame, and recovery keeps nothing behind the
+//! damage): gated replies are dropped with their connections, and later
+//! journaled ops are refused with `JOURNAL_DOWN` before they reach the
+//! GRM — the client never observes an undurable decision.
 //!
 //! # Duplicate suppression in the journal
 //!
@@ -68,11 +84,6 @@
 //! must not pipeline sequenced events out of order *with each other*;
 //! pipelined federation workers keep per-connection sends in ascending
 //! sequence order, which is all the serial reader needs.
-//!
-//! Without a sequencer, connections race like the in-process
-//! federation's threads do and the journal records execution order (the
-//! execute+append pair is atomic under the journal lock, so the
-//! recovery fold replays exactly the interleaving that happened).
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -84,19 +95,26 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use agreements_grm::{GrmError, GrmHandle, GrmServer};
+use agreements_grm::{GrmClient, GrmError, GrmHandle, GrmServer, RequestId};
+use agreements_sched::{Allocation, MultiAllocation};
 use agreements_telemetry::{HistKind, Telemetry};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 
-use crate::frame::{encode_frame, FrameDecoder, FRAME_OVERHEAD};
+use crate::frame::{FrameDecoder, FRAME_OVERHEAD, MAX_FRAME_LEN};
 use crate::journal::{
     DecisionBody, DurableJournal, FsyncPolicy, JournalRecord, RecoveredState, Snapshot,
 };
-use crate::wire::{RequestFrame, ResponseFrame, WireRequest, WireResponse};
+use crate::wire::{frame_with, RequestFrame, ResponseFrame, WireRequest, WireResponse};
 
 /// How long blocked reads and sequencer waits go between checks of the
 /// shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Longest run, in frames: the quantum for which one connection holds
+/// its turn while the others wait. Unbounded runs let equally loaded
+/// connections drift apart (DESIGN.md §17); the gain is flat past 16.
+const RUN_MAX: usize = 16;
 
 /// Listener tuning knobs.
 #[derive(Debug, Clone)]
@@ -198,6 +216,7 @@ struct DurState {
     failed: bool,
 }
 
+#[derive(Default)]
 struct Durability {
     state: std::sync::Mutex<DurState>,
     /// Wakes the syncer when appends arrive.
@@ -207,14 +226,6 @@ struct Durability {
 }
 
 impl Durability {
-    fn new() -> Durability {
-        Durability {
-            state: std::sync::Mutex::new(DurState::default()),
-            work: std::sync::Condvar::new(),
-            done: std::sync::Condvar::new(),
-        }
-    }
-
     /// Fold fresh journal counters in (both watermarks only ever move
     /// forward). Returns how many records the `synced` watermark
     /// advanced over.
@@ -241,12 +252,48 @@ impl Durability {
     }
 }
 
+/// Submit-order/commit-turn bookkeeping (see module docs). `submit` is
+/// held while a run's messages go into the GRM mailbox and counts the
+/// tickets handed out; `serving` is the ticket whose run may append now.
+#[derive(Default)]
+struct Turns {
+    submit: Mutex<u64>,
+    serving: std::sync::Mutex<u64>,
+    passed: std::sync::Condvar,
+}
+
+/// A run's place in the journal, fixed when it was submitted. Dropping
+/// it — after the append, or because the connection thread died first —
+/// passes the turn to the next ticket, in order.
+struct Turn<'a> {
+    turns: &'a Turns,
+    ticket: u64,
+}
+
+impl Turn<'_> {
+    /// Block until every earlier run has committed or given up its turn.
+    fn wait(&self) -> std::sync::MutexGuard<'_, u64> {
+        let mut now = self.turns.serving.lock().unwrap_or_else(|e| e.into_inner());
+        while *now != self.ticket {
+            now = self.turns.passed.wait(now).unwrap_or_else(|e| e.into_inner());
+        }
+        now
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        *self.wait() += 1;
+        self.turns.passed.notify_all();
+    }
+}
+
 struct Shared {
     handle: GrmHandle,
-    /// The journal plus its live recovery mirror; one lock so execute,
-    /// append, and mirror-fold are atomic with respect to each other and
-    /// to compaction — the journal records the exact execution order.
+    /// The journal plus its live recovery mirror; one lock so append,
+    /// mirror-fold and compaction are atomic. Runs take it in turn order.
     journal: Mutex<(DurableJournal, RecoveredState)>,
+    turns: Turns,
     sequencer: Option<Sequencer>,
     durability: Durability,
     telemetry: Telemetry,
@@ -261,40 +308,7 @@ struct Shared {
 }
 
 impl Shared {
-    /// Append + fold + maybe compact, under the already-held journal
-    /// lock. Returns the reply's durability gate: the record's LSN —
-    /// or, for a decision whose id is already in the mirror window (a
-    /// duplicate answered from cache, not re-journaled), the current
-    /// append cursor, which conservatively covers the original record.
-    fn journal_locked(
-        &self,
-        guard: &mut (DurableJournal, RecoveredState),
-        rec: &JournalRecord,
-    ) -> io::Result<u64> {
-        let (journal, mirror) = guard;
-        if let JournalRecord::Decision { id: Some(id), .. } = rec {
-            if mirror.dedup.iter().any(|(j, _)| j == id) {
-                return Ok(journal.appended_lsn());
-            }
-        }
-        let lsn = match journal.policy() {
-            FsyncPolicy::EveryOp => {
-                journal.append(rec)?;
-                journal.appended_lsn()
-            }
-            // Group commit: append only; the syncer thread owns fsync.
-            FsyncPolicy::Batched { .. } => journal.append_wal(rec)?,
-        };
-        mirror.apply(rec);
-        if self.compact_every > 0 && journal.records_in_segment() >= self.compact_every {
-            let snap = mirror.snapshot();
-            journal.compact(&snap)?;
-        }
-        Ok(lsn)
-    }
-
-    /// Propagate the journal's LSN counters into the durability plane
-    /// (call right before or after dropping the journal lock).
+    /// Propagate the journal's LSN counters into the durability plane.
     fn publish_durability(&self, guard: &(DurableJournal, RecoveredState)) {
         self.durability.advance(guard.0.appended_lsn(), guard.0.synced_lsn());
     }
@@ -325,9 +339,8 @@ impl Shared {
             // that may already have exited.
             let mut guard = self.journal.lock();
             let ok = guard.0.sync().is_ok();
-            let counters = (guard.0.appended_lsn(), guard.0.synced_lsn());
+            self.publish_durability(&guard);
             drop(guard);
-            self.durability.advance(counters.0, counters.1);
             if !ok {
                 self.durability.fail();
                 return false;
@@ -360,26 +373,20 @@ impl GrmListener {
         config: ListenerConfig,
     ) -> io::Result<GrmListener> {
         crate::uds_path_check(path)?;
-        if path.exists() {
-            fs_remove(path)?;
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
         }
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
         let mut l = Self::assemble(server, journal, recovered, config);
         l.uds_path = Some(path.to_path_buf());
-        let shared = Arc::clone(&l.shared);
-        let conns = Arc::clone(&l.conns);
-        l.accept = Some(thread::spawn(move || {
-            accept_loop(shared, conns, move || match listener.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
-                    s.set_read_timeout(Some(POLL))?;
-                    Ok(Some(Box::new(s) as Box<dyn Stream>))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            });
-        }));
+        l.spawn_accept(move || {
+            let (s, _) = listener.accept()?;
+            s.set_nonblocking(false)?;
+            s.set_read_timeout(Some(POLL))?;
+            Ok(s)
+        });
         Ok(l)
     }
 
@@ -396,20 +403,39 @@ impl GrmListener {
         listener.set_nonblocking(true)?;
         let mut l = Self::assemble(server, journal, recovered, config);
         l.tcp_addr = Some(listener.local_addr()?);
-        let shared = Arc::clone(&l.shared);
-        let conns = Arc::clone(&l.conns);
-        l.accept = Some(thread::spawn(move || {
-            accept_loop(shared, conns, move || match listener.accept() {
-                Ok((s, _)) => {
-                    s.set_nodelay(true)?;
-                    s.set_read_timeout(Some(POLL))?;
-                    Ok(Some(Box::new(s) as Box<dyn Stream>))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            });
-        }));
+        l.spawn_accept(move || {
+            let (s, _) = listener.accept()?;
+            s.set_nodelay(true)?;
+            s.set_read_timeout(Some(POLL))?;
+            Ok(s)
+        });
         Ok(l)
+    }
+
+    /// Start the accept thread: `accept` yields the next connection,
+    /// configured, or `WouldBlock` when none is pending.
+    fn spawn_accept<S: Stream + 'static>(
+        &mut self,
+        mut accept: impl FnMut() -> io::Result<S> + Send + 'static,
+    ) {
+        let shared = Arc::clone(&self.shared);
+        let conns = Arc::clone(&self.conns);
+        self.accept = Some(thread::spawn(move || {
+            while !shared.shutdown.load(Ordering::Relaxed) {
+                match accept() {
+                    Ok(stream) => {
+                        let shared = Arc::clone(&shared);
+                        conns
+                            .lock()
+                            .push(thread::spawn(move || serve_conn(Box::new(stream), &shared)));
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        thread::sleep(Duration::from_millis(2));
+                    }
+                    Err(_) => break,
+                }
+            }
+        }));
     }
 
     fn assemble(
@@ -423,8 +449,9 @@ impl GrmListener {
         let shared = Arc::new(Shared {
             handle: server.handle(),
             journal: Mutex::new((journal, recovered)),
+            turns: Turns::default(),
             sequencer,
-            durability: Durability::new(),
+            durability: Durability::default(),
             telemetry: config.telemetry,
             shutdown: AtomicBool::new(false),
             compact_every: config.compact_every,
@@ -488,11 +515,8 @@ impl GrmListener {
 
     /// Stop accepting, drain connection threads, sync the journal, and
     /// shut the served GRM down.
-    pub fn shutdown(mut self) {
-        self.stop();
-        if let Some(server) = self.server.take() {
-            server.shutdown();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 
     fn stop(&mut self) {
@@ -526,14 +550,6 @@ impl Drop for GrmListener {
     }
 }
 
-fn fs_remove(path: &Path) -> io::Result<()> {
-    match std::fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
 /// The two stream types, unified for the connection handler. Reader and
 /// writer threads work independent clones; `shutdown_both` kills the
 /// underlying socket so the peer (and the sibling thread) unblocks.
@@ -542,42 +558,20 @@ trait Stream: Read + Write + Send {
     fn shutdown_both(&self);
 }
 
-impl Stream for UnixStream {
-    fn try_clone_box(&self) -> io::Result<Box<dyn Stream>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-
-    fn shutdown_both(&self) {
-        let _ = self.shutdown(Shutdown::Both);
-    }
-}
-
-impl Stream for TcpStream {
-    fn try_clone_box(&self) -> io::Result<Box<dyn Stream>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-
-    fn shutdown_both(&self) {
-        let _ = self.shutdown(Shutdown::Both);
-    }
-}
-
-fn accept_loop(
-    shared: Arc<Shared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    mut accept: impl FnMut() -> io::Result<Option<Box<dyn Stream>>>,
-) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match accept() {
-            Ok(Some(stream)) => {
-                let shared = Arc::clone(&shared);
-                conns.lock().push(thread::spawn(move || serve_conn(stream, &shared)));
+macro_rules! impl_stream {
+    ($($socket:ty),*) => {$(
+        impl Stream for $socket {
+            fn try_clone_box(&self) -> io::Result<Box<dyn Stream>> {
+                Ok(Box::new(self.try_clone()?))
             }
-            Ok(None) => thread::sleep(Duration::from_millis(2)),
-            Err(_) => break,
+
+            fn shutdown_both(&self) {
+                let _ = self.shutdown(Shutdown::Both);
+            }
         }
-    }
+    )*};
 }
+impl_stream!(UnixStream, TcpStream);
 
 /// The group-commit syncer: waits for the append watermark to pass the
 /// durable one, lets a group accumulate (up to `max_pending` records or
@@ -650,44 +644,24 @@ fn syncer_loop(shared: &Shared, max_pending: usize, max_hold: Duration) {
     }
 }
 
-/// One queued reply: the durability gate (0 = none) and the already
-/// encoded response frame.
-type QueuedReply = (u64, Vec<u8>);
+/// One reply-queue entry: a run's durability gate (0 = none) and its
+/// already framed responses, back to back.
+type QueuedReplies = (u64, Vec<u8>);
 
 fn serve_conn(mut stream: Box<dyn Stream>, shared: &Arc<Shared>) {
-    let writer_stream = match stream.try_clone_box() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<QueuedReply>();
+    let Ok(writer_stream) = stream.try_clone_box() else { return };
+    let (tx, rx) = mpsc::channel::<QueuedReplies>();
     let writer_shared = Arc::clone(shared);
     let writer = thread::spawn(move || reply_writer(writer_stream, rx, &writer_shared));
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
-    'conn: loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
+    while !shared.shutdown.load(Ordering::Relaxed) {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
                 dec.push(&buf[..n]);
-                loop {
-                    match dec.next_frame() {
-                        Ok(Some(payload)) => {
-                            shared.telemetry.observe(
-                                HistKind::FrameBytes,
-                                (payload.len() + FRAME_OVERHEAD) as f64,
-                            );
-                            if handle_frame(&payload, &tx, shared).is_err() {
-                                break 'conn;
-                            }
-                        }
-                        Ok(None) => break,
-                        // Corrupt frame: the decoder resynced; the lost
-                        // request is the sender's retry problem.
-                        Err(_) => continue,
-                    }
+                if shared.serve_frames(&mut dec, &tx).is_err() {
+                    break;
                 }
             }
             Err(e)
@@ -704,73 +678,29 @@ fn serve_conn(mut stream: Box<dyn Stream>, shared: &Arc<Shared>) {
     let _ = writer.join();
 }
 
-/// The reply side of a connection: waits each queued reply's durability
-/// gate, then puts it on the wire. A reply whose gate can never be
-/// satisfied (fsync failure) is dropped and the connection killed — the
-/// client must retry rather than observe an undurable decision.
-fn reply_writer(mut out: Box<dyn Stream>, rx: mpsc::Receiver<QueuedReply>, shared: &Shared) {
+/// The reply side of a connection: waits each queued run's durability
+/// gate, then puts its replies on the wire with one write. A run whose
+/// gate can never be satisfied (journal failure) is dropped and the
+/// connection killed — the client must retry rather than observe an
+/// undurable decision.
+fn reply_writer(mut out: Box<dyn Stream>, rx: mpsc::Receiver<QueuedReplies>, shared: &Shared) {
     loop {
         let (gate, bytes) = match rx.recv_timeout(POLL) {
             Ok(v) => v,
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        if gate > 0 && !shared.wait_durable(gate) {
-            out.shutdown_both();
-            return;
-        }
-        if out.write_all(&bytes).and_then(|()| out.flush()).is_err() {
+        let durable = gate == 0 || shared.wait_durable(gate);
+        if !durable || out.write_all(&bytes).and_then(|()| out.flush()).is_err() {
             out.shutdown_both();
             return;
         }
     }
 }
 
-/// Decode, execute, journal (write-ahead), queue the reply. Returns
-/// `Err` only when the reply cannot be queued (writer thread died).
-fn handle_frame(payload: &[u8], tx: &mpsc::Sender<QueuedReply>, shared: &Shared) -> io::Result<()> {
-    let rf = match RequestFrame::decode(payload) {
-        Ok(rf) => rf,
-        Err(_) => {
-            shared.undecodable.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-    };
-    let (resp, gate) = match (&shared.sequencer, rf.replay_seq) {
-        (Some(seq), Some(no)) => match seq.enter(no, &shared.shutdown) {
-            Admission::Aborted => return Ok(()),
-            Admission::Stale => execute_stale(&rf.req, shared),
-            Admission::Fresh => {
-                let out = execute(&rf.req, Some(no), shared);
-                // The cursor advances on append, not on fsync: the next
-                // event executes while this reply waits for its group.
-                seq.exit(no);
-                out
-            }
-        },
-        _ => execute(&rf.req, None, shared),
-    };
-    queue_response(tx, shared, ResponseFrame { corr: rf.corr, resp }, gate)
-}
-
-fn queue_response(
-    tx: &mpsc::Sender<QueuedReply>,
-    shared: &Shared,
-    frame: ResponseFrame,
-    gate: u64,
-) -> io::Result<()> {
-    let payload = frame.encode();
-    let mut framed = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    encode_frame(&payload, &mut framed)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    shared.telemetry.observe(HistKind::FrameBytes, framed.len() as f64);
-    tx.send((gate, framed)).map_err(|_| io::Error::from(io::ErrorKind::BrokenPipe))
-}
-
 const JOURNAL_DOWN: GrmError = GrmError::Unsupported("agreement journal unavailable");
 
-/// Is this decision outcome worth journaling? Transport-layer errors
-/// (the in-process server died under us) are not decisions.
+/// Is this decision outcome worth journaling?
 fn journalable(err: &GrmError) -> bool {
     !matches!(
         err,
@@ -782,217 +712,287 @@ fn journalable(err: &GrmError) -> bool {
     )
 }
 
-/// Execute one request and journal its record, atomically under the
-/// journal lock — the journal records the exact execution interleaving,
-/// so the recovery fold replays what actually happened even when
-/// non-sequenced connections race. Returns the response and its
-/// durability gate (0 for reads and for ops that journaled nothing).
-fn execute(req: &WireRequest, seq: Option<u64>, shared: &Shared) -> (WireResponse, u64) {
-    let h = &shared.handle;
-    match req {
-        WireRequest::Report { lrm, available } => {
-            let mut guard = shared.journal.lock();
-            let res = h.report(*lrm as usize, *available);
-            let gate = if res.is_ok() {
-                let rec = JournalRecord::Report { seq, lrm: *lrm, available: *available };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::Unit(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
-            (WireResponse::Unit(res), gate)
+/// What a submitted frame's reply is waiting on.
+enum Wait {
+    /// Nothing: answered at submit time, nothing to journal.
+    Done(WireResponse),
+    /// A read, issued at collect time (outside the submit lock).
+    Read(WireRequest),
+    /// A report (`lrm`, `available`) now in the mailbox: journal, then ack.
+    Report(u64, f64),
+    Grant(Receiver<Result<Allocation, GrmError>>),
+    /// A release's ack, and the draws its journal record carries.
+    Release(Receiver<Result<(), GrmError>>, Vec<f64>),
+    /// A replay settlement's ack, and its `lrm` and `amount`.
+    Replay(Receiver<Result<(), GrmError>>, u64, f64),
+    /// Decided by a blocking call under the submit lock.
+    GrantMulti(Result<MultiAllocation, GrmError>),
+}
+
+/// A collected frame: its reply, or the record the journal must hold
+/// before that reply leaves.
+enum Outcome {
+    /// No durability gate: reads, soft state, refusals, transport errors.
+    Plain(WireResponse),
+    Journal(JournalRecord),
+}
+
+/// The reply a journaled outcome carries — or, once the journal is
+/// `down`, `JOURNAL_DOWN` in the same reply kind.
+fn reply_of(rec: JournalRecord, down: bool) -> WireResponse {
+    let fail = down.then_some(JOURNAL_DOWN);
+    match rec {
+        JournalRecord::Decision { body: DecisionBody::Grant(res), .. } => {
+            WireResponse::Grant(fail.map_or(res, Err))
         }
-        WireRequest::Tick { now, lease } => {
-            // Lease expiry is soft state, corrected by the next round of
-            // re-reports — never journaled.
-            (WireResponse::Unit(h.tick(*now, *lease)), 0)
+        JournalRecord::Decision { body: DecisionBody::GrantMulti(res), .. } => {
+            WireResponse::GrantMulti(fail.map_or(res, Err))
         }
-        WireRequest::Request { lrm, amount, req_id } => {
-            let mut guard = shared.journal.lock();
-            let result = match req_id {
-                Some(id) => h.request_idempotent(*lrm as usize, *amount, *id),
-                None => h.request(*lrm as usize, *amount),
-            };
-            let gate = if result.as_ref().err().is_none_or(journalable) {
-                let rec = JournalRecord::Decision {
-                    seq,
-                    id: *req_id,
-                    body: DecisionBody::Grant(result.clone()),
-                };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::Grant(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
-            (WireResponse::Grant(result), gate)
-        }
-        WireRequest::Release { alloc, req_id } => {
-            let draws = alloc.draws.clone();
-            let mut guard = shared.journal.lock();
-            let result = match req_id {
-                Some(id) => h.release_idempotent(alloc.clone(), *id),
-                None => h.release(alloc.clone()),
-            };
-            let gate = if result.as_ref().err().is_none_or(journalable) {
-                let rec = JournalRecord::Decision {
-                    seq,
-                    id: *req_id,
-                    body: DecisionBody::Release { draws, result: result.clone() },
-                };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::Unit(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
-            (WireResponse::Unit(result), gate)
-        }
-        WireRequest::ReplayGrant { req_id, lrm, amount } => {
-            let mut guard = shared.journal.lock();
-            let result = h.replay_grant(*req_id, *lrm as usize, *amount);
-            let gate = if result.as_ref().err().is_none_or(journalable) {
-                let rec = JournalRecord::Decision {
-                    seq,
-                    id: Some(*req_id),
-                    body: DecisionBody::Replay {
-                        lrm: *lrm,
-                        amount: *amount,
-                        result: result.clone(),
-                    },
-                };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::Unit(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
-            (WireResponse::Unit(result), gate)
-        }
-        WireRequest::Availability => match h.availability() {
-            Ok(v) => (WireResponse::Availability(v), 0),
-            Err(e) => (WireResponse::Unit(Err(e)), 0),
-        },
-        WireRequest::Stats => match h.stats() {
-            Ok(s) => (WireResponse::Stats(Box::new(s)), 0),
-            Err(e) => (WireResponse::Unit(Err(e)), 0),
-        },
-        WireRequest::RequestMulti { lrm, amounts, req_id } => {
-            let mut guard = shared.journal.lock();
-            let result = match req_id {
-                Some(id) => h.request_multi_idempotent(*lrm as usize, amounts, *id),
-                None => h.request_multi(*lrm as usize, amounts),
-            };
-            let gate = if result.as_ref().err().is_none_or(journalable) {
-                let rec = JournalRecord::Decision {
-                    seq,
-                    id: *req_id,
-                    body: DecisionBody::GrantMulti(result.clone()),
-                };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::GrantMulti(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
-            (WireResponse::GrantMulti(result), gate)
-        }
-        // Multi-lane pools are soft state (re-reported each round) and
-        // the recovery mirror's availability is single-lane, so multi
-        // reports are not journaled — like `Tick`, not like `Report`.
-        WireRequest::ReportMulti { lrm, available } => {
-            (WireResponse::Unit(h.report_multi(*lrm as usize, available.clone())), 0)
-        }
-        WireRequest::AvailabilityMulti => match h.availability_multi() {
-            Ok(lanes) => (WireResponse::AvailabilityMulti(lanes), 0),
-            Err(e) => (WireResponse::Unit(Err(e)), 0),
-        },
+        JournalRecord::Decision {
+            body: DecisionBody::Release { result, .. } | DecisionBody::Replay { result, .. },
+            ..
+        } => WireResponse::Unit(fail.map_or(result, Err)),
+        _ => WireResponse::Unit(fail.map_or(Ok(()), Err)),
     }
 }
 
-/// An event below the replay cursor: it was applied (and journaled)
-/// before a crash or retransmission. Reports are acked without
-/// re-applying — re-running them would rewind the pools. Idempotent RPCs
-/// are forwarded so the dedup window serves the original decision (the
-/// duplicate-id check keeps the journal clean). Replayed decisions gate
-/// on the current append cursor: the original record's covering fsync
-/// may still be outstanding.
-fn execute_stale(req: &WireRequest, shared: &Shared) -> (WireResponse, u64) {
-    let h = &shared.handle;
-    let cursor_gate = |shared: &Shared| shared.journal.lock().0.appended_lsn();
-    match req {
-        WireRequest::Report { .. } | WireRequest::Tick { .. } => (WireResponse::Unit(Ok(())), 0),
-        WireRequest::Request { lrm, amount, req_id } => match req_id {
-            Some(id) => {
-                let res = h.request_idempotent(*lrm as usize, *amount, *id);
-                (WireResponse::Grant(res), cursor_gate(shared))
+fn recv<T>(rx: Receiver<Result<T, GrmError>>) -> Result<T, GrmError> {
+    rx.recv().map_err(|_| GrmError::Disconnected)?
+}
+
+impl Shared {
+    /// Execute every complete frame the decoder holds, as runs; a
+    /// sequenced frame, a read or a multi-resource request closes the
+    /// open run. `Err` only when replies can no longer be queued.
+    fn serve_frames(
+        &self,
+        dec: &mut FrameDecoder,
+        tx: &mpsc::Sender<QueuedReplies>,
+    ) -> io::Result<()> {
+        let mut run: Vec<RequestFrame> = Vec::new();
+        loop {
+            let payload = match dec.next_frame() {
+                Ok(Some(payload)) => payload,
+                Ok(None) => break,
+                // Corrupt frame: the decoder resynced; the lost request
+                // is the sender's retry problem.
+                Err(_) => continue,
+            };
+            self.telemetry.observe(HistKind::FrameBytes, (payload.len() + FRAME_OVERHEAD) as f64);
+            let Ok(rf) = RequestFrame::decode(&payload) else {
+                self.undecodable.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            let sequenced = self.sequencer.as_ref().zip(rf.replay_seq);
+            let blocking = matches!(
+                rf.req,
+                WireRequest::Availability
+                    | WireRequest::Stats
+                    | WireRequest::AvailabilityMulti
+                    | WireRequest::RequestMulti { .. }
+            );
+            if sequenced.is_none() && !blocking {
+                run.push(rf);
+                if run.len() == RUN_MAX {
+                    self.execute_run(&mut run, None, false, tx)?;
+                }
+                continue;
             }
-            // A sequenced request without an id cannot be deduplicated;
-            // refuse rather than silently double-grant.
-            None => (
-                WireResponse::Grant(Err(GrmError::Unsupported(
-                    "stale sequenced request without an idempotency id",
-                ))),
-                0,
-            ),
-        },
-        WireRequest::Release { alloc, req_id } => match req_id {
-            Some(id) => {
-                let res = h.release_idempotent(alloc.clone(), *id);
-                (WireResponse::Unit(res), cursor_gate(shared))
+            self.execute_run(&mut run, None, false, tx)?;
+            run.push(rf);
+            match sequenced {
+                None => self.execute_run(&mut run, None, false, tx)?,
+                Some((seq, no)) => match seq.enter(no, &self.shutdown) {
+                    Admission::Aborted => run.clear(),
+                    Admission::Stale => self.execute_run(&mut run, None, true, tx)?,
+                    Admission::Fresh => {
+                        let queued = self.execute_run(&mut run, Some(no), false, tx);
+                        // The cursor advances on append, not on fsync: the
+                        // next event executes while this reply waits for
+                        // its group.
+                        seq.exit(no);
+                        queued?;
+                    }
+                },
             }
-            None => (
-                WireResponse::Unit(Err(GrmError::Unsupported(
-                    "stale sequenced release without an idempotency id",
-                ))),
-                0,
-            ),
-        },
-        WireRequest::ReplayGrant { req_id, lrm, amount } => {
-            let res = h.replay_grant(*req_id, *lrm as usize, *amount);
-            (WireResponse::Unit(res), cursor_gate(shared))
         }
-        WireRequest::Availability => match h.availability() {
-            Ok(v) => (WireResponse::Availability(v), 0),
-            Err(e) => (WireResponse::Unit(Err(e)), 0),
-        },
-        WireRequest::Stats => match h.stats() {
-            Ok(s) => (WireResponse::Stats(Box::new(s)), 0),
-            Err(e) => (WireResponse::Unit(Err(e)), 0),
-        },
-        WireRequest::RequestMulti { lrm, amounts, req_id } => match req_id {
-            Some(id) => {
-                let res = h.request_multi_idempotent(*lrm as usize, amounts, *id);
-                (WireResponse::GrantMulti(res), cursor_gate(shared))
+        self.execute_run(&mut run, None, false, tx)
+    }
+
+    /// Execute one run (see module docs): submit, collect, commit, queue
+    /// the replies as one entry gated on the run's last LSN. `seq` (the
+    /// replay sequence) and `stale` (below the replay cursor) are only
+    /// ever set on a sequenced run of one.
+    fn execute_run(
+        &self,
+        run: &mut Vec<RequestFrame>,
+        seq: Option<u64>,
+        stale: bool,
+        tx: &mpsc::Sender<QueuedReplies>,
+    ) -> io::Result<()> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        let down = self.durability.state.lock().expect("durability poisoned").failed;
+        let (turn, waits) = {
+            let mut next = self.turns.submit.lock();
+            let waits: Vec<_> = run.drain(..).map(|rf| self.submit(rf, stale, down)).collect();
+            *next += 1;
+            (Turn { turns: &self.turns, ticket: *next - 1 }, waits)
+        };
+        let outcomes: Vec<(u64, Outcome)> =
+            waits.into_iter().map(|(corr, id, wait)| (corr, self.collect(wait, seq, id))).collect();
+        let committed = self.commit(turn, &outcomes);
+        if committed.is_err() {
+            // Fail-stop: the segment may end mid-frame, and recovery
+            // would discard everything appended behind the damage.
+            self.durability.fail();
+        }
+        let mut bytes = Vec::new();
+        for (corr, outcome) in outcomes {
+            let resp = match outcome {
+                Outcome::Plain(resp) => resp,
+                Outcome::Journal(rec) => reply_of(rec, committed.is_err()),
+            };
+            let at = bytes.len();
+            frame_with(&mut bytes, MAX_FRAME_LEN, |w| ResponseFrame { corr, resp }.put(w))
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+            self.telemetry.observe(HistKind::FrameBytes, (bytes.len() - at) as f64);
+        }
+        tx.send((committed.unwrap_or(0), bytes))
+            .map_err(|_| io::Error::from(io::ErrorKind::BrokenPipe))
+    }
+
+    /// Put one frame's message in the GRM mailbox (the caller holds the
+    /// submit lock); returns its correlation id, its idempotency id and
+    /// what its reply waits on. Once the journal is `down`, journaled
+    /// kinds are refused before they reach the GRM. A `stale` event was
+    /// applied and journaled before a crash or retransmission: reports
+    /// and ticks are acked without re-applying (that would rewind the
+    /// pools); idempotent RPCs are forwarded, so the dedup window serves
+    /// the original decision and the mirror suppresses its record.
+    fn submit(&self, rf: RequestFrame, stale: bool, down: bool) -> (u64, Option<RequestId>, Wait) {
+        const ACK: Wait = Wait::Done(WireResponse::Unit(Ok(())));
+        let h = &self.handle;
+        let id = rf.req.req_id();
+        let refuse: fn(GrmError) -> WireResponse = match &rf.req {
+            WireRequest::Request { .. } => |e| WireResponse::Grant(Err(e)),
+            WireRequest::RequestMulti { .. } => |e| WireResponse::GrantMulti(Err(e)),
+            _ => |e| WireResponse::Unit(Err(e)),
+        };
+        let wait = match rf.req {
+            req @ (WireRequest::Availability
+            | WireRequest::Stats
+            | WireRequest::AvailabilityMulti) => Ok(Wait::Read(req)),
+            WireRequest::Report { .. }
+            | WireRequest::Tick { .. }
+            | WireRequest::ReportMulti { .. }
+                if stale =>
+            {
+                Ok(ACK)
             }
-            None => (
-                WireResponse::GrantMulti(Err(GrmError::Unsupported(
-                    "stale sequenced request without an idempotency id",
-                ))),
-                0,
-            ),
-        },
-        // Stale multi reports ack without re-applying, like `Report`.
-        WireRequest::ReportMulti { .. } => (WireResponse::Unit(Ok(())), 0),
-        WireRequest::AvailabilityMulti => match h.availability_multi() {
-            Ok(lanes) => (WireResponse::AvailabilityMulti(lanes), 0),
-            Err(e) => (WireResponse::Unit(Err(e)), 0),
-        },
+            // Lease expiry and multi-lane pools are soft state, corrected
+            // by the next round of re-reports — never journaled.
+            WireRequest::Tick { now, lease } => h.tick(now, lease).map(|()| ACK),
+            WireRequest::ReportMulti { lrm, available } => {
+                h.report_multi(lrm as usize, available).map(|()| ACK)
+            }
+            _ if down => Err(JOURNAL_DOWN),
+            // A stale call without an id cannot be deduplicated; refuse
+            // rather than silently settle it twice.
+            _ if stale && id.is_none() => {
+                Err(GrmError::Unsupported("stale sequenced call without an idempotency id"))
+            }
+            WireRequest::Report { lrm, available } => {
+                h.report(lrm as usize, available).map(|()| Wait::Report(lrm, available))
+            }
+            WireRequest::Request { lrm, amount, req_id } => {
+                GrmClient::issue_request(h, lrm as usize, amount, req_id).map(Wait::Grant)
+            }
+            WireRequest::Release { alloc, req_id } => {
+                let draws = alloc.draws.clone();
+                GrmClient::issue_release(h, alloc, req_id).map(|rx| Wait::Release(rx, draws))
+            }
+            WireRequest::ReplayGrant { req_id, lrm, amount } => {
+                GrmClient::issue_replay(h, req_id, lrm as usize, amount)
+                    .map(|rx| Wait::Replay(rx, lrm, amount))
+            }
+            WireRequest::RequestMulti { lrm, amounts, req_id } => {
+                Ok(Wait::GrantMulti(match req_id {
+                    Some(id) => h.request_multi_idempotent(lrm as usize, &amounts, id),
+                    None => h.request_multi(lrm as usize, &amounts),
+                }))
+            }
+        };
+        (rf.corr, id, wait.unwrap_or_else(|e| Wait::Done(refuse(e))))
+    }
+
+    /// Block for one submitted frame's decision and say what its reply
+    /// needs from the journal.
+    fn collect(&self, wait: Wait, seq: Option<u64>, id: Option<RequestId>) -> Outcome {
+        let h = &self.handle;
+        let body = match wait {
+            Wait::Done(resp) => return Outcome::Plain(resp),
+            Wait::Read(req) => {
+                let read = match req {
+                    WireRequest::Availability => h.availability().map(WireResponse::Availability),
+                    WireRequest::Stats => h.stats().map(|s| WireResponse::Stats(Box::new(s))),
+                    _ => h.availability_multi().map(WireResponse::AvailabilityMulti),
+                };
+                return Outcome::Plain(read.unwrap_or_else(|e| WireResponse::Unit(Err(e))));
+            }
+            Wait::Report(lrm, available) => {
+                return Outcome::Journal(JournalRecord::Report { seq, lrm, available })
+            }
+            Wait::Grant(rx) => DecisionBody::Grant(recv(rx)),
+            Wait::Release(rx, draws) => DecisionBody::Release { draws, result: recv(rx) },
+            Wait::Replay(rx, lrm, amount) => DecisionBody::Replay { lrm, amount, result: recv(rx) },
+            Wait::GrantMulti(res) => DecisionBody::GrantMulti(res),
+        };
+        // Transport-layer errors (the in-process server died under us)
+        // are not decisions, and are not journaled.
+        let decided = body.error().is_none_or(journalable);
+        let rec = JournalRecord::Decision { seq, id, body };
+        if decided {
+            Outcome::Journal(rec)
+        } else {
+            Outcome::Plain(reply_of(rec, false))
+        }
+    }
+
+    /// Append the run's records when its turn comes — one write — fold
+    /// the mirror, maybe compact, publish the LSN counters. Returns the
+    /// run's durability gate: its last record's LSN — for a duplicate
+    /// answered from cache and not re-journaled, the append cursor,
+    /// which conservatively covers the original record — or 0 when
+    /// nothing in the run waits on the journal.
+    fn commit(&self, turn: Turn<'_>, outcomes: &[(u64, Outcome)]) -> io::Result<u64> {
+        if outcomes.iter().all(|(_, o)| matches!(o, Outcome::Plain(_))) {
+            return Ok(0);
+        }
+        drop(turn.wait());
+        let mut guard = self.journal.lock();
+        let (journal, mirror) = &mut *guard;
+        // Fold before the write, so a re-issue later in the run sees the
+        // id its original just put in the window. A failed write poisons
+        // the listener, so a mirror ahead of the disk is never served.
+        let mut fresh = Vec::new();
+        for (_, outcome) in outcomes {
+            if let Outcome::Journal(rec) = outcome {
+                if !mirror.is_duplicate(rec) {
+                    mirror.apply(rec);
+                    fresh.push(rec);
+                }
+            }
+        }
+        let gate = journal.append_run(&fresh)?;
+        if self.compact_every > 0 && journal.records_in_segment() >= self.compact_every {
+            journal.compact(&mirror.snapshot())?;
+        }
+        self.publish_durability(&guard);
+        Ok(gate)
     }
 }
+
+#[cfg(test)]
+mod tests;

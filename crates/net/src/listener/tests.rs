@@ -1,0 +1,138 @@
+//! In-crate tests of the listener's internals: the commit-turn guard,
+//! and the fail-stop journal (which needs the `#[cfg(test)]` hook that
+//! breaks the segment handle under a live listener).
+
+use std::sync::mpsc;
+use std::time::Duration;
+
+use agreements_flow::AgreementMatrix;
+use agreements_grm::RequestId;
+use agreements_telemetry::Telemetry;
+
+use super::*;
+use crate::NetGrmClient;
+
+fn take(turns: &Turns) -> Turn<'_> {
+    let mut next = turns.submit.lock();
+    *next += 1;
+    Turn { turns, ticket: *next - 1 }
+}
+
+#[test]
+fn an_abandoned_turn_passes_on_in_order() {
+    let turns = Turns::default();
+    let (first, second, third) = (take(&turns), take(&turns), take(&turns));
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        // The third run is ready to commit; the second's connection dies
+        // (its guard drops) while the first has not committed yet.
+        let waiter = tx.clone();
+        s.spawn(move || {
+            drop(third.wait());
+            waiter.send("third").unwrap();
+        });
+        s.spawn(move || {
+            drop(second);
+            tx.send("second").unwrap();
+        });
+        // Neither can get past the first turn, abandoned or not …
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        // … and once it passes, the dead run's turn passes with it.
+        drop(first);
+        let mut order = [rx.recv().unwrap(), rx.recv().unwrap()];
+        order.sort_unstable();
+        assert_eq!(order, ["second", "third"]);
+    });
+    assert_eq!(*turns.serving.lock().unwrap(), 3);
+}
+
+fn complete(n: usize, share: f64) -> AgreementMatrix {
+    let mut m = AgreementMatrix::zeros(n);
+    for i in 0..n {
+        for j in 0..n {
+            if i != j {
+                m.set(i, j, share).unwrap();
+            }
+        }
+    }
+    m
+}
+
+fn fail_stop(policy: FsyncPolicy, tag: &str) {
+    let dir =
+        std::env::temp_dir().join(format!("agreements-failstop-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let fresh = || Snapshot {
+        matrix: complete(3, 0.5),
+        level: 1,
+        availability: vec![100.0; 3],
+        next_seq: 0,
+        dedup: Vec::new(),
+    };
+    let journal_dir = dir.join("journal");
+    let (journal, state) =
+        DurableJournal::open_or_create(&journal_dir, fresh, policy, Telemetry::disabled()).unwrap();
+    let server = state.respawn().unwrap();
+    let sock = dir.join("grm.sock");
+    let listener =
+        GrmListener::bind_uds(&sock, server, journal, state, ListenerConfig::default()).unwrap();
+    let client = NetGrmClient::uds(&sock).with_rpc_deadline(Duration::from_secs(5));
+
+    // A window of acknowledged decisions: the prefix recovery must keep.
+    let window = |base: u64| -> Vec<_> {
+        (0..24)
+            .map(|k| {
+                let id = RequestId { client: 7, seq: base + k };
+                client.request_acked_async((k % 3) as usize, 1.0, id).unwrap().0
+            })
+            .collect()
+    };
+    for rx in window(0) {
+        rx.recv().unwrap().expect("acknowledged grant");
+    }
+    let acknowledged = listener.mirror();
+    assert_eq!(acknowledged.records, 1 + 24);
+
+    // The disk goes read-only under the running listener.
+    listener.shared.journal.lock().0.break_writes();
+    let mut refused = 0;
+    for rx in window(1000) {
+        // Every reply at or after the failure is an error — JOURNAL_DOWN,
+        // or a connection torn down with the reply still gated — never a
+        // decision.
+        match rx.recv() {
+            Ok(Ok(alloc)) => panic!("undurable decision released: {alloc:?}"),
+            Ok(Err(e)) => refused += u64::from(e == JOURNAL_DOWN),
+            Err(_) => {}
+        }
+    }
+    assert!(refused > 0, "the failing run is answered JOURNAL_DOWN");
+    // Later journaled ops are refused before they reach the GRM …
+    let before = listener.handle().stats().unwrap().requests;
+    let late = client.request_acked_async(0, 1.0, RequestId { client: 7, seq: 5000 }).unwrap().0;
+    assert_eq!(late.recv().unwrap(), Err(JOURNAL_DOWN));
+    assert_eq!(listener.handle().stats().unwrap().requests, before);
+    // … while reads still answer.
+    assert_eq!(client.availability().unwrap().len(), 3);
+    drop(client);
+    listener.shutdown();
+
+    // Reopening recovers exactly the acknowledged prefix.
+    let (_, recovered) = DurableJournal::open(&journal_dir, policy, Telemetry::disabled()).unwrap();
+    assert_eq!(recovered.records, acknowledged.records);
+    assert_eq!(recovered.truncated_bytes, 0);
+    assert_eq!(recovered.availability, acknowledged.availability);
+    assert_eq!(recovered.dedup, acknowledged.dedup);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_append_poisons_the_listener_every_op() {
+    fail_stop(FsyncPolicy::EveryOp, "everyop");
+}
+
+#[test]
+fn a_failed_append_poisons_the_listener_group_commit() {
+    fail_stop(FsyncPolicy::Batched { max_pending: 8 }, "batched");
+}

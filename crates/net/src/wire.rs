@@ -22,6 +22,8 @@ use agreements_grm::{GrmError, GrmStats, RecordedDecision, RequestId};
 use agreements_lp::LpError;
 use agreements_sched::{Allocation, MultiAllocation, SchedError};
 
+use crate::frame::{encode_frame_with, FrameError};
+
 /// One client→server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireRequest {
@@ -90,6 +92,19 @@ pub enum WireRequest {
     AvailabilityMulti,
 }
 
+impl WireRequest {
+    /// The idempotency id this request carries, if any.
+    pub(crate) fn req_id(&self) -> Option<RequestId> {
+        match self {
+            WireRequest::Request { req_id, .. }
+            | WireRequest::Release { req_id, .. }
+            | WireRequest::RequestMulti { req_id, .. } => *req_id,
+            WireRequest::ReplayGrant { req_id, .. } => Some(*req_id),
+            _ => None,
+        }
+    }
+}
+
 /// One server→client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireResponse {
@@ -148,8 +163,25 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer appending to `buf` (hand it back with `into_bytes`):
+    /// lets a codec body encode straight into a frame or run buffer.
+    pub(crate) fn onto(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Write a `u32` length prefix, then `body`, then patch the prefix
+    /// with the byte count `body` wrote — a nested blob without a
+    /// temporary buffer.
+    pub(crate) fn len_prefixed(&mut self, body: impl FnOnce(&mut Writer)) {
+        let at = self.buf.len();
+        self.u32(0);
+        body(self);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     pub(crate) fn u8(&mut self, v: u8) {
@@ -179,6 +211,20 @@ impl Writer {
             self.f64(v);
         }
     }
+}
+
+/// Append one frame to `out` whose payload `body` encodes in place: no
+/// payload `Vec` built first and copied into the frame second.
+pub(crate) fn frame_with(
+    out: &mut Vec<u8>,
+    max_len: usize,
+    body: impl FnOnce(&mut Writer),
+) -> Result<(), FrameError> {
+    encode_frame_with(out, max_len, |out| {
+        let mut w = Writer::onto(std::mem::take(out));
+        body(&mut w);
+        *out = w.into_bytes();
+    })
 }
 
 /// Cursor-based reader; every accessor bounds-checks and reports a
@@ -740,15 +786,21 @@ impl ResponseFrame {
     /// Encode to a payload (to be wrapped in one wire frame).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.put(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`ResponseFrame::encode`]'s bytes, appended to `w`.
+    pub(crate) fn put(&self, w: &mut Writer) {
         w.u64(self.corr);
         match &self.resp {
             WireResponse::Grant(res) => {
                 w.u8(0);
-                put_grant_result(&mut w, res);
+                put_grant_result(w, res);
             }
             WireResponse::Unit(res) => {
                 w.u8(1);
-                put_unit_result(&mut w, res);
+                put_unit_result(w, res);
             }
             WireResponse::Availability(vs) => {
                 w.u8(2);
@@ -756,11 +808,11 @@ impl ResponseFrame {
             }
             WireResponse::Stats(s) => {
                 w.u8(3);
-                put_stats(&mut w, s);
+                put_stats(w, s);
             }
             WireResponse::GrantMulti(res) => {
                 w.u8(4);
-                put_grant_multi_result(&mut w, res);
+                put_grant_multi_result(w, res);
             }
             WireResponse::AvailabilityMulti(lanes) => {
                 w.u8(5);
@@ -770,7 +822,6 @@ impl ResponseFrame {
                 }
             }
         }
-        w.into_bytes()
     }
 
     /// Decode a payload; failures surface as [`GrmError::FrameDecode`].
@@ -806,28 +857,54 @@ fn decode_response(bytes: &[u8]) -> WireResult<ResponseFrame> {
     Ok(ResponseFrame { corr, resp })
 }
 
+/// A [`RecordedDecision`] by reference: what the journal encodes from
+/// without first cloning a decision into the owned form.
+#[derive(Clone, Copy)]
+pub(crate) enum DecisionRef<'a> {
+    Grant(&'a Result<Allocation, GrmError>),
+    Release(&'a Result<(), GrmError>),
+    Replay(&'a Result<(), GrmError>),
+    GrantMulti(&'a Result<MultiAllocation, GrmError>),
+}
+
+impl<'a> From<&'a RecordedDecision> for DecisionRef<'a> {
+    fn from(d: &'a RecordedDecision) -> Self {
+        match d {
+            RecordedDecision::Grant(res) => DecisionRef::Grant(res),
+            RecordedDecision::Release(res) => DecisionRef::Release(res),
+            RecordedDecision::Replay(res) => DecisionRef::Replay(res),
+            RecordedDecision::GrantMulti(res) => DecisionRef::GrantMulti(res),
+        }
+    }
+}
+
+/// [`encode_decision`]'s bytes, appended to `w`.
+pub(crate) fn put_decision(w: &mut Writer, d: DecisionRef<'_>) {
+    match d {
+        DecisionRef::Grant(res) => {
+            w.u8(0);
+            put_grant_result(w, res);
+        }
+        DecisionRef::Release(res) => {
+            w.u8(1);
+            put_unit_result(w, res);
+        }
+        DecisionRef::Replay(res) => {
+            w.u8(2);
+            put_unit_result(w, res);
+        }
+        DecisionRef::GrantMulti(res) => {
+            w.u8(3);
+            put_grant_multi_result(w, res);
+        }
+    }
+}
+
 /// Encode a journaled decision (shared with the durable journal, so a
 /// recovered decision is bit-identical to the one that was served).
 pub fn encode_decision(d: &RecordedDecision) -> Vec<u8> {
     let mut w = Writer::new();
-    match d {
-        RecordedDecision::Grant(res) => {
-            w.u8(0);
-            put_grant_result(&mut w, res);
-        }
-        RecordedDecision::Release(res) => {
-            w.u8(1);
-            put_unit_result(&mut w, res);
-        }
-        RecordedDecision::Replay(res) => {
-            w.u8(2);
-            put_unit_result(&mut w, res);
-        }
-        RecordedDecision::GrantMulti(res) => {
-            w.u8(3);
-            put_grant_multi_result(&mut w, res);
-        }
-    }
+    put_decision(&mut w, d.into());
     w.into_bytes()
 }
 

@@ -1,0 +1,392 @@
+//! The run pipeline's contract (DESIGN.md §17), driven over raw sockets
+//! so the test decides how many frames reach the listener per read.
+//!
+//! - Deep windows and one frame per round trip are the same computation:
+//!   bit-identical replies per correlation id, equal recovered state.
+//! - Racing connections: the journal's order is the order the GRM
+//!   executed, so the reopened journal folds to the live GRM's
+//!   availability bit for bit, its records add up to the GRM's own
+//!   counters, and no `RequestId` settles twice.
+//! - A pipelined window reaches a hierarchical engine as a batch.
+//! - A connection that vanishes mid-window does not stall the others.
+
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+use agreements_flow::AgreementMatrix;
+use agreements_grm::{GrmServer, RequestId};
+use agreements_net::frame::{encode_frame, FrameDecoder};
+use agreements_net::journal::{
+    DecisionBody, DurableJournal, FsyncPolicy, JournalRecord, RecoveredState, Snapshot,
+    MAX_JOURNAL_FRAME_LEN,
+};
+use agreements_net::listener::{GrmListener, ListenerConfig};
+use agreements_net::{RequestFrame, ResponseFrame, WireRequest, WireResponse};
+use agreements_sched::{Allocation, HierarchicalScheduler};
+use agreements_telemetry::{HistKind, Telemetry};
+
+fn complete(n: usize, share: f64) -> AgreementMatrix {
+    let mut m = AgreementMatrix::zeros(n);
+    for i in 0..n {
+        for j in 0..n {
+            if i != j {
+                m.set(i, j, share).unwrap();
+            }
+        }
+    }
+    m
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let d =
+        PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).unwrap();
+    d
+}
+
+const N: usize = 4;
+
+fn open_journal(dir: &Path, policy: FsyncPolicy) -> (DurableJournal, RecoveredState) {
+    let fresh = || Snapshot {
+        matrix: complete(N, 0.5),
+        level: 1,
+        availability: vec![40.0; N],
+        next_seq: 0,
+        dedup: Vec::new(),
+    };
+    DurableJournal::open_or_create(&dir.join("journal"), fresh, policy, Telemetry::disabled())
+        .unwrap()
+}
+
+fn daemon(dir: &Path, policy: FsyncPolicy) -> GrmListener {
+    let (journal, state) = open_journal(dir, policy);
+    let server = state.respawn().unwrap();
+    let config = ListenerConfig { compact_every: 0, ..ListenerConfig::default() };
+    GrmListener::bind_uds(&dir.join("grm.sock"), server, journal, state, config).unwrap()
+}
+
+/// A client that writes exactly the frames it is told to, in one write.
+struct Raw {
+    stream: UnixStream,
+    dec: FrameDecoder,
+}
+
+impl Raw {
+    fn connect(dir: &Path) -> Raw {
+        let stream = UnixStream::connect(dir.join("grm.sock")).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        Raw { stream, dec: FrameDecoder::new() }
+    }
+
+    fn send(&mut self, frames: &[RequestFrame]) {
+        let mut wire = Vec::new();
+        for f in frames {
+            encode_frame(&f.encode(), &mut wire).unwrap();
+        }
+        self.stream.write_all(&wire).unwrap();
+    }
+
+    fn recv(&mut self, count: usize) -> Vec<ResponseFrame> {
+        let mut out = Vec::with_capacity(count);
+        let mut buf = [0u8; 16 * 1024];
+        while out.len() < count {
+            while let Some(payload) = self.dec.next_frame().unwrap() {
+                out.push(ResponseFrame::decode(&payload).unwrap());
+            }
+            if out.len() < count {
+                let n = self.stream.read(&mut buf).unwrap();
+                assert!(n > 0, "listener closed the connection");
+                self.dec.push(&buf[..n]);
+            }
+        }
+        out
+    }
+}
+
+/// Tiny LCG, so streams are a pure function of their seed.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self, bound: u64) -> u64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (self.0 >> 33) % bound
+    }
+}
+
+fn request(corr: u64, lrm: u64, amount: f64, id: RequestId) -> RequestFrame {
+    RequestFrame {
+        corr,
+        replay_seq: None,
+        req: WireRequest::Request { lrm, amount, req_id: Some(id) },
+    }
+}
+
+fn report(corr: u64, lrm: u64, available: f64) -> RequestFrame {
+    RequestFrame { corr, replay_seq: None, req: WireRequest::Report { lrm, available } }
+}
+
+/// Every record of a (never compacted) journal, in order.
+fn journal_records(dir: &Path) -> Vec<JournalRecord> {
+    let bytes = std::fs::read(dir.join("journal").join("segment-000000.log")).unwrap();
+    let mut dec = FrameDecoder::limited(MAX_JOURNAL_FRAME_LEN);
+    dec.push(&bytes);
+    let mut out = Vec::new();
+    while let Some(payload) = dec.next_frame().unwrap() {
+        out.push(JournalRecord::decode(&payload).unwrap());
+    }
+    assert_eq!(dec.pending(), 0, "journal ends on a record boundary");
+    out
+}
+
+fn assert_states_equal(got: &RecoveredState, want: &RecoveredState) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.availability), bits(&want.availability), "availability");
+    assert_eq!(got.next_seq, want.next_seq, "next_seq");
+    assert_eq!(got.records, want.records, "record count");
+    assert_eq!(got.dedup, want.dedup, "dedup window");
+    assert_eq!(got.matrix, want.matrix, "matrix");
+}
+
+#[test]
+fn deep_windows_and_round_trips_are_the_same_computation() {
+    // --- One frame per round trip, recording the stream as it goes ----
+    let dir_a = scratch("runs-serial");
+    let listener = daemon(&dir_a, FsyncPolicy::EveryOp);
+    let mut conn = Raw::connect(&dir_a);
+    let mut rng = Lcg(0x5eed_0012);
+    let mut frames: Vec<RequestFrame> = Vec::new();
+    let mut replies: HashMap<u64, Vec<u8>> = HashMap::new();
+    let mut held: Vec<Allocation> = Vec::new();
+    let mut requests: Vec<RequestFrame> = Vec::new();
+    for corr in 0..480u64 {
+        let id = RequestId { client: 9, seq: corr };
+        let frame = match rng.next(10) {
+            0..=2 => report(corr, rng.next(N as u64), 30.0 + rng.next(16) as f64),
+            // A re-issue: an earlier request's id under a new correlation.
+            3 if !requests.is_empty() => {
+                let earlier = &requests[rng.next(requests.len() as u64) as usize];
+                RequestFrame { corr, ..earlier.clone() }
+            }
+            4 if !held.is_empty() => {
+                let alloc = held.swap_remove(rng.next(held.len() as u64) as usize);
+                RequestFrame {
+                    corr,
+                    replay_seq: None,
+                    req: WireRequest::Release { alloc, req_id: Some(id) },
+                }
+            }
+            5 => RequestFrame {
+                corr,
+                replay_seq: None,
+                req: WireRequest::ReplayGrant { req_id: id, lrm: rng.next(N as u64), amount: 1.5 },
+            },
+            _ => request(corr, rng.next(N as u64), 1.0 + rng.next(24) as f64 * 0.5, id),
+        };
+        conn.send(std::slice::from_ref(&frame));
+        let reply = conn.recv(1).pop().unwrap();
+        assert_eq!(reply.corr, corr);
+        if let (WireRequest::Request { .. }, WireResponse::Grant(Ok(alloc))) =
+            (&frame.req, &reply.resp)
+        {
+            if !requests.iter().any(|r| r.req == frame.req) {
+                held.push(alloc.clone());
+            }
+        }
+        if matches!(frame.req, WireRequest::Request { .. }) {
+            requests.push(frame.clone());
+        }
+        replies.insert(corr, reply.encode());
+        frames.push(frame);
+    }
+    drop(conn);
+    listener.shutdown();
+    let (_, serial) = open_journal(&dir_a, FsyncPolicy::EveryOp);
+
+    // --- The same stream as windows of 64, one write each --------------
+    let dir_b = scratch("runs-windowed");
+    let listener = daemon(&dir_b, FsyncPolicy::EveryOp);
+    let mut conn = Raw::connect(&dir_b);
+    for window in frames.chunks(64) {
+        conn.send(window);
+        for reply in conn.recv(window.len()) {
+            assert_eq!(
+                reply.encode(),
+                replies[&reply.corr],
+                "corr {}: a window must decide what a round trip decided",
+                reply.corr
+            );
+        }
+    }
+    drop(conn);
+    listener.shutdown();
+    let (_, windowed) = open_journal(&dir_b, FsyncPolicy::EveryOp);
+    assert!(serial.records > 300, "the stream journals most of its frames");
+    assert_states_equal(&windowed, &serial);
+}
+
+fn racing_connections(conns: u64) {
+    let dir = scratch(&format!("runs-race{conns}"));
+    let listener = daemon(&dir, FsyncPolicy::Batched { max_pending: 32 });
+    let (windows, width) = (6u64, 64u64);
+    let drivers: Vec<_> = (0..conns)
+        .map(|c| {
+            let dir = dir.clone();
+            std::thread::spawn(move || {
+                let mut conn = Raw::connect(&dir);
+                let mut rng = Lcg(0xace0_0000 + c);
+                let mut reissues = 0u64;
+                for w in 0..windows {
+                    let mut frames: Vec<RequestFrame> = Vec::new();
+                    for k in 0..width {
+                        let seq = w * width + k;
+                        let id = RequestId { client: c + 1, seq };
+                        frames.push(match k % 8 {
+                            0 | 1 => report(seq, rng.next(N as u64), 25.0 + rng.next(20) as f64),
+                            // Re-issue the request two frames back: same run
+                            // or the run before, either way answered once.
+                            5 => {
+                                reissues += 1;
+                                let RequestFrame { req, .. } = frames[k as usize - 2].clone();
+                                RequestFrame { corr: seq, replay_seq: None, req }
+                            }
+                            _ => request(seq, rng.next(N as u64), 0.5 + rng.next(8) as f64, id),
+                        });
+                    }
+                    conn.send(&frames);
+                    assert_eq!(conn.recv(frames.len()).len(), frames.len());
+                }
+                reissues
+            })
+        })
+        .collect();
+    let reissues: u64 = drivers.into_iter().map(|d| d.join().unwrap()).sum();
+
+    let h = listener.handle();
+    let live = h.availability().unwrap();
+    let stats = h.stats().unwrap();
+    listener.shutdown();
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (_, recovered) = open_journal(&dir, FsyncPolicy::EveryOp);
+    assert_eq!(
+        bits(&recovered.availability),
+        bits(&live),
+        "the journal folds to the live pools only if it is in execution order"
+    );
+
+    let (mut reports, mut requests, mut granted, mut units) = (0u64, 0u64, 0u64, 0.0f64);
+    let mut settled: HashMap<RequestId, u32> = HashMap::new();
+    for rec in journal_records(&dir) {
+        match rec {
+            JournalRecord::Report { .. } => reports += 1,
+            JournalRecord::Decision { id, body: DecisionBody::Grant(res), .. } => {
+                requests += 1;
+                *settled.entry(id.expect("every request carries an id")).or_default() += 1;
+                if let Ok(alloc) = res {
+                    granted += 1;
+                    units += alloc.amount;
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(settled.values().all(|&times| times == 1), "a RequestId settled twice");
+    // `respawn` seeds the pools with one report per principal.
+    assert_eq!(stats.reports, reports + N as u64);
+    assert_eq!(stats.requests, requests);
+    assert_eq!(stats.granted, granted);
+    assert_eq!(stats.duplicate_requests, reissues);
+    assert!((stats.granted_units - units).abs() <= 1e-9 * units.max(1.0));
+    assert_eq!(requests + reissues + reports, conns * windows * width);
+}
+
+#[test]
+fn two_racing_connections_journal_in_execution_order() {
+    racing_connections(2);
+}
+
+#[test]
+fn four_racing_connections_journal_in_execution_order() {
+    racing_connections(4);
+}
+
+#[test]
+fn a_pipelined_window_reaches_a_hierarchical_engine_as_a_batch() {
+    let dir = scratch("runs-hier");
+    let (journal, state) = open_journal(&dir, FsyncPolicy::Batched { max_pending: 32 });
+    let mut inter = AgreementMatrix::zeros(2);
+    inter.set(0, 1, 0.5).unwrap();
+    inter.set(1, 0, 0.5).unwrap();
+    let sched = HierarchicalScheduler::new(vec![vec![0, 1], vec![2, 3]], &inter, 1).unwrap();
+    let (telemetry, recorder) = Telemetry::recorder(0);
+    let server =
+        state.respawn_with(GrmServer::spawn_hierarchical_with_telemetry(sched, telemetry)).unwrap();
+    let listener = GrmListener::bind_uds(
+        &dir.join("grm.sock"),
+        server,
+        journal,
+        state,
+        ListenerConfig::default(),
+    )
+    .unwrap();
+    let mut conn = Raw::connect(&dir);
+    // The GRM thread may wake on a window's first message and decide it
+    // alone, so one window proves little; eight cannot all fall apart
+    // into runs of one.
+    let (windows, width) = (8u64, 16u64);
+    for w in 0..windows {
+        let frames: Vec<_> = (0..width)
+            .map(|k| {
+                let seq = w * width + k;
+                request(seq, k % N as u64, 0.25, RequestId { client: 1, seq })
+            })
+            .collect();
+        conn.send(&frames);
+        conn.recv(frames.len());
+    }
+    let stats = listener.handle().stats().unwrap();
+    assert_eq!(stats.batched_allocations, windows * width);
+    let snap = recorder.snapshot();
+    let batches = snap.histogram(HistKind::BatchSize).expect("batch-size histogram");
+    assert!(
+        batches.count < windows * width && batches.mean() > 1.0,
+        "{} admission batches for {} requests: the wire path never batched",
+        batches.count,
+        windows * width
+    );
+    listener.shutdown();
+}
+
+#[test]
+fn a_connection_dropped_mid_window_does_not_stall_the_others() {
+    let dir = scratch("runs-drop");
+    let listener = daemon(&dir, FsyncPolicy::Batched { max_pending: 32 });
+    let mut survivor = Raw::connect(&dir);
+    for round in 0..20u64 {
+        // Submit a window and vanish without reading a single reply.
+        let mut quitter = Raw::connect(&dir);
+        let frames: Vec<_> = (0..64u64)
+            .map(|k| request(k, k % N as u64, 0.125, RequestId { client: 100 + round, seq: k }))
+            .collect();
+        quitter.send(&frames);
+        drop(quitter);
+        // The other connection's decisions keep flowing (the read
+        // timeout fails the test if a turn is never passed on).
+        let id = RequestId { client: 1, seq: round };
+        survivor.send(&[request(round, round % N as u64, 0.125, id)]);
+        assert_eq!(survivor.recv(1)[0].corr, round);
+    }
+    listener.shutdown();
+    // Whatever the quitters' windows got to decide is in the journal once.
+    let mut seen = std::collections::HashSet::new();
+    for rec in journal_records(&dir) {
+        if let JournalRecord::Decision { id: Some(id), .. } = rec {
+            assert!(seen.insert(id), "{id:?} journaled twice");
+        }
+    }
+    assert!(seen.len() >= 20);
+}

@@ -151,6 +151,91 @@ fn recovery_from_every_byte_offset_of_the_final_record() {
     let _ = fs::remove_dir_all(&master);
 }
 
+/// The listener appends a whole run of records with one `write_all`
+/// ([`DurableJournal::append_run`]), so a power cut can tear the write
+/// anywhere inside *several* records. A record stays the unit of
+/// atomicity: at every byte offset of the run, recovery keeps exactly the
+/// whole records before the cut — never half of one, never one twice (a
+/// double debit) — and appending resumes cleanly behind them.
+#[test]
+fn recovery_from_every_byte_offset_of_a_multi_record_run() {
+    let snap = Snapshot {
+        matrix: complete(3, 0.4),
+        level: 1,
+        availability: vec![10.0, 10.0, 10.0],
+        next_seq: 0,
+        dedup: Vec::new(),
+    };
+    let grant = |seq: u64, draws: Vec<f64>| JournalRecord::Decision {
+        seq: None,
+        id: Some(RequestId { client: 4, seq }),
+        body: DecisionBody::Grant(Ok(Allocation {
+            requester: 0,
+            amount: draws.iter().sum(),
+            draws,
+            theta: 0.5,
+        })),
+    };
+    let run: Vec<JournalRecord> = vec![
+        grant(1, vec![2.0, 1.0, 0.0]),
+        JournalRecord::Report { seq: None, lrm: 2, available: 7.5 },
+        grant(2, vec![3.0, 0.0, 1.5]),
+        JournalRecord::Decision {
+            seq: None,
+            id: Some(RequestId { client: 4, seq: 3 }),
+            body: DecisionBody::Release { draws: vec![2.0, 1.0, 0.0], result: Ok(()) },
+        },
+        grant(4, vec![4.0, 4.0, 4.0]),
+    ];
+    let master = scratch("run-master");
+    let mut j = DurableJournal::create(&master, &snap, FsyncPolicy::EveryOp, Telemetry::disabled())
+        .unwrap();
+    j.append(&JournalRecord::Report { seq: None, lrm: 0, available: 9.0 }).unwrap();
+    let before = fs::metadata(master.join("segment-000000.log")).unwrap().len() as usize;
+    let last = j.append_run(&run.iter().collect::<Vec<_>>()).unwrap();
+    assert_eq!(last, 2 + run.len() as u64, "snapshot, report, then the run's last LSN");
+    drop(j);
+    let full = fs::read(master.join("segment-000000.log")).unwrap();
+
+    // End offset of each record of the run, and the state after it.
+    let mut ends = vec![before];
+    let mut base = RecoveredState::from_snapshot(&snap);
+    base.apply(&JournalRecord::Report { seq: None, lrm: 0, available: 9.0 });
+    let mut states = vec![base];
+    for rec in &run {
+        ends.push(ends.last().unwrap() + FRAME_OVERHEAD + rec.encode().len());
+        let mut next = states.last().unwrap().clone();
+        next.apply(rec);
+        states.push(next);
+    }
+    assert_eq!(*ends.last().unwrap(), full.len(), "the run is one contiguous write");
+
+    let dir = scratch("run-cut");
+    for cut in before..=full.len() {
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("segment-000000.log"), &full[..cut]).unwrap();
+        let (mut journal, state) =
+            DurableJournal::open(&dir, FsyncPolicy::EveryOp, Telemetry::disabled())
+                .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
+        // Whole records of the run that fit before the cut.
+        let whole = ends.iter().rposition(|&end| end <= cut).unwrap();
+        assert_states_equal(&state, &states[whole], &format!("cut at byte {cut}"));
+        assert_eq!(state.truncated_bytes, (cut - ends[whole]) as u64, "cut at byte {cut}");
+
+        // Re-appending the lost suffix as a run heals the journal.
+        if whole < run.len() {
+            journal.append_run(&run[whole..].iter().collect::<Vec<_>>()).unwrap();
+            drop(journal);
+            let (_, healed) =
+                DurableJournal::open(&dir, FsyncPolicy::EveryOp, Telemetry::disabled()).unwrap();
+            assert_states_equal(&healed, states.last().unwrap(), &format!("healed cut {cut}"));
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&master);
+}
+
 #[test]
 fn recovery_never_invents_a_decision_from_torn_bytes() {
     // A torn grant must not reach the dedup window: a client retrying
