@@ -25,6 +25,8 @@
 //! - [`resilient::ResilientGrmClient`] adds per-call deadlines,
 //!   idempotent retries (client-generated [`server::RequestId`]s against
 //!   the server's dedup window), and capped, jittered backoff.
+//! - [`dedup::DedupWindow`] is that dedup window: one type for the live
+//!   server and for the durable journal's recovery mirror.
 //! - [`recovery::AgreementJournal`] makes the agreement-management state
 //!   replayable so a cold-standby GRM can be rebuilt after a crash, with
 //!   availability restored from LRM re-reports.
@@ -39,6 +41,8 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
+pub mod dedup;
+mod engine;
 pub mod lrm;
 pub mod multilevel;
 pub mod policy_adapter;
@@ -46,6 +50,7 @@ pub mod recovery;
 pub mod resilient;
 pub mod server;
 
+pub use dedup::{DedupWindow, DEDUP_WINDOW};
 pub use lrm::Lrm;
 pub use multilevel::TwoLevelGrm;
 pub use policy_adapter::GrmBackedPolicy;

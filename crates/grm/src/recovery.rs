@@ -137,17 +137,6 @@ impl AgreementJournal {
     pub fn respawn(&self) -> Result<GrmServer, FlowError> {
         Ok(GrmServer::spawn(self.matrix()?, self.level))
     }
-
-    /// Like [`respawn`](Self::respawn), but the standby's client link
-    /// also runs through `plane` (the chaos run continues across the
-    /// failover).
-    pub fn respawn_chaotic(
-        &self,
-        plane: &agreements_faults::FaultPlane,
-        link: &str,
-    ) -> Result<GrmServer, FlowError> {
-        Ok(GrmServer::spawn_chaotic(self.matrix()?, self.level, plane, link))
-    }
 }
 
 #[cfg(test)]
@@ -195,6 +184,23 @@ mod tests {
         assert!(journal.set_agreement(&h, 0, 7, 0.5).is_err());
         assert!(journal.leave(&h, 9).is_err());
         assert!(journal.is_empty());
+        grm.shutdown();
+    }
+
+    #[test]
+    fn refused_join_is_not_journalled() {
+        // Regression: a fixed-membership engine used to answer `join`
+        // with a sentinel index inside `Ok`, so the journal recorded a
+        // join that never happened and the standby's replayed matrix
+        // grew by a principal the live GRM never had.
+        use agreements_sched::HierarchicalScheduler;
+        let inter = complete(2, 0.5);
+        let sched = HierarchicalScheduler::new(vec![vec![0, 1], vec![2, 3]], &inter, 1).unwrap();
+        let grm = GrmServer::spawn_hierarchical(sched);
+        let mut journal = AgreementJournal::new(complete(4, 0.25), 1);
+        assert!(matches!(journal.join(&grm.handle()), Err(GrmError::Unsupported(_))));
+        assert_eq!(journal.len(), 0, "a refused join must not be recorded");
+        assert_eq!(journal.matrix().unwrap().n(), 4);
         grm.shutdown();
     }
 

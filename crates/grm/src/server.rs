@@ -8,15 +8,16 @@
 //! `Request`/`Release`/`ReplayGrant` returns the original decision
 //! instead of double-granting (DESIGN.md §8).
 
-use agreements_flow::{AgreementMatrix, FlowError, IncrementalFlow};
+use crate::dedup::DedupWindow;
+use crate::engine::{self, Engine};
+use agreements_flow::{AgreementMatrix, FlowError};
 use agreements_sched::{
-    admission_bound, exceeds_bound, first_binding_resource, AdmissionRequest, Allocation,
-    AllocationSolver, BatchedAdmission, HierarchicalScheduler, MultiAdmission, MultiAllocation,
-    MultiSolver, SchedError, SystemState,
+    AdmissionRequest, Allocation, HierarchicalScheduler, MultiAdmission, MultiAllocation,
+    SchedError,
 };
 use agreements_telemetry::{HistKind, Telemetry, TelemetryEvent};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -135,12 +136,6 @@ pub struct RequestId {
     pub seq: u64,
 }
 
-/// How many decided calls the server remembers for deduplication. A
-/// retry arriving after this many newer calls is treated as new — the
-/// window bounds memory, trading exactly-once for "at most once within
-/// any plausible retry horizon".
-pub const DEDUP_WINDOW: usize = 1024;
-
 /// A decided idempotent call in exportable form: what the dedup window
 /// remembers about a [`RequestId`], made public so a durable journal can
 /// persist decisions and seed them back into a respawned server
@@ -158,6 +153,21 @@ pub enum RecordedDecision {
     Replay(Result<(), GrmError>),
 }
 
+/// One single-resource allocation request: the payload of
+/// [`Msg::Request`], and an entry of a drained run waiting on a
+/// batching engine.
+#[derive(Clone)]
+struct QueuedRequest {
+    lrm: usize,
+    amount: f64,
+    req_id: Option<RequestId>,
+    /// Send-time stamp for the queue-wait histogram; `None` when the
+    /// issuing handle's telemetry plane is disabled (the stamp costs a
+    /// clock read, so it is only taken when someone will look).
+    enqueued: Option<Instant>,
+    reply: Sender<Result<Allocation, GrmError>>,
+}
+
 #[derive(Clone)]
 enum Msg {
     Report {
@@ -169,22 +179,13 @@ enum Msg {
         lease: u64,
     },
     Join {
-        reply: Sender<usize>,
+        reply: Sender<Result<usize, GrmError>>,
     },
     Leave {
         lrm: usize,
         reply: Sender<Result<(), GrmError>>,
     },
-    Request {
-        lrm: usize,
-        amount: f64,
-        req_id: Option<RequestId>,
-        /// Send-time stamp for the queue-wait histogram; `None` when the
-        /// issuing handle's telemetry plane is disabled (the stamp costs
-        /// a clock read, so it is only taken when someone will look).
-        enqueued: Option<Instant>,
-        reply: Sender<Result<Allocation, GrmError>>,
-    },
+    Request(QueuedRequest),
     RequestMulti {
         lrm: usize,
         amounts: Vec<f64>,
@@ -319,6 +320,11 @@ impl KahanSum {
     }
 }
 
+/// Block for the answer to an issued call.
+fn wait<T>(rx: Receiver<T>) -> Result<T, GrmError> {
+    rx.recv().map_err(|_| GrmError::Disconnected)
+}
+
 /// Cloneable client handle to a running GRM.
 #[derive(Clone)]
 pub struct GrmHandle {
@@ -330,9 +336,26 @@ pub struct GrmHandle {
 }
 
 impl GrmHandle {
+    fn send(&self, msg: Msg) -> Result<(), GrmError> {
+        self.tx.send(msg).map_err(|_| GrmError::Disconnected)
+    }
+
+    /// Send a message carrying a fresh reply channel without waiting:
+    /// the answer arrives on the returned receiver.
+    fn issue<T>(&self, msg: impl FnOnce(Sender<T>) -> Msg) -> Result<Receiver<T>, GrmError> {
+        let (reply, rx) = unbounded();
+        self.send(msg(reply))?;
+        Ok(rx)
+    }
+
+    /// [`GrmHandle::issue`], then block for the answer.
+    fn call<T>(&self, msg: impl FnOnce(Sender<T>) -> Msg) -> Result<T, GrmError> {
+        wait(self.issue(msg)?)
+    }
+
     /// Dynamic availability report (LRM -> GRM).
     pub fn report(&self, lrm: usize, available: f64) -> Result<(), GrmError> {
-        self.tx.send(Msg::Report { lrm, available }).map_err(|_| GrmError::Disconnected)
+        self.send(Msg::Report { lrm, available })
     }
 
     /// Advance the GRM's logical clock for lease-based liveness: any LRM
@@ -341,27 +364,25 @@ impl GrmHandle {
     /// not be scheduled against). The clock is supplied by the caller so
     /// tests and simulations stay deterministic.
     pub fn tick(&self, now: u64, lease: u64) -> Result<(), GrmError> {
-        self.tx.send(Msg::Tick { now, lease }).map_err(|_| GrmError::Disconnected)
+        self.send(Msg::Tick { now, lease })
     }
 
     /// A new LRM joins the federation; returns its index. It starts with
     /// no agreements and zero reported availability — wire it in with
     /// [`GrmHandle::set_agreement`] and [`GrmHandle::report`]. Its
     /// liveness lease starts *now*: joining late does not make it
-    /// instantly lease-expired.
+    /// instantly lease-expired. Flat single-resource GRMs only: the
+    /// other engines fix their membership at construction and answer
+    /// [`GrmError::Unsupported`].
     pub fn join(&self) -> Result<usize, GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx.send(Msg::Join { reply }).map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)
+        self.call(|reply| Msg::Join { reply })?
     }
 
     /// An LRM leaves: all its agreements are dropped (both directions)
     /// and its availability zeroed. Its index stays reserved so other
     /// indices remain stable.
     pub fn leave(&self, lrm: usize) -> Result<(), GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx.send(Msg::Leave { lrm, reply }).map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
+        self.call(|reply| Msg::Leave { lrm, reply })?
     }
 
     /// Allocation RPC: LRM `lrm` requests `amount` units under the
@@ -369,8 +390,7 @@ impl GrmHandle {
     /// [`GrmHandle::request_idempotent`] (or a `ResilientGrmClient`)
     /// when the call may be retried.
     pub fn request(&self, lrm: usize, amount: f64) -> Result<Allocation, GrmError> {
-        let rx = self.issue_request(lrm, amount, None)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
+        wait(GrmClient::issue_request(self, lrm, amount, None)?)?
     }
 
     /// Allocation RPC with an idempotency id: a duplicated or retried
@@ -382,31 +402,15 @@ impl GrmHandle {
         amount: f64,
         req_id: RequestId,
     ) -> Result<Allocation, GrmError> {
-        let rx = self.issue_request(lrm, amount, Some(req_id))?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
-    }
-
-    /// Send a request without waiting: returns the reply channel. The
-    /// resilient client uses this to apply its own deadline.
-    pub(crate) fn issue_request(
-        &self,
-        lrm: usize,
-        amount: f64,
-        req_id: Option<RequestId>,
-    ) -> Result<Receiver<Result<Allocation, GrmError>>, GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx
-            .send(Msg::Request { lrm, amount, req_id, enqueued: self.telemetry.start(), reply })
-            .map_err(|_| GrmError::Disconnected)?;
-        Ok(rx)
+        wait(GrmClient::issue_request(self, lrm, amount, Some(req_id))?)?
     }
 
     /// Multi-resource availability report: LRM `lrm`'s free capacity in
     /// every resource lane (the server's lane order; see
-    /// [`GrmHandle::availability_multi`]). Single-resource GRMs ignore
-    /// multi reports, as flat GRMs ignore malformed single ones.
+    /// [`GrmHandle::availability_multi`]). A report whose length is not
+    /// the server's lane count is dropped, as any malformed report is.
     pub fn report_multi(&self, lrm: usize, available: Vec<f64>) -> Result<(), GrmError> {
-        self.tx.send(Msg::ReportMulti { lrm, available }).map_err(|_| GrmError::Disconnected)
+        self.send(Msg::ReportMulti { lrm, available })
     }
 
     /// Multi-resource allocation RPC: LRM `lrm` requests `amounts`
@@ -415,8 +419,7 @@ impl GrmHandle {
     /// resource. Single-resource GRMs answer
     /// [`GrmError::Unsupported`].
     pub fn request_multi(&self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
-        let rx = self.issue_request_multi(lrm, amounts.to_vec(), None)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
+        wait(self.issue_request_multi(lrm, amounts.to_vec(), None)?)?
     }
 
     /// [`GrmHandle::request_multi`] with an idempotency id: a duplicated
@@ -428,8 +431,7 @@ impl GrmHandle {
         amounts: &[f64],
         req_id: RequestId,
     ) -> Result<MultiAllocation, GrmError> {
-        let rx = self.issue_request_multi(lrm, amounts.to_vec(), Some(req_id))?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
+        wait(self.issue_request_multi(lrm, amounts.to_vec(), Some(req_id))?)?
     }
 
     pub(crate) fn issue_request_multi(
@@ -438,26 +440,15 @@ impl GrmHandle {
         amounts: Vec<f64>,
         req_id: Option<RequestId>,
     ) -> Result<Receiver<Result<MultiAllocation, GrmError>>, GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx
-            .send(Msg::RequestMulti {
-                lrm,
-                amounts,
-                req_id,
-                enqueued: self.telemetry.start(),
-                reply,
-            })
-            .map_err(|_| GrmError::Disconnected)?;
-        Ok(rx)
+        let enqueued = self.telemetry.start();
+        self.issue(|reply| Msg::RequestMulti { lrm, amounts, req_id, enqueued, reply })
     }
 
     /// Snapshot of a multi-resource GRM's per-lane availability view
     /// (outer index = resource lane, inner = principal).
     /// Single-resource GRMs answer [`GrmError::Unsupported`].
     pub fn availability_multi(&self) -> Result<Vec<Vec<f64>>, GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx.send(Msg::AvailabilityMulti { reply }).map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
+        self.call(|reply| Msg::AvailabilityMulti { reply })?
     }
 
     /// Send a request without blocking for the decision; returns the
@@ -469,30 +460,18 @@ impl GrmHandle {
         lrm: usize,
         amount: f64,
     ) -> Result<Receiver<Result<Allocation, GrmError>>, GrmError> {
-        self.issue_request(lrm, amount, None)
+        GrmClient::issue_request(self, lrm, amount, None)
     }
 
     /// Return a previous allocation's draws to the pool.
     pub fn release(&self, alloc: Allocation) -> Result<(), GrmError> {
-        let rx = self.issue_release(alloc, None)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
+        wait(GrmClient::issue_release(self, alloc, None)?)?
     }
 
     /// Idempotent release: safe to retry or duplicate within the dedup
     /// window — the draws are returned to the pool at most once.
     pub fn release_idempotent(&self, alloc: Allocation, req_id: RequestId) -> Result<(), GrmError> {
-        let rx = self.issue_release(alloc, Some(req_id))?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
-    }
-
-    pub(crate) fn issue_release(
-        &self,
-        alloc: Allocation,
-        req_id: Option<RequestId>,
-    ) -> Result<Receiver<Result<(), GrmError>>, GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx.send(Msg::Release { alloc, req_id, reply }).map_err(|_| GrmError::Disconnected)?;
-        Ok(rx)
+        wait(GrmClient::issue_release(self, alloc, Some(req_id))?)?
     }
 
     /// Replay a degraded-mode grant during reconciliation: the units were
@@ -502,21 +481,7 @@ impl GrmHandle {
     /// have been granted by the live path (the original RPC's reply was
     /// lost *after* the server granted it), the replay is a no-op.
     pub fn replay_grant(&self, req_id: RequestId, lrm: usize, amount: f64) -> Result<(), GrmError> {
-        let rx = self.issue_replay(req_id, lrm, amount)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
-    }
-
-    pub(crate) fn issue_replay(
-        &self,
-        req_id: RequestId,
-        lrm: usize,
-        amount: f64,
-    ) -> Result<Receiver<Result<(), GrmError>>, GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx
-            .send(Msg::ReplayGrant { req_id, lrm, amount, reply })
-            .map_err(|_| GrmError::Disconnected)?;
-        Ok(rx)
+        wait(GrmClient::issue_replay(self, req_id, lrm, amount)?)?
     }
 
     /// Report a fulfilment that came up short of the granted draw
@@ -527,17 +492,13 @@ impl GrmHandle {
         want: f64,
         taken: f64,
     ) -> Result<(), GrmError> {
-        self.tx.send(Msg::FulfilShortfall { lrm, want, taken }).map_err(|_| GrmError::Disconnected)
+        self.send(Msg::FulfilShortfall { lrm, want, taken })
     }
 
     /// Agreement-management service: set `S[from][to] = share` and
     /// recompute the transitive flow.
     pub fn set_agreement(&self, from: usize, to: usize, share: f64) -> Result<(), GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx
-            .send(Msg::SetAgreement { from, to, share, reply })
-            .map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
+        self.call(|reply| Msg::SetAgreement { from, to, share, reply })?
     }
 
     /// Renegotiate one inter-group agreement on a hierarchical GRM (the
@@ -550,11 +511,7 @@ impl GrmHandle {
         to_group: usize,
         share: f64,
     ) -> Result<(), GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx
-            .send(Msg::SetInterGroup { from_group, to_group, share, reply })
-            .map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)?
+        self.call(|reply| Msg::SetInterGroup { from_group, to_group, share, reply })?
     }
 
     /// Seed one recovered decision into the server's dedup window
@@ -562,33 +519,20 @@ impl GrmHandle {
     /// journal through this before serving traffic, so a duplicate RPC
     /// straddling the restart still replays the original decision
     /// instead of executing twice). Blocks until the seed is applied;
-    /// seeds count toward the window's [`DEDUP_WINDOW`] capacity in
+    /// seeds count toward the window's [`crate::DEDUP_WINDOW`] capacity in
     /// insertion order, so replay oldest-first.
     pub fn seed_decision(&self, id: RequestId, decision: RecordedDecision) -> Result<(), GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx
-            .send(Msg::SeedDecision { id, decision, reply })
-            .map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)
+        self.call(|reply| Msg::SeedDecision { id, decision, reply })
     }
 
     /// Operational counters since the server started.
     pub fn stats(&self) -> Result<GrmStats, GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx.send(Msg::Stats { reply }).map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)
+        self.call(|reply| Msg::Stats { reply })
     }
 
     /// Snapshot of the GRM's current availability view.
     pub fn availability(&self) -> Result<Vec<f64>, GrmError> {
-        let (reply, rx) = unbounded();
-        self.tx.send(Msg::Availability { reply }).map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)
-    }
-
-    /// Ask the server to exit its loop.
-    pub fn shutdown(&self) {
-        let _ = self.tx.send(Msg::Shutdown);
+        self.call(|reply| Msg::Availability { reply })
     }
 }
 
@@ -638,7 +582,8 @@ impl GrmClient for GrmHandle {
         amount: f64,
         req_id: Option<RequestId>,
     ) -> Result<Receiver<Result<Allocation, GrmError>>, GrmError> {
-        GrmHandle::issue_request(self, lrm, amount, req_id)
+        let enqueued = self.telemetry.start();
+        self.issue(|reply| Msg::Request(QueuedRequest { lrm, amount, req_id, enqueued, reply }))
     }
 
     fn issue_release(
@@ -646,7 +591,7 @@ impl GrmClient for GrmHandle {
         alloc: Allocation,
         req_id: Option<RequestId>,
     ) -> Result<Receiver<Result<(), GrmError>>, GrmError> {
-        GrmHandle::issue_release(self, alloc, req_id)
+        self.issue(|reply| Msg::Release { alloc, req_id, reply })
     }
 
     fn issue_replay(
@@ -655,7 +600,7 @@ impl GrmClient for GrmHandle {
         lrm: usize,
         amount: f64,
     ) -> Result<Receiver<Result<(), GrmError>>, GrmError> {
-        GrmHandle::issue_replay(self, req_id, lrm, amount)
+        self.issue(|reply| Msg::ReplayGrant { req_id, lrm, amount, reply })
     }
 
     fn report(&self, lrm: usize, available: f64) -> Result<(), GrmError> {
@@ -680,7 +625,7 @@ impl GrmServer {
     /// Spawn a GRM managing `n` LRMs under the given agreements and
     /// transitivity level, scheduling with the LP policy.
     pub fn spawn(agreements: AgreementMatrix, level: usize) -> GrmServer {
-        Self::spawn_inner(agreements, level, None, Telemetry::default())
+        Self::spawn_with_telemetry(agreements, level, Telemetry::default())
     }
 
     /// Spawn a GRM with an attached telemetry plane: the serve loop,
@@ -692,7 +637,7 @@ impl GrmServer {
         level: usize,
         telemetry: Telemetry,
     ) -> GrmServer {
-        Self::spawn_inner(agreements, level, None, telemetry)
+        Self::spawn_engine(move |t| engine::flat(agreements, level, t), None, telemetry)
     }
 
     /// Spawn a GRM whose *client-facing* channel passes through a fault
@@ -707,20 +652,8 @@ impl GrmServer {
         plane: &agreements_faults::FaultPlane,
         link: &str,
     ) -> GrmServer {
-        Self::spawn_inner(agreements, level, Some((plane, link)), Telemetry::default())
-    }
-
-    /// [`GrmServer::spawn_chaotic`] with a telemetry plane attached to
-    /// the server side (the fault plane's own drop/dup/hold events are
-    /// recorded by whatever telemetry the *plane* carries).
-    pub fn spawn_chaotic_with_telemetry(
-        agreements: AgreementMatrix,
-        level: usize,
-        plane: &agreements_faults::FaultPlane,
-        link: &str,
-        telemetry: Telemetry,
-    ) -> GrmServer {
-        Self::spawn_inner(agreements, level, Some((plane, link)), telemetry)
+        let build = move |t| engine::flat(agreements, level, t);
+        Self::spawn_engine(build, Some((plane, link)), Telemetry::default())
     }
 
     /// Spawn a GRM whose decisions run through a [`HierarchicalScheduler`]
@@ -732,7 +665,7 @@ impl GrmServer {
     /// The engine swap changes the management surface, not the RPC one:
     /// `report`/`tick`/`request`/`release`/`replay_grant` behave as on a
     /// flat GRM, renegotiation goes through
-    /// [`GrmHandle::set_inter_group`], and `set_agreement`/`leave`
+    /// [`GrmHandle::set_inter_group`], and `set_agreement`/`join`/`leave`
     /// answer [`GrmError::Unsupported`] (the partition is fixed at
     /// construction).
     pub fn spawn_hierarchical(sched: HierarchicalScheduler) -> GrmServer {
@@ -746,16 +679,7 @@ impl GrmServer {
         sched: HierarchicalScheduler,
         telemetry: Telemetry,
     ) -> GrmServer {
-        let (tx, rx) = unbounded();
-        let thread_telemetry = telemetry.clone();
-        let join = std::thread::Builder::new()
-            .name("grm-server".into())
-            .spawn(move || {
-                let core = ServerCore::hierarchical(sched, thread_telemetry.clone());
-                serve_core(core, rx, thread_telemetry);
-            })
-            .expect("spawn GRM thread");
-        GrmServer { handle: GrmHandle { tx: tx.clone(), telemetry }, control: tx, join: Some(join) }
+        Self::spawn_engine(move |t| engine::hierarchical(sched, t), None, telemetry)
     }
 
     /// Spawn a **multi-resource** GRM: one warm LP lane per resource
@@ -773,27 +697,8 @@ impl GrmServer {
         agreements: AgreementMatrix,
         level: usize,
     ) -> GrmServer {
-        Self::spawn_multi_with_telemetry(names, agreements, level, Telemetry::default())
-    }
-
-    /// [`GrmServer::spawn_multi`] with a telemetry plane attached.
-    pub fn spawn_multi_with_telemetry(
-        names: Vec<&'static str>,
-        agreements: AgreementMatrix,
-        level: usize,
-        telemetry: Telemetry,
-    ) -> GrmServer {
-        let (tx, rx) = unbounded();
-        let thread_telemetry = telemetry.clone();
-        let join = std::thread::Builder::new()
-            .name("grm-server".into())
-            .spawn(move || {
-                let core =
-                    ServerCore::multi_flat(names, agreements, level, thread_telemetry.clone());
-                serve_core(core, rx, thread_telemetry);
-            })
-            .expect("spawn GRM thread");
-        GrmServer { handle: GrmHandle { tx: tx.clone(), telemetry }, control: tx, join: Some(join) }
+        let build = move |t| engine::multi_flat(names, agreements, level, t);
+        Self::spawn_engine(build, None, Telemetry::default())
     }
 
     /// Spawn a multi-resource GRM whose lanes are hierarchical: one
@@ -802,12 +707,17 @@ impl GrmServer {
     /// [`GrmServer::spawn_multi`]; inter-group renegotiation via
     /// [`GrmHandle::set_inter_group`] applies to every lane.
     pub fn spawn_multi_hierarchical(front: MultiAdmission) -> GrmServer {
-        Self::spawn_multi_hierarchical_with_telemetry(front, Telemetry::default())
+        let build = move |t| engine::multi_hierarchical(front, t);
+        Self::spawn_engine(build, None, Telemetry::default())
     }
 
-    /// [`GrmServer::spawn_multi_hierarchical`] with a telemetry plane.
-    pub fn spawn_multi_hierarchical_with_telemetry(
-        front: MultiAdmission,
+    /// The one spawn path: the engine is built on the server thread (an
+    /// n = 1000 flow table or partition is not the caller's to wait
+    /// for), and `chaos` routes the client-facing sender through a
+    /// fault-plane link.
+    fn spawn_engine(
+        build: impl FnOnce(Telemetry) -> Box<dyn Engine> + Send + 'static,
+        chaos: Option<(&agreements_faults::FaultPlane, &str)>,
         telemetry: Telemetry,
     ) -> GrmServer {
         let (tx, rx) = unbounded();
@@ -815,34 +725,15 @@ impl GrmServer {
         let join = std::thread::Builder::new()
             .name("grm-server".into())
             .spawn(move || {
-                let core = ServerCore::multi_hierarchical(front, thread_telemetry.clone());
-                serve_core(core, rx, thread_telemetry);
+                let engine = build(thread_telemetry.clone());
+                serve_core(ServerCore::new(engine, thread_telemetry), rx);
             })
-            .expect("spawn GRM thread");
-        GrmServer { handle: GrmHandle { tx: tx.clone(), telemetry }, control: tx, join: Some(join) }
-    }
-
-    fn spawn_inner(
-        agreements: AgreementMatrix,
-        level: usize,
-        chaos: Option<(&agreements_faults::FaultPlane, &str)>,
-        telemetry: Telemetry,
-    ) -> GrmServer {
-        let (tx, rx) = unbounded();
-        let handle_telemetry = telemetry.clone();
-        let join = std::thread::Builder::new()
-            .name("grm-server".into())
-            .spawn(move || serve(agreements, level, rx, telemetry))
             .expect("spawn GRM thread");
         let client_tx = match chaos {
             Some((plane, link)) => plane.wrap(link, tx.clone()),
             None => tx.clone(),
         };
-        GrmServer {
-            handle: GrmHandle { tx: client_tx, telemetry: handle_telemetry },
-            control: tx,
-            join: Some(join),
-        }
+        GrmServer { handle: GrmHandle { tx: client_tx, telemetry }, control: tx, join: Some(join) }
     }
 
     /// Client handle.
@@ -850,13 +741,8 @@ impl GrmServer {
         self.handle.clone()
     }
 
-    /// Shut down and join the server thread.
-    pub fn shutdown(mut self) {
-        let _ = self.control.send(Msg::Shutdown);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
+    /// Shut down and join the server thread (what dropping it does).
+    pub fn shutdown(self) {}
 
     /// Abruptly stop the server, losing all volatile state (availability
     /// view, stats, dedup window). In-process this is the same mechanism
@@ -878,16 +764,6 @@ impl Drop for GrmServer {
     }
 }
 
-/// One allocation request lifted out of a drained message run, waiting
-/// on the batched admission front door.
-struct QueuedRequest {
-    lrm: usize,
-    amount: f64,
-    req_id: Option<RequestId>,
-    enqueued: Option<Instant>,
-    reply: Sender<Result<Allocation, GrmError>>,
-}
-
 /// Where a run entry's answer comes from (see `handle_request_run`).
 enum RunSlot {
     /// Answered from the dedup window during pre-screen.
@@ -895,135 +771,26 @@ enum RunSlot {
     /// In-run duplicate: replays the decision of the entry at this run
     /// index once it exists.
     DupOf(usize),
-    /// Decided inline without touching availability (unknown LRM).
-    Decided(Result<Allocation, GrmError>),
+    /// Refused inline without touching availability (unknown LRM).
+    Refused(GrmError),
     /// Waiting on the admission batch (no payload: batched entries are
     /// matched up positionally — they appear in run order, as do the
     /// batch's decisions).
     Batched,
 }
 
-/// What the server remembers about an already-decided idempotent call.
-enum CachedReply {
-    Grant(Result<Allocation, GrmError>),
-    GrantMulti(Result<MultiAllocation, GrmError>),
-    Release(Result<(), GrmError>),
-    Replay(Result<(), GrmError>),
+/// The answer to a call whose id the dedup window holds under another
+/// call kind: an id reused across kinds is a client bug; fail the call
+/// rather than act on it.
+fn reused_id<T>(amount: f64) -> Result<T, GrmError> {
+    Err(GrmError::Sched(SchedError::InvalidRequest { amount }))
 }
 
-impl From<RecordedDecision> for CachedReply {
-    fn from(d: RecordedDecision) -> Self {
-        match d {
-            RecordedDecision::Grant(r) => CachedReply::Grant(r),
-            RecordedDecision::GrantMulti(r) => CachedReply::GrantMulti(r),
-            RecordedDecision::Release(r) => CachedReply::Release(r),
-            RecordedDecision::Replay(r) => CachedReply::Replay(r),
-        }
-    }
-}
-
-/// The multi-resource decision engine, mirroring the single-resource
-/// engine split (flat LP vs hierarchical front door) one level up.
-/// Exactly one engine family is live per server: a multi core's flat
-/// `state`/`policy` machinery is retained only for the shared
-/// lease/clock plumbing and is never consulted for a decision.
-enum MultiEngine {
-    /// One warm LP lane per resource over a shared agreement economy.
-    Flat {
-        /// Per-lane persistent state: each shares the core's flow
-        /// snapshot but owns its availability vector.
-        states: Vec<SystemState>,
-        solver: MultiSolver,
-        /// Fast-reject bound scratch.
-        bound: Vec<f64>,
-    },
-    /// One hierarchical scheduler per resource behind [`MultiAdmission`].
-    Hier {
-        front: MultiAdmission,
-        /// Per-lane availability (outer = resource, inner = principal).
-        avail: Vec<Vec<f64>>,
-    },
-}
-
-impl MultiEngine {
-    fn num_resources(&self) -> usize {
-        match self {
-            MultiEngine::Flat { states, .. } => states.len(),
-            MultiEngine::Hier { front, .. } => front.num_resources(),
-        }
-    }
-
-    /// Write one LRM's per-lane availability (validated by the caller).
-    fn set_availability(&mut self, lrm: usize, available: &[f64]) {
-        match self {
-            MultiEngine::Flat { states, .. } => {
-                for (st, &v) in states.iter_mut().zip(available) {
-                    st.availability[lrm] = v;
-                }
-            }
-            MultiEngine::Hier { avail, .. } => {
-                for (lane, &v) in avail.iter_mut().zip(available) {
-                    lane[lrm] = v;
-                }
-            }
-        }
-    }
-
-    /// Zero one LRM's availability in every lane (lease expiry).
-    fn zero_principal(&mut self, lrm: usize) {
-        match self {
-            MultiEngine::Flat { states, .. } => {
-                for st in states.iter_mut() {
-                    st.availability[lrm] = 0.0;
-                }
-            }
-            MultiEngine::Hier { avail, .. } => {
-                for lane in avail.iter_mut() {
-                    lane[lrm] = 0.0;
-                }
-            }
-        }
-    }
-
-    fn availability(&self) -> Vec<Vec<f64>> {
-        match self {
-            MultiEngine::Flat { states, .. } => {
-                states.iter().map(|st| st.availability.clone()).collect()
-            }
-            MultiEngine::Hier { avail, .. } => avail.clone(),
-        }
-    }
-}
-
-/// Bounded id → decision memory (recency-ordered eviction).
-#[derive(Default)]
-struct DedupWindow {
-    decisions: HashMap<RequestId, CachedReply>,
-    order: VecDeque<RequestId>,
-}
-
-impl DedupWindow {
-    fn get(&self, id: &RequestId) -> Option<&CachedReply> {
-        self.decisions.get(id)
-    }
-
-    fn insert(&mut self, id: RequestId, reply: CachedReply) {
-        if self.decisions.insert(id, reply).is_some() {
-            // Re-deciding an id refreshes its recency: without moving it
-            // to the back of `order`, the stale front position would get
-            // the *newest* decision evicted first once the window fills.
-            // Re-inserts are rare (the dedup hit path answers from cache
-            // without re-inserting), so the linear scan is fine.
-            if let Some(pos) = self.order.iter().position(|x| *x == id) {
-                self.order.remove(pos);
-            }
-        }
-        self.order.push_back(id);
-        if self.order.len() > DEDUP_WINDOW {
-            if let Some(old) = self.order.pop_front() {
-                self.decisions.remove(&old);
-            }
-        }
+/// Read a settled decision as a single-resource grant.
+fn as_grant(decision: RecordedDecision, amount: f64) -> Result<Allocation, GrmError> {
+    match decision {
+        RecordedDecision::Grant(res) => res,
+        _ => reused_id(amount),
     }
 }
 
@@ -1031,41 +798,18 @@ impl DedupWindow {
 /// thread so the batched and one-at-a-time delivery paths can be tested
 /// against each other deterministically.
 ///
-/// Three hot-path properties hold relative to the straightforward
-/// recompute-and-clone loop this replaced, all without moving any grant
-/// decision by a single bit:
-///
-/// - **Incremental flow**: `SetAgreement` repairs only the dirty rows
-///   of the flow table through [`IncrementalFlow`] (join/leave still
-///   full-recompute); the repaired table is bit-identical to a full
-///   recompute by construction.
-/// - **Zero-clone requests**: the [`SystemState`] is persistent — the
-///   flow snapshot is shared by `Arc` and the availability vector *is*
-///   the server's live view, so a request allocates nothing beyond the
-///   returned draw vector, and the solver's skeleton check is one
-///   pointer compare.
-/// - **Capacity fast-reject**: a request exceeding the reachable
-///   capacity is rejected from the same admission arithmetic the solver
-///   would run (same bounds, same summation order, same `1e-9` slack),
-///   skipping LP construction entirely. Because the arithmetic is
-///   replicated exactly, the decision and the error payload are the
-///   ones the solver would have produced.
+/// This is the engine-agnostic shell: the lease clock, the books, the
+/// dedup window and telemetry are the same whichever [`Engine`]
+/// decides, and the shell never asks which one it has (DESIGN.md §18).
 struct ServerCore {
-    incflow: IncrementalFlow,
-    /// Persistent request state: shared flow snapshot + live
-    /// availability (`absolute` stays `None` for the centralized GRM).
-    state: SystemState,
+    /// The one decision engine: availability storage, solver or front
+    /// door, and whatever else a decision consults.
+    engine: Box<dyn Engine>,
     /// Logical-clock liveness: last report time per LRM.
     last_report: Vec<u64>,
     clock: u64,
     stats: GrmStats,
     dedup: DedupWindow,
-    /// Persistent solver (cached skeleton + workspace). Warm starting
-    /// stays off: every grant must be bit-identical to the stateless LP
-    /// policy, which is what the adapter tests assert.
-    policy: AllocationSolver,
-    /// Fast-reject bound scratch.
-    bound: Vec<f64>,
     /// Report-run coalescing: `run_stamp[lrm] == run_gen` marks an LRM
     /// already written during the current contiguous run of `Report`s.
     run_stamp: Vec<u64>,
@@ -1078,124 +822,37 @@ struct ServerCore {
     /// Telemetry handle; `Telemetry::default()` (disabled) costs one
     /// branch per call site and keeps the server bit-identical.
     telemetry: Telemetry,
-    /// The batched admission front door over a hierarchical scheduler.
-    /// `Some` switches the decision engine: requests route through
-    /// [`BatchedAdmission`] (batch or one-by-one, bit-identical either
-    /// way) instead of the flat LP policy, whose `incflow`/`policy`/
-    /// fast-reject machinery then goes unused for decisions.
-    front: Option<BatchedAdmission>,
-    /// Last executor-fallback total mirrored into the telemetry plane
-    /// (the executor keeps a cumulative counter; telemetry counters are
-    /// additive, so the server publishes deltas).
-    last_fallbacks: u64,
-    /// The multi-resource decision engine. `Some` makes this a
-    /// multi-resource server: `RequestMulti`/`ReportMulti` are the data
-    /// path and the single-resource RPCs answer `Unsupported`.
-    multi: Option<MultiEngine>,
 }
 
 impl ServerCore {
-    #[cfg(test)]
-    fn new(agreements: AgreementMatrix, level: usize) -> ServerCore {
-        Self::with_telemetry(agreements, level, Telemetry::default())
-    }
-
-    fn with_telemetry(
-        agreements: AgreementMatrix,
-        level: usize,
-        telemetry: Telemetry,
-    ) -> ServerCore {
-        let n = agreements.n();
-        let mut incflow = IncrementalFlow::new(agreements, level);
-        incflow.set_telemetry(telemetry.clone());
-        let state =
-            SystemState { flow: incflow.snapshot(), absolute: None, availability: vec![0.0; n] };
-        let mut policy = AllocationSolver::reduced();
-        policy.set_telemetry(telemetry.clone());
+    fn new(engine: Box<dyn Engine>, telemetry: Telemetry) -> ServerCore {
+        let n = engine.n();
         ServerCore {
-            incflow,
-            state,
+            engine,
             last_report: vec![0; n],
             clock: 0,
             stats: GrmStats::default(),
             dedup: DedupWindow::default(),
-            policy,
-            bound: Vec::new(),
             run_stamp: vec![0; n],
             run_gen: 0,
             granted_units: KahanSum::default(),
             fulfil_shortfall_units: KahanSum::default(),
             journaled_units: KahanSum::default(),
             telemetry,
-            front: None,
-            last_fallbacks: 0,
-            multi: None,
         }
     }
 
-    /// A core whose decisions run through the batched admission front
-    /// door. The flat incremental-flow table is kept (over an empty
-    /// agreement matrix) purely so the availability/lease machinery and
-    /// the state snapshot stay the single code path they are on a flat
-    /// core; it is never consulted for a decision.
-    fn hierarchical(sched: HierarchicalScheduler, telemetry: Telemetry) -> ServerCore {
-        let n = sched.num_principals();
-        let mut front = BatchedAdmission::new(sched);
-        front.set_telemetry(telemetry.clone());
-        let mut core = Self::with_telemetry(AgreementMatrix::zeros(n), 1, telemetry);
-        core.front = Some(front);
-        core
-    }
-
-    /// A flat multi-resource core: one warm LP lane per resource name,
-    /// every lane's [`SystemState`] sharing the core's flow snapshot
-    /// over the given economy. The core's own `state`/`policy` stay (the
-    /// lease machinery and snapshot plumbing are one code path) but are
-    /// never consulted for a decision.
-    fn multi_flat(
-        names: Vec<&'static str>,
-        agreements: AgreementMatrix,
-        level: usize,
-        telemetry: Telemetry,
-    ) -> ServerCore {
-        let n = agreements.n();
-        let mut core = Self::with_telemetry(agreements, level, telemetry.clone());
-        let states = (0..names.len())
-            .map(|_| SystemState {
-                flow: core.incflow.snapshot(),
-                absolute: None,
-                availability: vec![0.0; n],
-            })
-            .collect();
-        let mut solver = MultiSolver::reduced(names);
-        solver.set_telemetry(telemetry);
-        core.multi = Some(MultiEngine::Flat { states, solver, bound: Vec::new() });
-        core
-    }
-
-    /// A hierarchical multi-resource core over a prebuilt
-    /// [`MultiAdmission`] (the lanes share one partition by
-    /// construction).
-    fn multi_hierarchical(mut front: MultiAdmission, telemetry: Telemetry) -> ServerCore {
-        let n = front.num_principals();
-        let rk = front.num_resources();
-        front.set_telemetry(telemetry.clone());
-        let mut core = Self::with_telemetry(AgreementMatrix::zeros(n), 1, telemetry);
-        core.multi = Some(MultiEngine::Hier { front, avail: vec![vec![0.0; n]; rk] });
-        core
-    }
-
-    /// Republish the flow snapshot after a mutation. Requests issued
-    /// before the next mutation all share the new `Arc`.
-    fn refresh_flow(&mut self) {
-        self.state.flow = self.incflow.snapshot();
-    }
-
-    /// Apply one availability report. Each call site owns the run
-    /// bookkeeping: `run_gen` must be bumped at the start of a run (a
-    /// lone report is a run of one).
-    fn apply_report(&mut self, lrm: usize, available: f64) {
-        if lrm < self.state.n() && available.is_finite() && available >= 0.0 {
+    /// Apply one availability report, one value per lane: all lanes of
+    /// one LRM move together (a torn report — some lanes fresh, some
+    /// stale — would let a request be judged against a view no report
+    /// ever described). Malformed reports are dropped. Each call site
+    /// owns the run bookkeeping: `run_gen` must be bumped at the start
+    /// of a run (a lone report is a run of one).
+    fn apply_report(&mut self, lrm: usize, available: &[f64]) {
+        if lrm < self.engine.n()
+            && available.len() == self.engine.lanes()
+            && available.iter().all(|v| v.is_finite() && *v >= 0.0)
+        {
             if self.run_stamp[lrm] == self.run_gen {
                 // A previous report in this same wakeup run is
                 // superseded; its write was wasted, not wrong —
@@ -1204,26 +861,9 @@ impl ServerCore {
             } else {
                 self.run_stamp[lrm] = self.run_gen;
             }
-            self.state.availability[lrm] = available;
-            self.last_report[lrm] = self.clock;
-            self.stats.reports += 1;
-        }
-    }
-
-    /// Apply one multi-resource availability report: all lanes of one
-    /// LRM move together (a torn report — some lanes fresh, some stale —
-    /// would let a request be judged against a view no report ever
-    /// described). Malformed reports are dropped, as on the flat path;
-    /// multi reports are not run-coalesced (they are rare relative to
-    /// request traffic).
-    fn apply_report_multi(&mut self, lrm: usize, available: &[f64]) {
-        let n = self.state.n();
-        let Some(multi) = self.multi.as_mut() else { return };
-        if lrm < n
-            && available.len() == multi.num_resources()
-            && available.iter().all(|v| v.is_finite() && *v >= 0.0)
-        {
-            multi.set_availability(lrm, available);
+            for (lane, &v) in available.iter().enumerate() {
+                self.engine.lane_mut(lane)[lrm] = v;
+            }
             self.last_report[lrm] = self.clock;
             self.stats.reports += 1;
         }
@@ -1231,222 +871,112 @@ impl ServerCore {
 
     fn apply_tick(&mut self, now: u64, lease: u64) {
         self.clock = self.clock.max(now);
-        for i in 0..self.state.n() {
+        for i in 0..self.engine.n() {
             if self.clock.saturating_sub(self.last_report[i]) > lease {
-                self.state.availability[i] = 0.0;
                 // A lease-expired LRM vanishes from every resource lane
                 // at once — scheduling any lane against a dead LRM is as
                 // wrong as scheduling the only one.
-                if let Some(multi) = self.multi.as_mut() {
-                    multi.zero_principal(i);
+                for lane in 0..self.engine.lanes() {
+                    self.engine.lane_mut(lane)[i] = 0.0;
                 }
             }
         }
     }
 
     /// The externally visible counters: the raw struct plus the
-    /// compensated unit totals and the incremental-flow row count.
+    /// compensated unit totals and the engine-sourced counts.
     fn published_stats(&self) -> GrmStats {
         let mut stats = self.stats;
         stats.granted_units = self.granted_units.total();
         stats.fulfil_shortfall_units = self.fulfil_shortfall_units.total();
         stats.journaled_units = self.journaled_units.total();
-        stats.flow_rows_recomputed = self.incflow.rows_recomputed() as u64;
-        if let Some(front) = &self.front {
-            stats.executor_fallbacks_sequential = front.scheduler().executor_fallbacks();
-        }
+        self.engine.publish(&mut stats);
         stats
     }
 
-    /// Decide an in-range request on the hierarchical engine: the front
-    /// door's one-by-one path (a singleton batch, bit for bit). The
-    /// front door commits the draws itself; only the books move here.
-    fn decide_hier(&mut self, lrm: usize, amount: f64) -> Result<Allocation, GrmError> {
-        let front = self.front.as_ref().expect("hierarchical engine");
-        let res = front.admit_one(&mut self.state.availability, lrm, amount);
-        self.sync_executor_fallbacks();
-        match res {
-            Ok(alloc) => {
-                self.stats.granted += 1;
-                self.granted_units.add(alloc.amount);
-                self.telemetry.add("grm.granted", 1);
+    /// Answer an idempotent call: with the remembered decision when its
+    /// id is in the dedup window (counted as a duplicate), otherwise
+    /// with `decide`'s, remembered under the id. The caller reads the
+    /// decision as its own call kind; finding another kind means the id
+    /// was reused across kinds ([`reused_id`]).
+    fn settle(
+        &mut self,
+        id: Option<RequestId>,
+        decide: impl FnOnce(&mut Self) -> RecordedDecision,
+    ) -> RecordedDecision {
+        if let Some(cached) = id.and_then(|id| self.dedup.get(&id)) {
+            self.stats.duplicate_requests += 1;
+            return cached.clone();
+        }
+        let decision = decide(self);
+        if let Some(id) = id {
+            self.dedup.insert(id, decision.clone());
+        }
+        decision
+    }
+
+    /// Count a fresh (non-duplicate) request.
+    fn count_request(&mut self) {
+        self.stats.requests += 1;
+        self.telemetry.add("grm.requests", 1);
+    }
+
+    /// Book one engine decision on a request: the grant and rejection
+    /// counters, the unit total and a single-resource grant's trace.
+    fn book(&mut self, decision: &RecordedDecision) {
+        let units = match decision {
+            RecordedDecision::Grant(Ok(alloc)) => {
                 self.telemetry.record_with(|| TelemetryEvent::Granted {
-                    requester: lrm,
+                    requester: alloc.requester,
                     amount: alloc.amount,
                     theta: alloc.theta,
                     draws: alloc.draws.clone(),
                 });
-                Ok(alloc)
+                alloc.amount
             }
-            Err(e) => {
-                if matches!(e, SchedError::InsufficientCapacity { .. }) {
+            RecordedDecision::GrantMulti(Ok(alloc)) => alloc.total(),
+            RecordedDecision::Grant(Err(e)) | RecordedDecision::GrantMulti(Err(e)) => {
+                if matches!(e, GrmError::Sched(SchedError::InsufficientCapacity { .. })) {
                     self.stats.rejected_capacity += 1;
                 }
-                Err(GrmError::Sched(e))
+                return;
             }
-        }
-    }
-
-    /// Mirror the executor's cumulative sequential-fallback counter into
-    /// the telemetry plane as increments. Guarded on `enabled()` so the
-    /// disabled plane keeps its one-branch cost (no atomic load).
-    fn sync_executor_fallbacks(&mut self) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        if let Some(front) = &self.front {
-            let total = front.scheduler().executor_fallbacks();
-            let delta = total.saturating_sub(self.last_fallbacks);
-            if delta > 0 {
-                self.telemetry.add("grm.executor_fallbacks_sequential", delta);
-                self.last_fallbacks = total;
-            }
-        }
-    }
-
-    /// Decide an in-range allocation request against the current state.
-    fn decide(&mut self, lrm: usize, amount: f64) -> Result<Allocation, GrmError> {
-        // The persistent view replaces the per-request
-        // `SystemState::new` validation; a poisoned availability (e.g.
-        // a release with non-finite draws) must keep failing requests
-        // exactly as construction used to.
-        if let Some(bad) =
-            self.state.availability.iter().copied().find(|v| !v.is_finite() || *v < 0.0)
-        {
-            return Err(GrmError::Sched(SchedError::InvalidRequest { amount: bad }));
-        }
-        // Capacity fast-reject: [`admission_bound`] is the *same
-        // function* the solver runs — one definition, one summation
-        // order, one slack constant — evaluated here without building
-        // the LP. Only definite rejections short-cut; everything else
-        // (including `amount == 0` and invalid amounts, which the
-        // solver answers first) falls through unchanged.
-        if amount.is_finite() && amount > 0.0 {
-            let reachable = admission_bound(&self.state, lrm, &mut self.bound);
-            if exceeds_bound(amount, reachable) {
-                self.stats.fast_rejects += 1;
-                self.stats.rejected_capacity += 1;
-                self.telemetry.add("grm.fast_rejects", 1);
-                self.telemetry.record_with(|| TelemetryEvent::FastReject {
-                    requester: lrm,
-                    requested: amount,
-                    bound: reachable,
-                    clamped: false,
-                });
-                return Err(GrmError::Sched(SchedError::InsufficientCapacity {
-                    requester: lrm,
-                    capacity: reachable,
-                    requested: amount,
-                    resource: None,
-                }));
-            }
-        }
-        match self.policy.allocate(&self.state, lrm, amount) {
-            Ok(alloc) => {
-                // Commit: deduct the draws from the view.
-                for (v, d) in self.state.availability.iter_mut().zip(&alloc.draws) {
-                    *v = (*v - d).max(0.0);
-                }
-                self.stats.granted += 1;
-                self.granted_units.add(alloc.amount);
-                self.telemetry.add("grm.granted", 1);
-                self.telemetry.record_with(|| TelemetryEvent::Granted {
-                    requester: lrm,
-                    amount: alloc.amount,
-                    theta: alloc.theta,
-                    draws: alloc.draws.clone(),
-                });
-                Ok(alloc)
-            }
-            Err(e) => {
-                if matches!(e, SchedError::InsufficientCapacity { .. }) {
-                    self.stats.rejected_capacity += 1;
-                }
-                Err(GrmError::Sched(e))
-            }
-        }
-    }
-
-    /// Decide an in-range multi-resource request. Flat engine: the
-    /// poisoned-availability and capacity fast-reject guards mirror
-    /// [`ServerCore::decide`] lane by lane — the fast reject runs only
-    /// when every amount is valid (an invalid amount must surface as the
-    /// lane-ordered validation error the solver would report, not as a
-    /// later lane's capacity verdict) and produces exactly the tagged
-    /// error the solver's own lane-order evaluation would. Hierarchical
-    /// engine: [`MultiAdmission::admit_one`] carries its own guards.
-    /// Either way the grant commits every lane or none.
-    fn decide_multi(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
-        let multi = self.multi.as_mut().expect("multi engine");
-        let res = match multi {
-            MultiEngine::Flat { states, solver, bound } => {
-                if let Some(bad) = states
-                    .iter()
-                    .flat_map(|st| st.availability.iter())
-                    .copied()
-                    .find(|v| !v.is_finite() || *v < 0.0)
-                {
-                    return Err(GrmError::Sched(SchedError::InvalidRequest { amount: bad }));
-                }
-                if amounts.len() == states.len()
-                    && amounts.iter().all(|a| a.is_finite() && *a >= 0.0)
-                {
-                    if let Some((lane, reachable)) =
-                        first_binding_resource(states, lrm, amounts, bound)
-                    {
-                        self.stats.fast_rejects += 1;
-                        self.stats.rejected_capacity += 1;
-                        self.telemetry.add("grm.fast_rejects", 1);
-                        self.telemetry.record_with(|| TelemetryEvent::FastReject {
-                            requester: lrm,
-                            requested: amounts[lane],
-                            bound: reachable,
-                            clamped: false,
-                        });
-                        return Err(GrmError::Sched(SchedError::InsufficientCapacity {
-                            requester: lrm,
-                            capacity: reachable,
-                            requested: amounts[lane],
-                            resource: Some(solver.names()[lane]),
-                        }));
-                    }
-                }
-                solver.allocate(states, lrm, amounts).inspect(|alloc| {
-                    for (st, lane) in states.iter_mut().zip(&alloc.lanes) {
-                        for (v, d) in st.availability.iter_mut().zip(&lane.draws) {
-                            *v = (*v - d).max(0.0);
-                        }
-                    }
-                })
-            }
-            MultiEngine::Hier { front, avail } => front.admit_one(avail, lrm, amounts),
+            RecordedDecision::Release(_) | RecordedDecision::Replay(_) => return,
         };
-        match res {
-            Ok(alloc) => {
-                self.stats.granted += 1;
-                self.granted_units.add(alloc.total());
-                self.telemetry.add("grm.granted", 1);
-                Ok(alloc)
-            }
-            Err(e) => {
-                if matches!(e, SchedError::InsufficientCapacity { .. }) {
-                    self.stats.rejected_capacity += 1;
-                }
-                Err(GrmError::Sched(e))
-            }
-        }
+        self.stats.granted += 1;
+        self.granted_units.add(units);
+        self.telemetry.add("grm.granted", 1);
     }
 
-    /// Decide a contiguous run of drained requests through the batched
-    /// admission front door. Equivalent to calling `handle` on each
-    /// message in order — same decisions bit for bit, same counters,
-    /// same dedup-window contents — because (a) `admit_batch` is
-    /// bit-identical to `admit_one` in input order and (b) the entries
-    /// answered outside the batch (dedup hits, in-run duplicates,
-    /// unknown LRMs) never touch availability, so pulling them out
-    /// cannot move any batched decision.
+    /// The request path, shared by `Request` and `RequestMulti` up to
+    /// the reply type: `admit` is the engine call that decides.
+    fn request(
+        &mut self,
+        req_id: Option<RequestId>,
+        enqueued: Option<Instant>,
+        admit: impl FnOnce(&mut dyn Engine) -> RecordedDecision,
+    ) -> RecordedDecision {
+        // The queue wait ends the moment processing begins — before the
+        // dedup check, which is itself server work.
+        self.telemetry.stop(HistKind::QueueWaitSeconds, enqueued);
+        self.settle(req_id, |core| {
+            core.count_request();
+            let span = core.telemetry.start();
+            let decision = admit(core.engine.as_mut());
+            core.book(&decision);
+            core.telemetry.stop(HistKind::RequestLatencySeconds, span);
+            decision
+        })
+    }
+
+    /// Decide a contiguous run of drained requests as one engine batch.
+    /// Equivalent to calling `handle` on each message in order — same
+    /// decisions bit for bit, same counters, same dedup-window contents
+    /// — because (a) `admit_run` is bit-identical to `admit` in input
+    /// order and (b) the entries answered outside the batch (dedup hits,
+    /// in-run duplicates, unknown LRMs) never touch availability, so
+    /// pulling them out cannot move any batched decision.
     fn handle_request_run(&mut self, run: Vec<QueuedRequest>) {
-        let n = self.state.n();
         let mut slots: Vec<RunSlot> = Vec::with_capacity(run.len());
         // `replay_needed[j]` marks originals some later in-run duplicate
         // replays, so only those pay for keeping a decision clone.
@@ -1458,11 +988,7 @@ impl ServerCore {
             if let Some(id) = q.req_id {
                 if let Some(cached) = self.dedup.get(&id) {
                     self.stats.duplicate_requests += 1;
-                    let res = match cached {
-                        CachedReply::Grant(r) => r.clone(),
-                        _ => Err(GrmError::Sched(SchedError::InvalidRequest { amount: q.amount })),
-                    };
-                    let _ = q.reply.send(res);
+                    let _ = q.reply.send(as_grant(cached.clone(), q.amount));
                     slots.push(RunSlot::Answered);
                     continue;
                 }
@@ -1477,363 +1003,203 @@ impl ServerCore {
                 }
                 in_run.insert(id, i);
             }
-            self.stats.requests += 1;
-            self.telemetry.add("grm.requests", 1);
-            if q.lrm >= n {
-                slots.push(RunSlot::Decided(Err(GrmError::UnknownLrm(q.lrm))));
-            } else {
-                reqs.push(AdmissionRequest { requester: q.lrm, amount: q.amount });
-                slots.push(RunSlot::Batched);
+            self.count_request();
+            match self.engine.check(q.lrm) {
+                Err(unknown) => slots.push(RunSlot::Refused(unknown)),
+                Ok(()) => {
+                    reqs.push(AdmissionRequest { requester: q.lrm, amount: q.amount });
+                    slots.push(RunSlot::Batched);
+                }
             }
         }
         let span = if reqs.is_empty() { None } else { self.telemetry.start() };
-        let front = self.front.as_ref().expect("hierarchical engine");
-        let decisions = front.admit_batch(&mut self.state.availability, &reqs);
+        let decisions = self.engine.admit_run(&reqs);
         self.telemetry.stop(HistKind::RequestLatencySeconds, span);
         self.stats.batched_allocations += reqs.len() as u64;
         if !reqs.is_empty() {
             self.telemetry.add("grm.batched_allocations", reqs.len() as u64);
             self.telemetry.observe(HistKind::BatchSize, reqs.len() as f64);
         }
-        self.sync_executor_fallbacks();
         // Book, remember, and answer in arrival order. Batched entries
         // consume the decision stream positionally.
         let mut decisions = decisions.into_iter();
-        let mut replays: HashMap<usize, Result<Allocation, GrmError>> = HashMap::new();
+        let mut replays: HashMap<usize, RecordedDecision> = HashMap::new();
         for (i, (q, slot)) in run.iter().zip(slots).enumerate() {
             let is_dup = matches!(slot, RunSlot::DupOf(_));
-            let res = match slot {
+            let decision = match slot {
                 RunSlot::Answered => continue,
                 RunSlot::DupOf(j) => {
                     replays.get(&j).cloned().expect("in-run original decided before its duplicate")
                 }
-                RunSlot::Decided(r) => r,
+                RunSlot::Refused(unknown) => RecordedDecision::Grant(Err(unknown)),
                 RunSlot::Batched => {
-                    match decisions.next().expect("one decision per batched request") {
-                        Ok(alloc) => {
-                            self.stats.granted += 1;
-                            self.granted_units.add(alloc.amount);
-                            self.telemetry.add("grm.granted", 1);
-                            self.telemetry.record_with(|| TelemetryEvent::Granted {
-                                requester: q.lrm,
-                                amount: alloc.amount,
-                                theta: alloc.theta,
-                                draws: alloc.draws.clone(),
-                            });
-                            Ok(alloc)
-                        }
-                        Err(e) => {
-                            if matches!(e, SchedError::InsufficientCapacity { .. }) {
-                                self.stats.rejected_capacity += 1;
-                            }
-                            Err(GrmError::Sched(e))
-                        }
-                    }
+                    let res = decisions.next().expect("one decision per batched request");
+                    let decision = RecordedDecision::Grant(res);
+                    self.book(&decision);
+                    decision
                 }
             };
             if let Some(id) = q.req_id {
                 // Dedup hits never re-insert; in-run duplicates mirror
                 // that. Everything decided here is remembered.
                 if !is_dup {
-                    self.dedup.insert(id, CachedReply::Grant(res.clone()));
+                    self.dedup.insert(id, decision.clone());
                 }
             }
             if replay_needed[i] {
-                replays.insert(i, res.clone());
+                replays.insert(i, decision.clone());
             }
-            let _ = q.reply.send(res);
+            let _ = q.reply.send(as_grant(decision, q.amount));
         }
+    }
+
+    /// Return a released allocation's draws to the engine's pool.
+    fn release(&mut self, draws: &[f64]) -> Result<(), GrmError> {
+        // A single-lane release cannot say which lane to credit; multi
+        // engines are grant-only for now.
+        let pool = self.engine.pool("release on a multi-resource GRM")?;
+        if draws.len() != pool.len() {
+            return Err(GrmError::Sched(SchedError::DimensionMismatch {
+                expected: pool.len(),
+                got: draws.len(),
+            }));
+        }
+        for (v, d) in pool.iter_mut().zip(draws) {
+            *v += d;
+        }
+        Ok(())
+    }
+
+    /// Settle one degraded-mode grant: the units were drawn from the
+    /// LRM's own pool while the GRM was unreachable and its re-report
+    /// already reflects them; only the books move here.
+    fn replay_grant(&mut self, lrm: usize, amount: f64) -> Result<(), GrmError> {
+        // Degraded-mode draws are single-pool units; a multi LRM has no
+        // single pool to have drawn them from.
+        self.engine.pool("replay_grant on a multi-resource GRM")?;
+        self.engine.check(lrm)?;
+        if !(amount.is_finite() && amount > 0.0) {
+            return Err(GrmError::Sched(SchedError::InvalidRequest { amount }));
+        }
+        self.stats.journaled_grants += 1;
+        self.journaled_units.add(amount);
+        self.telemetry.add("grm.journaled_replays", 1);
+        self.telemetry.record_with(|| TelemetryEvent::ReconcileReplay { requester: lrm, amount });
+        Ok(())
+    }
+
+    /// Book an agreement mutation the engine accepted (`rows` = the
+    /// flow rows it recomputed).
+    fn renegotiated(
+        &mut self,
+        from: usize,
+        to: usize,
+        share: f64,
+        rows: Result<usize, GrmError>,
+    ) -> Result<(), GrmError> {
+        let dirty_rows = rows? as u64;
+        self.stats.agreement_updates += 1;
+        self.telemetry.add("grm.agreement_updates", 1);
+        self.telemetry.record_with(|| TelemetryEvent::AgreementSet { from, to, share, dirty_rows });
+        Ok(())
     }
 
     /// Handle one message. Returns `false` on `Shutdown`.
     fn handle(&mut self, msg: Msg) -> bool {
-        let n = self.state.n();
         match msg {
             Msg::Report { lrm, available } => {
                 self.run_gen += 1;
-                self.apply_report(lrm, available);
-            }
-            Msg::Tick { now, lease } => {
-                self.apply_tick(now, lease);
-            }
-            Msg::Join { reply } => {
-                if self.front.is_some() || self.multi.is_some() {
-                    // The hierarchical partition (and a multi engine's
-                    // lane dimensions) are fixed at construction;
-                    // `Sender<usize>` cannot carry an error, so the
-                    // sentinel answers "no index".
-                    let _ = reply.send(usize::MAX);
-                    return true;
-                }
-                let newcomer = self.incflow.grow();
-                self.state.availability.push(0.0);
-                // The newcomer's lease starts at the current clock: a
-                // join after the clock has advanced must not be born
-                // lease-expired.
-                self.last_report.push(self.clock);
-                self.run_stamp.push(0);
-                self.refresh_flow();
-                let _ = reply.send(newcomer);
-            }
-            Msg::Leave { lrm, reply } => {
-                let res = if self.front.is_some() {
-                    Err(GrmError::Unsupported("leave on a hierarchical GRM (fixed partition)"))
-                } else if self.multi.is_some() {
-                    Err(GrmError::Unsupported("leave on a multi-resource GRM (fixed membership)"))
-                } else if lrm < n {
-                    self.incflow.isolate(lrm).map_err(GrmError::Flow).map(|()| {
-                        self.state.availability[lrm] = 0.0;
-                        self.refresh_flow();
-                    })
-                } else {
-                    Err(GrmError::UnknownLrm(lrm))
-                };
-                let _ = reply.send(res);
-            }
-            Msg::Request { lrm, amount, req_id, enqueued, reply } => {
-                // The queue wait ends the moment processing begins —
-                // before the dedup check, which is itself server work.
-                self.telemetry.stop(HistKind::QueueWaitSeconds, enqueued);
-                if let Some(id) = req_id {
-                    if let Some(cached) = self.dedup.get(&id) {
-                        self.stats.duplicate_requests += 1;
-                        let res = match cached {
-                            CachedReply::Grant(r) => r.clone(),
-                            // An id reused across call kinds is a client
-                            // bug; fail the request rather than grant.
-                            _ => Err(GrmError::Sched(SchedError::InvalidRequest { amount })),
-                        };
-                        let _ = reply.send(res);
-                        return true;
-                    }
-                }
-                self.stats.requests += 1;
-                self.telemetry.add("grm.requests", 1);
-                let span = self.telemetry.start();
-                let res = if self.multi.is_some() {
-                    Err(GrmError::Unsupported(
-                        "single-resource request on a multi-resource GRM; use request_multi",
-                    ))
-                } else if lrm >= n {
-                    Err(GrmError::UnknownLrm(lrm))
-                } else if self.front.is_some() {
-                    self.decide_hier(lrm, amount)
-                } else {
-                    self.decide(lrm, amount)
-                };
-                self.telemetry.stop(HistKind::RequestLatencySeconds, span);
-                if let Some(id) = req_id {
-                    self.dedup.insert(id, CachedReply::Grant(res.clone()));
-                }
-                let _ = reply.send(res);
-            }
-            Msg::RequestMulti { lrm, amounts, req_id, enqueued, reply } => {
-                self.telemetry.stop(HistKind::QueueWaitSeconds, enqueued);
-                if let Some(id) = req_id {
-                    if let Some(cached) = self.dedup.get(&id) {
-                        self.stats.duplicate_requests += 1;
-                        let res = match cached {
-                            CachedReply::GrantMulti(r) => r.clone(),
-                            // An id reused across call kinds is a client
-                            // bug; fail the request rather than grant.
-                            _ => Err(GrmError::Sched(SchedError::InvalidRequest {
-                                amount: amounts.first().copied().unwrap_or(f64::NAN),
-                            })),
-                        };
-                        let _ = reply.send(res);
-                        return true;
-                    }
-                }
-                self.stats.requests += 1;
-                self.telemetry.add("grm.requests", 1);
-                let span = self.telemetry.start();
-                let res = if self.multi.is_none() {
-                    Err(GrmError::Unsupported("multi-resource request on a single-resource GRM"))
-                } else if lrm >= n {
-                    Err(GrmError::UnknownLrm(lrm))
-                } else {
-                    self.decide_multi(lrm, &amounts)
-                };
-                self.telemetry.stop(HistKind::RequestLatencySeconds, span);
-                if let Some(id) = req_id {
-                    self.dedup.insert(id, CachedReply::GrantMulti(res.clone()));
-                }
-                let _ = reply.send(res);
+                self.apply_report(lrm, &[available]);
             }
             Msg::ReportMulti { lrm, available } => {
-                self.apply_report_multi(lrm, &available);
+                self.run_gen += 1;
+                self.apply_report(lrm, &available);
+            }
+            Msg::Tick { now, lease } => self.apply_tick(now, lease),
+            Msg::Join { reply } => {
+                let res = self.engine.join();
+                if res.is_ok() {
+                    // The newcomer's lease starts at the current clock:
+                    // a join after the clock has advanced must not be
+                    // born lease-expired.
+                    self.last_report.push(self.clock);
+                    self.run_stamp.push(0);
+                }
+                let _ = reply.send(res);
+            }
+            Msg::Leave { lrm, reply } => {
+                let _ = reply.send(self.engine.leave(lrm));
+            }
+            Msg::Request(QueuedRequest { lrm, amount, req_id, enqueued, reply }) => {
+                let decision = self.request(req_id, enqueued, |engine| {
+                    RecordedDecision::Grant(engine.admit(lrm, amount))
+                });
+                let _ = reply.send(as_grant(decision, amount));
+            }
+            Msg::RequestMulti { lrm, amounts, req_id, enqueued, reply } => {
+                let decision = self.request(req_id, enqueued, |engine| {
+                    RecordedDecision::GrantMulti(engine.admit_multi(lrm, &amounts))
+                });
+                let _ = reply.send(match decision {
+                    RecordedDecision::GrantMulti(res) => res,
+                    _ => reused_id(amounts.first().copied().unwrap_or(f64::NAN)),
+                });
             }
             Msg::AvailabilityMulti { reply } => {
-                let res = match &self.multi {
-                    Some(engine) => Ok(engine.availability()),
-                    None => {
-                        Err(GrmError::Unsupported("availability_multi on a single-resource GRM"))
-                    }
-                };
-                let _ = reply.send(res);
+                let _ = reply.send(self.engine.availability_multi());
             }
             Msg::Release { alloc, req_id, reply } => {
-                if let Some(id) = req_id {
-                    if let Some(cached) = self.dedup.get(&id) {
-                        self.stats.duplicate_requests += 1;
-                        let res = match cached {
-                            CachedReply::Release(r) => r.clone(),
-                            CachedReply::Grant(_)
-                            | CachedReply::GrantMulti(_)
-                            | CachedReply::Replay(_) => {
-                                Err(GrmError::Sched(SchedError::InvalidRequest {
-                                    amount: alloc.amount,
-                                }))
-                            }
-                        };
-                        let _ = reply.send(res);
-                        return true;
-                    }
-                }
-                let res = if self.multi.is_some() {
-                    // A single-lane release cannot say which lane to
-                    // credit; multi engines are grant-only for now.
-                    Err(GrmError::Unsupported("release on a multi-resource GRM"))
-                } else if alloc.draws.len() != n {
-                    Err(GrmError::Sched(SchedError::DimensionMismatch {
-                        expected: n,
-                        got: alloc.draws.len(),
-                    }))
-                } else {
-                    for (v, d) in self.state.availability.iter_mut().zip(&alloc.draws) {
-                        *v += d;
-                    }
-                    Ok(())
-                };
-                if let Some(id) = req_id {
-                    self.dedup.insert(id, CachedReply::Release(res.clone()));
-                }
-                let _ = reply.send(res);
+                let decision = self
+                    .settle(req_id, |core| RecordedDecision::Release(core.release(&alloc.draws)));
+                let _ = reply.send(match decision {
+                    RecordedDecision::Release(res) => res,
+                    _ => reused_id(alloc.amount),
+                });
             }
             Msg::ReplayGrant { req_id, lrm, amount, reply } => {
-                if let Some(cached) = self.dedup.get(&req_id) {
-                    self.stats.duplicate_requests += 1;
-                    let res = match cached {
-                        CachedReply::Replay(r) => r.clone(),
-                        // The live path already granted this id before
-                        // the client fell back to degraded mode (its
-                        // reply was lost): the intent is settled; the
-                        // replay must not count it a second time.
-                        CachedReply::Grant(Ok(_)) | CachedReply::GrantMulti(Ok(_)) => Ok(()),
-                        CachedReply::Grant(Err(_))
-                        | CachedReply::GrantMulti(Err(_))
-                        | CachedReply::Release(_) => {
-                            Err(GrmError::Sched(SchedError::InvalidRequest { amount }))
-                        }
-                    };
-                    let _ = reply.send(res);
-                    return true;
-                }
-                let res = if self.multi.is_some() {
-                    // Degraded-mode draws are single-pool units; a multi
-                    // LRM has no single pool to have drawn them from.
-                    Err(GrmError::Unsupported("replay_grant on a multi-resource GRM"))
-                } else if lrm >= n {
-                    Err(GrmError::UnknownLrm(lrm))
-                } else if !(amount.is_finite() && amount > 0.0) {
-                    Err(GrmError::Sched(SchedError::InvalidRequest { amount }))
-                } else {
-                    // The units were drawn from the LRM's own pool while
-                    // the GRM was unreachable and its re-report already
-                    // reflects them; only the books move here.
-                    self.stats.journaled_grants += 1;
-                    self.journaled_units.add(amount);
-                    self.telemetry.add("grm.journaled_replays", 1);
-                    self.telemetry
-                        .record_with(|| TelemetryEvent::ReconcileReplay { requester: lrm, amount });
-                    Ok(())
-                };
-                self.dedup.insert(req_id, CachedReply::Replay(res.clone()));
-                let _ = reply.send(res);
+                let decision = self.settle(Some(req_id), |core| {
+                    RecordedDecision::Replay(core.replay_grant(lrm, amount))
+                });
+                let _ = reply.send(match decision {
+                    RecordedDecision::Replay(res) => res,
+                    // The live path already granted this id before the
+                    // client fell back to degraded mode (its reply was
+                    // lost): the intent is settled; the replay must not
+                    // count it a second time.
+                    RecordedDecision::Grant(Ok(_)) | RecordedDecision::GrantMulti(Ok(_)) => Ok(()),
+                    _ => reused_id(amount),
+                });
             }
             Msg::FulfilShortfall { lrm, want, taken } => {
-                if lrm < n && want.is_finite() && taken.is_finite() && want > taken {
+                if lrm < self.engine.n() && want.is_finite() && taken.is_finite() && want > taken {
                     self.stats.partial_fulfils += 1;
                     self.fulfil_shortfall_units.add(want - taken);
                 }
             }
             Msg::SetAgreement { from, to, share, reply } => {
-                let res = if self.front.is_some() {
-                    Err(GrmError::Unsupported(
-                        "set_agreement on a hierarchical GRM; renegotiate with set_inter_group",
-                    ))
-                } else if self.multi.is_some() {
-                    // A flat multi core's lane states hold clones of the
-                    // flow snapshot; renegotiation would have to
-                    // republish into every lane atomically. Out of scope
-                    // until someone needs it.
-                    Err(GrmError::Unsupported("set_agreement on a multi-resource GRM"))
-                } else {
-                    self.incflow.set(from, to, share).map_err(GrmError::Flow).map(|rows| {
-                        self.stats.agreement_updates += 1;
-                        self.telemetry.add("grm.agreement_updates", 1);
-                        self.telemetry.record_with(|| TelemetryEvent::AgreementSet {
-                            from,
-                            to,
-                            share,
-                            dirty_rows: rows as u64,
-                        });
-                        self.refresh_flow();
-                    })
-                };
-                let _ = reply.send(res);
+                let rows = self.engine.set_agreement(from, to, share);
+                let _ = reply.send(self.renegotiated(from, to, share, rows));
             }
             Msg::SetInterGroup { from_group, to_group, share, reply } => {
-                let res = if let Some(MultiEngine::Hier { front, .. }) = self.multi.as_mut() {
-                    // Renegotiation on a hierarchical multi engine
-                    // applies to every lane: the inter-group agreement
-                    // is between principals, not resources.
-                    match front.set_inter(from_group, to_group, share) {
-                        Ok(rows) => {
-                            self.stats.agreement_updates += 1;
-                            self.telemetry.add("grm.agreement_updates", 1);
-                            self.telemetry.record_with(|| TelemetryEvent::AgreementSet {
-                                from: from_group,
-                                to: to_group,
-                                share,
-                                dirty_rows: rows as u64,
-                            });
-                            Ok(())
-                        }
-                        Err(e) => Err(GrmError::Sched(e)),
-                    }
-                } else if self.multi.is_some() {
-                    Err(GrmError::Unsupported("set_inter_group on a flat multi-resource GRM"))
-                } else if let Some(front) = self.front.as_mut() {
-                    match front.set_inter(from_group, to_group, share) {
-                        Ok(rows) => {
-                            self.stats.agreement_updates += 1;
-                            self.telemetry.add("grm.agreement_updates", 1);
-                            self.telemetry.record_with(|| TelemetryEvent::AgreementSet {
-                                from: from_group,
-                                to: to_group,
-                                share,
-                                dirty_rows: rows as u64,
-                            });
-                            Ok(())
-                        }
-                        Err(e) => Err(GrmError::Sched(e)),
-                    }
-                } else {
-                    Err(GrmError::Unsupported("set_inter_group on a flat GRM"))
-                };
-                let _ = reply.send(res);
+                let rows = self.engine.set_inter(from_group, to_group, share);
+                let _ = reply.send(self.renegotiated(from_group, to_group, share, rows));
             }
             Msg::SeedDecision { id, decision, reply } => {
                 // Recovery plumbing: restore a decision journaled by a
                 // previous incarnation so a duplicate RPC straddling
                 // the restart replays instead of re-executing. Not a
                 // served request — no stats counters move.
-                self.dedup.insert(id, decision.into());
+                self.dedup.insert(id, decision);
                 let _ = reply.send(());
             }
             Msg::Availability { reply } => {
-                let _ = reply.send(self.state.availability.clone());
+                // The reply cannot carry a refusal: an engine without a
+                // single pool shows the all-zero view it always has.
+                let view = match self.engine.pool("availability on a multi-resource GRM") {
+                    Ok(pool) => pool.to_vec(),
+                    Err(_) => vec![0.0; self.engine.n()],
+                };
+                let _ = reply.send(view);
             }
             Msg::Stats { reply } => {
                 let _ = reply.send(self.published_stats());
@@ -1862,12 +1228,10 @@ impl ServerCore {
             match msg {
                 Msg::Report { lrm, available } => {
                     self.run_gen += 1;
-                    self.apply_report(lrm, available);
-                    while let Some(Msg::Report { .. }) = it.peek() {
-                        let Some(Msg::Report { lrm, available }) = it.next() else {
-                            unreachable!("peeked a Report");
-                        };
-                        self.apply_report(lrm, available);
+                    self.apply_report(lrm, &[available]);
+                    while let Some(&Msg::Report { lrm, available }) = it.peek() {
+                        it.next();
+                        self.apply_report(lrm, &[available]);
                     }
                 }
                 Msg::Tick { now, lease } => {
@@ -1883,19 +1247,18 @@ impl ServerCore {
                     }
                     self.apply_tick(latest, lease);
                 }
-                Msg::Request { lrm, amount, req_id, enqueued, reply } if self.front.is_some() => {
-                    // On the hierarchical engine a contiguous run of
-                    // requests becomes one admission batch. Runs never
-                    // extend across other message kinds, so nothing is
+                Msg::Request(first) if self.engine.batches() => {
+                    // On a batching engine a contiguous run of requests
+                    // becomes one admission batch. Runs never extend
+                    // across other message kinds, so nothing is
                     // reordered relative to reports, ticks, releases,
                     // or renegotiations.
-                    let mut run = vec![QueuedRequest { lrm, amount, req_id, enqueued, reply }];
-                    while let Some(Msg::Request { .. }) = it.peek() {
-                        let Some(Msg::Request { lrm, amount, req_id, enqueued, reply }) = it.next()
-                        else {
+                    let mut run = vec![first];
+                    while let Some(Msg::Request(_)) = it.peek() {
+                        let Some(Msg::Request(next)) = it.next() else {
                             unreachable!("peeked a Request");
                         };
-                        run.push(QueuedRequest { lrm, amount, req_id, enqueued, reply });
+                        run.push(next);
                     }
                     self.handle_request_run(run);
                 }
@@ -1910,27 +1273,22 @@ impl ServerCore {
     }
 }
 
-fn serve(agreements: AgreementMatrix, level: usize, rx: Receiver<Msg>, telemetry: Telemetry) {
-    let core = ServerCore::with_telemetry(agreements, level, telemetry.clone());
-    serve_core(core, rx, telemetry);
-}
-
-fn serve_core(mut core: ServerCore, rx: Receiver<Msg>, telemetry: Telemetry) {
+fn serve_core(mut core: ServerCore, rx: Receiver<Msg>) {
     // Coalescing drain loop: block for the first message of a wakeup,
     // then drain everything already queued and hand the batch to the
     // core, so a burst of reports costs one pass instead of one wakeup
-    // each (and, on a hierarchical engine, a burst of requests becomes
-    // one admission batch).
+    // each (and, on a batching engine, a burst of requests becomes one
+    // admission batch).
     let mut batch: Vec<Msg> = Vec::new();
     while let Ok(first) = rx.recv() {
         batch.push(first);
         while let Ok(more) = rx.try_recv() {
             batch.push(more);
         }
-        telemetry.add("grm.wakeups", 1);
-        let span = telemetry.start();
+        core.telemetry.add("grm.wakeups", 1);
+        let span = core.telemetry.start();
         let alive = core.handle_batch(&mut batch);
-        telemetry.stop(HistKind::ServeDrainSeconds, span);
+        core.telemetry.stop(HistKind::ServeDrainSeconds, span);
         if !alive {
             break;
         }
@@ -1940,6 +1298,29 @@ fn serve_core(mut core: ServerCore, rx: Receiver<Msg>, telemetry: Telemetry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEDUP_WINDOW;
+
+    fn flat_core(agreements: AgreementMatrix, level: usize) -> ServerCore {
+        ServerCore::new(engine::flat(agreements, level, Telemetry::default()), Telemetry::default())
+    }
+
+    fn hier_core(sched: HierarchicalScheduler) -> ServerCore {
+        ServerCore::new(engine::hierarchical(sched, Telemetry::default()), Telemetry::default())
+    }
+
+    /// The core's single-pool availability view.
+    fn pool(core: &mut ServerCore) -> Vec<f64> {
+        core.engine.pool("test").unwrap().to_vec()
+    }
+
+    fn request(
+        lrm: usize,
+        amount: f64,
+        req_id: Option<RequestId>,
+    ) -> (Msg, Receiver<Result<Allocation, GrmError>>) {
+        let (reply, rx) = unbounded();
+        (Msg::Request(QueuedRequest { lrm, amount, req_id, enqueued: None, reply }), rx)
+    }
 
     fn complete(n: usize, share: f64) -> AgreementMatrix {
         let mut s = AgreementMatrix::zeros(n);
@@ -2163,28 +1544,6 @@ mod tests {
         assert_eq!(after.requests, before.requests + 1, "evicted id recomputed");
         assert_eq!(after.duplicate_requests, before.duplicate_requests);
         grm.shutdown();
-    }
-
-    #[test]
-    fn dedup_reinsert_refreshes_recency_at_window_boundary() {
-        // Re-deciding an id must move it to the back of the eviction
-        // order. Regression: the old `insert` kept the stale front
-        // position, so at exactly DEDUP_WINDOW entries the *refreshed*
-        // id was evicted first while an older untouched id survived.
-        let mut w = DedupWindow::default();
-        let id = |seq| RequestId { client: 0, seq };
-        w.insert(id(0), CachedReply::Replay(Ok(())));
-        for seq in 1..DEDUP_WINDOW as u64 {
-            w.insert(id(seq), CachedReply::Replay(Ok(())));
-        }
-        // Window is exactly full; re-insert the oldest id.
-        w.insert(id(0), CachedReply::Replay(Ok(())));
-        assert_eq!(w.order.len(), DEDUP_WINDOW, "re-insert must not grow the window");
-        // One more new id evicts the now-oldest entry: seq 1, not seq 0.
-        w.insert(id(DEDUP_WINDOW as u64), CachedReply::Replay(Ok(())));
-        assert!(w.get(&id(0)).is_some(), "refreshed id survives the eviction");
-        assert!(w.get(&id(1)).is_none(), "stalest untouched id is evicted instead");
-        assert_eq!(w.decisions.len(), w.order.len(), "map and order stay in lock-step");
     }
 
     #[test]
@@ -2480,27 +1839,15 @@ mod tests {
             msgs.push(Msg::Tick { now: 5, lease: 10 });
             msgs.push(Msg::Tick { now: 3, lease: 10 });
             // A request in the middle: runs must not reorder around it.
-            let (tx, rx) = unbounded();
-            msgs.push(Msg::Request {
-                lrm: 0,
-                amount: 6.0,
-                req_id: None,
-                enqueued: None,
-                reply: tx,
-            });
+            let (msg, rx) = request(0, 6.0, None);
+            msgs.push(msg);
             replies.push(rx);
             // A fresh report, a lease-expiring tick, then an over-ask
             // that must reject identically on both paths.
             msgs.push(Msg::Report { lrm: 0, available: 1.0 });
             msgs.push(Msg::Tick { now: 20, lease: 10 });
-            let (tx, rx) = unbounded();
-            msgs.push(Msg::Request {
-                lrm: 2,
-                amount: 100.0,
-                req_id: None,
-                enqueued: None,
-                reply: tx,
-            });
+            let (msg, rx) = request(2, 100.0, None);
+            msgs.push(msg);
             replies.push(rx);
             (msgs, replies)
         };
@@ -2508,11 +1855,11 @@ mod tests {
         let (msgs_one, replies_one) = build_trace();
         let (msgs_batch, replies_batch) = build_trace();
 
-        let mut one = ServerCore::new(complete(3, 0.5), 2);
+        let mut one = flat_core(complete(3, 0.5), 2);
         for m in msgs_one {
             assert!(one.handle(m));
         }
-        let mut batched = ServerCore::new(complete(3, 0.5), 2);
+        let mut batched = flat_core(complete(3, 0.5), 2);
         let mut batch = msgs_batch;
         assert!(batched.handle_batch(&mut batch));
         assert!(batch.is_empty(), "batch fully drained");
@@ -2521,7 +1868,7 @@ mod tests {
             assert_eq!(ra.try_recv().unwrap(), rb.try_recv().unwrap());
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&one.state.availability), bits(&batched.state.availability));
+        assert_eq!(bits(&pool(&mut one)), bits(&pool(&mut batched)));
         assert_eq!(one.clock, batched.clock);
         assert_eq!(one.last_report, batched.last_report);
         let (mut s1, mut s2) = (one.published_stats(), batched.published_stats());
@@ -2534,7 +1881,7 @@ mod tests {
 
     #[test]
     fn batch_stops_at_shutdown_and_drops_the_rest() {
-        let mut core = ServerCore::new(complete(2, 0.5), 1);
+        let mut core = flat_core(complete(2, 0.5), 1);
         let mut batch = vec![
             Msg::Report { lrm: 0, available: 5.0 },
             Msg::Shutdown,
@@ -2542,40 +1889,46 @@ mod tests {
         ];
         assert!(!core.handle_batch(&mut batch));
         assert_eq!(core.stats.reports, 1, "messages behind Shutdown are dropped");
-        assert_eq!(core.state.availability[1].to_bits(), 0.0f64.to_bits());
+        assert_eq!(pool(&mut core)[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn capacity_fast_reject_matches_solver_verdict_and_counts() {
-        let mut core = ServerCore::new(complete(3, 0.5), 2);
-        for (lrm, avail) in [(0, 0.0), (1, 10.0), (2, 10.0)] {
-            core.run_gen += 1;
-            core.apply_report(lrm, avail);
+        let mut core = flat_core(complete(3, 0.5), 2);
+        for (lrm, available) in [(0, 0.0), (1, 10.0), (2, 10.0)] {
+            assert!(core.handle(Msg::Report { lrm, available }));
         }
+        let decide = |core: &mut ServerCore, amount| {
+            let (msg, rx) = request(0, amount, None);
+            assert!(core.handle(msg));
+            rx.try_recv().unwrap()
+        };
         // Reachable for 0: clamped two-level flow 0.5 + 0.25 = 0.75 per
         // peer ⇒ 7.5 + 7.5 = 15. Asking 16 rejects without an LP build,
         // with the exact error payload the solver would produce.
-        let err = core.decide(0, 16.0).unwrap_err();
-        match err {
+        match decide(&mut core, 16.0).unwrap_err() {
             GrmError::Sched(SchedError::InsufficientCapacity {
                 requester,
                 capacity,
                 requested,
-                ..
+                resource,
             }) => {
                 assert_eq!(requester, 0);
                 assert!((capacity - 15.0).abs() < 1e-9, "capacity {capacity}");
                 assert_eq!(requested.to_bits(), 16.0f64.to_bits());
+                assert_eq!(resource, None, "the single pool has no name");
             }
             other => panic!("expected capacity rejection, got {other:?}"),
         }
-        assert_eq!(core.stats.fast_rejects, 1);
-        assert_eq!(core.stats.rejected_capacity, 1);
+        let stats = core.published_stats();
+        assert_eq!(stats.fast_rejects, 1);
+        assert_eq!(stats.rejected_capacity, 1);
         // A feasible request is untouched by the fast path and grants.
-        let alloc = core.decide(0, 6.0).unwrap();
+        let alloc = decide(&mut core, 6.0).unwrap();
         assert!((alloc.amount - 6.0).abs() < 1e-9);
-        assert_eq!(core.stats.fast_rejects, 1, "grant path never fast-rejects");
-        assert_eq!(core.stats.granted, 1);
+        let stats = core.published_stats();
+        assert_eq!(stats.fast_rejects, 1, "grant path never fast-rejects");
+        assert_eq!(stats.granted, 1);
     }
 
     #[test]
@@ -2650,20 +2003,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_grm_rejects_flat_only_management_ops() {
-        let grm = GrmServer::spawn_hierarchical(hier_sched(false));
-        let h = grm.handle();
-        assert!(matches!(h.set_agreement(0, 1, 0.5), Err(GrmError::Unsupported(_))));
-        assert!(matches!(h.leave(0), Err(GrmError::Unsupported(_))));
-        assert_eq!(h.join().unwrap(), usize::MAX, "fixed partition: no index to give");
-        grm.shutdown();
-        // And the coarse renegotiation is hierarchical-only.
-        let flat = GrmServer::spawn(complete(2, 0.5), 1);
-        assert!(matches!(flat.handle().set_inter_group(0, 1, 0.4), Err(GrmError::Unsupported(_))));
-        flat.shutdown();
-    }
-
-    #[test]
     fn set_inter_group_renegotiates_mid_stream() {
         let inter = AgreementMatrix::zeros(2);
         let sched = HierarchicalScheduler::new(vec![vec![0], vec![1]], &inter, 1).unwrap();
@@ -2705,21 +2044,15 @@ mod tests {
                 (3, 4.0, Some(id_b)), // needs the coarse cross-group path
                 (3, -1.0, None),      // invalid amount
             ] {
-                let (tx, rx) = unbounded();
-                msgs.push(Msg::Request { lrm, amount, req_id, enqueued: None, reply: tx });
+                let (msg, rx) = request(lrm, amount, req_id);
+                msgs.push(msg);
                 replies.push(rx);
             }
             // A report breaks the run; the retry of `id_a` behind it is
             // a window hit on both paths.
             msgs.push(Msg::Report { lrm: 1, available: 9.0 });
-            let (tx, rx) = unbounded();
-            msgs.push(Msg::Request {
-                lrm: 0,
-                amount: 3.0,
-                req_id: Some(id_a),
-                enqueued: None,
-                reply: tx,
-            });
+            let (msg, rx) = request(0, 3.0, Some(id_a));
+            msgs.push(msg);
             replies.push(rx);
             (msgs, replies)
         };
@@ -2727,11 +2060,11 @@ mod tests {
         let (msgs_one, replies_one) = build_trace();
         let (msgs_batch, replies_batch) = build_trace();
 
-        let mut one = ServerCore::hierarchical(hier_sched(parallel), Telemetry::default());
+        let mut one = hier_core(hier_sched(parallel));
         for m in msgs_one {
             assert!(one.handle(m));
         }
-        let mut batched = ServerCore::hierarchical(hier_sched(parallel), Telemetry::default());
+        let mut batched = hier_core(hier_sched(parallel));
         let mut batch = msgs_batch;
         assert!(batched.handle_batch(&mut batch));
 
@@ -2744,7 +2077,7 @@ mod tests {
             }
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&one.state.availability), bits(&batched.state.availability));
+        assert_eq!(bits(&pool(&mut one)), bits(&pool(&mut batched)));
         let (mut s1, mut s2) = (one.published_stats(), batched.published_stats());
         assert_eq!(s1.batched_allocations, 0, "one-at-a-time delivery never batches");
         assert_eq!(
@@ -2897,36 +2230,228 @@ mod tests {
         grm.shutdown();
     }
 
-    #[test]
-    fn cross_engine_calls_are_unsupported() {
-        let multi = spawn_two_lane(0.5);
-        let h = multi.handle();
-        h.report_multi(0, vec![4.0, 3.0]).unwrap();
-        assert!(matches!(h.request(0, 1.0), Err(GrmError::Unsupported(_))));
-        assert!(matches!(h.leave(0), Err(GrmError::Unsupported(_))));
-        assert!(matches!(h.set_agreement(0, 1, 0.2), Err(GrmError::Unsupported(_))));
-        assert!(matches!(h.set_inter_group(0, 1, 0.2), Err(GrmError::Unsupported(_))));
-        assert_eq!(h.join().unwrap(), usize::MAX, "fixed membership sentinel");
-        multi.shutdown();
+    // ---- one script, four engines --------------------------------------
 
-        let flat = GrmServer::spawn(complete(2, 0.5), 1);
-        let h = flat.handle();
-        assert!(matches!(h.request_multi(0, &[1.0, 1.0]), Err(GrmError::Unsupported(_))));
-        assert!(matches!(h.availability_multi(), Err(GrmError::Unsupported(_))));
-        flat.shutdown();
+    /// One engine under the conformance script: how to spawn it over
+    /// four principals, whether its RPCs are the multi-resource ones,
+    /// and the exact `Unsupported` payload of every operation it refuses
+    /// (an operation not listed must not answer `Unsupported`).
+    struct EngineCase {
+        name: &'static str,
+        spawn: fn() -> GrmServer,
+        multi: bool,
+        refusals: &'static [(&'static str, &'static str)],
+    }
+
+    const LANES: [&str; 2] = ["cpu", "bandwidth"];
+
+    fn two_hier_lanes() -> MultiAdmission {
+        MultiAdmission::new(LANES.to_vec(), (0..2).map(|_| hier_sched(false)).collect()).unwrap()
+    }
+
+    const SINGLE_ONLY: [(&str, &str); 2] = [
+        ("request_multi", "multi-resource request on a single-resource GRM"),
+        ("availability_multi", "availability_multi on a single-resource GRM"),
+    ];
+
+    const ENGINES: [EngineCase; 4] = [
+        EngineCase {
+            name: "flat",
+            spawn: || GrmServer::spawn(complete(4, 0.5), 1),
+            multi: false,
+            refusals: &[
+                ("set_inter_group", "set_inter_group on a flat GRM"),
+                SINGLE_ONLY[0],
+                SINGLE_ONLY[1],
+            ],
+        },
+        EngineCase {
+            name: "hierarchical",
+            spawn: || GrmServer::spawn_hierarchical(hier_sched(false)),
+            multi: false,
+            refusals: &[
+                ("join", "join on a hierarchical GRM (fixed partition)"),
+                ("leave", "leave on a hierarchical GRM (fixed partition)"),
+                (
+                    "set_agreement",
+                    "set_agreement on a hierarchical GRM; renegotiate with set_inter_group",
+                ),
+                SINGLE_ONLY[0],
+                SINGLE_ONLY[1],
+            ],
+        },
+        EngineCase {
+            name: "multi-flat",
+            spawn: || GrmServer::spawn_multi(LANES.to_vec(), complete(4, 0.5), 1),
+            multi: true,
+            refusals: &[
+                ("join", "join on a multi-resource GRM (fixed membership)"),
+                ("leave", "leave on a multi-resource GRM (fixed membership)"),
+                ("set_agreement", "set_agreement on a multi-resource GRM"),
+                ("set_inter_group", "set_inter_group on a flat multi-resource GRM"),
+                ("request", "single-resource request on a multi-resource GRM; use request_multi"),
+                ("release", "release on a multi-resource GRM"),
+                ("replay_grant", "replay_grant on a multi-resource GRM"),
+            ],
+        },
+        EngineCase {
+            name: "multi-hierarchical",
+            spawn: || GrmServer::spawn_multi_hierarchical(two_hier_lanes()),
+            multi: true,
+            refusals: &[
+                ("join", "join on a multi-resource GRM (fixed membership)"),
+                ("leave", "leave on a multi-resource GRM (fixed membership)"),
+                ("set_agreement", "set_agreement on a multi-resource GRM"),
+                ("request", "single-resource request on a multi-resource GRM; use request_multi"),
+                ("release", "release on a multi-resource GRM"),
+                ("replay_grant", "replay_grant on a multi-resource GRM"),
+            ],
+        },
+    ];
+
+    impl EngineCase {
+        /// Report `available` in every lane.
+        fn report(&self, h: &GrmHandle, lrm: usize, available: f64) {
+            if self.multi {
+                h.report_multi(lrm, vec![available; LANES.len()]).unwrap();
+            } else {
+                h.report(lrm, available).unwrap();
+            }
+        }
+
+        /// Request `amount` in every lane; a grant comes back lane by lane.
+        fn request(
+            &self,
+            h: &GrmHandle,
+            lrm: usize,
+            amount: f64,
+            id: RequestId,
+        ) -> Result<Vec<Allocation>, GrmError> {
+            if self.multi {
+                let amounts = vec![amount; LANES.len()];
+                h.request_multi_idempotent(lrm, &amounts, id).map(|grant| grant.lanes)
+            } else {
+                h.request_idempotent(lrm, amount, id).map(|grant| vec![grant])
+            }
+        }
+
+        /// The availability view, lane by lane.
+        fn view(&self, h: &GrmHandle) -> Vec<Vec<f64>> {
+            if self.multi {
+                h.availability_multi().unwrap()
+            } else {
+                vec![h.availability().unwrap()]
+            }
+        }
+    }
+
+    fn draw_bits(grant: &[Allocation]) -> Vec<Vec<u64>> {
+        grant.iter().map(|lane| lane.draws.iter().map(|d| d.to_bits()).collect()).collect()
     }
 
     #[test]
-    fn multi_lease_expiry_zeroes_every_lane() {
-        let grm = spawn_two_lane(0.5);
-        let h = grm.handle();
-        h.tick(10, 5).unwrap();
-        h.report_multi(0, vec![4.0, 3.0]).unwrap();
-        h.report_multi(1, vec![4.0, 3.0]).unwrap();
-        h.tick(16, 5).unwrap();
-        let lanes = h.availability_multi().unwrap();
-        assert_eq!(lanes, vec![vec![0.0, 0.0], vec![0.0, 0.0]], "stale LRMs vanish everywhere");
-        grm.shutdown();
+    fn every_engine_passes_the_conformance_script() {
+        for case in &ENGINES {
+            let ctx = case.name;
+            let lanes = if case.multi { LANES.len() } else { 1 };
+            let grm = (case.spawn)();
+            let h = grm.handle();
+
+            // Reports.
+            h.tick(10, 5).unwrap();
+            for lrm in 0..4 {
+                case.report(&h, lrm, 10.0);
+            }
+            assert_eq!(case.view(&h), vec![vec![10.0; 4]; lanes], "{ctx}: reports land");
+
+            // Grant: every lane is debited by the amount.
+            let id = RequestId { client: 1, seq: 1 };
+            let grant = case.request(&h, 0, 3.0, id).unwrap();
+            assert_eq!(grant.len(), lanes, "{ctx}");
+            let after_grant = case.view(&h);
+            for lane in &after_grant {
+                assert!((lane.iter().sum::<f64>() - 37.0).abs() < 1e-9, "{ctx}: {lane:?}");
+            }
+
+            // Duplicate: the original decision bit for bit, nothing moves.
+            let replay = case.request(&h, 0, 3.0, id).unwrap();
+            assert_eq!(draw_bits(&replay), draw_bits(&grant), "{ctx}: replayed verbatim");
+            assert_eq!(case.view(&h), after_grant, "{ctx}: no double grant");
+
+            // Capacity rejection: names the binding lane where lanes have
+            // names, and moves nothing.
+            match case.request(&h, 0, 1e6, RequestId { client: 1, seq: 2 }) {
+                Err(GrmError::Sched(SchedError::InsufficientCapacity { resource, .. })) => {
+                    assert_eq!(resource, case.multi.then_some(LANES[0]), "{ctx}");
+                }
+                other => panic!("{ctx}: expected a capacity rejection, got {other:?}"),
+            }
+            assert_eq!(case.view(&h), after_grant, "{ctx}: a rejection moves nothing");
+            let stats = h.stats().unwrap();
+            assert_eq!(stats.reports, 4, "{ctx}");
+            assert_eq!(stats.requests, 2, "{ctx}: the duplicate is not a request");
+            assert_eq!(stats.duplicate_requests, 1, "{ctx}");
+            assert_eq!(stats.granted, 1, "{ctx}");
+            assert_eq!(stats.rejected_capacity, 1, "{ctx}");
+            assert!((stats.granted_units - 3.0 * lanes as f64).abs() < 1e-9, "{ctx}");
+
+            // Lease expiry: a stale LRM vanishes from every lane.
+            h.tick(16, 5).unwrap();
+            assert_eq!(case.view(&h), vec![vec![0.0; 4]; lanes], "{ctx}: expired everywhere");
+
+            // A re-report resurrects it, its lease restarting at the
+            // report's clock.
+            case.report(&h, 1, 8.0);
+            h.tick(21, 5).unwrap();
+            assert_eq!(case.view(&h), vec![vec![0.0, 8.0, 0.0, 0.0]; lanes], "{ctx}: resurrected");
+            h.tick(22, 5).unwrap();
+            assert_eq!(case.view(&h), vec![vec![0.0; 4]; lanes], "{ctx}: expired again");
+
+            // An id reused across call kinds is refused, whatever the
+            // engine makes of the call itself.
+            let stray = Allocation { requester: 0, amount: 1.0, draws: vec![0.0; 4], theta: 0.0 };
+            assert!(
+                matches!(
+                    h.release_idempotent(stray.clone(), id),
+                    Err(GrmError::Sched(SchedError::InvalidRequest { .. }))
+                ),
+                "{ctx}: a grant's id on a release"
+            );
+            assert_eq!(h.stats().unwrap().duplicate_requests, 2, "{ctx}");
+
+            // Every operation the engine does not implement answers its
+            // `Unsupported`; the others answer something else. (Last:
+            // the supported ones change membership and agreements.)
+            type Op = (&'static str, Box<dyn Fn(&GrmHandle) -> Result<(), GrmError>>);
+            let ops: [Op; 9] = [
+                ("request", Box::new(|h| h.request(0, 1.0).map(drop))),
+                ("request_multi", Box::new(|h| h.request_multi(0, &[1.0, 1.0]).map(drop))),
+                ("availability_multi", Box::new(|h| h.availability_multi().map(drop))),
+                ("release", Box::new(move |h| h.release(stray.clone()))),
+                (
+                    "replay_grant",
+                    Box::new(|h| h.replay_grant(RequestId { client: 1, seq: 3 }, 0, 1.0)),
+                ),
+                ("set_inter_group", Box::new(|h| h.set_inter_group(0, 1, 0.4))),
+                ("set_agreement", Box::new(|h| h.set_agreement(0, 1, 0.2))),
+                ("leave", Box::new(|h| h.leave(3))),
+                ("join", Box::new(|h| h.join().map(drop))),
+            ];
+            for (op, call) in &ops {
+                let refusal = case.refusals.iter().find(|(refused, _)| refused == op);
+                match (call(&h), refusal) {
+                    (Err(GrmError::Unsupported(got)), Some((_, want))) => {
+                        assert_eq!(got, *want, "{ctx}: {op}")
+                    }
+                    (Err(GrmError::Unsupported(got)), None) => {
+                        panic!("{ctx}: {op} is supported, yet answered Unsupported({got:?})")
+                    }
+                    (other, Some(_)) => panic!("{ctx}: {op} must be Unsupported, got {other:?}"),
+                    (_, None) => {}
+                }
+            }
+            grm.shutdown();
+        }
     }
 
     #[test]

@@ -32,13 +32,12 @@
 //! journaled event sequence, so a sequenced federation resumes without
 //! re-applying history.
 
-use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use agreements_flow::AgreementMatrix;
-use agreements_grm::{GrmError, GrmServer, RecordedDecision, RequestId};
+use agreements_grm::{DedupWindow, GrmError, GrmServer, RecordedDecision, RequestId};
 use agreements_sched::{Allocation, MultiAllocation};
 use agreements_telemetry::{HistKind, Telemetry};
 
@@ -393,55 +392,6 @@ fn get_opt_u64(r: &mut Reader) -> Result<Option<u64>, String> {
     }
 }
 
-/// The recovered dedup window: decisions by id plus their recency order
-/// — the shape of the live server's window, so the duplicate check, the
-/// insert and the eviction are O(1) per decision.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DedupIndex {
-    decisions: HashMap<RequestId, RecordedDecision>,
-    /// Ids oldest first; exactly the keys of `decisions`.
-    order: VecDeque<RequestId>,
-}
-
-impl DedupIndex {
-    /// Entries in the window.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True when the window holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Is `id` in the window (a decision the server answers from cache)?
-    fn contains(&self, id: &RequestId) -> bool {
-        self.decisions.contains_key(id)
-    }
-
-    /// The entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (&RequestId, &RecordedDecision)> + '_ {
-        self.order.iter().map(|id| (id, &self.decisions[id]))
-    }
-
-    /// Record `decision` under `id` as the newest entry, evicting the
-    /// oldest once past the live window's capacity so snapshots do not
-    /// grow without bound across compactions.
-    fn insert(&mut self, id: RequestId, decision: RecordedDecision) {
-        if self.decisions.insert(id, decision).is_some() {
-            // Re-applied id: refresh its recency. Rare — the listener
-            // never journals a duplicate — so the scan is fine.
-            self.order.retain(|j| *j != id);
-        }
-        self.order.push_back(id);
-        if self.order.len() > agreements_grm::server::DEDUP_WINDOW {
-            if let Some(old) = self.order.pop_front() {
-                self.decisions.remove(&old);
-            }
-        }
-    }
-}
-
 /// What recovery rebuilt from the journal.
 #[derive(Debug, Clone)]
 pub struct RecoveredState {
@@ -455,7 +405,7 @@ pub struct RecoveredState {
     /// One past the highest journaled event sequence.
     pub next_seq: u64,
     /// Dedup entries to seed into the respawned server.
-    pub dedup: DedupIndex,
+    pub dedup: DedupWindow,
     /// Complete records replayed (including the snapshot).
     pub records: u64,
     /// Bytes of torn tail truncated away (0 on a clean shutdown).
@@ -470,7 +420,7 @@ impl RecoveredState {
             level: 0,
             availability: Vec::new(),
             next_seq: 0,
-            dedup: DedupIndex::default(),
+            dedup: DedupWindow::default(),
             // The snapshot record itself.
             records: 1,
             truncated_bytes: 0,
@@ -485,7 +435,7 @@ impl RecoveredState {
         self.level = s.level;
         self.availability = s.availability.clone();
         self.next_seq = s.next_seq;
-        self.dedup = DedupIndex::default();
+        self.dedup = DedupWindow::default();
         for (id, d) in &s.dedup {
             self.dedup.insert(*id, d.clone());
         }
@@ -552,7 +502,7 @@ impl RecoveredState {
     /// replaying one would fold no pool effect anyway, and the journal
     /// stays one record per settled id.
     pub(crate) fn is_duplicate(&self, rec: &JournalRecord) -> bool {
-        matches!(rec, JournalRecord::Decision { id: Some(id), .. } if self.dedup.contains(id))
+        matches!(rec, JournalRecord::Decision { id: Some(id), .. } if self.dedup.get(id).is_some())
     }
 
     fn bump_seq(&mut self, seq: Option<u64>) {

@@ -71,7 +71,7 @@
 //! # Sequenced replay mode
 //!
 //! With [`ListenerConfig::sequenced`], request frames carry a global
-//! event sequence and a [`Sequencer`] admits them strictly in order:
+//! event sequence and a `Sequencer` admits them strictly in order:
 //! event *k* executes and journals before *k*+1 starts. This is what
 //! makes a multi-process replay bit-compatible with the in-process run —
 //! the GRM observes the identical event order, so every draw and every

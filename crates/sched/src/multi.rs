@@ -1,104 +1,14 @@
-//! Multi-resource requests and coupled-resource binding (paper §3.2).
+//! Coupled-resource binding (paper §3.2).
 //!
-//! A request naming several resource types `⟨r₁, …, r_k⟩` is served by
-//! solving one LP per type against that type's own availability state;
-//! either every component places or the whole request fails and any
-//! partial placement is rolled back. Resources that must be co-located
-//! (the paper's CPU+memory example) are *bound* into a composite type
-//! whose per-owner availability is the binding bottleneck, so they are
-//! always allocated together.
-//!
-//! ```
-//! use agreements_flow::{AgreementMatrix, TransitiveFlow};
-//! use agreements_sched::multi::{MultiState, VectorRequest};
-//! use agreements_sched::{LpPolicy, SystemState};
-//!
-//! let state = |avail: Vec<f64>| {
-//!     let mut s = AgreementMatrix::zeros(2);
-//!     s.set(1, 0, 0.5).unwrap();
-//!     SystemState::new(TransitiveFlow::compute(&s, 1), None, avail).unwrap()
-//! };
-//! let mut ms = MultiState::new(vec![
-//!     state(vec![2.0, 8.0]),   // cpu
-//!     state(vec![64.0, 64.0]), // memory
-//! ]).unwrap();
-//! let req = VectorRequest::new(vec![(0, 5.0), (1, 32.0)]);
-//! let allocs = ms.allocate_vector(&LpPolicy::reduced(), 0, &req).unwrap();
-//! assert_eq!(allocs.len(), 2);
-//! assert!((allocs[0].amount - 5.0).abs() < 1e-9);
-//! ```
+//! Resources that must be co-located (the paper's CPU+memory example)
+//! are *bound* into a composite type whose per-owner availability is the
+//! binding bottleneck, so they are always allocated together. Requests
+//! naming several independent resource types are the business of
+//! [`crate::multires`]: one enforcement lane per type, granted in every
+//! lane or in none.
 
 use crate::error::SchedError;
-use crate::policy::AllocationPolicy;
 use crate::state::{Allocation, SystemState};
-
-/// A request for multiple resource types at once: `(resource index,
-/// amount)` pairs. Resource indices address [`MultiState::states`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct VectorRequest {
-    /// Component demands.
-    pub demands: Vec<(usize, f64)>,
-}
-
-impl VectorRequest {
-    /// Build from `(resource, amount)` pairs.
-    pub fn new(demands: Vec<(usize, f64)>) -> Self {
-        VectorRequest { demands }
-    }
-}
-
-/// Per-resource-type system states sharing one principal set.
-#[derive(Debug, Clone)]
-pub struct MultiState {
-    /// One state per resource type.
-    pub states: Vec<SystemState>,
-}
-
-impl MultiState {
-    /// Build; all states must agree on the number of principals.
-    pub fn new(states: Vec<SystemState>) -> Result<Self, SchedError> {
-        if let Some(first) = states.first() {
-            let n = first.n();
-            for s in &states {
-                if s.n() != n {
-                    return Err(SchedError::DimensionMismatch { expected: n, got: s.n() });
-                }
-            }
-        }
-        Ok(MultiState { states })
-    }
-
-    /// Allocate every component of `req` (one LP per resource, §3.2) and
-    /// apply the draws. Atomic: on any component failure, previously
-    /// applied components are released and the error returned.
-    pub fn allocate_vector(
-        &mut self,
-        policy: &dyn AllocationPolicy,
-        requester: usize,
-        req: &VectorRequest,
-    ) -> Result<Vec<Allocation>, SchedError> {
-        let mut done: Vec<(usize, Allocation)> = Vec::with_capacity(req.demands.len());
-        for &(resource, amount) in &req.demands {
-            let state = self
-                .states
-                .get(resource)
-                .ok_or(SchedError::UnknownPrincipal { index: resource, n: self.states.len() })?;
-            match policy.allocate(state, requester, amount) {
-                Ok(alloc) => {
-                    self.states[resource].apply(&alloc)?;
-                    done.push((resource, alloc));
-                }
-                Err(e) => {
-                    for (r, a) in done.iter().rev() {
-                        self.states[*r].release(a)?;
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(done.into_iter().map(|(_, a)| a).collect())
-    }
-}
 
 /// Bind resource types into a composite that is always allocated together.
 ///
@@ -146,7 +56,7 @@ pub fn split_coupled_draws(alloc: &Allocation, units: &[f64]) -> Vec<Allocation>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::LpPolicy;
+    use crate::policy::{AllocationPolicy, LpPolicy};
     use agreements_flow::{AgreementMatrix, TransitiveFlow};
 
     const EPS: f64 = 1e-7;
@@ -159,49 +69,6 @@ mod tests {
         }
         let flow = TransitiveFlow::compute(&s, n - 1);
         SystemState::new(flow, None, v).unwrap()
-    }
-
-    #[test]
-    fn vector_request_allocates_each_component() {
-        let cpu = state(&[(1, 0, 0.5)], vec![4.0, 10.0]);
-        let mem = state(&[(1, 0, 0.5)], vec![100.0, 100.0]);
-        let mut ms = MultiState::new(vec![cpu, mem]).unwrap();
-        let req = VectorRequest::new(vec![(0, 6.0), (1, 50.0)]);
-        let allocs = ms.allocate_vector(&LpPolicy::reduced(), 0, &req).unwrap();
-        assert_eq!(allocs.len(), 2);
-        assert!((allocs[0].amount - 6.0).abs() < EPS);
-        assert!((allocs[1].amount - 50.0).abs() < EPS);
-        // Applied: availability decreased.
-        assert!((ms.states[0].availability.iter().sum::<f64>() - 8.0).abs() < EPS);
-        assert!((ms.states[1].availability.iter().sum::<f64>() - 150.0).abs() < EPS);
-    }
-
-    #[test]
-    fn vector_request_rolls_back_on_failure() {
-        let cpu = state(&[], vec![4.0, 10.0]);
-        let mem = state(&[], vec![1.0, 1.0]);
-        let mut ms = MultiState::new(vec![cpu, mem]).unwrap();
-        let req = VectorRequest::new(vec![(0, 3.0), (1, 50.0)]); // mem fails
-        let err = ms.allocate_vector(&LpPolicy::reduced(), 0, &req).unwrap_err();
-        assert!(matches!(err, SchedError::InsufficientCapacity { .. }));
-        // CPU draw rolled back.
-        assert_eq!(ms.states[0].availability, vec![4.0, 10.0]);
-        assert_eq!(ms.states[1].availability, vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn vector_request_unknown_resource() {
-        let cpu = state(&[], vec![4.0]);
-        let mut ms = MultiState::new(vec![cpu]).unwrap();
-        let req = VectorRequest::new(vec![(7, 1.0)]);
-        assert!(ms.allocate_vector(&LpPolicy::reduced(), 0, &req).is_err());
-    }
-
-    #[test]
-    fn multistate_dimension_check() {
-        let a = state(&[], vec![1.0, 2.0]);
-        let b = state(&[], vec![1.0]);
-        assert!(matches!(MultiState::new(vec![a, b]), Err(SchedError::DimensionMismatch { .. })));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Multi-resource admission at scale (paper §3.2, scaled path).
 //!
-//! The flat §3.2 machinery in [`crate::multi`] handles vector requests
-//! against one [`SystemState`] whose availability is a single pool. This
-//! module instead runs **one full enforcement lane per resource** —
+//! [`crate::multi`] binds co-located resources into one composite pool.
+//! This module instead runs **one full enforcement lane per resource** —
 //! CPU, bandwidth, storage — each with its own agreement-derived state
 //! and warm LP solver, and admits a request iff *every* resource's LP
 //! admits it. A rejection names the **binding resource**: the first

@@ -1,13 +1,11 @@
-//! Property tests for hierarchical multigrid allocation and
-//! multi-resource requests.
+//! Property tests for hierarchical multigrid allocation.
 
 // Index-based loops keep the matrix algebra legible in these tests.
 #![allow(clippy::needless_range_loop)]
 
-use agreements_flow::{AgreementMatrix, TransitiveFlow};
+use agreements_flow::AgreementMatrix;
 use agreements_sched::hierarchy::HierarchicalScheduler;
-use agreements_sched::multi::{MultiState, VectorRequest};
-use agreements_sched::{LpPolicy, SchedError, SystemState};
+use agreements_sched::SchedError;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -117,44 +115,5 @@ proptest! {
             Err(SchedError::InsufficientCapacity { .. })
         );
         prop_assert!(rejected, "over-reach request was not rejected");
-    }
-
-    /// Multi-resource vector requests are atomic: on failure, no state
-    /// changes at all; on success, each component is applied.
-    #[test]
-    fn vector_requests_are_atomic(
-        v1 in proptest::collection::vec(1u32..=20, 3),
-        v2 in proptest::collection::vec(1u32..=20, 3),
-        want1 in 1u32..=30,
-        want2 in 1u32..=30,
-    ) {
-        let mk = |v: &[u32]| {
-            let mut s = AgreementMatrix::zeros(3);
-            s.set(1, 0, 0.5).unwrap();
-            s.set(2, 0, 0.5).unwrap();
-            let flow = TransitiveFlow::compute(&s, 2);
-            SystemState::new(flow, None, v.iter().map(|&x| x as f64).collect()).unwrap()
-        };
-        let mut ms = MultiState::new(vec![mk(&v1), mk(&v2)]).unwrap();
-        let before: Vec<Vec<f64>> =
-            ms.states.iter().map(|s| s.availability.clone()).collect();
-        let req = VectorRequest::new(vec![(0, want1 as f64), (1, want2 as f64)]);
-        match ms.allocate_vector(&LpPolicy::reduced(), 0, &req) {
-            Ok(allocs) => {
-                prop_assert_eq!(allocs.len(), 2);
-                // Applied: availability decreased by exactly the draws.
-                for (r, alloc) in allocs.iter().enumerate() {
-                    for m in 0..3 {
-                        let expect = (before[r][m] - alloc.draws[m]).max(0.0);
-                        prop_assert!((ms.states[r].availability[m] - expect).abs() < 1e-9);
-                    }
-                }
-            }
-            Err(_) => {
-                for (r, b) in before.iter().enumerate() {
-                    prop_assert_eq!(&ms.states[r].availability, b, "rollback failed");
-                }
-            }
-        }
     }
 }
