@@ -64,7 +64,7 @@
 //!            [--max-hold-ms 2] [--rpc-deadline-ms N]
 //!            [--window 32] [--n 1000] [--workers 8] [--requests 2048]
 //!            [--epochs 4] [--seed 20000] [--dir PATH] [--kill-grm]
-//!            [--check] [--json-out PATH] [--telemetry-out PATH]
+//!            [--check] [--telemetry-out PATH]
 //! ```
 
 use std::collections::VecDeque;
@@ -311,7 +311,6 @@ struct Flags {
     worker_id: usize,
     kill_grm: bool,
     check: bool,
-    json_out: Option<PathBuf>,
     telemetry_out: Option<PathBuf>,
 }
 
@@ -436,7 +435,6 @@ fn parse_flags() -> Flags {
         worker_id: parse(flag_value(&mut args, "--worker-id"), "--worker-id", 0),
         kill_grm: flag_present(&mut args, "--kill-grm"),
         check: flag_present(&mut args, "--check"),
-        json_out: flag_value(&mut args, "--json-out").map(PathBuf::from),
         telemetry_out,
     };
     if !args.is_empty() {
@@ -550,7 +548,6 @@ fn daemon(flags: Flags) {
                 HierarchicalScheduler::auto(&recovered.matrix, &PartitionOptions::default(), LEVEL)
                     .expect("partition scale agreements");
             sched.set_parallel_auto();
-            sched.set_warm_runs(true);
             recovered
                 .respawn_with(GrmServer::spawn_hierarchical_with_telemetry(
                     sched,
@@ -1194,9 +1191,6 @@ fn orchestrate(flags: Flags) {
     // otherwise finish before the first snapshot ever lands. This sits
     // outside the timed section.
     std::thread::sleep(Duration::from_millis(450));
-    let mut group_fsyncs = 0u64;
-    let mut group_records_mean = 0.0f64;
-    let mut group_records_max = 0.0f64;
     if let Ok(text) = fs::read_to_string(telemetry_path(&flags.dir)) {
         if let Ok(snap) = Snapshot::from_json(&text) {
             for kind in
@@ -1211,11 +1205,6 @@ fn orchestrate(flags: Flags) {
                         h.max
                     );
                 }
-            }
-            if let Some(h) = snap.histogram(HistKind::GroupCommitRecords) {
-                group_fsyncs = h.count;
-                group_records_mean = h.mean();
-                group_records_max = h.max;
             }
             if let Some(out) = &flags.telemetry_out {
                 agreements_experiments::write_snapshot(out, &snap);
@@ -1243,41 +1232,6 @@ fn orchestrate(flags: Flags) {
             ),
             (None, _) => unreachable!("reference exists whenever an ordered mode checks"),
         };
-    }
-
-    if let Some(path) = &flags.json_out {
-        let proxy_stats = proxy.as_ref().map(|p| p.stats());
-        let json = format!(
-            "{{\n  \"mode\": \"{}\",\n  \"transport\": \"{}\",\n  \"fsync\": \"{}\",\n  \"window\": {},\n  \"n\": {},\n  \"workers\": {},\n  \"requests\": {},\n  \"epochs\": {},\n  \"chaos\": {},\n  \"chaos_seed\": {},\n  \"latency_us\": {},\n  \"max_hold_ms\": {},\n  \"events\": {},\n  \"elapsed_s\": {:.4},\n  \"events_per_sec\": {:.1},\n  \"grants\": {},\n  \"denials\": {},\n  \"group_fsyncs\": {},\n  \"group_records_mean\": {:.3},\n  \"group_records_max\": {},\n  \"proxy_dropped\": {},\n  \"proxy_duplicated\": {},\n  \"proxy_held\": {},\n  \"proxy_delayed\": {},\n  \"killed\": {},\n  \"checked\": {},\n  \"check_failures\": {}\n}}\n",
-            flags.mode.as_str(),
-            flags.transport.as_str(),
-            flags.fsync,
-            flags.window,
-            flags.n,
-            flags.workers,
-            flags.requests,
-            flags.epochs,
-            flags.chaos.is_some(),
-            chaos_seed,
-            flags.latency_us,
-            flags.max_hold_ms,
-            total,
-            elapsed.as_secs_f64(),
-            events_per_sec,
-            grants,
-            denials,
-            group_fsyncs,
-            group_records_mean,
-            group_records_max,
-            proxy_stats.as_ref().map_or(0, |s| s.dropped),
-            proxy_stats.as_ref().map_or(0, |s| s.duplicated),
-            proxy_stats.as_ref().map_or(0, |s| s.held),
-            proxy_stats.as_ref().map_or(0, |s| s.delayed),
-            killed_at.is_some(),
-            flags.check,
-            failures
-        );
-        fs::write(path, json).expect("write --json-out");
     }
 
     grm.kill().expect("stop daemon");

@@ -174,3 +174,21 @@ proptest! {
             "drifted granted-units counter not caught");
     }
 }
+
+/// The battery on a real racing run: one daemon, four worker processes,
+/// non-sequenced listener, hierarchical engine, group commit. The
+/// ordered modes are replayed bit for bit by CI's `net-chaos` job; this
+/// is the one mode whose `--check` is this checker.
+#[test]
+fn a_racing_federation_run_passes_the_battery() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("fed-nonseq-{}", std::process::id()));
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_federation"))
+        .args(["--mode", "nonseq", "--fsync", "batched:32", "--check"])
+        .args(["--n", "64", "--workers", "4", "--requests", "256"])
+        .arg("--dir")
+        .arg(&dir)
+        .status()
+        .expect("spawn the federation binary");
+    assert!(status.success(), "federation --mode nonseq --check failed: {status}");
+}

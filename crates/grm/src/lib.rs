@@ -27,9 +27,12 @@
 //!   the server's dedup window), and capped, jittered backoff.
 //! - [`dedup::DedupWindow`] is that dedup window: one type for the live
 //!   server and for the durable journal's recovery mirror.
-//! - [`recovery::AgreementJournal`] makes the agreement-management state
-//!   replayable so a cold-standby GRM can be rebuilt after a crash, with
-//!   availability restored from LRM re-reports.
+//!
+//! A crashed GRM is replaced by a cold standby spawned from the
+//! agreement matrix, with availability restored from LRM re-reports;
+//! the one replayable agreement log is the durable journal in
+//! `agreements-net` (`AgreementSet`/`Join`/`Leave` records,
+//! `RecoveredState::respawn`).
 //!
 //! The whole federation can be run under the deterministic fault plane
 //! of the `agreements-faults` crate ([`server::GrmServer::spawn_chaotic`];
@@ -46,7 +49,6 @@ mod engine;
 pub mod lrm;
 pub mod multilevel;
 pub mod policy_adapter;
-pub mod recovery;
 pub mod resilient;
 pub mod server;
 
@@ -54,7 +56,6 @@ pub use dedup::{DedupWindow, DEDUP_WINDOW};
 pub use lrm::Lrm;
 pub use multilevel::TwoLevelGrm;
 pub use policy_adapter::GrmBackedPolicy;
-pub use recovery::AgreementJournal;
 pub use resilient::{ResilientGrmClient, RetryPolicy};
 pub use server::{
     GrmClient, GrmError, GrmHandle, GrmServer, GrmStats, RecordedDecision, RequestId,

@@ -275,11 +275,9 @@ mod tests {
 
     #[test]
     fn degraded_submit_then_reconcile_settles_books_once() {
-        use crate::recovery::AgreementJournal;
         use crate::resilient::{ResilientGrmClient, RetryPolicy};
 
         let grm = GrmServer::spawn(complete(2, 0.5), 1);
-        let journal = AgreementJournal::new(complete(2, 0.5), 1);
         let a = Lrm::new(0, 10.0, grm.handle()).unwrap();
         let _b = Lrm::new(1, 10.0, grm.handle()).unwrap();
         let client = ResilientGrmClient::new(grm.handle(), 0, RetryPolicy::aggressive());
@@ -297,8 +295,8 @@ mod tests {
             Err(GrmError::Sched(agreements_sched::SchedError::InsufficientCapacity { .. }))
         ));
 
-        // Standby comes up from the journal; client rebinds; reconcile.
-        let standby = journal.respawn().unwrap();
+        // A cold standby comes up; client rebinds; reconcile.
+        let standby = GrmServer::spawn(complete(2, 0.5), 1);
         client.rebind(standby.handle());
         assert_eq!(a.reconcile(&client).unwrap(), 1);
         assert_eq!(a.degraded_backlog(), 0);

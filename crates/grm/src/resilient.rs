@@ -19,7 +19,7 @@
 //! at the cold standby; in-flight ids stay valid (the standby simply has
 //! never seen them, so retried calls execute fresh — and the agreement
 //! journal replay plus LRM re-reports have already rebuilt its state;
-//! see `recovery`).
+//! see `agreements_net::journal`).
 
 use crate::server::{GrmClient, GrmError, GrmHandle, RequestId};
 use agreements_sched::Allocation;

@@ -749,7 +749,8 @@ impl GrmServer {
     /// as [`GrmServer::shutdown`]; the distinct name marks chaos-harness
     /// crash points, after which clients see [`GrmError::Disconnected`]
     /// (or deadline timeouts through a fault plane) until a cold standby
-    /// is rebuilt — see `recovery::AgreementJournal`.
+    /// is spawned (from the durable journal in `agreements-net`, or from
+    /// the agreement matrix when no agreement op was ever applied).
     pub fn crash(self) {
         self.shutdown();
     }

@@ -1,9 +1,8 @@
 //! Durable, crash-recoverable agreement journal.
 //!
-//! The in-memory `agreements_grm::AgreementJournal` records agreement
-//! mutations so a cold standby can be rebuilt — but it dies with the
-//! process. This module puts the journal on disk so a **kill -9** loses
-//! nothing a client was told:
+//! The one replayable log of a GRM's hard state — agreement mutations,
+//! decisions and the dedup window — kept on disk, so a **kill -9**
+//! loses nothing a client was told and a cold standby can be rebuilt:
 //!
 //! - **Segments.** The journal is a directory of append-only segment
 //!   files `segment-NNNNNN.log`. Every segment *begins with a full

@@ -425,9 +425,12 @@ impl GrmListener {
                 match accept() {
                     Ok(stream) => {
                         let shared = Arc::clone(&shared);
-                        conns
-                            .lock()
-                            .push(thread::spawn(move || serve_conn(Box::new(stream), &shared)));
+                        let mut conns = conns.lock();
+                        // Hold one handle per live connection, not one per
+                        // connection ever made: reconnecting clients would
+                        // otherwise grow this for the daemon's lifetime.
+                        conns.retain(|conn| !conn.is_finished());
+                        conns.push(thread::spawn(move || serve_conn(Box::new(stream), &shared)));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         thread::sleep(Duration::from_millis(2));

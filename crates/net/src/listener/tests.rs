@@ -2,8 +2,9 @@
 //! and the fail-stop journal (which needs the `#[cfg(test)]` hook that
 //! breaks the segment handle under a live listener).
 
+use std::path::PathBuf;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use agreements_flow::AgreementMatrix;
 use agreements_grm::RequestId;
@@ -58,9 +59,10 @@ fn complete(n: usize, share: f64) -> AgreementMatrix {
     m
 }
 
-fn fail_stop(policy: FsyncPolicy, tag: &str) {
-    let dir =
-        std::env::temp_dir().join(format!("agreements-failstop-{tag}-{}", std::process::id()));
+/// A listener on `<dir>/grm.sock` over a fresh three-principal journal in
+/// `<dir>/journal`, under a scratch directory of this process.
+fn listen(policy: FsyncPolicy, tag: &str) -> (PathBuf, GrmListener) {
+    let dir = std::env::temp_dir().join(format!("agreements-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let fresh = || Snapshot {
@@ -70,13 +72,24 @@ fn fail_stop(policy: FsyncPolicy, tag: &str) {
         next_seq: 0,
         dedup: Vec::new(),
     };
-    let journal_dir = dir.join("journal");
     let (journal, state) =
-        DurableJournal::open_or_create(&journal_dir, fresh, policy, Telemetry::disabled()).unwrap();
+        DurableJournal::open_or_create(&dir.join("journal"), fresh, policy, Telemetry::disabled())
+            .unwrap();
     let server = state.respawn().unwrap();
-    let sock = dir.join("grm.sock");
-    let listener =
-        GrmListener::bind_uds(&sock, server, journal, state, ListenerConfig::default()).unwrap();
+    let listener = GrmListener::bind_uds(
+        &dir.join("grm.sock"),
+        server,
+        journal,
+        state,
+        ListenerConfig::default(),
+    )
+    .unwrap();
+    (dir, listener)
+}
+
+fn fail_stop(policy: FsyncPolicy, tag: &str) {
+    let (dir, listener) = listen(policy, &format!("failstop-{tag}"));
+    let (journal_dir, sock) = (dir.join("journal"), dir.join("grm.sock"));
     let client = NetGrmClient::uds(&sock).with_rpc_deadline(Duration::from_secs(5));
 
     // A window of acknowledged decisions: the prefix recovery must keep.
@@ -135,4 +148,35 @@ fn a_failed_append_poisons_the_listener_every_op() {
 #[test]
 fn a_failed_append_poisons_the_listener_group_commit() {
     fail_stop(FsyncPolicy::Batched { max_pending: 8 }, "batched");
+}
+
+#[test]
+fn ended_connections_are_reaped_as_new_ones_arrive() {
+    let (dir, listener) = listen(FsyncPolicy::EveryOp, "reap");
+    let sock = dir.join("grm.sock");
+    // A reply proves the connection was accepted and its handle stored;
+    // dropping the client then ends the connection's threads.
+    let connect_and_drop = || assert_eq!(NetGrmClient::uds(&sock).availability().unwrap().len(), 3);
+    let live = NetGrmClient::uds(&sock);
+    live.availability().unwrap();
+    for _ in 0..32 {
+        connect_and_drop();
+    }
+    // Handles are reaped when the next connection is accepted, and a
+    // dropped connection's threads take a moment to notice: probe until
+    // only the live connection and the newest probe are held.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        connect_and_drop();
+        let held = listener.conns.lock().len();
+        if held <= 2 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "{held} handles held for one live connection");
+        std::thread::yield_now();
+    }
+    assert_eq!(live.availability().unwrap().len(), 3, "the live connection survives reaping");
+    drop(live);
+    listener.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

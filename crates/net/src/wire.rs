@@ -23,6 +23,8 @@ use agreements_lp::LpError;
 use agreements_sched::{Allocation, MultiAllocation, SchedError};
 
 use crate::frame::{encode_frame_with, FrameError};
+use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
 
 /// One client→server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -403,11 +405,46 @@ fn get_lp_error(r: &mut Reader) -> WireResult<LpError> {
     })
 }
 
-/// `&'static str` payloads (rare, error-path only) are restored via
-/// `Box::leak`; the handful of distinct diagnostic strings a process can
-/// ever decode makes the leak bounded in practice.
-fn leak(s: String) -> &'static str {
-    Box::leak(s.into_boxed_str())
+/// Distinct diagnostic strings a process will keep; a correct peer sends
+/// a handful (one per refusal reason and resource name).
+const INTERN_CAP: usize = 256;
+/// Longest diagnostic string kept verbatim.
+const INTERN_MAX_LEN: usize = 256;
+/// What a diagnostic decodes to once the table is full or the string is
+/// over-long: the error variant survives, only its text is lost.
+const INTERN_OVERFLOW: &str = "<diagnostic not retained>";
+
+/// The `&'static str` payloads of decoded errors. Each distinct string is
+/// leaked once and handed out again on every later decode, so a client
+/// retrying against a fail-stopped journal — or a faulty peer inventing
+/// strings — cannot grow the process: at most [`INTERN_CAP`] strings of
+/// at most [`INTERN_MAX_LEN`] bytes are ever retained.
+struct Interner {
+    seen: BTreeSet<&'static str>,
+}
+
+impl Interner {
+    const fn new() -> Self {
+        Interner { seen: BTreeSet::new() }
+    }
+
+    fn intern(&mut self, s: &str) -> &'static str {
+        if let Some(&kept) = self.seen.get(s) {
+            return kept;
+        }
+        if self.seen.len() >= INTERN_CAP || s.len() > INTERN_MAX_LEN {
+            return INTERN_OVERFLOW;
+        }
+        let kept: &'static str = Box::leak(s.into());
+        self.seen.insert(kept);
+        kept
+    }
+}
+
+fn intern(s: &str) -> &'static str {
+    static DIAGNOSTICS: Mutex<Interner> = Mutex::new(Interner::new());
+    // Poison is harmless here: `intern` leaves the set valid at every step.
+    DIAGNOSTICS.lock().unwrap_or_else(PoisonError::into_inner).intern(s)
 }
 
 fn put_flow_error(w: &mut Writer, e: &FlowError) {
@@ -443,7 +480,7 @@ fn get_flow_error(r: &mut Reader) -> WireResult<FlowError> {
         1 => FlowError::InvalidShare { value: r.f64()? },
         2 => FlowError::DiagonalShare { index: r.u64()? as usize },
         3 => FlowError::RowSumExceeded { row: r.u64()? as usize, sum: r.f64()? },
-        4 => FlowError::InvalidPartition { reason: leak(r.str()?) },
+        4 => FlowError::InvalidPartition { reason: intern(&r.str()?) },
         t => return Err(format!("bad FlowError tag {t}")),
     })
 }
@@ -503,7 +540,7 @@ fn get_sched_error(r: &mut Reader) -> WireResult<SchedError> {
             requested: r.f64()?,
             resource: match r.u8()? {
                 0 => None,
-                1 => Some(leak(r.str()?)),
+                1 => Some(intern(&r.str()?)),
                 t => return Err(format!("bad resource presence byte {t}")),
             },
         },
@@ -565,7 +602,7 @@ fn get_grm_error(r: &mut Reader) -> WireResult<GrmError> {
         3 => GrmError::Disconnected,
         4 => GrmError::DeadlineExceeded { millis: r.u64()? },
         5 => GrmError::RetriesExhausted { attempts: r.u64()? as usize },
-        6 => GrmError::Unsupported(leak(r.str()?)),
+        6 => GrmError::Unsupported(intern(&r.str()?)),
         7 => GrmError::ConnectionRefused,
         8 => GrmError::ConnectionReset,
         9 => GrmError::FrameDecode { detail: r.str()? },
@@ -1030,6 +1067,42 @@ mod tests {
             })),
         };
         assert_eq!(ResponseFrame::decode(&stats.encode()).unwrap(), stats);
+    }
+
+    #[test]
+    fn decoded_diagnostics_are_interned_not_leaked_per_decode() {
+        // What a client retrying against a fail-stopped journal decodes
+        // over and over: one string, kept once.
+        let down = ResponseFrame {
+            corr: 1,
+            resp: WireResponse::Unit(Err(GrmError::Unsupported("agreement journal unavailable"))),
+        };
+        let bytes = down.encode();
+        let text = |f: ResponseFrame| match f.resp {
+            WireResponse::Unit(Err(GrmError::Unsupported(s))) => s,
+            other => panic!("decoded {other:?}"),
+        };
+        let first = text(ResponseFrame::decode(&bytes).unwrap());
+        assert_eq!(first, "agreement journal unavailable");
+        for _ in 0..10_000 {
+            let again = text(ResponseFrame::decode(&bytes).unwrap());
+            assert!(std::ptr::eq(first, again), "a repeated diagnostic was leaked again");
+        }
+
+        // A peer inventing strings fills the table and no further: past
+        // the cap (and for over-long strings) the text is dropped, and
+        // strings already kept still resolve to themselves.
+        let mut table = Interner::new();
+        let kept = table.intern("kept");
+        for i in 0..INTERN_CAP * 2 {
+            table.intern(&format!("invented-{i}"));
+        }
+        assert_eq!(table.seen.len(), INTERN_CAP);
+        assert_eq!(table.intern("one more"), INTERN_OVERFLOW);
+        assert!(std::ptr::eq(table.intern("kept"), kept));
+        let mut roomy = Interner::new();
+        assert_eq!(roomy.intern(&"x".repeat(INTERN_MAX_LEN + 1)), INTERN_OVERFLOW);
+        assert!(roomy.seen.is_empty());
     }
 
     #[test]

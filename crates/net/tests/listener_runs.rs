@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use agreements_flow::AgreementMatrix;
 use agreements_grm::{GrmServer, RequestId};
@@ -264,6 +264,24 @@ fn racing_connections(conns: u64) {
         })
         .collect();
     let reissues: u64 = drivers.into_iter().map(|d| d.join().unwrap()).sum();
+
+    // Group commit groups. Every connection ends on a request, whose reply
+    // waits for its record to be durable, so with every reply in the
+    // syncer has retired every journaled record (a re-issue journals
+    // nothing) — in fewer fsyncs than records. It publishes its counters
+    // just after releasing the replies, hence the bounded wait.
+    let journaled = conns * windows * width - reissues;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (fsyncs, synced) = loop {
+        let stats = listener.group_commit_stats();
+        if stats.1 >= journaled || Instant::now() >= deadline {
+            break stats;
+        }
+        std::thread::yield_now();
+    };
+    assert!(fsyncs >= 1, "no group fsync under FsyncPolicy::Batched");
+    assert_eq!(synced, journaled, "group fsyncs cover exactly the journaled records");
+    assert!(fsyncs < synced, "{fsyncs} fsyncs for {synced} records: nothing was grouped");
 
     let h = listener.handle();
     let live = h.availability().unwrap();

@@ -1,7 +1,8 @@
 //! Persistent shard executor: long-lived worker threads owning warm fine
 //! solvers (PR 6 tentpole).
 //!
-//! `BENCH_PR5.json` showed the old parallel mode losing everywhere
+//! The PR 5 measurement (EXPERIMENTS.md, "Historical per-PR
+//! measurements") showed the old parallel mode losing everywhere
 //! (29.8k vs 120.2k alloc/s at n = 128): it spawned a fresh
 //! `crossbeam::thread::scope` per allocation, so every fine solve paid
 //! thread creation, stack setup, and a cold [`GroupSolver`]. This module
@@ -61,12 +62,9 @@ use std::time::Instant;
 /// per member with positive availability (ascending member order), then
 /// θ, then one slack per drop row. Zero-availability members are
 /// substituted out, so the skeleton is keyed on that pattern and rebuilt
-/// only when it changes. Warm starting stays off by default: every solve
-/// is a cold start, which is what makes parallel and sequential
-/// refinement bit-identical. A batched run may opt in to a *warm-start
-/// window* ([`GroupSolver::begin_warm_run`]) scoped to that run; the
-/// window is closed (and the basis dropped) before any other traffic
-/// touches the solver, so opting in never leaks into the default path.
+/// only when it changes. Warm starting is off: every solve is a cold
+/// start, which is what makes parallel and sequential refinement
+/// bit-identical.
 pub(crate) struct GroupSolver {
     ws: SimplexWorkspace,
     /// Zero-availability pattern the skeleton was built for.
@@ -194,23 +192,6 @@ impl GroupSolver {
             })
             .collect())
     }
-
-    /// Open a batch-scoped warm-start window: the first solve inside the
-    /// window runs cold (the saved basis is invalidated here), later
-    /// solves reseed the simplex from the previous optimal basis. The
-    /// run's consecutive solves share the skeleton and differ only in
-    /// bounds/rhs — exactly the shape warm starting exploits.
-    pub(crate) fn begin_warm_run(&mut self) {
-        self.ws.set_warm_start(true);
-        self.ws.invalidate_warm_start();
-    }
-
-    /// Close the warm-start window, dropping the saved basis so every
-    /// solve outside a window (plain `Job::Solve` traffic) stays a cold
-    /// start — the bit-identity contract of the default configuration.
-    pub(crate) fn end_warm_run(&mut self) {
-        self.ws.set_warm_start(false);
-    }
 }
 
 /// One queued allocation request inside a [`GroupRun`]: `slot` is its
@@ -262,9 +243,8 @@ enum Job {
         amount: f64,
         reply: Sender<(usize, Result<Vec<f64>, LpError>)>,
     },
-    /// A batched home-group run (the admission front door). `warm`
-    /// opens a batch-scoped warm-start window around the run's solves.
-    Run { slot: usize, run: GroupRun, warm: bool, reply: Sender<(usize, RunOutcome)> },
+    /// A batched home-group run (the admission front door).
+    Run { slot: usize, run: GroupRun, reply: Sender<(usize, RunOutcome)> },
     /// Round-trip probe used by break-even calibration.
     Ping { reply: Sender<()> },
     /// Swap the worker's telemetry plane.
@@ -321,10 +301,6 @@ pub(crate) struct ShardExecutor {
     stats: Arc<ExecutorStats>,
     /// Whether `should_parallelize` applies the measured break-even gate.
     gated: bool,
-    /// Opt-in: batched runs reuse the simplex basis within each run
-    /// (batch-scoped warm starts). Off by default — the default path
-    /// stays bit-identical to cold-base batching.
-    warm_runs: std::sync::atomic::AtomicBool,
     /// Measured cost of one job dispatch + reply (channel round trip).
     dispatch_ns: u64,
     /// Measured cost of one warm fine solve at the mean group size.
@@ -362,15 +338,9 @@ fn worker_loop(rx: Receiver<Job>, opts: SimplexOptions, mut telemetry: Telemetry
                 telemetry.stop(HistKind::LpSolveSeconds, span);
                 let _ = reply.send((slot, result));
             }
-            Job::Run { slot, run, warm, reply } => {
+            Job::Run { slot, run, reply } => {
                 let solver = solvers.entry(run.group).or_insert_with(GroupSolver::new);
-                if warm {
-                    solver.begin_warm_run();
-                }
                 let outcome = execute_run(solver, &run, &opts, &telemetry);
-                if warm {
-                    solver.end_warm_run();
-                }
                 let _ = reply.send((slot, outcome));
             }
             Job::Ping { reply } => {
@@ -498,20 +468,9 @@ impl ShardExecutor {
             telemetry: Mutex::new(telemetry),
             stats,
             gated,
-            warm_runs: std::sync::atomic::AtomicBool::new(false),
             dispatch_ns: 1,
             solve_ns: 1,
         }
-    }
-
-    /// Toggle batch-scoped warm starts for batched runs (default off).
-    pub(crate) fn set_warm_runs(&self, on: bool) {
-        self.warm_runs.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether batched runs currently open warm-start windows.
-    pub(crate) fn warm_runs(&self) -> bool {
-        self.warm_runs.load(Ordering::Relaxed)
     }
 
     /// Measure the two sides of the break-even inequality: the channel
@@ -619,12 +578,11 @@ impl ShardExecutor {
     /// outcomes in input order.
     pub(crate) fn run_fan(&self, runs: Vec<GroupRun>) -> Vec<RunOutcome> {
         let k = runs.len();
-        let warm = self.warm_runs();
         self.stats.note_fanout();
         let (tx, rx) = channel::unbounded();
         for (slot, run) in runs.into_iter().enumerate() {
             let worker = self.worker_of(run.group);
-            self.dispatch(worker, Job::Run { slot, run, warm, reply: tx.clone() });
+            self.dispatch(worker, Job::Run { slot, run, reply: tx.clone() });
         }
         drop(tx);
         collect_slotted(rx, k)

@@ -82,9 +82,6 @@ pub struct HierarchicalScheduler {
     /// Fan-out/fallback counters shared with the executor; surfaced
     /// through the GRM as `executor_fallbacks_sequential`.
     exec_stats: Arc<ExecutorStats>,
-    /// Opt-in batch-scoped warm starts for executor runs (default off);
-    /// survives executor rebuilds from the `set_parallel_*` switches.
-    warm_runs: bool,
     telemetry: Telemetry,
 }
 
@@ -137,7 +134,6 @@ impl HierarchicalScheduler {
             executor: None,
             mode: FineMode::Sequential,
             exec_stats: Arc::new(ExecutorStats::default()),
-            warm_runs: false,
             telemetry: Telemetry::default(),
         })
     }
@@ -180,14 +176,12 @@ impl HierarchicalScheduler {
     pub fn set_parallel_fine(&mut self, on: bool) {
         if on {
             self.mode = FineMode::Force;
-            let ex = ShardExecutor::force(
+            self.executor = Some(ShardExecutor::force(
                 self.groups.len(),
                 self.opts.clone(),
                 self.telemetry.clone(),
                 self.exec_stats.clone(),
-            );
-            ex.set_warm_runs(self.warm_runs);
-            self.executor = Some(ex);
+            ));
         } else {
             self.mode = FineMode::Sequential;
             self.executor = None;
@@ -210,28 +204,6 @@ impl HierarchicalScheduler {
             self.telemetry.clone(),
             self.exec_stats.clone(),
         );
-        if let Some(ex) = &self.executor {
-            ex.set_warm_runs(self.warm_runs);
-        }
-    }
-
-    /// Opt batched executor runs in (or out) of batch-scoped warm-started
-    /// bases. Off by default: cold-base batching is bit-identical to
-    /// one-by-one admission, which is the contract every determinism
-    /// oracle in the repo asserts. With warm runs on, a run's decisions
-    /// agree with the cold path to solver tolerance (verdicts and grant
-    /// amounts identical, draw vectors within LP convergence slack) and
-    /// replay deterministically — the trade documented in DESIGN.md §14.
-    pub fn set_warm_runs(&mut self, on: bool) {
-        self.warm_runs = on;
-        if let Some(ex) = &self.executor {
-            ex.set_warm_runs(on);
-        }
-    }
-
-    /// Whether batched executor runs currently use warm-started bases.
-    pub fn warm_runs(&self) -> bool {
-        self.warm_runs
     }
 
     /// Whether a live shard executor backs fine refinement.

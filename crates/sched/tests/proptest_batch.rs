@@ -76,14 +76,6 @@ fn build_sched(sc: &BatchScenario, parallel: bool) -> HierarchicalScheduler {
     sched
 }
 
-/// [`build_sched`] forced parallel with batch-scoped warm-started bases
-/// switched on.
-fn build_warm_sched(sc: &BatchScenario) -> HierarchicalScheduler {
-    let mut sched = build_sched(sc, true);
-    sched.set_warm_runs(true);
-    sched
-}
-
 fn to_reqs(pairs: &[(usize, f64)]) -> Vec<AdmissionRequest> {
     pairs.iter().map(|&(requester, amount)| AdmissionRequest { requester, amount }).collect()
 }
@@ -188,111 +180,6 @@ proptest! {
 
         assert_decisions_identical(&one, &bat)?;
         prop_assert_eq!(bits(&avail_one), bits(&avail_bat), "availability diverged");
-    }
-
-    /// Warm-started bases are **off by default**: a freshly built
-    /// scheduler batches bit-identically to one with warm runs
-    /// explicitly disabled, so PR 7's bit-for-bit replay contract is
-    /// untouched unless a caller opts in.
-    #[test]
-    fn warm_off_is_the_default_and_preserves_bit_identity(sc in arb_batch()) {
-        let implicit = BatchedAdmission::new(build_sched(&sc, true));
-        let mut explicit_off = build_sched(&sc, true);
-        explicit_off.set_warm_runs(false);
-        let explicit_off = BatchedAdmission::new(explicit_off);
-        let reqs = to_reqs(&sc.reqs);
-
-        let mut avail_a = sc.avail.clone();
-        let a = implicit.admit_batch(&mut avail_a, &reqs);
-        let mut avail_b = sc.avail.clone();
-        let b = explicit_off.admit_batch(&mut avail_b, &reqs);
-
-        assert_decisions_identical(&a, &b)?;
-        prop_assert_eq!(bits(&avail_a), bits(&avail_b), "availability diverged");
-    }
-
-    /// Warm mode is still deterministic: two warm schedulers fed the
-    /// same stream produce bit-identical decision streams and leave
-    /// bit-identical availability behind. Warm start relaxes the
-    /// *cold-base* identity, not run-to-run reproducibility.
-    #[test]
-    fn warm_replay_is_deterministic_run_to_run(sc in arb_batch()) {
-        let first = BatchedAdmission::new(build_warm_sched(&sc));
-        let second = BatchedAdmission::new(build_warm_sched(&sc));
-        let reqs = to_reqs(&sc.reqs);
-
-        let mut avail_a = sc.avail.clone();
-        let a = first.admit_batch(&mut avail_a, &reqs);
-        let mut avail_b = sc.avail.clone();
-        let b = second.admit_batch(&mut avail_b, &reqs);
-
-        assert_decisions_identical(&a, &b)?;
-        prop_assert_eq!(bits(&avail_a), bits(&avail_b), "availability diverged");
-    }
-
-    /// Warm vs cold is a *solver-tolerance* agreement, not a bitwise
-    /// one: the warm basis may walk a different pivot path, but both
-    /// solve the same LPs to optimality, so verdicts match slot for
-    /// slot and granted amounts, draws, and final availability agree
-    /// within `TOL`. This is the documented deviation warm mode buys
-    /// its speedup with.
-    #[test]
-    fn warm_agrees_with_cold_within_solver_tolerance(sc in arb_batch()) {
-        const TOL: f64 = 1e-6;
-        let close = |x: f64, y: f64| (x - y).abs() <= TOL * x.abs().max(y.abs()).max(1.0);
-
-        let cold = BatchedAdmission::new(build_sched(&sc, true));
-        let warm = BatchedAdmission::new(build_warm_sched(&sc));
-        let reqs = to_reqs(&sc.reqs);
-
-        let mut avail_c = sc.avail.clone();
-        let c = cold.admit_batch(&mut avail_c, &reqs);
-        let mut avail_w = sc.avail.clone();
-        let w = warm.admit_batch(&mut avail_w, &reqs);
-
-        prop_assert_eq!(c.len(), w.len());
-        for (i, (a, b)) in c.iter().zip(&w).enumerate() {
-            match (a, b) {
-                (Ok(x), Ok(y)) => {
-                    prop_assert_eq!(x.requester, y.requester, "slot {}", i);
-                    prop_assert!(close(x.amount, y.amount),
-                        "slot {}: amount {} vs {}", i, x.amount, y.amount);
-                    prop_assert_eq!(x.draws.len(), y.draws.len(), "slot {}", i);
-                    for (p, (dx, dy)) in x.draws.iter().zip(&y.draws).enumerate() {
-                        prop_assert!(close(*dx, *dy),
-                            "slot {}: draw[{}] {} vs {}", i, p, dx, dy);
-                    }
-                    // The warm grant is internally conservative on its
-                    // own terms: draws sum to the granted amount.
-                    let drawn: f64 = y.draws.iter().sum();
-                    prop_assert!((drawn - y.amount).abs() <= 1e-9 * y.amount.abs().max(1.0),
-                        "slot {}: warm draws sum {} != amount {}", i, drawn, y.amount);
-                }
-                // Rejections carry solver outputs too (the reachable
-                // capacity C_A), so InsufficientCapacity payloads get
-                // the same tolerance; structural errors stay exact.
-                (
-                    Err(SchedError::InsufficientCapacity { requester: rx, capacity: cx, requested: qx, .. }),
-                    Err(SchedError::InsufficientCapacity { requester: ry, capacity: cy, requested: qy, .. }),
-                ) => {
-                    prop_assert_eq!(rx, ry, "slot {}", i);
-                    prop_assert_eq!(qx.to_bits(), qy.to_bits(), "slot {}", i);
-                    prop_assert!(close(*cx, *cy),
-                        "slot {}: capacity {} vs {}", i, cx, cy);
-                }
-                (Err(x), Err(y)) => {
-                    prop_assert_eq!(format!("{x:?}"), format!("{y:?}"), "slot {}", i);
-                }
-                (a, b) => {
-                    return Err(TestCaseError::fail(format!(
-                        "slot {i}: warm/cold verdicts diverge: cold {a:?} vs warm {b:?}"
-                    )));
-                }
-            }
-        }
-        for (p, (x, y)) in avail_c.iter().zip(&avail_w).enumerate() {
-            prop_assert!(close(*x, *y), "availability[{}] {} vs {}", p, x, y);
-        }
     }
 }
 

@@ -25,7 +25,6 @@
 use agreements_faults::{ChaosClock, FaultMix, FaultPlane};
 use agreements_flow::{AgreementMatrix, PartitionOptions};
 use agreements_grm::multilevel::TwoLevelGrm;
-use agreements_grm::recovery::AgreementJournal;
 use agreements_grm::resilient::{ResilientGrmClient, RetryPolicy};
 use agreements_grm::server::GrmServer;
 use agreements_grm::{GrmError, Lrm};
@@ -211,15 +210,14 @@ fn chaos_severe_loss_forces_degraded_grants() {
 }
 
 /// GRM crash mid-workload: clients keep degrading against the dead
-/// server, then a cold standby is rebuilt from the agreement journal and
-/// the LRMs' re-reports + replayed grants.
+/// server, then a cold standby is spawned over the same agreements and
+/// rebuilt from the LRMs' re-reports + replayed grants.
 #[test]
 fn chaos_crash_failover_matrix() {
     for seed in SEEDS {
         let plane = FaultPlane::new(seed, FaultMix::mixed());
         let matrix = complete(N, 0.6);
         let grm = GrmServer::spawn_chaotic(matrix.clone(), 2, &plane, "grm");
-        let journal = AgreementJournal::new(matrix, 2);
         let lrms: Vec<Lrm> = (0..N).map(|i| Lrm::new(i, POOL, grm.handle()).unwrap()).collect();
         let clients: Vec<ResilientGrmClient> = (0..N)
             .map(|i| ResilientGrmClient::new(grm.handle(), i as u64, RetryPolicy::aggressive()))
@@ -241,10 +239,11 @@ fn chaos_crash_failover_matrix() {
             "crash seed {seed}: no degraded grants while the GRM was down"
         );
 
-        // Failover: heal the network, rebuild a standby from the journal,
-        // rebind every client, reconcile every LRM.
+        // Failover: heal the network, spawn a cold standby over the same
+        // agreements (none changed during the run), rebind every client,
+        // reconcile every LRM.
         plane.heal();
-        let standby = journal.respawn().unwrap();
+        let standby = GrmServer::spawn(matrix, 2);
         for client in &clients {
             client.rebind(standby.handle());
         }

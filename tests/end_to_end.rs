@@ -2,8 +2,13 @@
 //! the matrix/flow *enforcement* layer must tell the same story about who
 //! can reach what.
 
-use sharing_agreements::flow::{capacities, AgreementMatrix, TransitiveFlow};
-use sharing_agreements::sched::{AllocationPolicy, LpPolicy, SystemState};
+use sharing_agreements::flow::{
+    capacities, AgreementMatrix, IncrementalFlow, Structure, TransitiveFlow,
+};
+use sharing_agreements::sched::{AllocationPolicy, AllocationSolver, LpPolicy, SystemState};
+use sharing_agreements::telemetry::{
+    HistKind, Snapshot, Telemetry, TelemetryEvent, DEFAULT_EVENT_CAPACITY,
+};
 use sharing_agreements::ticket::{AgreementNature, Economy, PrincipalId, ResourceId};
 
 /// Build an economy and the equivalent agreement matrix from the same
@@ -136,4 +141,44 @@ fn absolute_agreements_agree_across_layers() {
     let state = SystemState::new(flow, Some(abs), vec![4.0, 0.0]).unwrap();
     let alloc = LpPolicy::reduced().allocate_up_to(&state, 1, 7.0).unwrap();
     assert!((alloc.amount - 4.0).abs() < 1e-6, "saturated at V_A");
+}
+
+/// The telemetry plane's JSON export, end to end: an instrumented solver
+/// and an instrumented `IncrementalFlow` record through one plane, and
+/// the exported snapshot parses back with the counters, the solve-span
+/// histogram and the event trace those layers promise.
+#[test]
+fn telemetry_export_carries_the_solver_and_flow_signals() {
+    let (telemetry, recorder) = Telemetry::recorder(DEFAULT_EVENT_CAPACITY);
+
+    let s = Structure::figure13(10).build().unwrap();
+    let flow = TransitiveFlow::compute(&s, 9);
+    let avail = (0..10).map(|i| if i == 0 { 0.0 } else { 5.0 + i as f64 }).collect();
+    let state = SystemState::new(flow, None, avail).unwrap();
+    let mut solver = AllocationSolver::reduced();
+    solver.set_telemetry(telemetry.clone());
+    for x in [6.0, 8.0, 10.0, 12.0] {
+        solver.allocate(&state, 0, x).unwrap();
+    }
+    // An over-ask takes the fast-reject path.
+    assert!(solver.allocate(&state, 0, 1e9).is_err());
+
+    let ring = Structure::Loop { n: 10, share: 0.8, skip: 1 }.build().unwrap();
+    let mut inc = IncrementalFlow::new(ring, 8);
+    inc.set_telemetry(telemetry);
+    for (from, share) in [(0, 0.7), (4, 0.6), (0, 0.8), (9, 0.5)] {
+        inc.set(from, (from + 1) % 10, share).unwrap();
+    }
+
+    let json = recorder.snapshot().to_json();
+    for key in ["counters", "histograms", "events", "events_dropped"] {
+        assert!(json.contains(&format!("\"{key}\":")), "export has no {key:?} field");
+    }
+    let snap = Snapshot::from_json(&json).expect("the export parses back");
+    assert!(snap.counter("sched.fast_rejects") > 0);
+    assert!(snap.counter("flow.repairs") > 0);
+    let lp = snap.histogram(HistKind::LpSolveSeconds).expect("solve spans recorded");
+    assert!(lp.count > 0);
+    assert_eq!(lp.count, lp.buckets.iter().sum::<u64>());
+    assert!(snap.events.iter().any(|e| matches!(e, TelemetryEvent::FastReject { .. })));
 }
