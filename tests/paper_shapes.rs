@@ -4,7 +4,9 @@
 //! absolute seconds.
 
 use sharing_agreements::flow::{PartitionOptions, Structure};
-use sharing_agreements::proxysim::{PolicyKind, SharingConfig, SimConfig, SimResult, Simulator};
+use sharing_agreements::proxysim::{
+    AgreementEvent, PolicyKind, SharingConfig, SimConfig, SimResult, Simulator,
+};
 use sharing_agreements::sched::hierarchy::HierarchicalScheduler;
 use sharing_agreements::sched::SchedError;
 use sharing_agreements::trace::{ProxyTrace, ResponseLenDist, ScaleConfig, TraceConfig};
@@ -142,6 +144,18 @@ fn fnv_f64(acc: u64, v: f64) -> u64 {
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// The plotted proxy's per-slot average-wait and redirect series, folded.
+fn series_fnv(result: &SimResult) -> u64 {
+    let mut sum = FNV_BASIS;
+    for w in result.proxy_avg_wait_series(P) {
+        sum = fnv_f64(sum, w);
+    }
+    for slot in &result.proxy_slots[P] {
+        sum = fnv_f64(sum, slot.redirected as f64);
+    }
+    sum
+}
+
 /// Golden fingerprint of the Figure 6 series: the plotted proxy's
 /// per-slot average-wait and redirect series under complete sharing must
 /// reproduce bit-for-bit. Any change to the trace generator, the
@@ -149,17 +163,35 @@ const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// silently moves a published figure.
 #[test]
 fn golden_fig06_series_checksum() {
-    let shared = run(Some(complete_sharing(N - 1)), HOUR);
-    let mut sum = FNV_BASIS;
-    for w in shared.proxy_avg_wait_series(P) {
-        sum = fnv_f64(sum, w);
-    }
-    for slot in &shared.proxy_slots[P] {
-        sum = fnv_f64(sum, slot.redirected as f64);
-    }
+    let sum = series_fnv(&run(Some(complete_sharing(N - 1)), HOUR));
     assert_eq!(
         sum, 0x71ea_81b7_02f1_13b8,
         "fig06 series fingerprint drifted: got {sum:#018x} \
+         (re-pin only if the change to the pipeline is intentional)"
+    );
+}
+
+/// Golden fingerprint of Figure 12's renegotiation run on the reduced
+/// Figure 6 configuration: every two hours one ISP resets all nine of its
+/// outgoing shares at the same instant, alternating 5 % and 15 % around
+/// the static 10 %; cycles 10 and 11 repeat cycles 0 and 1, so their
+/// edits are no-ops. Holds the closure walk and the per-epoch flow repair
+/// to the bits the per-edit repair produced.
+#[test]
+fn golden_fig12_fluctuating_checksum() {
+    let mut schedule = Vec::new();
+    for cycle in 0..12 {
+        let isp = cycle % N;
+        let share = if cycle % 2 == 0 { 0.05 } else { 0.15 };
+        for to in (0..N).filter(|&to| to != isp) {
+            schedule.push(AgreementEvent { at: cycle as f64 * 7200.0, from: isp, to, share });
+        }
+    }
+    let sharing = complete_sharing(N - 1).with_schedule(schedule);
+    let sum = series_fnv(&run(Some(sharing), HOUR));
+    assert_eq!(
+        sum, 0x95d9_af3c_3fb9_f154,
+        "fig12 series fingerprint drifted: got {sum:#018x} \
          (re-pin only if the change to the pipeline is intentional)"
     );
 }
