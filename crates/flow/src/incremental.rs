@@ -11,73 +11,40 @@
 //!
 //! > `{ src | src can reach `from` within level − 1 hops } ∪ { from }`
 //!
-//! computed by a reverse-reachability BFS over the predecessor lists.
+//! computed by a reverse-reachability BFS over the transposed masks.
 //! Reachability *to* `from` never traverses an edge out of `from`
 //! (a simple path ending at `from` visits it only once — at the end),
 //! so the dirty set is the same whether it is computed on the graph
 //! before or after the mutation, and rows outside it are untouched
 //! bit-for-bit.
 //!
-//! Dirty rows are recomputed with an iterative DFS (explicit frame
-//! stack, bitset `visited`) that visits edges in exactly the order of
-//! the recursive reference walk in [`crate::transitive`], so the f64
-//! accumulation sequence — and therefore every bit of the result — is
-//! identical to a from-scratch [`TransitiveFlow::compute`]. Membership
-//! changes (`grow`, `isolate`) change `n` or wipe whole rows *and*
-//! columns; those fall back to a full recompute (again row-by-row via
-//! the same walk).
+//! A batch of edits ([`IncrementalFlow::set_all`]) is repaired once. A
+//! row the batch changes has a path, in some intermediate graph, to the
+//! tail of an edited edge; the prefix of that path up to the *first* tail
+//! of any edited edge on it is made of unedited edges, so the row reaches
+//! an edited tail in the final graph too. The union of the per-tail dirty
+//! sets on the final graph therefore covers every row that can differ,
+//! and each of them is re-walked once, from scratch, on the final graph —
+//! which is all a sequence of single-edit repairs leaves behind.
+//!
+//! Dirty rows are recomputed by the same walk as a from-scratch
+//! [`TransitiveFlow::compute`] (the `kernel` module), so every bit of the
+//! result is identical to one. Membership changes (`grow`, `isolate`)
+//! change `n` or wipe whole rows *and* columns; those fall back to a
+//! full recompute (again row by row via the same walk).
 
 use crate::error::FlowError;
+use crate::kernel::{bits, Masks};
 use crate::matrix::AgreementMatrix;
-use crate::transitive::{adjacency, TransitiveFlow};
+use crate::transitive::TransitiveFlow;
 use agreements_lp::Matrix;
 use agreements_telemetry::{HistKind, Telemetry};
 use std::sync::Arc;
 
-/// A compact bit-per-node visited set; clearing is done by the walks
-/// themselves on unwind, so reuse across rows never re-zeroes memory.
-#[derive(Debug, Clone, Default)]
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn resize(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), 0);
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        self.words[i / 64] >> (i % 64) & 1 != 0
-    }
-}
-
-/// One suspended DFS invocation: the node it sits at, the share product
-/// accumulated on the way in, the hops it may still extend, and the
-/// index of the next adjacency edge to try.
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    node: usize,
-    prod: f64,
-    left: usize,
-    edge: usize,
-}
-
 /// Incrementally maintained `K^(m) = min(T^(m), 1)` over a mutable
-/// agreement matrix. Holds the agreements, the adjacency (and reverse
-/// adjacency) lists, and the current clamped coefficient table;
-/// [`IncrementalFlow::set`] recomputes only the dirty rows,
+/// agreement matrix. Holds the agreements, their successor and
+/// predecessor bitmasks, and the current clamped coefficient table;
+/// [`IncrementalFlow::set_all`] recomputes only the dirty rows,
 /// [`IncrementalFlow::grow`] / [`IncrementalFlow::isolate`] fall back
 /// to a full recompute. [`IncrementalFlow::snapshot`] publishes the
 /// table as a cached [`Arc<TransitiveFlow>`], so unchanged tables keep
@@ -89,18 +56,11 @@ pub struct IncrementalFlow {
     /// The *requested* level cap; the effective cap is re-derived from
     /// `n` exactly like [`TransitiveFlow::compute`] derives it.
     max_level: usize,
-    adj: Vec<Vec<(usize, f64)>>,
-    /// `radj[j]` = sources with a positive share into `j`, ascending.
-    radj: Vec<Vec<usize>>,
+    masks: Masks,
     t: Matrix,
     snapshot: Option<Arc<TransitiveFlow>>,
     rows_recomputed: usize,
     full_recomputes: usize,
-    visited: BitSet,
-    stack: Vec<Frame>,
-    dirty: Vec<usize>,
-    queue: Vec<(usize, usize)>,
-    row_buf: Vec<f64>,
     telemetry: Telemetry,
 }
 
@@ -110,18 +70,12 @@ impl IncrementalFlow {
         let n = s.n();
         let mut inc = IncrementalFlow {
             s,
+            masks: Masks::default(),
             max_level,
-            adj: Vec::new(),
-            radj: Vec::new(),
             t: Matrix::zeros(n, n),
             snapshot: None,
             rows_recomputed: 0,
             full_recomputes: 0,
-            visited: BitSet::default(),
-            stack: Vec::new(),
-            dirty: Vec::new(),
-            queue: Vec::new(),
-            row_buf: Vec::new(),
             telemetry: Telemetry::default(),
         };
         inc.rebuild_all();
@@ -172,57 +126,44 @@ impl IncrementalFlow {
         self.telemetry = telemetry;
     }
 
-    /// Set `S[from][to] = share` and repair the flow table by
-    /// recomputing only the dirty rows. Returns the number of rows
-    /// recomputed. Validation (and its error taxonomy) is exactly
-    /// [`AgreementMatrix::set`]'s; on error nothing changes.
+    /// Set `S[from][to] = share` and repair the flow table:
+    /// [`IncrementalFlow::set_all`] of one edit.
     pub fn set(&mut self, from: usize, to: usize, share: f64) -> Result<usize, FlowError> {
-        let n = self.s.n();
-        let unchanged = from < n && to < n && self.s.get(from, to) == share;
-        self.s.set(from, to, share)?;
-        if unchanged {
+        self.set_all(&[(from, to, share)])
+    }
+
+    /// Apply the `(from, to, share)` edits in order (a later edit of the
+    /// same pair wins) and repair the flow table once, recomputing each
+    /// dirty row a single time. Returns the number of rows recomputed —
+    /// 0, with the cached snapshot kept, when no edit changes a share.
+    /// Validation (and its error taxonomy) is exactly
+    /// [`AgreementMatrix::set`]'s, run over the whole batch first: on
+    /// error nothing changes.
+    pub fn set_all(&mut self, edits: &[(usize, usize, f64)]) -> Result<usize, FlowError> {
+        for &(from, to, share) in edits {
+            self.s.check(from, to, share)?;
+        }
+        let mut tails = vec![0u64; self.masks.words()];
+        for &(from, to, share) in edits {
+            if self.s.get(from, to) != share {
+                self.s.set(from, to, share).expect("checked above");
+                self.masks.set(from, to, share > 0.0);
+                tails[from / 64] |= 1 << (from % 64);
+            }
+        }
+        if tails.iter().all(|&w| w == 0) {
             return Ok(0);
         }
-        self.update_edge(from, to, share);
         self.snapshot = None;
 
-        // Dirty rows: sources that reach `from` within level − 1 hops
-        // (they need at least one hop left for the mutated edge), plus
-        // `from` itself. BFS over predecessors; `visited` doubles as
-        // the dedup set and is cleared behind us.
+        // Dirty rows: the sources that reach an edited edge's tail within
+        // level − 1 hops (they need one hop left for the edge itself).
         let level = self.level();
-        self.dirty.clear();
-        self.queue.clear();
-        self.visited.set(from);
-        self.dirty.push(from);
-        self.queue.push((from, 0));
-        let mut head = 0;
-        while head < self.queue.len() {
-            let (node, depth) = self.queue[head];
-            head += 1;
-            if depth + 1 > level.saturating_sub(1) {
-                continue;
-            }
-            for p in 0..self.radj[node].len() {
-                let pred = self.radj[node][p];
-                if !self.visited.get(pred) {
-                    self.visited.set(pred);
-                    self.dirty.push(pred);
-                    self.queue.push((pred, depth + 1));
-                }
-            }
+        let mut recomputed = 0;
+        for src in bits(&self.masks.reaching(&tails, level - 1)) {
+            self.masks.flow_row(&self.s, src, level, 0.0, true, self.t.row_mut(src));
+            recomputed += 1;
         }
-        for i in 0..self.dirty.len() {
-            self.visited.clear(self.dirty[i]);
-        }
-
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.sort_unstable();
-        for &src in &dirty {
-            self.recompute_row(src, level);
-        }
-        let recomputed = dirty.len();
-        self.dirty = dirty;
         self.rows_recomputed += recomputed;
         self.telemetry.add("flow.repairs", 1);
         self.telemetry.observe(HistKind::FlowDirtyRows, recomputed as f64);
@@ -259,141 +200,37 @@ impl IncrementalFlow {
         snap
     }
 
-    /// Full rebuild: adjacency, reverse adjacency, and every row.
+    /// Full rebuild: the masks and every row.
     fn rebuild_all(&mut self) {
         let n = self.s.n();
-        self.adj = adjacency(&self.s);
-        self.radj = vec![Vec::new(); n];
-        for (i, edges) in self.adj.iter().enumerate() {
-            for &(j, _) in edges {
-                self.radj[j].push(i);
-            }
-        }
+        self.masks = Masks::of(&self.s);
         self.t.reset(n, n);
-        self.visited.resize(n);
-        self.row_buf.clear();
-        self.row_buf.resize(n, 0.0);
         let level = self.level();
         for src in 0..n {
-            self.recompute_row(src, level);
+            self.masks.flow_row(&self.s, src, level, 0.0, true, self.t.row_mut(src));
         }
         self.rows_recomputed += n;
         self.full_recomputes += 1;
         self.snapshot = None;
-    }
-
-    /// Keep `adj`/`radj` in sync with one `set(from, to, share)`.
-    fn update_edge(&mut self, from: usize, to: usize, share: f64) {
-        let edges = &mut self.adj[from];
-        let pos = edges.partition_point(|&(j, _)| j < to);
-        let present = pos < edges.len() && edges[pos].0 == to;
-        if share > 0.0 {
-            if present {
-                edges[pos].1 = share;
-            } else {
-                edges.insert(pos, (to, share));
-                let preds = &mut self.radj[to];
-                let p = preds.partition_point(|&i| i < from);
-                preds.insert(p, from);
-            }
-        } else if present {
-            edges.remove(pos);
-            let preds = &mut self.radj[to];
-            let p = preds.partition_point(|&i| i < from);
-            preds.remove(p);
-        }
-    }
-
-    /// Recompute row `src` from scratch with the iterative walk, then
-    /// clamp it — bit-identical to the recursive reference DFS because
-    /// edges are visited in the same order and products accumulate in
-    /// the same sequence.
-    fn recompute_row(&mut self, src: usize, level: usize) {
-        let row = &mut self.row_buf;
-        for v in row.iter_mut() {
-            *v = 0.0;
-        }
-        let adj = &self.adj;
-        let visited = &mut self.visited;
-        let stack = &mut self.stack;
-        stack.clear();
-        visited.set(src);
-        // The active invocation lives in locals; `stack` holds only the
-        // suspended ancestors, so the hot edge loop touches no frame.
-        let mut node = src;
-        let mut prod = 1.0f64;
-        let mut left = level;
-        let mut edge = 0usize;
-        'walk: loop {
-            let edges = &adj[node];
-            if left == 1 {
-                // Deepest level: a child would have no hops left and
-                // explore nothing, so descending is pure bookkeeping —
-                // accumulate its single contribution directly. (The
-                // reference walk marks the child visited, recurses into
-                // an immediate return, and unmarks it; nothing reads the
-                // mark in between, so skipping it is bit-identical.)
-                while edge < edges.len() {
-                    let (next, w) = edges[edge];
-                    edge += 1;
-                    if visited.get(next) {
-                        continue;
-                    }
-                    let p = prod * w;
-                    if p > 0.0 {
-                        row[next] += p;
-                    }
-                }
-            } else if left != 0 {
-                while edge < edges.len() {
-                    let (next, w) = edges[edge];
-                    edge += 1;
-                    if visited.get(next) {
-                        continue;
-                    }
-                    let p = prod * w;
-                    if p <= 0.0 {
-                        continue;
-                    }
-                    row[next] += p;
-                    visited.set(next);
-                    stack.push(Frame { node, prod, left, edge });
-                    node = next;
-                    prod = p;
-                    left -= 1;
-                    edge = 0;
-                    continue 'walk;
-                }
-            }
-            // Exhausted (or hopless): unwind to the suspended parent.
-            visited.clear(node);
-            match stack.pop() {
-                Some(f) => {
-                    node = f.node;
-                    prod = f.prod;
-                    left = f.left;
-                    edge = f.edge;
-                }
-                None => break,
-            }
-        }
-        // §3.2 overdraft clamp, applied per entry exactly as
-        // `clamp_matrix` does after a full compute.
-        for v in row.iter_mut() {
-            if *v > 1.0 {
-                *v = 1.0;
-            }
-        }
-        self.t.row_mut(src).copy_from_slice(row);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transitive::{reference, TransitiveOptions};
 
+    fn bits_of(flow: &TransitiveFlow) -> Vec<u64> {
+        flow.matrix().as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The table must equal, bit for bit, both a from-scratch compute and
+    /// the recursive reference walk the kernel replaced.
     fn assert_bit_identical(inc: &IncrementalFlow) {
-        let full = TransitiveFlow::compute(inc.agreements(), inc.max_level);
+        let opts = TransitiveOptions::exact(inc.max_level);
+        let full = reference(inc.agreements(), &opts);
+        let computed = TransitiveFlow::compute_with(inc.agreements(), &opts);
+        assert_eq!(bits_of(&computed), bits_of(&full), "compute diverged from the reference");
         let n = inc.n();
         assert_eq!(full.n(), n);
         assert_eq!(full.level(), inc.level());
@@ -432,6 +269,24 @@ mod tests {
         // Dirty = {0, 1} (reach 2) ∪ {2} — not 3 or 4.
         assert_eq!(rows, 3);
         assert_bit_identical(&inc);
+    }
+
+    #[test]
+    fn batch_walks_each_dirty_row_once() {
+        // Same chain: edits to (2, 3) and (0, 1) dirty {0, 1, 2} and {0};
+        // one at a time that is four row walks, as a batch three.
+        let mut s = AgreementMatrix::zeros(5);
+        s.set(0, 1, 0.5).unwrap();
+        s.set(1, 2, 0.4).unwrap();
+        s.set(2, 3, 0.9).unwrap();
+        let mut inc = IncrementalFlow::new(s, 4);
+        let rows = inc.set_all(&[(2, 3, 0.1), (0, 1, 0.7), (2, 3, 0.2)]).unwrap();
+        assert_eq!(rows, 3);
+        assert_eq!(inc.agreements().get(2, 3), 0.2, "the later edit of a pair wins");
+        assert_bit_identical(&inc);
+        assert!(inc.set_all(&[(0, 1, 0.3), (1, 1, 0.5)]).is_err());
+        assert_eq!(inc.agreements().get(0, 1), 0.7, "a rejected batch applies nothing");
+        assert_eq!(inc.rows_recomputed(), 3);
     }
 
     #[test]

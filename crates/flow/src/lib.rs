@@ -55,6 +55,7 @@
 pub mod capacity;
 pub mod error;
 pub mod incremental;
+mod kernel;
 pub mod matrix;
 pub mod partition;
 pub mod paths;

@@ -34,8 +34,14 @@ impl AgreementMatrix {
         self.data[i * self.n + j]
     }
 
-    /// Set `S[i][j] = share`.
-    pub fn set(&mut self, i: usize, j: usize, share: f64) -> Result<(), FlowError> {
+    /// Row `i` of `S`: the shares `i` grants, indexed by recipient.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.n..(i + 1) * self.n]
+    }
+
+    /// Would [`AgreementMatrix::set`] accept `S[i][j] = share`?
+    pub(crate) fn check(&self, i: usize, j: usize, share: f64) -> Result<(), FlowError> {
         if i >= self.n || j >= self.n {
             return Err(FlowError::OutOfRange { index: i.max(j), n: self.n });
         }
@@ -45,13 +51,19 @@ impl AgreementMatrix {
         if !share.is_finite() || !(0.0..=1.0).contains(&share) {
             return Err(FlowError::InvalidShare { value: share });
         }
+        Ok(())
+    }
+
+    /// Set `S[i][j] = share`.
+    pub fn set(&mut self, i: usize, j: usize, share: f64) -> Result<(), FlowError> {
+        self.check(i, j, share)?;
         self.data[i * self.n + j] = share;
         Ok(())
     }
 
     /// Total share promised by principal `i`.
     pub fn row_sum(&self, i: usize) -> f64 {
-        self.data[i * self.n..(i + 1) * self.n].iter().sum()
+        self.row(i).iter().sum()
     }
 
     /// Check the basic-model restriction `Σ_k S[i][k] ≤ 1` for all rows;

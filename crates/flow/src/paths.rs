@@ -3,8 +3,8 @@
 //! `T[i][j]` aggregates many chains; when a federation member asks "how
 //! does principal j get to use *my* resources?", the answer is the list
 //! of chains `i → k₁ → … → j` with their share products. This module
-//! materializes exactly that (the coefficient decomposition the DFS in
-//! [`crate::transitive`] sums).
+//! materializes exactly that (the coefficient decomposition the walk
+//! behind [`crate::transitive`] sums).
 //!
 //! ```
 //! use agreements_flow::{chains_between, AgreementMatrix};
@@ -17,6 +17,7 @@
 //! assert!((chains[0].product - 0.2).abs() < 1e-12);
 //! ```
 
+use crate::kernel::{Masks, Visitor};
 use crate::matrix::AgreementMatrix;
 
 /// One agreement chain from a source to a destination.
@@ -45,46 +46,35 @@ pub fn chains_between(s: &AgreementMatrix, src: usize, dst: usize, max_level: us
         return Vec::new();
     }
     let max_level = max_level.min(n.saturating_sub(1)).max(1);
-    // One adjacency build up front (targets ascending, zero shares
-    // dropped) replaces an O(n) column scan at every DFS node; the visit
-    // order — and with it the output order — is unchanged.
-    let adj = crate::transitive::adjacency(s);
-    let mut out = Vec::new();
-    let mut visited = vec![false; n];
-    let mut stack = vec![src];
-    visited[src] = true;
-    dfs(&adj, dst, max_level, 1.0, &mut stack, &mut visited, &mut out);
+    let mut chains = Chains { dst, nodes: vec![src], out: Vec::new() };
+    Masks::of(s).visit_paths(s, src, max_level, &mut chains);
+    let mut out = chains.out;
     out.sort_by(|a, b| b.product.partial_cmp(&a.product).expect("finite products"));
     out
 }
 
-fn dfs(
-    adj: &[Vec<(usize, f64)>],
+/// Collects the chains that end at `dst`, in walk order; a chain is not
+/// extended past `dst`.
+struct Chains {
     dst: usize,
-    levels_left: usize,
-    product: f64,
-    stack: &mut Vec<usize>,
-    visited: &mut Vec<bool>,
-    out: &mut Vec<Chain>,
-) {
-    if levels_left == 0 {
-        return;
+    /// The path being extended, source first.
+    nodes: Vec<usize>,
+    out: Vec<Chain>,
+}
+
+impl Visitor for Chains {
+    fn path(&mut self, next: usize, product: f64) -> bool {
+        self.nodes.push(next);
+        if next == self.dst {
+            self.out.push(Chain { nodes: self.nodes.clone(), product });
+            self.nodes.pop();
+            return false;
+        }
+        true
     }
-    let node = *stack.last().expect("non-empty stack");
-    for &(next, w) in &adj[node] {
-        if visited[next] {
-            continue;
-        }
-        let p = product * w;
-        stack.push(next);
-        if next == dst {
-            out.push(Chain { nodes: stack.clone(), product: p });
-        } else {
-            visited[next] = true;
-            dfs(adj, dst, levels_left - 1, p, stack, visited, out);
-            visited[next] = false;
-        }
-        stack.pop();
+
+    fn leave(&mut self) {
+        self.nodes.pop();
     }
 }
 

@@ -2,13 +2,16 @@
 //!
 //! The paper's recurrence (§3.1) sums, over all *cycle-free* chains of
 //! agreements from `i` to `j` with at most `m` hops, the product of the
-//! shares along the chain. We enumerate these simple paths directly with a
-//! depth-first search from each source, which is exact and — for the
-//! evaluation-scale graphs (n ≈ 10) — takes milliseconds even for the full
-//! closure `m = n − 1`. For larger graphs an optional product-pruning
-//! threshold trades a documented underestimate for tractability (the paper
-//! itself notes the exponential decay of value along long chains).
+//! shares along the chain. We enumerate these simple paths directly, one
+//! depth-first walk per source (the `kernel` module), which is exact; the
+//! cost is one visit per path, so the full closure `m = n − 1` of the
+//! evaluation-scale complete graph (n = 10: 9.9 M paths) takes tens of
+//! milliseconds, not microseconds. For larger graphs an optional
+//! product-pruning threshold trades a documented underestimate for
+//! tractability (the paper itself notes the exponential decay of value
+//! along long chains).
 
+use crate::kernel::Masks;
 use crate::matrix::AgreementMatrix;
 use agreements_lp::Matrix;
 
@@ -50,53 +53,34 @@ impl TransitiveFlow {
 
     /// Compute with explicit options.
     pub fn compute_with(s: &AgreementMatrix, opts: &TransitiveOptions) -> Self {
-        let n = s.n();
-        let level = opts.max_level.min(n.saturating_sub(1)).max(1);
-        let adj = adjacency(s);
-        let mut t = Matrix::zeros(n, n);
-        let mut visited = vec![false; n];
-        for src in 0..n {
-            let mut row = vec![0.0; n];
-            visited[src] = true;
-            dfs(src, 1.0, level, opts.min_product, &adj, &mut visited, &mut row);
-            visited[src] = false;
-            t.row_mut(src).copy_from_slice(&row);
-        }
-        clamp_matrix(&mut t, opts.clamp);
-        TransitiveFlow { t, level, clamped: opts.clamp }
+        Self::compute_parallel(s, opts, 1)
     }
 
-    /// Parallel variant of [`TransitiveFlow::compute_with`]: the
-    /// per-source DFS walks are independent, so the result rows are
-    /// split into disjoint contiguous chunks handed to scoped workers —
-    /// each row is written exactly once by exactly one worker, so no
-    /// locks are involved. Produces bit-identical results to the
-    /// sequential computation (per-source accumulation is deterministic
-    /// and rows don't interact). Worth it from roughly `n ≥ 10` at full
-    /// closure — the `substrates` bench quantifies the crossover.
+    /// [`TransitiveFlow::compute_with`] on up to `threads` scoped workers:
+    /// the per-source walks are independent, so the result rows are split
+    /// into disjoint contiguous chunks — each row is written exactly once
+    /// by exactly one worker, so no locks are involved, and the result is
+    /// bit-identical to the sequential one (per-source accumulation is
+    /// deterministic and rows don't interact).
     pub fn compute_parallel(s: &AgreementMatrix, opts: &TransitiveOptions, threads: usize) -> Self {
         let n = s.n();
         let level = opts.max_level.min(n.saturating_sub(1)).max(1);
-        let threads = threads.clamp(1, n.max(1));
-        if threads <= 1 || n <= 1 {
-            return Self::compute_with(s, opts);
-        }
-        let adj = adjacency(s);
-        let min_product = opts.min_product;
+        let masks = Masks::of(s);
         let mut t = Matrix::zeros(n, n);
-        let chunk_rows = n.div_ceil(threads);
-        let chunks: Vec<(usize, &mut [f64])> =
-            t.as_mut_slice().chunks_mut(chunk_rows * n).enumerate().collect();
-        agreements_util::par_map(chunks, |(c, chunk)| {
-            let mut visited = vec![false; n];
+        let threads = threads.clamp(1, n.max(1));
+        let chunk_rows = n.div_ceil(threads).max(1);
+        let fill = |(c, chunk): (usize, &mut [f64])| {
             for (r, row) in chunk.chunks_mut(n).enumerate() {
                 let src = c * chunk_rows + r;
-                visited[src] = true;
-                dfs(src, 1.0, level, min_product, &adj, &mut visited, row);
-                visited[src] = false;
+                masks.flow_row(s, src, level, opts.min_product, opts.clamp, row);
             }
-        });
-        clamp_matrix(&mut t, opts.clamp);
+        };
+        let chunks = t.as_mut_slice().chunks_mut(chunk_rows * n.max(1)).enumerate();
+        if threads == 1 {
+            chunks.for_each(fill);
+        } else {
+            agreements_util::par_map(chunks.collect(), fill);
+        }
         TransitiveFlow { t, level, clamped: opts.clamp }
     }
 
@@ -144,66 +128,54 @@ impl TransitiveFlow {
     }
 }
 
-/// Build the adjacency list of positive shares (targets ascending — the
-/// DFS visit order every computation in this crate must share for
-/// bit-identical accumulation).
-pub(crate) fn adjacency(s: &AgreementMatrix) -> Vec<Vec<(usize, f64)>> {
-    let n = s.n();
-    (0..n)
-        .map(|i| {
-            (0..n)
-                .filter_map(|j| {
-                    let w = s.get(i, j);
-                    (w > 0.0).then_some((j, w))
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Apply the §3.2 overdraft clamp in place when requested.
-fn clamp_matrix(t: &mut Matrix, clamp: bool) {
-    if !clamp {
-        return;
-    }
-    let (rows, cols) = (t.rows(), t.cols());
-    for i in 0..rows {
-        for j in 0..cols {
-            if t[(i, j)] > 1.0 {
-                t[(i, j)] = 1.0;
+/// The recursive walk over adjacency lists the kernel replaced, kept as
+/// the independent reference the bit-identity tests compare against.
+#[cfg(test)]
+pub(crate) fn reference(s: &AgreementMatrix, opts: &TransitiveOptions) -> TransitiveFlow {
+    fn dfs(
+        node: usize,
+        prod: f64,
+        levels_left: usize,
+        min_product: f64,
+        adj: &[Vec<(usize, f64)>],
+        visited: &mut Vec<bool>,
+        row: &mut [f64],
+    ) {
+        if levels_left == 0 {
+            return;
+        }
+        for &(next, w) in &adj[node] {
+            if visited[next] {
+                continue;
             }
+            let p = prod * w;
+            if p <= min_product {
+                continue;
+            }
+            row[next] += p;
+            visited[next] = true;
+            dfs(next, p, levels_left - 1, min_product, adj, visited, row);
+            visited[next] = false;
         }
     }
-}
 
-/// DFS over simple paths from one source: on arriving at `node` with
-/// accumulated product `prod` (excluding the final hop), extend along
-/// every unvisited edge, accumulating into the source's `row`.
-fn dfs(
-    node: usize,
-    prod: f64,
-    levels_left: usize,
-    min_product: f64,
-    adj: &[Vec<(usize, f64)>],
-    visited: &mut Vec<bool>,
-    row: &mut [f64],
-) {
-    if levels_left == 0 {
-        return;
+    let n = s.n();
+    let level = opts.max_level.min(n.saturating_sub(1)).max(1);
+    let adj: Vec<Vec<(usize, f64)>> =
+        (0..n).map(|i| s.neighbours(i).into_iter().map(|j| (j, s.get(i, j))).collect()).collect();
+    let mut t = Matrix::zeros(n, n);
+    let mut visited = vec![false; n];
+    for src in 0..n {
+        visited[src] = true;
+        dfs(src, 1.0, level, opts.min_product, &adj, &mut visited, t.row_mut(src));
+        visited[src] = false;
     }
-    for &(next, w) in &adj[node] {
-        if visited[next] {
-            continue;
+    if opts.clamp {
+        for v in t.as_mut_slice() {
+            *v = v.min(1.0);
         }
-        let p = prod * w;
-        if p <= min_product {
-            continue;
-        }
-        row[next] += p;
-        visited[next] = true;
-        dfs(next, p, levels_left - 1, min_product, adj, visited, row);
-        visited[next] = false;
     }
+    TransitiveFlow { t, level, clamped: opts.clamp }
 }
 
 #[cfg(test)]

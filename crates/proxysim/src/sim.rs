@@ -1,16 +1,15 @@
 //! The epoch-driven simulation core.
 
-use crate::config::{AgreementEvent, PolicyKind, SimConfig};
+use crate::config::{PolicyKind, SimConfig};
 use crate::metrics::SimResult;
 use crate::proxy::{Proxy, QueuedRequest};
-use agreements_flow::{IncrementalFlow, TransitiveFlow};
+use agreements_flow::IncrementalFlow;
 use agreements_sched::{
     AllocationPolicy, CachedLpPolicy, GreedyPolicy, ProportionalPolicy, SystemState,
 };
 use agreements_telemetry::{Telemetry, TelemetryEvent};
 use agreements_trace::{ProxyTrace, DAY_SECONDS};
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors constructing or running a simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,11 +52,12 @@ impl std::error::Error for SimError {}
 ///
 /// The flow table is held by `Arc`: consultations share the snapshot
 /// with the scheduler state instead of cloning the n×n matrix per
-/// consultation, and when an agreement-fluctuation schedule is active
-/// each edit republishes a fresh snapshot repaired incrementally.
+/// consultation. The graph is closed once, at construction; a run under
+/// an agreement-fluctuation schedule clones the maintainer and repairs
+/// its copy once per epoch that has edits due, republishing the snapshot.
 pub struct Simulator {
     cfg: SimConfig,
-    flow: Option<Arc<TransitiveFlow>>,
+    flow: Option<IncrementalFlow>,
     policy: Option<Box<dyn AllocationPolicy + Send>>,
     telemetry: Telemetry,
 }
@@ -103,7 +103,8 @@ impl Simulator {
                         })?;
                     }
                 }
-                let flow = Arc::new(TransitiveFlow::compute(&sh.agreements, sh.level));
+                let mut flow = IncrementalFlow::new(sh.agreements.clone(), sh.level);
+                flow.snapshot(); // published once; every run's clone shares it
                 let policy: Box<dyn AllocationPolicy + Send> = match sh.policy {
                     // Consultations solve the same-shaped LP thousands of
                     // times per day: run them on the cached solver
@@ -194,33 +195,27 @@ impl Simulator {
         // flow table incrementally at epoch boundaries. With an empty
         // schedule `flow_now` is exactly the precomputed snapshot and the
         // run is bit-identical to the static-agreement behavior.
-        let mut flow_now = self.flow.clone();
-        let mut churn: Option<(IncrementalFlow, Vec<AgreementEvent>, usize)> =
-            match &self.cfg.sharing {
-                Some(sh) if !sh.schedule.is_empty() => {
-                    let mut events = sh.schedule.clone();
-                    events.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite event times"));
-                    let mut inc = IncrementalFlow::new(sh.agreements.clone(), sh.level);
-                    inc.set_telemetry(self.telemetry.clone());
-                    Some((inc, events, 0))
-                }
-                _ => None,
-            };
+        let mut inc = self.flow.clone();
+        if let Some(inc) = &mut inc {
+            inc.set_telemetry(self.telemetry.clone());
+        }
+        let mut flow_now = inc.as_mut().map(IncrementalFlow::snapshot);
+        let mut events = self.cfg.sharing.as_ref().map_or(Vec::new(), |sh| sh.schedule.clone());
+        events.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite event times"));
+        let mut pending = events.as_slice();
 
         let mut t = 0.0f64;
         loop {
-            // 0. Apply due agreement edits and republish the snapshot.
-            if let Some((inc, events, cursor)) = &mut churn {
-                let mut changed = false;
-                while *cursor < events.len() && measure_from + events[*cursor].at <= t {
-                    let e = events[*cursor];
-                    *cursor += 1;
-                    inc.set(e.from, e.to, e.share).expect("schedule validated at construction");
-                    changed = true;
-                }
-                if changed {
-                    flow_now = Some(inc.snapshot());
-                }
+            // 0. Apply the agreement edits due by now as one repair — no
+            //    consultation falls between them — and republish.
+            let due = pending.partition_point(|e| measure_from + e.at <= t);
+            if due > 0 {
+                let inc = inc.as_mut().expect("only a sharing config carries a schedule");
+                let edits: Vec<_> =
+                    pending[..due].iter().map(|e| (e.from, e.to, e.share)).collect();
+                pending = &pending[due..];
+                inc.set_all(&edits).expect("schedule validated at construction");
+                flow_now = Some(inc.snapshot());
             }
             // 1. Admit this epoch's arrivals (cursor indexes the virtual
             //    replayed stream: day d, request i).

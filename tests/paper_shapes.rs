@@ -9,6 +9,7 @@ use sharing_agreements::proxysim::{
 };
 use sharing_agreements::sched::hierarchy::HierarchicalScheduler;
 use sharing_agreements::sched::SchedError;
+use sharing_agreements::telemetry::{HistKind, Telemetry};
 use sharing_agreements::trace::{ProxyTrace, ResponseLenDist, ScaleConfig, TraceConfig};
 
 const N: usize = 10;
@@ -188,12 +189,21 @@ fn golden_fig12_fluctuating_checksum() {
         }
     }
     let sharing = complete_sharing(N - 1).with_schedule(schedule);
-    let sum = series_fnv(&run(Some(sharing), HOUR));
+    let (telemetry, recorder) = Telemetry::recorder(0);
+    let mut sim = Simulator::new(base().with_sharing(sharing)).unwrap();
+    sim.set_telemetry(telemetry);
+    let sum = series_fnv(&sim.run(&traces(HOUR)).unwrap());
     assert_eq!(
         sum, 0x95d9_af3c_3fb9_f154,
         "fig12 series fingerprint drifted: got {sum:#018x} \
          (re-pin only if the change to the pipeline is intentional)"
     );
+    // One repair per epoch with an effective edit: the nine same-instant
+    // edits of a cycle are one batch, and the two repeated cycles are none.
+    let snap = recorder.snapshot();
+    assert_eq!(snap.counter("flow.repairs"), 10);
+    let dirty = snap.histogram(HistKind::FlowDirtyRows).expect("repairs were observed");
+    assert_eq!((dirty.count, dirty.sum), (10, 100.0), "each repair re-walks all ten rows once");
 }
 
 /// Golden fingerprint of the fixed-seed scale run at n = 100: the same
