@@ -138,8 +138,7 @@ proptest! {
         cap in 1u32..=20,
     ) {
         use agreements_lp::{Problem, Relation, Sense};
-        use agreements_lp::simplex::BoundMode;
-        let build = |mode: BoundMode| {
+        let native = {
             let mut p = Problem::new(Sense::Minimize);
             let vars: Vec<_> = (0..3)
                 .map(|j| p.add_var(&format!("d{j}"), 0.0, bounds[j] as f64, costs[j] as f64))
@@ -151,14 +150,40 @@ proptest! {
                 p.add_constraint(&[(v, 1.0), (theta, -1.0)], Relation::Le, 0.0);
             }
             p.add_constraint(&[(vars[0], 1.0), (vars[1], 1.0)], Relation::Le, cap as f64);
-            let opts = SimplexOptions { bound_mode: mode, ..Default::default() };
-            p.solve_with(&opts).map(|s| {
+            p.solve().map(|s| {
                 let draws: Vec<f64> = vars.iter().map(|&v| s.value(v)).collect();
                 (s.objective, draws)
             })
         };
-        match (build(BoundMode::Native), build(BoundMode::Rows)) {
-            (Ok((bo, bd)), Ok((ro, _))) => {
+        // The same model in row form, written out by hand: columns
+        // d0 d1 d2 θ, then one slack per `≤` row (three drop rows, the
+        // cap row, three `d_j ≤ bound_j` rows); the equality has none.
+        let rows = {
+            let mut a = vec![vec![0.0; 4 + 7]; 8];
+            let mut b = vec![0.0; 8];
+            a[0][..3].fill(1.0);
+            b[0] = total as f64;
+            for j in 0..3 {
+                a[1 + j][j] = 1.0;
+                a[1 + j][3] = -1.0;
+                a[5 + j][j] = 1.0;
+                b[5 + j] = bounds[j] as f64;
+            }
+            a[4][0] = 1.0;
+            a[4][1] = 1.0;
+            b[4] = cap as f64;
+            for r in 1..8 {
+                a[r][4 + (r - 1)] = 1.0;
+            }
+            let mut c = vec![0.0; 4 + 7];
+            for j in 0..3 {
+                c[j] = costs[j] as f64;
+            }
+            c[3] = 1.0;
+            solve_standard(&a, &b, &c, 4, &SimplexOptions::default()).map(|s| s.objective)
+        };
+        match (native, rows) {
+            (Ok((bo, bd)), Ok(ro)) => {
                 prop_assert!((bo - ro).abs() < 1e-6 * (1.0 + ro.abs()),
                     "native {bo} vs rows {ro}");
                 // The native solution actually satisfies the equality.

@@ -4,14 +4,17 @@
 //! * cached skeleton + workspace (warm start off) is **bit-identical** to
 //!   the stateless path,
 //! * warm starting agrees to solver tolerance,
-//! * single-solve `allocate_up_to` matches the legacy two-solve path.
+//! * single-solve `allocate_up_to` matches the trait-default two-solve
+//!   path over the stateless `LpPolicy`.
 
 #![allow(clippy::needless_range_loop)]
 
 use agreements_flow::{AgreementMatrix, TransitiveFlow};
 use agreements_lp::SimplexOptions;
 use agreements_sched::lp_model::solve_allocation;
-use agreements_sched::{AllocationSolver, Formulation, SchedError, SystemState};
+use agreements_sched::{
+    AllocationPolicy, AllocationSolver, Formulation, LpPolicy, SchedError, SystemState,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -148,15 +151,16 @@ proptest! {
         }
     }
 
-    /// The single-solve best-effort path returns exactly what the legacy
-    /// two-solve path returns, including on over-capacity requests.
+    /// The single-solve best-effort path returns exactly what the
+    /// [`AllocationPolicy::allocate_up_to`] trait default (allocate, catch
+    /// `InsufficientCapacity`, retry at the reachable amount) returns over
+    /// the stateless `LpPolicy`, including on over-capacity requests.
     #[test]
     fn single_solve_matches_two_solve(sc in arb_scenario()) {
         let mut single_state = build_state(&sc);
         let mut double_state = single_state.clone();
         let mut single = AllocationSolver::reduced();
-        let mut double = AllocationSolver::reduced();
-        double.set_two_solve_best_effort(true);
+        let double = LpPolicy::reduced();
         for &frac in &sc.fracs {
             let x = reachable(&single_state, sc.requester) * frac;
             let s = single.allocate_up_to(&single_state, sc.requester, x);
