@@ -17,19 +17,17 @@
 //!   forever — a crashed daemon looks like a slow network, and
 //!   at-most-once settlement is the journal's job, not the worker's.
 //!
-//! Three replay modes (`--mode`), in increasing concurrency:
+//! Two replay modes (`--mode`):
 //!
-//! - **sequenced** (default): workers settle call by call against the
-//!   sequenced listener — the PR 7 baseline, kept verbatim because its
-//!   `--check` compares decision-for-decision, *bit-for-bit* against an
-//!   in-process reference fold of the same stream.
-//! - **pipelined**: same global total order (sequenced listener, same
-//!   bit-for-bit reference check), but each worker keeps `--window`
+//! - **pipelined** (default): one global total order — the sequenced
+//!   listener executes events by sequence number, and `--check` compares
+//!   decision-for-decision, *bit-for-bit* against an in-process
+//!   reference fold of the same stream. Each worker keeps `--window`
 //!   calls in flight and harvests replies in issue order, so network
 //!   round trips, decision execution, and journal appends overlap
-//!   across workers. With `--fsync batched:N` the listener's
-//!   group-commit plane amortizes one fsync across many concurrently
-//!   arriving decisions.
+//!   across workers; `--window 1` settles call by call. With
+//!   `--fsync batched:N` the listener's group-commit plane amortizes one
+//!   fsync across many concurrently arriving decisions.
 //! - **nonseq**: no global sequencer — connections race, the event
 //!   interleaving is nondeterministic, and the daemon runs the
 //!   *hierarchical* decision engine (the in-process scale winner)
@@ -59,7 +57,7 @@
 //! respawn on a fresh port without the workers ever re-dialing.
 //!
 //! ```text
-//! federation [--mode sequenced|pipelined|nonseq] [--fsync everyop|batched:N]
+//! federation [--mode pipelined|nonseq] [--fsync everyop|batched:N]
 //!            [--transport uds|tcp] [--chaos SEED] [--latency MICROS]
 //!            [--max-hold-ms 2] [--rpc-deadline-ms N]
 //!            [--window 32] [--n 1000] [--workers 8] [--requests 2048]
@@ -147,7 +145,7 @@ fn draws_fingerprint(draws: &[f64]) -> u64 {
 }
 
 /// Canonical one-token-per-field outcome encoding shared by the
-/// reference fold and the sequenced/pipelined worker logs; comparing
+/// reference fold and the pipelined worker logs; comparing
 /// the strings compares the decisions bit-for-bit.
 fn outcome_line(event: &Event, result: &Result<Option<(u64, u64)>, String>) -> String {
     match (event, result) {
@@ -254,7 +252,6 @@ fn reference_run(cfg: &ScaleConfig, events: &[Event]) -> Reference {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    Sequenced,
     Pipelined,
     Nonseq,
 }
@@ -262,7 +259,6 @@ enum Mode {
 impl Mode {
     fn as_str(self) -> &'static str {
         match self {
-            Mode::Sequenced => "sequenced",
             Mode::Pipelined => "pipelined",
             Mode::Nonseq => "nonseq",
         }
@@ -390,11 +386,10 @@ fn parse_flags() -> Flags {
         v.map(|s| s.parse().unwrap_or_else(|_| panic!("invalid {what}: {s}"))).unwrap_or(default)
     };
     let mode = match flag_value(&mut args, "--mode").as_deref() {
-        None | Some("sequenced") => Mode::Sequenced,
-        Some("pipelined") => Mode::Pipelined,
+        None | Some("pipelined") => Mode::Pipelined,
         Some("nonseq") => Mode::Nonseq,
         Some(other) => {
-            eprintln!("invalid --mode `{other}` (sequenced | pipelined | nonseq)");
+            eprintln!("invalid --mode `{other}` (pipelined | nonseq)");
             std::process::exit(2);
         }
     };
@@ -439,6 +434,12 @@ fn parse_flags() -> Flags {
     };
     if !args.is_empty() {
         eprintln!("unrecognised arguments: {args:?}");
+        std::process::exit(2);
+    }
+    // Workers own residue classes `seq % workers`; none means nobody
+    // replays anything (and a remainder by zero in a worker role).
+    if flags.workers == 0 {
+        eprintln!("invalid --workers 0 (at least one worker replays the stream)");
         std::process::exit(2);
     }
     // Non-sequenced mode has no global order, so an epoch's refresh
@@ -537,12 +538,12 @@ fn daemon(flags: Flags) {
         "[daemon] journal: {} records recovered, {} torn bytes truncated, replay cursor {}",
         recovered.records, recovered.truncated_bytes, recovered.next_seq
     );
-    // Sequenced and pipelined replays keep the flat LP engine (the
-    // bit-for-bit reference is a flat fold); the non-sequenced replay
+    // The pipelined replay keeps the flat LP engine (the bit-for-bit
+    // reference is a flat fold); the non-sequenced replay
     // races connections into the hierarchical engine — the decision
     // path that actually scales — recovered through the same journal.
     let server = match flags.mode {
-        Mode::Sequenced | Mode::Pipelined => recovered.respawn().expect("respawn GRM from journal"),
+        Mode::Pipelined => recovered.respawn().expect("respawn GRM from journal"),
         Mode::Nonseq => {
             let mut sched =
                 HierarchicalScheduler::auto(&recovered.matrix, &PartitionOptions::default(), LEVEL)
@@ -630,53 +631,8 @@ fn worker(flags: Flags) {
         fs::File::create(outcome_path(&flags.dir, flags.worker_id)).expect("create outcome log"),
     );
     match flags.mode {
-        Mode::Sequenced => worker_sequenced(&flags, &events, &client, &mut out),
         Mode::Pipelined => worker_pipelined(&flags, &events, &client, &mut out),
         Mode::Nonseq => worker_nonseq(&flags, &events, &client, &mut out),
-    }
-}
-
-fn worker_sequenced(
-    flags: &Flags,
-    events: &[Event],
-    client: &NetGrmClient,
-    out: &mut impl std::io::Write,
-) {
-    for (seq, ev) in events.iter().enumerate() {
-        if seq % flags.workers != flags.worker_id {
-            continue;
-        }
-        let result = settle(client, seq as u64, ev);
-        writeln!(out, "{seq} {}", outcome_line(ev, &result)).expect("write outcome");
-        out.flush().expect("flush outcome");
-    }
-}
-
-/// Drive one event to settlement: retry transport errors until the
-/// daemon (or its successor after a crash) produces a decision.
-fn settle(client: &NetGrmClient, seq: u64, ev: &Event) -> Result<Option<(u64, u64)>, String> {
-    let started = Instant::now();
-    loop {
-        let attempt = match *ev {
-            Event::Report { lrm, available } => {
-                client.report_seq(seq, lrm, available).map(|()| None)
-            }
-            Event::Request { lrm, amount } => client
-                .request_seq(seq, lrm, amount, request_id(seq))
-                .map(|alloc| Some((alloc.amount.to_bits(), draws_fingerprint(&alloc.draws)))),
-        };
-        match attempt {
-            Ok(ok) => return Ok(ok),
-            Err(e) if e.is_retryable() => {
-                assert!(
-                    started.elapsed() < EVENT_DEADLINE,
-                    "event {seq} still unsettled after {EVENT_DEADLINE:?}: {e}"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            // A decision error is a settlement — the daemon said no.
-            Err(e) => return Err(e.to_string()),
-        }
     }
 }
 
@@ -836,8 +792,8 @@ impl Window<'_> {
 /// The windowed in-flight loop shared by pipelined and nonseq workers:
 /// keep up to `window` calls outstanding, settle strictly in issue
 /// order (preserving per-connection ascending seq order, which the
-/// sequenced listener's cursor relies on — [`admit`] restores it across
-/// reconnects), and re-issue the front on transport failure — same seq,
+/// sequenced listener's cursor relies on — [`Window::admit`] restores it
+/// across reconnects), and re-issue the front on transport failure — same seq,
 /// same [`RequestId`], so a decision that raced the crash replays from
 /// the dedup window instead of double granting. `line` renders a
 /// settled outcome for the log.
@@ -1252,7 +1208,7 @@ fn orchestrate(flags: Flags) {
     }
 }
 
-/// The sequenced/pipelined `--check` battery; returns the number of
+/// The pipelined `--check` battery; returns the number of
 /// failed assertions (reporting all of them beats stopping at the
 /// first).
 fn check_replay(

@@ -1,6 +1,6 @@
 //! The multi-resource scaling experiment: the scaled ISP economy with
 //! CPU, bandwidth, and storage demanded together (default n = 512),
-//! enforced lane-conjunctively by [`MultiAdmission`] — a demand is
+//! enforced lane-conjunctively by [`agreements_sched::MultiAdmission`] — a demand is
 //! admitted only when every resource's LP admits it, and each rejection
 //! names its binding resource.
 //!

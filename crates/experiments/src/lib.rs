@@ -110,29 +110,9 @@ pub fn run_sharing_with_telemetry(
 
 /// Run with sharing whose agreements fluctuate mid-day: the schedule's
 /// edits are applied at epoch boundaries and the flow table is repaired
-/// incrementally (Figure 12's renegotiation variant).
-pub fn run_sharing_scheduled(
-    agreements: AgreementMatrix,
-    level: usize,
-    policy: PolicyKind,
-    gap: f64,
-    redirect_cost: f64,
-    schedule: Vec<agreements_proxysim::AgreementEvent>,
-) -> SimResult {
-    run_sharing_scheduled_with_telemetry(
-        agreements,
-        level,
-        policy,
-        gap,
-        redirect_cost,
-        schedule,
-        Telemetry::default(),
-    )
-}
-
-/// [`run_sharing_scheduled`] with a telemetry plane attached: the
-/// incremental flow repairs driven by the schedule land in the
-/// `flow_dirty_rows` histogram alongside the policy's solve records.
+/// incrementally (Figure 12's renegotiation variant). The repairs land in
+/// the telemetry plane's `flow_dirty_rows` histogram alongside the
+/// policy's solve records.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharing_scheduled_with_telemetry(
     agreements: AgreementMatrix,
@@ -246,20 +226,10 @@ pub fn print_summary(rows: &[(&str, &SimResult)]) {
 
 /// The order-preserving scoped-thread fan-out behind every figure
 /// sweep, re-exported from `agreements-util` (one definition serves the
-/// flow closure, the GRM tests, and the sweeps here). Each job builds
-/// its own `Simulator` (hence its own allocation solver, so no
-/// warm-start state crosses configurations), which makes the parallel
-/// output byte-identical to running the jobs back to back.
+/// GRM tests and the sweeps here). Each job builds its own `Simulator`
+/// (hence its own allocation solver), which makes the parallel output
+/// byte-identical to running the jobs back to back.
 pub use agreements_util::par_map;
-
-/// Run a set of simulation configurations concurrently (one scoped
-/// thread per configuration, all replaying the same traces) and return
-/// results in input order. Parameter sweeps are embarrassingly parallel;
-/// on a multi-core host this turns a figure's sweep into one
-/// wall-clock run. Single-core hosts just run them back to back.
-pub fn run_sweep(configs: Vec<SimConfig>, traces: &[ProxyTrace]) -> Vec<SimResult> {
-    par_map(configs, |cfg| Simulator::new(cfg).expect("valid config").run(traces).expect("run"))
-}
 
 /// Shared driver for Figures 9, 10, and 11 (loop structures at different
 /// skips): sweeps transitivity levels and prints series + summary.
@@ -300,23 +270,6 @@ mod tests {
         assert_eq!(cfg.n, N_PROXIES);
         assert!(cfg.capacity > 0.0);
         assert!(cfg.sharing.is_none());
-    }
-
-    #[test]
-    fn sweep_matches_sequential() {
-        use agreements_trace::TraceConfig;
-        let traces = TraceConfig::paper(2_000, 3).generate(2, 1800.0);
-        let mut cfg = SimConfig::calibrated(2, 2_000, MEAN_DEMAND, 1.02);
-        cfg.warmup_days = 0;
-        let seq: Vec<SimResult> = vec![
-            Simulator::new(cfg.clone()).unwrap().run(&traces).unwrap(),
-            Simulator::new(cfg.clone().with_capacity_factor(1.5)).unwrap().run(&traces).unwrap(),
-        ];
-        let par = run_sweep(vec![cfg.clone(), cfg.with_capacity_factor(1.5)], &traces);
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.served, b.served);
-            assert!((a.total_wait - b.total_wait).abs() < 1e-9);
-        }
     }
 
     #[test]

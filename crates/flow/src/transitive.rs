@@ -51,35 +51,15 @@ impl TransitiveFlow {
         Self::compute_with(s, &TransitiveOptions::exact(max_level))
     }
 
-    /// Compute with explicit options.
+    /// Compute with explicit options: one walk per source, each writing
+    /// its own row of the table.
     pub fn compute_with(s: &AgreementMatrix, opts: &TransitiveOptions) -> Self {
-        Self::compute_parallel(s, opts, 1)
-    }
-
-    /// [`TransitiveFlow::compute_with`] on up to `threads` scoped workers:
-    /// the per-source walks are independent, so the result rows are split
-    /// into disjoint contiguous chunks — each row is written exactly once
-    /// by exactly one worker, so no locks are involved, and the result is
-    /// bit-identical to the sequential one (per-source accumulation is
-    /// deterministic and rows don't interact).
-    pub fn compute_parallel(s: &AgreementMatrix, opts: &TransitiveOptions, threads: usize) -> Self {
         let n = s.n();
         let level = opts.max_level.min(n.saturating_sub(1)).max(1);
         let masks = Masks::of(s);
         let mut t = Matrix::zeros(n, n);
-        let threads = threads.clamp(1, n.max(1));
-        let chunk_rows = n.div_ceil(threads).max(1);
-        let fill = |(c, chunk): (usize, &mut [f64])| {
-            for (r, row) in chunk.chunks_mut(n).enumerate() {
-                let src = c * chunk_rows + r;
-                masks.flow_row(s, src, level, opts.min_product, opts.clamp, row);
-            }
-        };
-        let chunks = t.as_mut_slice().chunks_mut(chunk_rows * n.max(1)).enumerate();
-        if threads == 1 {
-            chunks.for_each(fill);
-        } else {
-            agreements_util::par_map(chunks.collect(), fill);
+        for (src, row) in t.as_mut_slice().chunks_mut(n.max(1)).enumerate() {
+            masks.flow_row(s, src, level, opts.min_product, opts.clamp, row);
         }
         TransitiveFlow { t, level, clamped: opts.clamp }
     }
@@ -305,42 +285,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let mut s = AgreementMatrix::zeros(9);
-        for i in 0..9 {
-            for j in 0..9 {
-                if i != j {
-                    s.set(i, j, 0.02 + 0.01 * ((i * 3 + j) % 7) as f64).unwrap();
-                }
-            }
-        }
-        for level in [1usize, 3, 8] {
-            let opts = TransitiveOptions { max_level: level, clamp: true, min_product: 0.0 };
-            let seq = TransitiveFlow::compute_with(&s, &opts);
-            for threads in [1usize, 2, 4, 16] {
-                let par = TransitiveFlow::compute_parallel(&s, &opts, threads);
-                for i in 0..9 {
-                    for j in 0..9 {
-                        assert_eq!(
-                            seq.coefficient(i, j),
-                            par.coefficient(i, j),
-                            "level {level}, {threads} threads, pair ({i},{j})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_handles_degenerate_sizes() {
-        let s = AgreementMatrix::zeros(1);
+    fn handles_degenerate_sizes() {
         let opts = TransitiveOptions::exact(1);
-        let t = TransitiveFlow::compute_parallel(&s, &opts, 8);
-        assert_eq!(t.n(), 1);
-        let s = AgreementMatrix::zeros(0);
-        let t = TransitiveFlow::compute_parallel(&s, &opts, 8);
-        assert_eq!(t.n(), 0);
+        assert_eq!(TransitiveFlow::compute_with(&AgreementMatrix::zeros(1), &opts).n(), 1);
+        assert_eq!(TransitiveFlow::compute_with(&AgreementMatrix::zeros(0), &opts).n(), 0);
     }
 
     #[test]

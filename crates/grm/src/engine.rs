@@ -193,9 +193,9 @@ struct FlatEngine {
     /// Persistent request state: shared flow snapshot + live
     /// availability (`absolute` stays `None` for the centralized GRM).
     state: SystemState,
-    /// Persistent solver (cached skeleton + workspace). Warm starting
-    /// stays off: every grant must be bit-identical to the stateless LP
-    /// policy, which is what the adapter tests assert.
+    /// Persistent solver (cached skeleton + workspace); every grant is
+    /// bit-identical to the stateless LP policy, which is what the
+    /// adapter tests assert.
     policy: AllocationSolver,
     fast: FastReject,
 }

@@ -22,7 +22,7 @@
 //! Solves `min c·x` s.t. `A x = b`, `0 ≤ x_j ≤ u_j` (`u_j = ∞` allowed),
 //! `b ≥ 0`. Phase 1 uses artificials exactly like the row-based solver.
 //!
-//! # Workspaces and warm starts
+//! # Workspaces
 //!
 //! [`solve_bounded`] builds a fresh tableau per call — fine for one-off
 //! solves, wasteful in the scheduler's hot path where the same-shaped LP
@@ -34,16 +34,6 @@
 //! `solve_bounded` itself delegates to `solve_bounded_with` with a
 //! throwaway workspace, so the two are bit-identical by construction
 //! (property-tested anyway).
-//!
-//! With [`SimplexWorkspace::set_warm_start`] enabled, the workspace also
-//! saves the optimal basis (and bound-flip pattern) of each successful
-//! solve. The next same-shaped solve refactorizes that basis against the
-//! fresh `A`/`b` (one pivot per row, largest-pivot row choice) and, if
-//! the result is primal feasible, skips phase 1 entirely and resumes
-//! phase 2 — typically a handful of pivots when only the right-hand side
-//! moved. Any trouble (singular basis, infeasible point, a previously
-//! flipped column losing its finite bound) falls back to a cold solve,
-//! so warm starting never changes what is found, only how fast.
 
 use crate::error::LpError;
 use crate::matrix::Matrix;
@@ -64,13 +54,6 @@ pub fn solve_bounded(
 ) -> Result<StandardSolution, LpError> {
     let mut ws = SimplexWorkspace::new();
     solve_bounded_with(&mut ws, a, b, c, upper, num_structural, opts)
-}
-
-/// Saved optimal basis for warm starting the next same-shaped solve.
-#[derive(Debug, Clone)]
-struct WarmBasis {
-    basis: Vec<usize>,
-    flipped: Vec<bool>,
 }
 
 /// Reusable buffers for [`solve_bounded_with`].
@@ -101,14 +84,6 @@ pub struct SimplexWorkspace {
     work_cost: Vec<f64>,
     basic: Vec<bool>,
     art_rows: Vec<usize>,
-    assigned: Vec<bool>,
-    // Warm-start state.
-    warm_enabled: bool,
-    warm: Option<WarmBasis>,
-    /// `(m, total, num_structural)` of the last prepared model; a warm
-    /// basis is only valid against an identical shape.
-    shape: Option<(usize, usize, usize)>,
-    last_was_warm: bool,
 }
 
 impl Default for SimplexWorkspace {
@@ -133,37 +108,7 @@ impl SimplexWorkspace {
             work_cost: Vec::new(),
             basic: Vec::new(),
             art_rows: Vec::new(),
-            assigned: Vec::new(),
-            warm_enabled: false,
-            warm: None,
-            shape: None,
-            last_was_warm: false,
         }
-    }
-
-    /// Enable or disable warm starting. Disabling also drops any saved
-    /// basis.
-    pub fn set_warm_start(&mut self, on: bool) {
-        self.warm_enabled = on;
-        if !on {
-            self.warm = None;
-        }
-    }
-
-    /// Whether warm starting is enabled.
-    pub fn warm_start_enabled(&self) -> bool {
-        self.warm_enabled
-    }
-
-    /// Whether the most recent solve resumed from a saved basis instead
-    /// of running phase 1.
-    pub fn last_solve_was_warm(&self) -> bool {
-        self.last_was_warm
-    }
-
-    /// Drop any saved basis (the next solve will be cold).
-    pub fn invalidate_warm_start(&mut self) {
-        self.warm = None;
     }
 
     fn m(&self) -> usize {
@@ -248,9 +193,6 @@ impl SimplexWorkspace {
         self.work_cost.resize(total, 0.0);
         self.basic.clear();
         self.basic.resize(total, false);
-        self.assigned.clear();
-        self.assigned.resize(m, false);
-        self.shape = Some((m, total, num_structural));
         Ok(())
     }
 
@@ -461,107 +403,6 @@ impl SimplexWorkspace {
         self.optimize(true, opts)
     }
 
-    /// Try to resume from the saved basis: apply its bound flips,
-    /// refactorize one pivot per row (largest-pivot row choice among
-    /// unassigned rows), and accept only a primal-feasible result.
-    /// On `false` the tableau is dirty and must be rebuilt.
-    fn try_warm(&mut self, opts: &SimplexOptions) -> bool {
-        let Some(warm) = self.warm.take() else { return false };
-        let ok = self.apply_warm(&warm, opts);
-        self.warm = Some(warm);
-        ok
-    }
-
-    fn apply_warm(&mut self, warm: &WarmBasis, opts: &SimplexOptions) -> bool {
-        let m = self.m();
-        debug_assert_eq!(warm.basis.len(), m);
-        // Re-apply the saved flip pattern. A column that was flipped must
-        // still have a finite bound; the initial basis columns (unbounded
-        // slacks / artificials) are never flipped, so every flip target
-        // is nonbasic here.
-        for j in 0..warm.flipped.len().min(self.flipped.len()) {
-            if warm.flipped[j] && !self.flipped[j] {
-                if !self.upper[j].is_finite() {
-                    return false;
-                }
-                self.flip_nonbasic(j);
-            }
-        }
-        // Refactorize: drive each saved basic column into the basis with
-        // one pivot, choosing the largest available pivot element among
-        // rows not yet claimed. Fails only if the saved basis is singular
-        // with respect to the new constraint matrix.
-        let pivot_floor = opts.tol.max(1e-8);
-        for flag in self.assigned.iter_mut() {
-            *flag = false;
-        }
-        for &col in &warm.basis {
-            // Already basic in the right place (e.g. a slack that is part
-            // of the fresh initial basis): claim its row without a pivot.
-            if let Some(r) = (0..m).find(|&r| !self.assigned[r] && self.basis[r] == col) {
-                self.assigned[r] = true;
-                continue;
-            }
-            let mut best_row = usize::MAX;
-            let mut best_mag = pivot_floor;
-            for r in 0..m {
-                if self.assigned[r] {
-                    continue;
-                }
-                let mag = self.t[(r, col)].abs();
-                if mag > best_mag {
-                    best_row = r;
-                    best_mag = mag;
-                }
-            }
-            if best_row == usize::MAX {
-                return false;
-            }
-            self.pivot(best_row, col);
-            self.assigned[best_row] = true;
-        }
-        // Primal feasibility of the refactorized point: every basic value
-        // inside its box. Otherwise the saved basis is stale enough that
-        // a cold two-phase solve is the safe route.
-        let feas_tol = opts.tol.max(1e-7);
-        for i in 0..m {
-            let v = self.rhs(i);
-            if v < -feas_tol || v > self.upper[self.basis[i]] + feas_tol {
-                return false;
-            }
-        }
-        // Mirror the post-phase-1 state: artificials pinned to zero.
-        for j in self.art_start..self.total_cols() {
-            self.upper[j] = 0.0;
-        }
-        true
-    }
-
-    /// Save the current basis for the next warm start. Skipped if an
-    /// artificial is still basic (a warm resume could then not skip
-    /// phase 1 soundly).
-    fn save_warm(&mut self) {
-        if self.basis.iter().any(|&j| j >= self.art_start) {
-            self.warm = None;
-            return;
-        }
-        let n_cols = self.total_cols();
-        match &mut self.warm {
-            Some(w) => {
-                w.basis.clear();
-                w.basis.extend_from_slice(&self.basis);
-                w.flipped.clear();
-                w.flipped.extend_from_slice(&self.flipped[..n_cols]);
-            }
-            None => {
-                self.warm = Some(WarmBasis {
-                    basis: self.basis.clone(),
-                    flipped: self.flipped[..n_cols].to_vec(),
-                });
-            }
-        }
-    }
-
     fn extract(&self, n: usize) -> Vec<f64> {
         let mut current = vec![0.0; self.total_cols()];
         for i in 0..self.m() {
@@ -599,10 +440,8 @@ impl SimplexWorkspace {
     }
 }
 
-/// Like [`solve_bounded`], but reusing `ws`'s buffers (and, if enabled,
-/// its saved basis for a warm start). See the module docs for the
-/// guarantees; results are bit-identical to `solve_bounded` when warm
-/// starting is off, and agree to solver tolerance when it is on.
+/// Like [`solve_bounded`], but reusing `ws`'s buffers. See the module
+/// docs for the guarantees; results are bit-identical to `solve_bounded`.
 pub fn solve_bounded_with(
     ws: &mut SimplexWorkspace,
     a: &[Vec<f64>],
@@ -616,7 +455,6 @@ pub fn solve_bounded_with(
     let n = if m == 0 { c.len() } else { a[0].len() };
     debug_assert_eq!(upper.len(), n, "one upper bound per column");
     debug_assert!(b.iter().all(|&bi| bi >= 0.0), "standard form requires b >= 0");
-    ws.last_was_warm = false;
     if upper.iter().any(|&u| u < 0.0 || u.is_nan()) {
         return Err(LpError::InvalidModel("negative or NaN upper bound".into()));
     }
@@ -642,30 +480,9 @@ pub fn solve_bounded_with(
         });
     }
 
-    let prev_shape = ws.shape;
     ws.prepare(a, b, c, upper, num_structural)?;
-    let warm_eligible = ws.warm_enabled
-        && ws.warm.is_some()
-        && prev_shape == ws.shape
-        && ws.warm.as_ref().map(|w| w.basis.len()) == Some(m);
-
-    let (stats1, stats2) = if warm_eligible && ws.try_warm(opts) {
-        ws.last_was_warm = true;
-        let s2 = ws.phase2(opts)?;
-        (0, s2)
-    } else {
-        if warm_eligible {
-            // The failed warm attempt dirtied the tableau; rebuild.
-            ws.prepare(a, b, c, upper, num_structural)?;
-        }
-        let s1 = ws.phase1(opts)?;
-        let s2 = ws.phase2(opts)?;
-        (s1, s2)
-    };
-
-    if ws.warm_enabled {
-        ws.save_warm();
-    }
+    let stats1 = ws.phase1(opts)?;
+    let stats2 = ws.phase2(opts)?;
 
     let x = ws.extract(n);
     let objective: f64 = x.iter().zip(c).map(|(xj, cj)| xj * cj).sum();
@@ -852,7 +669,7 @@ mod tests {
         }
     }
 
-    // --- workspace & warm-start tests ---
+    // --- workspace tests ---
 
     /// The allocation-shaped LP above, parameterized by demand x, as raw
     /// standard form.
@@ -882,7 +699,6 @@ mod tests {
             assert_eq!(fresh.objective, reused.objective);
             assert_eq!(fresh.duals, reused.duals);
             assert_eq!(fresh.stats, reused.stats);
-            assert!(!ws.last_solve_was_warm());
         }
     }
 
@@ -901,108 +717,5 @@ mod tests {
         let s3 = solve_bounded_with(&mut ws, &a, &b, &c, &u, 4, &opts).unwrap();
         assert_eq!(s1.x, s3.x);
         assert_eq!(s1.objective, s3.objective);
-    }
-
-    #[test]
-    fn warm_start_matches_cold_across_rhs_sweep() {
-        let mut warm_ws = SimplexWorkspace::new();
-        warm_ws.set_warm_start(true);
-        let opts = SimplexOptions::default();
-        let mut warm_hits = 0;
-        for i in 0..40 {
-            let x = 0.25 + (i as f64) * 0.29; // sweeps 0.25 ..= ~11.5
-            let (a, b, c, u) = alloc_lp(x.min(11.9));
-            let cold = solve_bounded(&a, &b, &c, &u, 4, &opts);
-            let warm = solve_bounded_with(&mut warm_ws, &a, &b, &c, &u, 4, &opts);
-            match (cold, warm) {
-                (Ok(cs), Ok(ws_sol)) => {
-                    assert!(
-                        (cs.objective - ws_sol.objective).abs() < 1e-9,
-                        "objective: cold {} warm {} at x={x}",
-                        cs.objective,
-                        ws_sol.objective
-                    );
-                    for (xc, xw) in cs.x.iter().zip(&ws_sol.x) {
-                        assert!((xc - xw).abs() < 1e-7, "x: cold {xc} warm {xw} at x={x}");
-                    }
-                    if warm_ws.last_solve_was_warm() {
-                        warm_hits += 1;
-                    }
-                }
-                (Err(ce), Err(we)) => {
-                    assert_eq!(
-                        std::mem::discriminant(&ce),
-                        std::mem::discriminant(&we),
-                        "error kind mismatch at x={x}"
-                    );
-                }
-                (c, w) => panic!("cold/warm disagreement at x={x}: {c:?} vs {w:?}"),
-            }
-        }
-        assert!(warm_hits > 20, "warm starts should dominate the sweep: {warm_hits}/40");
-    }
-
-    #[test]
-    fn warm_start_skips_phase1_when_resumed() {
-        let mut ws = SimplexWorkspace::new();
-        ws.set_warm_start(true);
-        let opts = SimplexOptions::default();
-        let (a, b, c, u) = alloc_lp(6.0);
-        let first = solve_bounded_with(&mut ws, &a, &b, &c, &u, 4, &opts).unwrap();
-        assert!(first.stats.artificials > 0, "equality row needs an artificial");
-        assert!(!ws.last_solve_was_warm(), "first solve is cold");
-        let (a2, b2, c2, u2) = alloc_lp(6.3);
-        let second = solve_bounded_with(&mut ws, &a2, &b2, &c2, &u2, 4, &opts).unwrap();
-        assert!(ws.last_solve_was_warm(), "second solve should warm start");
-        assert_eq!(second.stats.phase1_iters, 0);
-        let sum: f64 = second.x[..3].iter().sum();
-        assert!((sum - 6.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_start_falls_back_on_shape_change() {
-        let mut ws = SimplexWorkspace::new();
-        ws.set_warm_start(true);
-        let opts = SimplexOptions::default();
-        let (a, b, c, u) = alloc_lp(6.0);
-        solve_bounded_with(&mut ws, &a, &b, &c, &u, 4, &opts).unwrap();
-        // Different shape: must cold-solve and still be correct.
-        let small_a = vec![vec![1.0, 1.0]];
-        let s = solve_bounded_with(&mut ws, &small_a, &[10.0], &[-1.0, 0.0], &[4.0, INF], 1, &opts)
-            .unwrap();
-        assert!(!ws.last_solve_was_warm());
-        assert!((s.objective + 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_start_handles_infeasible_transition() {
-        let mut ws = SimplexWorkspace::new();
-        ws.set_warm_start(true);
-        let opts = SimplexOptions::default();
-        // Feasible, then infeasible with the same shape, then feasible.
-        let a = vec![vec![1.0, 1.0]];
-        let c = vec![0.0, 0.0];
-        let u = vec![3.0, 3.0];
-        assert!(solve_bounded_with(&mut ws, &a, &[5.0], &c, &u, 2, &opts).is_ok());
-        assert!(matches!(
-            solve_bounded_with(&mut ws, &a, &[10.0], &c, &u, 2, &opts),
-            Err(LpError::Infeasible { .. })
-        ));
-        let back = solve_bounded_with(&mut ws, &a, &[4.0], &c, &u, 2, &opts).unwrap();
-        let total: f64 = back.x.iter().sum();
-        assert!((total - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn disabling_warm_start_clears_saved_basis() {
-        let mut ws = SimplexWorkspace::new();
-        ws.set_warm_start(true);
-        let opts = SimplexOptions::default();
-        let (a, b, c, u) = alloc_lp(6.0);
-        solve_bounded_with(&mut ws, &a, &b, &c, &u, 4, &opts).unwrap();
-        ws.set_warm_start(false);
-        assert!(!ws.warm_start_enabled());
-        solve_bounded_with(&mut ws, &a, &b, &c, &u, 4, &opts).unwrap();
-        assert!(!ws.last_solve_was_warm());
     }
 }

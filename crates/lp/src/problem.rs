@@ -7,7 +7,7 @@
 //! original variable space.
 
 use crate::error::LpError;
-use crate::simplex::{self, SimplexOptions, SimplexStats};
+use crate::simplex::{SimplexOptions, SimplexStats};
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,20 +147,15 @@ impl Problem {
     /// Solve with explicit simplex options.
     pub fn solve_with(&self, opts: &SimplexOptions) -> Result<Solution, LpError> {
         self.validate()?;
-        let native = opts.bound_mode == crate::simplex::BoundMode::Native;
-        let std = self.standardize(native);
-        let out = if native {
-            crate::bounded::solve_bounded(
-                &std.a,
-                &std.b,
-                &std.c,
-                &std.upper,
-                std.num_structural,
-                opts,
-            )?
-        } else {
-            simplex::solve_standard(&std.a, &std.b, &std.c, std.num_structural, opts)?
-        };
+        let std = self.standardize();
+        let out = crate::bounded::solve_bounded(
+            &std.a,
+            &std.b,
+            &std.c,
+            &std.upper,
+            std.num_structural,
+            opts,
+        )?;
         let mut values = vec![0.0; self.vars.len()];
         for (i, var) in self.vars.iter().enumerate() {
             let v = match std.mapping[i] {
@@ -213,15 +208,14 @@ impl Problem {
         Ok(())
     }
 
-    /// Convert to standard form `min c·x, A x = b, x ≥ 0, b ≥ 0`.
-    /// With `native_bounds`, finite upper bounds are reported in the
-    /// `upper` vector for the bounded-variable solver instead of being
-    /// materialized as rows.
-    fn standardize(&self, native_bounds: bool) -> StandardForm {
+    /// Convert to standard form `min c·x, A x = b, 0 ≤ x ≤ upper, b ≥ 0`:
+    /// finite upper bounds are reported in the `upper` vector for the
+    /// bounded-variable solver, not materialized as rows.
+    fn standardize(&self) -> StandardForm {
         let mut mapping = Vec::with_capacity(self.vars.len());
         let mut num_cols = 0usize;
-        // Extra rows for finite upper bounds introduced by shifting.
-        let mut bound_rows: Vec<(usize, f64)> = Vec::new(); // (col, ub - lb)
+        // Finite upper bounds of shifted variables.
+        let mut bounds: Vec<(usize, f64)> = Vec::new(); // (col, ub - lb)
         let mut obj_offset = 0.0;
         let sign = if self.sense == Sense::Maximize { -1.0 } else { 1.0 };
 
@@ -234,11 +228,10 @@ impl Problem {
                 let col = num_cols;
                 num_cols += 1;
                 if ub.is_finite() {
-                    bound_rows.push((col, ub - lb));
+                    bounds.push((col, ub - lb));
                 }
                 obj_offset += sign * v.obj * lb;
                 mapping.push(VarMap::Shifted { col, lb });
-                let _ = native_bounds;
             } else if ub.is_finite() {
                 // lb = -inf, ub finite: x = ub - x̂.
                 let col = num_cols;
@@ -255,13 +248,13 @@ impl Problem {
         let num_structural = num_cols;
 
         // Build rows: structural coefficients and adjusted rhs per
-        // constraint, plus the upper-bound rows.
+        // constraint.
         struct Row {
             coeffs: Vec<(usize, f64)>,
             rel: Relation,
             rhs: f64,
         }
-        let mut rows: Vec<Row> = Vec::with_capacity(self.constraints.len() + bound_rows.len());
+        let mut rows: Vec<Row> = Vec::with_capacity(self.constraints.len());
         for c in &self.constraints {
             let mut rhs = c.rhs;
             let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(c.terms.len() + 1);
@@ -285,11 +278,6 @@ impl Problem {
                 }
             }
             rows.push(Row { coeffs, rel: c.rel, rhs });
-        }
-        if !native_bounds {
-            for &(col, cap) in &bound_rows {
-                rows.push(Row { coeffs: vec![(col, 1.0)], rel: Relation::Le, rhs: cap });
-            }
         }
 
         // Count slack/surplus columns.
@@ -352,10 +340,8 @@ impl Problem {
         }
 
         let mut upper = vec![f64::INFINITY; total_cols];
-        if native_bounds {
-            for &(col, cap) in &bound_rows {
-                upper[col] = cap;
-            }
+        for &(col, cap) in &bounds {
+            upper[col] = cap;
         }
         StandardForm { a, b, c, upper, num_structural, mapping, obj_offset, row_flips }
     }
@@ -377,7 +363,7 @@ struct StandardForm {
     a: Vec<Vec<f64>>,
     b: Vec<f64>,
     c: Vec<f64>,
-    /// Per-column upper bounds (∞ unless native bound mode).
+    /// Per-column upper bounds (∞ where the variable has none).
     upper: Vec<f64>,
     num_structural: usize,
     mapping: Vec<VarMap>,

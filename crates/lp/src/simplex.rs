@@ -11,6 +11,11 @@
 //! guarantee termination on degenerate problems; the ratio test always
 //! breaks ties by smallest basis index, which suffices for finite
 //! termination once Bland pricing is active.
+//!
+//! [`crate::Problem`] solves through the bounded-variable simplex
+//! ([`crate::bounded`]); [`solve_standard`] is the row-based reference
+//! that `tests/proptest_bounded.rs` holds it against, with finite upper
+//! bounds written out as `x ≤ u` rows by the caller.
 
 use crate::error::LpError;
 use crate::matrix::Matrix;
@@ -25,19 +30,6 @@ pub enum PivotRule {
     Bland,
 }
 
-/// How [`crate::Problem`] encodes finite variable upper bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BoundMode {
-    /// Bounded-variable simplex ([`crate::bounded`]): bounds handled in
-    /// the ratio test, no extra rows. The default.
-    #[default]
-    Native,
-    /// Materialize each finite bound as an `x ≤ u` row (one row + one
-    /// slack per bounded variable). Kept for cross-checking and the
-    /// `ablation_bound_mode` bench.
-    Rows,
-}
-
 /// Solver configuration.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
@@ -50,8 +42,6 @@ pub struct SimplexOptions {
     /// Switch from Dantzig to Bland pricing after this many pivots within a
     /// phase (anti-cycling safeguard).
     pub bland_after: usize,
-    /// Upper-bound encoding used by [`crate::Problem::solve_with`].
-    pub bound_mode: BoundMode,
 }
 
 impl Default for SimplexOptions {
@@ -61,7 +51,6 @@ impl Default for SimplexOptions {
             tol: 1e-9,
             max_iters: 100_000,
             bland_after: 5_000,
-            bound_mode: BoundMode::default(),
         }
     }
 }

@@ -1,10 +1,8 @@
-//! Workspace and warm-start equivalence properties.
+//! Workspace equivalence property.
 //!
-//! `solve_bounded_with` must be *bit-identical* to `solve_bounded` when
-//! warm starting is off — the workspace only changes where buffers live,
-//! never a single floating-point operation. With warm starting on, the
-//! solver may take a different pivot path, so objectives and solutions
-//! must agree to tolerance and error classifications must match exactly.
+//! `solve_bounded_with` must be *bit-identical* to `solve_bounded` — the
+//! workspace only changes where buffers live, never a single
+//! floating-point operation — and error classifications must match exactly.
 
 #![allow(clippy::needless_range_loop)]
 
@@ -60,9 +58,9 @@ fn errors_match(a: &LpError, b: &LpError) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A reused workspace (warm start off) reproduces `solve_bounded`
-    /// bit for bit, across a random sequence of differently shaped
-    /// problems sharing one workspace.
+    /// A reused workspace reproduces `solve_bounded` bit for bit, across
+    /// a random sequence of differently shaped problems sharing one
+    /// workspace.
     #[test]
     fn workspace_reuse_is_bit_identical(
         seq in proptest::collection::vec(arb_instance(), 1..=5),
@@ -84,55 +82,6 @@ proptest! {
                     prop_assert!(errors_match(&fe, &re), "{fe:?} vs {re:?}");
                 }
                 (f, r) => prop_assert!(false, "disagreement: {f:?} vs {r:?}"),
-            }
-        }
-    }
-
-    /// Warm starting across right-hand-side perturbations of one model
-    /// finds the same optimum as a cold solve every time.
-    #[test]
-    fn warm_start_matches_cold(
-        inst in arb_instance(),
-        scales in proptest::collection::vec(1u32..=40, 1..=6),
-    ) {
-        let opts = SimplexOptions::default();
-        let mut ws = SimplexWorkspace::new();
-        ws.set_warm_start(true);
-        for &s in &scales {
-            // Same shape, moved right-hand side (the scheduler's pattern:
-            // demand and availability change per request, structure not).
-            let b: Vec<f64> = inst.b.iter().map(|&bi| bi * s as f64 / 8.0).collect();
-            let cold = solve_bounded(&inst.a, &b, &inst.c, &inst.u, inst.nv, &opts);
-            let warm =
-                solve_bounded_with(&mut ws, &inst.a, &b, &inst.c, &inst.u, inst.nv, &opts);
-            match (cold, warm) {
-                (Ok(cs), Ok(wsol)) => {
-                    prop_assert!(
-                        (cs.objective - wsol.objective).abs()
-                            < 1e-6 * (1.0 + cs.objective.abs()),
-                        "objective: cold {} warm {} (warm hit: {})",
-                        cs.objective,
-                        wsol.objective,
-                        ws.last_solve_was_warm()
-                    );
-                    // The warm solution is feasible for the same model.
-                    for (j, &xj) in wsol.x.iter().enumerate() {
-                        prop_assert!(xj >= -1e-9);
-                        prop_assert!(xj <= inst.u[j] + 1e-9);
-                    }
-                    for (i, row) in inst.a.iter().enumerate() {
-                        let lhs: f64 = row.iter().zip(&wsol.x).map(|(a, x)| a * x).sum();
-                        prop_assert!(
-                            (lhs - b[i]).abs() < 1e-6,
-                            "row {i}: {lhs} != {}",
-                            b[i]
-                        );
-                    }
-                }
-                (Err(ce), Err(we)) => {
-                    prop_assert!(errors_match(&ce, &we), "{ce:?} vs {we:?}");
-                }
-                (c, w) => prop_assert!(false, "disagreement: {c:?} vs {w:?}"),
             }
         }
     }

@@ -450,13 +450,6 @@ impl NetGrmClient {
         rx.recv().map_err(|_| GrmError::ConnectionReset)?
     }
 
-    /// Blocking release carrying a global replay sequence.
-    pub fn release_seq(&self, seq: u64, alloc: Allocation, id: RequestId) -> Result<(), GrmError> {
-        let (tx, rx) = bounded(1);
-        self.send(WireRequest::Release { alloc, req_id: Some(id) }, Some(seq), Pending::Unit(tx))?;
-        rx.recv().map_err(|_| GrmError::ConnectionReset)?
-    }
-
     // ----- pipelined (windowed in-flight) variants -------------------
 
     /// Start a sequenced allocation request without waiting for the

@@ -180,3 +180,38 @@ fn ended_connections_are_reaped_as_new_ones_arrive() {
     listener.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_undecodable_frame_is_counted_and_skipped() {
+    use crate::frame::encode_frame;
+    use std::io::{Read, Write};
+    let (dir, listener) = listen(FsyncPolicy::EveryOp, "undecodable");
+    let records = listener.mirror().records;
+
+    // One write: a frame whose CRC holds but whose payload is no request,
+    // then a valid read on the same connection.
+    let probe = RequestFrame { corr: 42, replay_seq: None, req: WireRequest::Availability };
+    let mut bytes = Vec::new();
+    encode_frame(b"\xff not a request", &mut bytes).unwrap();
+    encode_frame(&probe.encode(), &mut bytes).unwrap();
+    let mut stream = std::os::unix::net::UnixStream::connect(dir.join("grm.sock")).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream.write_all(&bytes).unwrap();
+
+    let mut dec = FrameDecoder::new();
+    let mut buf = [0u8; 4096];
+    let reply = loop {
+        if let Some(payload) = dec.next_frame().unwrap() {
+            break ResponseFrame::decode(&payload).unwrap();
+        }
+        let n = stream.read(&mut buf).expect("the valid frame is answered");
+        assert!(n > 0, "connection closed on the undecodable frame");
+        dec.push(&buf[..n]);
+    };
+    assert_eq!(reply, ResponseFrame { corr: 42, resp: WireResponse::Availability(vec![100.0; 3]) });
+    assert_eq!(listener.undecodable_frames(), 1);
+    assert_eq!(listener.mirror().records, records, "nothing journaled for either frame");
+    drop(stream);
+    listener.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

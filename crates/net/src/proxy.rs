@@ -332,11 +332,6 @@ impl FaultProxy {
         self.shared.partitioned.store(false, Ordering::SeqCst);
     }
 
-    /// Whether the link is currently partitioned.
-    pub fn is_partitioned(&self) -> bool {
-        self.shared.partitioned.load(Ordering::SeqCst)
-    }
-
     /// The network recovers: stop injecting faults and end any
     /// partition. Held frames flush on the next frame or connection
     /// close. Irreversible, mirroring `FaultPlane::heal`.

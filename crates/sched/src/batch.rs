@@ -6,7 +6,7 @@
 //! scheduler round trip one at a time. [`BatchedAdmission`] instead takes
 //! the drained run of requests, groups them by the requester's home
 //! group, and ships each group's slot-ordered run to the persistent
-//! [`crate::executor::ShardExecutor`] worker that owns that group's warm
+//! `ShardExecutor` worker that owns that group's warm
 //! solver. Workers replay their runs against a private copy of their
 //! members' availability; the coordinator then commits accepted steps
 //! **in global slot order** with the same full-vector
@@ -62,8 +62,7 @@ pub struct BatchedAdmission {
 
 impl BatchedAdmission {
     /// Wrap a scheduler. Enable its executor (`set_parallel_auto` /
-    /// `set_parallel_fine`) *before* wrapping, or via
-    /// [`Self::scheduler_mut`].
+    /// `set_parallel_fine`) *before* wrapping.
     pub fn new(sched: HierarchicalScheduler) -> Self {
         BatchedAdmission { sched }
     }
@@ -71,12 +70,6 @@ impl BatchedAdmission {
     /// The underlying scheduler.
     pub fn scheduler(&self) -> &HierarchicalScheduler {
         &self.sched
-    }
-
-    /// Mutable access to the underlying scheduler (mode switches,
-    /// telemetry).
-    pub fn scheduler_mut(&mut self) -> &mut HierarchicalScheduler {
-        &mut self.sched
     }
 
     /// Attach a telemetry plane (delegates to the scheduler, which also

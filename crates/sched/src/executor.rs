@@ -5,15 +5,15 @@
 //! measurements") showed the old parallel mode losing everywhere
 //! (29.8k vs 120.2k alloc/s at n = 128): it spawned a fresh
 //! `crossbeam::thread::scope` per allocation, so every fine solve paid
-//! thread creation, stack setup, and a cold [`GroupSolver`]. This module
+//! thread creation, stack setup, and a cold `GroupSolver`. This module
 //! replaces that with a shard-manager/worker split:
 //!
-//! - **Worker ownership.** Each worker thread owns the [`GroupSolver`]s
+//! - **Worker ownership.** Each worker thread owns the `GroupSolver`s
 //!   of the groups hashed onto it (`group % workers`), so their simplex
 //!   workspaces and cached skeletons stay warm across requests. Groups
 //!   are disjoint and a group is always served by the same worker, so no
 //!   solver is ever shared — no locks on the solve path.
-//! - **Channel protocol.** The coordinator sends [`Job`]s over an
+//! - **Channel protocol.** The coordinator sends `Job`s over an
 //!   unbounded channel per worker and collects replies on a per-fan-out
 //!   channel keyed by slot, merging results **in input order** — the
 //!   fixed ascending merge order that keeps parallel output bit-identical
@@ -22,14 +22,14 @@
 //!   worker and joins it. If a worker dies early (a panic in a solve),
 //!   the next dispatch to it observes the closed channel — crossbeam's
 //!   `SendError` hands the job back — respawns the worker, and resends.
-//! - **Break-even fallback.** [`ShardExecutor::auto`] measures, at
+//! - **Break-even fallback.** `ShardExecutor::auto` measures, at
 //!   construction, the channel round-trip cost and one warm fine-solve at
-//!   the mean group size, and [`ShardExecutor::should_parallelize`] only
+//!   the mean group size, and `ShardExecutor::should_parallelize` only
 //!   says yes when the solve time saved by fanning out exceeds the
 //!   dispatch tax. On a 1-core host `auto` refuses to build an executor
 //!   at all, so sequential hosts never regress.
 //!
-//! The batched-run protocol ([`GroupRun`] → [`RunOutcome`]) is the
+//! The batched-run protocol (`GroupRun` → `RunOutcome`) is the
 //! executor half of [`crate::batch::BatchedAdmission`]: a worker replays a
 //! slot-ordered run of home-group requests against a private copy of its
 //! members' availability, stopping at the first request its group cannot
@@ -62,9 +62,8 @@ use std::time::Instant;
 /// per member with positive availability (ascending member order), then
 /// θ, then one slack per drop row. Zero-availability members are
 /// substituted out, so the skeleton is keyed on that pattern and rebuilt
-/// only when it changes. Warm starting is off: every solve is a cold
-/// start, which is what makes parallel and sequential refinement
-/// bit-identical.
+/// only when it changes. Every solve is a cold start, which is what
+/// makes parallel and sequential refinement bit-identical.
 pub(crate) struct GroupSolver {
     ws: SimplexWorkspace,
     /// Zero-availability pattern the skeleton was built for.
@@ -148,9 +147,6 @@ impl GroupSolver {
         self.upper.resize(total, f64::INFINITY);
         self.num_structural = num_structural;
         self.built = true;
-        // A rebuilt skeleton is a different model; never seed it from an
-        // old basis (fine solves are cold anyway — defense in depth).
-        self.ws.invalidate_warm_start();
     }
 
     /// Solve the refinement LP; returns per-member draws (group-local

@@ -15,13 +15,13 @@
 //!   `AgreementMatrix` by [`agreements_flow::auto_partition`] — no hand
 //!   partitions at n = 1000.
 //! - **Pooled fine solvers**: each group owns a persistent
-//!   [`SimplexWorkspace`] plus a cached standard-form skeleton of its
-//!   min-max refinement LP (the PR 1 pattern), so the steady state
-//!   performs no model construction and no heap allocation beyond the
-//!   per-group draw vector.
+//!   [`agreements_lp::SimplexWorkspace`] plus a cached standard-form
+//!   skeleton of its min-max refinement LP (the PR 1 pattern), so the
+//!   steady state performs no model construction and no heap allocation
+//!   beyond the per-group draw vector.
 //! - **Parallel fine solves** ([`HierarchicalScheduler::set_parallel_fine`]
 //!   / [`HierarchicalScheduler::set_parallel_auto`]): contributing groups
-//!   refine concurrently on the persistent [`crate::executor::ShardExecutor`]
+//!   refine concurrently on the persistent `ShardExecutor`
 //!   workers (warm solvers, no per-solve thread spawn), merged in
 //!   ascending group order. Groups are disjoint and per-group solves are
 //!   cold-started and deterministic, so parallel results are bit-identical

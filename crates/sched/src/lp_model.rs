@@ -6,8 +6,8 @@ use crate::state::{Allocation, SystemState};
 use agreements_lp::{Problem, Relation, Sense, SimplexOptions, VarId};
 
 /// Which encoding of the §3.1 linear system to solve. Both reach the same
-/// optimum (verified by tests and the `ablation_lp_formulation` bench);
-/// the reduced form is ~n× smaller.
+/// optimum (`full_and_reduced_agree` below and
+/// `proptest_sched::formulations_agree`); the reduced form is ~n× smaller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Formulation {
     /// The paper's verbatim system over `I'_ij, C'_i, V'_i, θ`

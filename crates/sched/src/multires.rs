@@ -28,7 +28,7 @@
 //! # The multi-lane wave protocol
 //!
 //! Per wave, each lane fans its own per-group runs to its own
-//! [`crate::executor::ShardExecutor`]. The cutoff is the earliest slot,
+//! `ShardExecutor`. The cutoff is the earliest slot,
 //! across *all* lanes, that either stalled (needs the coarse LP) or was
 //! rejected by its lane's group solver. The rejection cap is new to the
 //! multi-lane case: a slot rejected in one lane is rejected *globally*,
@@ -57,16 +57,6 @@ pub const STANDARD_RESOURCES: [&str; 3] = ["cpu", "bandwidth", "storage"];
 pub struct ResourceVector(pub Vec<f64>);
 
 impl ResourceVector {
-    /// The standard three-resource vector.
-    pub fn cpu_bandwidth_storage(cpu: f64, bandwidth: f64, storage: f64) -> Self {
-        ResourceVector(vec![cpu, bandwidth, storage])
-    }
-
-    /// The same amount in every one of `k` lanes.
-    pub fn uniform(amount: f64, k: usize) -> Self {
-        ResourceVector(vec![amount; k])
-    }
-
     /// Number of resource lanes.
     pub fn len(&self) -> usize {
         self.0.len()

@@ -46,10 +46,10 @@ pub trait AllocationPolicy {
         }
     }
 
-    /// Called by drivers at the start of each independent run or replay.
-    /// Stateful policies drop cross-run acceleration state here (saved
-    /// simplex bases, counters) so repeated runs of the same driver are
-    /// reproducible. Stateless policies keep the default no-op.
+    /// Called by drivers at the start of each independent run or replay:
+    /// the place for a policy to drop any cross-run state that could make
+    /// a replay differ from a first run. No shipped policy keeps such
+    /// state, so all use the default no-op.
     fn begin_run(&self) {}
 
     /// Attach a telemetry plane. Policies that own an instrumented
@@ -101,7 +101,7 @@ impl AllocationPolicy for LpPolicy {
     }
 }
 
-/// [`LpPolicy`]'s semantics served by a persistent [`AllocationSolver`]:
+/// [`LpPolicy`]'s semantics served by a persistent [`crate::AllocationSolver`]:
 /// the standardized model skeleton and the simplex workspace survive
 /// across consultations and `allocate_up_to` places in a single solve.
 /// This is what the simulator consultation loop runs on.
@@ -109,13 +109,9 @@ impl AllocationPolicy for LpPolicy {
 /// The [`AllocationPolicy`] trait takes `&self`, so the solver sits
 /// behind a [`Mutex`]; contention is nil because every simulator owns
 /// its policy exclusively (parallel sweeps give each configuration its
-/// own instance). [`AllocationPolicy::begin_run`] drops the saved basis,
-/// which keeps repeated runs of one simulator bit-reproducible.
-///
-/// [`CachedLpPolicy::reduced`] keeps warm starting off and is
-/// bit-identical to [`LpPolicy`]; [`CachedLpPolicy::reduced_warm`]
-/// additionally resumes each same-model solve from the previous optimal
-/// basis, which agrees with [`LpPolicy`] to solver tolerance only.
+/// own instance). Nothing the solver keeps between consultations changes
+/// a result, so it is bit-identical to [`LpPolicy`] and repeated runs of
+/// one simulator are bit-reproducible.
 #[derive(Debug)]
 pub struct CachedLpPolicy {
     solver: Mutex<crate::solver::AllocationSolver>,
@@ -123,19 +119,9 @@ pub struct CachedLpPolicy {
 
 impl CachedLpPolicy {
     /// The production configuration: reduced formulation, cached skeleton
-    /// and workspace, warm starting off — bit-identical to [`LpPolicy`].
+    /// and workspace — bit-identical to [`LpPolicy`].
     pub fn reduced() -> Self {
         Self::from_solver(crate::solver::AllocationSolver::reduced())
-    }
-
-    /// Like [`CachedLpPolicy::reduced`] but resuming from the previous
-    /// optimal basis when the model is unchanged. Fastest, but agreement
-    /// with [`LpPolicy`] is to solver tolerance, not bit-exact — opt in
-    /// where that is acceptable (benchmarks, standalone studies).
-    pub fn reduced_warm() -> Self {
-        let mut solver = crate::solver::AllocationSolver::reduced();
-        solver.set_warm_start(true);
-        Self::from_solver(solver)
     }
 
     /// Wrap an explicitly configured solver.
@@ -173,10 +159,6 @@ impl AllocationPolicy for CachedLpPolicy {
         x: f64,
     ) -> Result<Allocation, SchedError> {
         self.lock().allocate_up_to(state, requester, x)
-    }
-
-    fn begin_run(&self) {
-        self.lock().invalidate_warm_start();
     }
 
     fn set_telemetry(&self, telemetry: &agreements_telemetry::Telemetry) {
@@ -547,19 +529,14 @@ mod tests {
 
     #[test]
     fn cached_policy_agrees_with_lp_policy() {
-        // Bit-identical with warm starting off; to tolerance with it on.
         let (mut st, _) = mk(3, &[(1, 0, 0.5), (2, 0, 0.3)], vec![2.0, 10.0, 10.0], 1);
         let exact = CachedLpPolicy::reduced();
-        let warm = CachedLpPolicy::reduced_warm();
         let lp = LpPolicy::reduced();
         for x in [1.5, 4.0, 9.0, 50.0] {
             let a = lp.allocate_up_to(&st, 0, x).unwrap();
             let e = exact.allocate_up_to(&st, 0, x).unwrap();
             assert_eq!(a.draws, e.draws, "x={x}");
             assert_eq!(a.theta, e.theta);
-            let w = warm.allocate_up_to(&st, 0, x).unwrap();
-            assert!((a.theta - w.theta).abs() < 1e-7 * (1.0 + a.theta.abs()));
-            assert!((a.amount - w.amount).abs() < 1e-9);
             st.apply(&a).unwrap();
         }
         // The skeleton is reused whenever the zero-bound pattern holds
@@ -570,19 +547,6 @@ mod tests {
             "skeleton must be reused: {:?}",
             exact.stats()
         );
-    }
-
-    #[test]
-    fn begin_run_makes_replays_reproducible() {
-        let (st, _) = mk(3, &[(1, 0, 0.5), (2, 0, 0.5)], vec![0.0, 8.0, 6.0], 1);
-        let pol = CachedLpPolicy::reduced_warm();
-        let run = |p: &CachedLpPolicy| -> Vec<Vec<f64>> {
-            p.begin_run();
-            [3.0, 7.0, 11.0].iter().map(|&x| p.allocate_up_to(&st, 0, x).unwrap().draws).collect()
-        };
-        let a = run(&pol);
-        let b = run(&pol);
-        assert_eq!(a, b, "a replay must not inherit the saved basis");
     }
 
     #[test]

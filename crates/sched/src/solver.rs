@@ -13,24 +13,20 @@
 //! the flow table or the pattern of exhausted owners changes — and solves
 //! through a persistent [`SimplexWorkspace`], so the steady state performs
 //! no model construction and no heap allocation beyond the returned draw
-//! vector. With warm starting enabled the workspace additionally resumes
-//! from the previous optimal basis.
+//! vector.
 //!
 //! The skeleton replicates `Problem::standardize` for the reduced
 //! formulation **exactly** (same columns, same coefficient placement, same
-//! fixed-variable substitution), so with warm starting off the solver is
-//! bit-identical to `solve_allocation` — property-tested in
-//! `tests/proptest_solver.rs`. The full formulation has per-request
-//! variable bounds woven through its standardization, so it is delegated
-//! to the stateless path unchanged.
+//! fixed-variable substitution), so the solver is bit-identical to
+//! `solve_allocation` — property-tested in `tests/proptest_solver.rs`.
+//! The full formulation has per-request variable bounds woven through its
+//! standardization, so it is delegated to the stateless path unchanged.
 //!
 //! `allocate_up_to` here is **single-solve**: the reachable capacity is
 //! already computed for the admission check, so best-effort placement
 //! clamps the demand to it and solves once, instead of the trait default's
-//! solve → catch `InsufficientCapacity` → re-solve round trip. The old
-//! two-solve behaviour stays available behind
-//! [`AllocationSolver::set_two_solve_best_effort`] and is property-tested
-//! equivalent.
+//! solve → catch `InsufficientCapacity` → re-solve round trip, which it is
+//! property-tested equivalent to.
 
 use crate::admission::{admission_bound, exceeds_bound};
 use crate::error::SchedError;
@@ -78,13 +74,10 @@ pub struct SolverStats {
     /// Total LP solves performed.
     pub solves: u64,
     /// Entitlement-bound vector computations (`n` saturated-inflow
-    /// evaluations each); the legacy two-solve best-effort path performs
-    /// two per over-capacity request.
+    /// evaluations each): one per request, over capacity or not.
     pub bound_builds: u64,
     /// Skeleton (re)builds — steady state is 1 per flow/requester change.
     pub skeleton_rebuilds: u64,
-    /// Solves that resumed from a saved basis instead of running phase 1.
-    pub warm_hits: u64,
 }
 
 /// A reusable allocation solver (see module docs).
@@ -99,7 +92,6 @@ pub struct AllocationSolver {
     skeleton: Option<Skeleton>,
     /// Entitlement bound scratch, recomputed per request.
     bound: Vec<f64>,
-    two_solve_best_effort: bool,
     stats: SolverStats,
     /// Telemetry plane; disabled (no-op) by default.
     telemetry: Telemetry,
@@ -114,7 +106,6 @@ impl AllocationSolver {
             ws: SimplexWorkspace::new(),
             skeleton: None,
             bound: Vec::new(),
-            two_solve_best_effort: false,
             stats: SolverStats::default(),
             telemetry: Telemetry::default(),
         }
@@ -123,28 +114,6 @@ impl AllocationSolver {
     /// The production configuration: reduced formulation, default simplex.
     pub fn reduced() -> Self {
         Self::new(Formulation::Reduced, SimplexOptions::default())
-    }
-
-    /// Enable warm starting across same-shaped solves. Off by default;
-    /// results then agree with the cold path to solver tolerance instead
-    /// of bit-for-bit.
-    pub fn set_warm_start(&mut self, on: bool) {
-        self.ws.set_warm_start(on);
-    }
-
-    /// Drop any saved basis so the next solve runs cold; the warm-start
-    /// *setting* itself is unchanged. Drivers call this between
-    /// independent runs so a replay never inherits acceleration state
-    /// from the previous one and stays bit-reproducible.
-    pub fn invalidate_warm_start(&mut self) {
-        self.ws.invalidate_warm_start();
-    }
-
-    /// Revert `allocate_up_to` to the legacy two-solve behaviour
-    /// (allocate, catch `InsufficientCapacity`, retry at the reachable
-    /// amount). Kept for equivalence testing and A/B measurement.
-    pub fn set_two_solve_best_effort(&mut self, on: bool) {
-        self.two_solve_best_effort = on;
     }
 
     /// The formulation this solver uses.
@@ -159,14 +128,9 @@ impl AllocationSolver {
         self.telemetry = telemetry;
     }
 
-    /// Usage counters (solves, skeleton rebuilds, warm-start hits).
+    /// Usage counters (solves, bound builds, skeleton rebuilds).
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// Whether the most recent LP solve warm-started.
-    pub fn last_solve_was_warm(&self) -> bool {
-        self.ws.last_solve_was_warm()
     }
 
     /// Place exactly `x` units for `requester`; errs with
@@ -182,22 +146,13 @@ impl AllocationSolver {
     }
 
     /// Best-effort placement: serve `min(x, reachable)` in a single LP
-    /// solve (or the legacy two solves when the flag is set).
+    /// solve.
     pub fn allocate_up_to(
         &mut self,
         state: &SystemState,
         requester: usize,
         x: f64,
     ) -> Result<Allocation, SchedError> {
-        if self.two_solve_best_effort {
-            return match self.allocate(state, requester, x) {
-                Ok(a) => Ok(a),
-                Err(SchedError::InsufficientCapacity { capacity, .. }) => {
-                    self.allocate(state, requester, capacity.max(0.0).min(x))
-                }
-                Err(e) => Err(e),
-            };
-        }
         self.place(state, requester, x, true)
     }
 
@@ -273,11 +228,6 @@ impl AllocationSolver {
         let n = state.n();
         if !self.skeleton_is_current(state, a) {
             self.rebuild_skeleton(state, a);
-            // A rebuilt skeleton is a different model (the requester, the
-            // zero-bound pattern, or a flow coefficient moved); a basis
-            // saved for the old model must not seed the new one, even if
-            // the matrix dimensions happen to coincide.
-            self.ws.invalidate_warm_start();
         }
         let sk = self.skeleton.as_mut().expect("skeleton just ensured");
         sk.b[0] = x;
@@ -295,9 +245,6 @@ impl AllocationSolver {
             sk.num_structural,
             &self.opts,
         )?;
-        if self.ws.last_solve_was_warm() {
-            self.stats.warm_hits += 1;
-        }
         let draws = (0..n).map(|i| sk.col_of[i].map_or(0.0, |col| sol.x[col])).collect();
         Ok((draws, sol.objective))
     }
@@ -335,8 +282,8 @@ impl AllocationSolver {
         true
     }
 
-    /// Build the standard form that `Problem::standardize` (native bound
-    /// mode) produces for `lp_model::solve_reduced`, reusing buffers.
+    /// Build the standard form that `Problem::standardize` produces for
+    /// `lp_model::solve_reduced`, reusing buffers.
     ///
     /// Column layout: one column per draw variable with a positive bound
     /// (ascending principal order), then θ, then one slack per drop
@@ -535,28 +482,6 @@ mod tests {
         solver.allocate(&st2, 0, 1.0).unwrap();
         assert!(!std::sync::Arc::ptr_eq(&st.flow, &st2.flow));
         assert_eq!(solver.stats().skeleton_rebuilds, 1, "fallback adopts the new Arc");
-    }
-
-    #[test]
-    fn warm_start_matches_cold_results() {
-        let mut cold = AllocationSolver::reduced();
-        let mut warm = AllocationSolver::reduced();
-        warm.set_warm_start(true);
-        let mut cold_state = mk_state(3, &[(1, 0, 0.6), (2, 0, 0.6)], vec![4.0, 20.0, 20.0], 1);
-        let mut warm_state = cold_state.clone();
-        for step in 0..12 {
-            let x = 0.7 + 0.3 * (step % 4) as f64;
-            let ca = cold.allocate(&cold_state, 0, x).unwrap();
-            let wa = warm.allocate(&warm_state, 0, x).unwrap();
-            assert!((ca.theta - wa.theta).abs() < 1e-9, "theta at step {step}");
-            for (d1, d2) in ca.draws.iter().zip(&wa.draws) {
-                assert!((d1 - d2).abs() < 1e-7, "draws at step {step}");
-            }
-            cold_state.apply(&ca).unwrap();
-            warm_state.apply(&wa).unwrap();
-        }
-        assert!(warm.stats().warm_hits > 5, "warm hits: {}", warm.stats().warm_hits);
-        assert_eq!(cold.stats().warm_hits, 0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Equivalence of the stateful [`AllocationSolver`] and the stateless
 //! `solve_allocation` path, on randomized systems and request sequences:
 //!
-//! * cached skeleton + workspace (warm start off) is **bit-identical** to
-//!   the stateless path,
-//! * warm starting agrees to solver tolerance,
+//! * cached skeleton + workspace is **bit-identical** to the stateless
+//!   path,
 //! * single-solve `allocate_up_to` matches the trait-default two-solve
 //!   path over the stateless `LpPolicy`.
 
@@ -77,8 +76,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Over a whole request sequence with state evolution, the cached
-    /// solver (warm start off) returns exactly what the stateless path
-    /// returns — same draws, same theta, same errors.
+    /// solver returns exactly what the stateless path returns — same
+    /// draws, same theta, same errors.
     #[test]
     fn cached_solver_is_bit_identical(sc in arb_scenario()) {
         let mut state = build_state(&sc);
@@ -110,44 +109,6 @@ proptest! {
                     )))
                 }
             }
-        }
-    }
-
-    /// Warm starting never changes what is found, only how: theta and
-    /// draws agree with the stateless path to solver tolerance across the
-    /// sequence.
-    #[test]
-    fn warm_start_agrees_with_stateless(sc in arb_scenario()) {
-        let mut state = build_state(&sc);
-        let mut solver = AllocationSolver::reduced();
-        solver.set_warm_start(true);
-        let opts = SimplexOptions::default();
-        for &frac in &sc.fracs {
-            let x = reachable(&state, sc.requester) * frac.min(0.99);
-            if x <= 1e-6 {
-                continue;
-            }
-            let sl = solve_allocation(&state, sc.requester, x, Formulation::Reduced, &opts)
-                .map_err(|e| TestCaseError::fail(format!("stateless: {e}")))?;
-            let ca = solver
-                .allocate(&state, sc.requester, x)
-                .map_err(|e| TestCaseError::fail(format!("cached: {e}")))?;
-            prop_assert!(
-                (sl.theta - ca.theta).abs() < 1e-7 * (1.0 + sl.theta.abs()),
-                "theta {} vs {}",
-                sl.theta,
-                ca.theta
-            );
-            let sum: f64 = ca.draws.iter().sum();
-            prop_assert!((sum - ca.amount).abs() < 1e-6);
-            for (i, &d) in ca.draws.iter().enumerate() {
-                prop_assert!(d >= 0.0);
-                prop_assert!(
-                    d <= state.availability[i] + 1e-6,
-                    "draw {d} from {i} exceeds availability"
-                );
-            }
-            state.apply(&ca).map_err(|e| TestCaseError::fail(format!("{e}")))?;
         }
     }
 
