@@ -620,6 +620,14 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
                     spec.n
                 )));
             }
+            // The journal's first snapshot carries these, and the GRM
+            // drops a report that is not a finite, non-negative amount.
+            if let Some((i, x)) = v.iter().enumerate().find(|(_, x)| !(x.is_finite() && **x >= 0.0))
+            {
+                return Err(CliError::Domain(format!(
+                    "--avail entry {i} is {x}: an availability is a finite, non-negative amount"
+                )));
+            }
             v
         }
         None => vec![0.0; spec.n],
@@ -1074,6 +1082,36 @@ mod tests {
             run(&["economy", "value", "--file", "/nonexistent/x.json"]),
             Err(CliError::Io(_))
         ));
+    }
+
+    #[test]
+    fn serve_rejects_non_finite_or_negative_avail() {
+        let scenario = write_scenario();
+        let journal = tmp("journal");
+        let sock = std::env::temp_dir().join(format!("avail-{}.sock", std::process::id()));
+        for (avail, entry) in [("4,NaN,4", 1), ("inf,4,4", 0), ("4,4,-3", 2), ("4,-inf,4", 1)] {
+            let _ = std::fs::remove_dir_all(&journal);
+            let args = [
+                "serve",
+                "--scenario",
+                scenario.to_str().unwrap(),
+                "--journal",
+                journal.to_str().unwrap(),
+                "--socket",
+                sock.to_str().unwrap(),
+                "--avail",
+                avail,
+                "--duration",
+                "0.1",
+            ];
+            match run(&args) {
+                Err(CliError::Domain(msg)) => {
+                    assert!(msg.contains(&format!("--avail entry {entry} ")), "{avail}: {msg}")
+                }
+                other => panic!("--avail {avail} was accepted: {other:?}"),
+            }
+            assert!(!journal.exists(), "--avail {avail}: a journal was created");
+        }
     }
 
     #[test]

@@ -827,7 +827,7 @@ fn drive_window(
                 // Tear the connection down so `admit`'s generation
                 // resync re-issues the whole window ascending on a
                 // fresh one; already-executed seqs replay Stale from
-                // the dedup mirror.
+                // the dedup window.
                 client.disconnect();
                 std::thread::sleep(Duration::from_millis(20));
                 win.admit(seq, ev, started, true);

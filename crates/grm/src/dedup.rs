@@ -3,7 +3,7 @@
 //!
 //! One type serves both holders of that memory — the live server (which
 //! answers a duplicated or retried call from it) and the durable
-//! journal's recovery mirror (which rebuilds it to seed a respawned
+//! journal's recovery fold (which rebuilds it to seed a respawned
 //! server) — so the duplicate check, the insert and the eviction cannot
 //! drift apart between the two.
 

@@ -22,8 +22,9 @@ use agreements_sched::{
 };
 use agreements_telemetry::{Telemetry, TelemetryEvent};
 
-/// What the serve loop asks of its decision engine.
-pub(crate) trait Engine {
+/// What the serve loop asks of its decision engine. `Send`: the core
+/// that owns it is shared beyond the serve thread ([`crate::GrmCore`]).
+pub(crate) trait Engine: Send {
     /// Number of principals.
     fn n(&self) -> usize;
 

@@ -14,7 +14,8 @@
 //!   owning the agreement flow table and the last-reported availability
 //!   of every LRM; clients talk to it through a cloneable
 //!   [`server::GrmHandle`] over crossbeam channels (agreement management,
-//!   availability reports, allocation RPCs).
+//!   availability reports, allocation RPCs); the network listener runs
+//!   calls on its core directly, under the same lock ([`server::GrmCore`]).
 //! - [`lrm::Lrm`] owns an actual local resource pool and fulfils the
 //!   GRM's reservation directives, reporting availability after every
 //!   local change. When the GRM is unreachable it degrades to
@@ -26,7 +27,7 @@
 //!   idempotent retries (client-generated [`server::RequestId`]s against
 //!   the server's dedup window), and capped, jittered backoff.
 //! - [`dedup::DedupWindow`] is that dedup window: one type for the live
-//!   server and for the durable journal's recovery mirror.
+//!   server and for the durable journal's recovery fold.
 //!
 //! A crashed GRM is replaced by a cold standby spawned from the
 //! agreement matrix, with availability restored from LRM re-reports;
@@ -58,5 +59,6 @@ pub use multilevel::TwoLevelGrm;
 pub use policy_adapter::GrmBackedPolicy;
 pub use resilient::{ResilientGrmClient, RetryPolicy};
 pub use server::{
-    GrmClient, GrmError, GrmHandle, GrmServer, GrmStats, RecordedDecision, RequestId,
+    Answer, Call, GrmClient, GrmCore, GrmError, GrmHandle, GrmServer, GrmStats, RecordedDecision,
+    RequestId,
 };

@@ -110,24 +110,13 @@ pub enum DecisionBody {
     },
     /// A multi-resource allocation decision. Recovery seeds the dedup
     /// window from it (retries straddling a crash replay the original
-    /// decision) but folds no pool effect: the recovery mirror's
-    /// availability is single-lane, and multi-lane pools are soft state
-    /// rebuilt by the first `ReportMulti` round after a respawn.
+    /// decision) but folds no pool effect: the recovered availability
+    /// is single-lane, and multi-lane pools are soft state rebuilt by the
+    /// first `ReportMulti` round after a respawn.
     GrantMulti(Result<MultiAllocation, GrmError>),
 }
 
 impl DecisionBody {
-    /// The error this decision carries, if it is a denial.
-    pub(crate) fn error(&self) -> Option<&GrmError> {
-        match self {
-            DecisionBody::Grant(r) => r.as_ref().err(),
-            DecisionBody::GrantMulti(r) => r.as_ref().err(),
-            DecisionBody::Release { result, .. } | DecisionBody::Replay { result, .. } => {
-                result.as_ref().err()
-            }
-        }
-    }
-
     /// The dedup-window form of this decision.
     pub fn to_recorded(&self) -> RecordedDecision {
         match self {
@@ -471,7 +460,8 @@ impl RecoveredState {
                 // A decision whose id is already in the window is a
                 // duplicate the server answered from cache: its pool
                 // effect already happened and must not be re-applied.
-                if !self.is_duplicate(rec) {
+                // (The listener journals none; an older journal may.)
+                if id.is_none_or(|id| self.dedup.get(&id).is_none()) {
                     match body {
                         DecisionBody::Grant(Ok(alloc)) => {
                             for (v, d) in self.availability.iter_mut().zip(&alloc.draws) {
@@ -494,14 +484,6 @@ impl RecoveredState {
             }
         }
         self.records += 1;
-    }
-
-    /// Is `rec` a decision whose id is already in the window — one the
-    /// server answered from cache? The listener skips journaling these:
-    /// replaying one would fold no pool effect anyway, and the journal
-    /// stays one record per settled id.
-    pub(crate) fn is_duplicate(&self, rec: &JournalRecord) -> bool {
-        matches!(rec, JournalRecord::Decision { id: Some(id), .. } if self.dedup.get(id).is_some())
     }
 
     fn bump_seq(&mut self, seq: Option<u64>) {

@@ -1,9 +1,8 @@
-//! In-crate tests of the listener's internals: the commit-turn guard,
-//! and the fail-stop journal (which needs the `#[cfg(test)]` hook that
-//! breaks the segment handle under a live listener).
+//! In-crate tests of the listener's internals: the fail-stop journal
+//! (which needs the `#[cfg(test)]` hook that breaks the segment handle
+//! under a live listener), connection reaping and undecodable frames.
 
 use std::path::PathBuf;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use agreements_flow::AgreementMatrix;
@@ -12,40 +11,6 @@ use agreements_telemetry::Telemetry;
 
 use super::*;
 use crate::NetGrmClient;
-
-fn take(turns: &Turns) -> Turn<'_> {
-    let mut next = turns.submit.lock();
-    *next += 1;
-    Turn { turns, ticket: *next - 1 }
-}
-
-#[test]
-fn an_abandoned_turn_passes_on_in_order() {
-    let turns = Turns::default();
-    let (first, second, third) = (take(&turns), take(&turns), take(&turns));
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|s| {
-        // The third run is ready to commit; the second's connection dies
-        // (its guard drops) while the first has not committed yet.
-        let waiter = tx.clone();
-        s.spawn(move || {
-            drop(third.wait());
-            waiter.send("third").unwrap();
-        });
-        s.spawn(move || {
-            drop(second);
-            tx.send("second").unwrap();
-        });
-        // Neither can get past the first turn, abandoned or not …
-        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
-        // … and once it passes, the dead run's turn passes with it.
-        drop(first);
-        let mut order = [rx.recv().unwrap(), rx.recv().unwrap()];
-        order.sort_unstable();
-        assert_eq!(order, ["second", "third"]);
-    });
-    assert_eq!(*turns.serving.lock().unwrap(), 3);
-}
 
 fn complete(n: usize, share: f64) -> AgreementMatrix {
     let mut m = AgreementMatrix::zeros(n);
@@ -62,6 +27,10 @@ fn complete(n: usize, share: f64) -> AgreementMatrix {
 /// A listener on `<dir>/grm.sock` over a fresh three-principal journal in
 /// `<dir>/journal`, under a scratch directory of this process.
 fn listen(policy: FsyncPolicy, tag: &str) -> (PathBuf, GrmListener) {
+    listen_with(policy, tag, ListenerConfig::default())
+}
+
+fn listen_with(policy: FsyncPolicy, tag: &str, config: ListenerConfig) -> (PathBuf, GrmListener) {
     let dir = std::env::temp_dir().join(format!("agreements-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -76,14 +45,8 @@ fn listen(policy: FsyncPolicy, tag: &str) -> (PathBuf, GrmListener) {
         DurableJournal::open_or_create(&dir.join("journal"), fresh, policy, Telemetry::disabled())
             .unwrap();
     let server = state.respawn().unwrap();
-    let listener = GrmListener::bind_uds(
-        &dir.join("grm.sock"),
-        server,
-        journal,
-        state,
-        ListenerConfig::default(),
-    )
-    .unwrap();
+    let listener =
+        GrmListener::bind_uds(&dir.join("grm.sock"), server, journal, state, config).unwrap();
     (dir, listener)
 }
 
@@ -104,11 +67,10 @@ fn fail_stop(policy: FsyncPolicy, tag: &str) {
     for rx in window(0) {
         rx.recv().unwrap().expect("acknowledged grant");
     }
-    let acknowledged = listener.mirror();
-    assert_eq!(acknowledged.records, 1 + 24);
+    let acknowledged = listener.mirror_snapshot();
 
     // The disk goes read-only under the running listener.
-    listener.shared.journal.lock().0.break_writes();
+    listener.shared.log.lock().journal.break_writes();
     let mut refused = 0;
     for rx in window(1000) {
         // Every reply at or after the failure is an error — JOURNAL_DOWN,
@@ -133,10 +95,10 @@ fn fail_stop(policy: FsyncPolicy, tag: &str) {
 
     // Reopening recovers exactly the acknowledged prefix.
     let (_, recovered) = DurableJournal::open(&journal_dir, policy, Telemetry::disabled()).unwrap();
-    assert_eq!(recovered.records, acknowledged.records);
+    assert_eq!(recovered.records, 1 + 24);
     assert_eq!(recovered.truncated_bytes, 0);
     assert_eq!(recovered.availability, acknowledged.availability);
-    assert_eq!(recovered.dedup, acknowledged.dedup);
+    assert_eq!(recovered.snapshot().dedup, acknowledged.dedup);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -186,7 +148,8 @@ fn an_undecodable_frame_is_counted_and_skipped() {
     use crate::frame::encode_frame;
     use std::io::{Read, Write};
     let (dir, listener) = listen(FsyncPolicy::EveryOp, "undecodable");
-    let records = listener.mirror().records;
+    let appended = || listener.shared.log.lock().journal.appended_lsn();
+    let records = appended();
 
     // One write: a frame whose CRC holds but whose payload is no request,
     // then a valid read on the same connection.
@@ -210,8 +173,29 @@ fn an_undecodable_frame_is_counted_and_skipped() {
     };
     assert_eq!(reply, ResponseFrame { corr: 42, resp: WireResponse::Availability(vec![100.0; 3]) });
     assert_eq!(listener.undecodable_frames(), 1);
-    assert_eq!(listener.mirror().records, records, "nothing journaled for either frame");
+    assert_eq!(appended(), records, "nothing journaled for either frame");
     drop(stream);
     listener.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_compaction_snapshot_carries_the_replay_cursor_past_its_run() {
+    // Every sequenced report crosses the compaction threshold, so each
+    // snapshot is taken by the run whose record it must already count.
+    let config = ListenerConfig { sequenced: true, compact_every: 2, ..ListenerConfig::default() };
+    let (dir, listener) = listen_with(FsyncPolicy::EveryOp, "seqcompact", config);
+    let client = NetGrmClient::uds(&dir.join("grm.sock"));
+    for seq in 0..6 {
+        client.report_seq(seq, (seq % 3) as usize, 50.0 + seq as f64).unwrap();
+    }
+    drop(client);
+    listener.shutdown();
+    let (journal, recovered) =
+        DurableJournal::open(&dir.join("journal"), FsyncPolicy::EveryOp, Telemetry::disabled())
+            .unwrap();
+    assert!(journal.segment_index() >= 2, "the journal compacted");
+    assert_eq!(recovered.next_seq, 6, "a retry of event 5 must be stale after a restart");
+    assert_eq!(recovered.availability, vec![53.0, 54.0, 55.0]);
     let _ = std::fs::remove_dir_all(&dir);
 }

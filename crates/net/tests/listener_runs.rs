@@ -5,8 +5,12 @@
 //!   bit-identical replies per correlation id, equal recovered state.
 //! - Racing connections: the journal's order is the order the GRM
 //!   executed, so the reopened journal folds to the live GRM's
-//!   availability bit for bit, its records add up to the GRM's own
-//!   counters, and no `RequestId` settles twice.
+//!   availability and dedup window bit for bit, the GRM's counters are
+//!   the clients' books, and no `RequestId` settles twice — also with
+//!   compactions landing mid-race.
+//! - Only what the core applied is journaled: a dropped report is not
+//!   folded on recovery.
+//! - The reports a respawn seeds land before the first run.
 //! - A pipelined window reaches a hierarchical engine as a batch.
 //! - A connection that vanishes mid-window does not stall the others.
 
@@ -63,9 +67,13 @@ fn open_journal(dir: &Path, policy: FsyncPolicy) -> (DurableJournal, RecoveredSt
 }
 
 fn daemon(dir: &Path, policy: FsyncPolicy) -> GrmListener {
+    daemon_with(dir, policy, 0)
+}
+
+fn daemon_with(dir: &Path, policy: FsyncPolicy, compact_every: u64) -> GrmListener {
     let (journal, state) = open_journal(dir, policy);
     let server = state.respawn().unwrap();
-    let config = ListenerConfig { compact_every: 0, ..ListenerConfig::default() };
+    let config = ListenerConfig { compact_every, ..ListenerConfig::default() };
     GrmListener::bind_uds(&dir.join("grm.sock"), server, journal, state, config).unwrap()
 }
 
@@ -129,9 +137,16 @@ fn report(corr: u64, lrm: u64, available: f64) -> RequestFrame {
     RequestFrame { corr, replay_seq: None, req: WireRequest::Report { lrm, available } }
 }
 
-/// Every record of a (never compacted) journal, in order.
-fn journal_records(dir: &Path) -> Vec<JournalRecord> {
-    let bytes = std::fs::read(dir.join("journal").join("segment-000000.log")).unwrap();
+/// The newest segment of a journal: its snapshot, then every record
+/// after it, in order (for a never compacted journal, the whole history).
+fn newest_segment(dir: &Path) -> (Snapshot, Vec<JournalRecord>) {
+    let newest = std::fs::read_dir(dir.join("journal"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "log"))
+        .max()
+        .expect("a segment");
+    let bytes = std::fs::read(newest).unwrap();
     let mut dec = FrameDecoder::limited(MAX_JOURNAL_FRAME_LEN);
     dec.push(&bytes);
     let mut out = Vec::new();
@@ -139,7 +154,10 @@ fn journal_records(dir: &Path) -> Vec<JournalRecord> {
         out.push(JournalRecord::decode(&payload).unwrap());
     }
     assert_eq!(dec.pending(), 0, "journal ends on a record boundary");
-    out
+    let JournalRecord::Snapshot(snapshot) = out.remove(0) else {
+        panic!("a segment opens with a snapshot");
+    };
+    (snapshot, out)
 }
 
 fn assert_states_equal(got: &RecoveredState, want: &RecoveredState) {
@@ -228,9 +246,19 @@ fn deep_windows_and_round_trips_are_the_same_computation() {
     assert_states_equal(&windowed, &serial);
 }
 
-fn racing_connections(conns: u64) {
-    let dir = scratch(&format!("runs-race{conns}"));
-    let listener = daemon(&dir, FsyncPolicy::Batched { max_pending: 32 });
+/// What one racing connection sent and saw.
+#[derive(Default)]
+struct Books {
+    reports: u64,
+    /// Requests under an id not used before, and how many were granted.
+    first_issues: u64,
+    grants: u64,
+    reissues: u64,
+}
+
+fn racing_connections(conns: u64, compact_every: u64) {
+    let dir = scratch(&format!("runs-race{conns}-{compact_every}"));
+    let listener = daemon_with(&dir, FsyncPolicy::Batched { max_pending: 32 }, compact_every);
     let (windows, width) = (6u64, 64u64);
     let drivers: Vec<_> = (0..conns)
         .map(|c| {
@@ -238,67 +266,124 @@ fn racing_connections(conns: u64) {
             std::thread::spawn(move || {
                 let mut conn = Raw::connect(&dir);
                 let mut rng = Lcg(0xace0_0000 + c);
-                let mut reissues = 0u64;
+                let mut books = Books::default();
+                let mut decided: HashMap<RequestId, WireResponse> = HashMap::new();
+                let mut previous: Vec<RequestFrame> = Vec::new();
                 for w in 0..windows {
                     let mut frames: Vec<RequestFrame> = Vec::new();
                     for k in 0..width {
                         let seq = w * width + k;
                         let id = RequestId { client: c + 1, seq };
+                        let reissue = |of: &RequestFrame| RequestFrame { corr: seq, ..of.clone() };
                         frames.push(match k % 8 {
                             0 | 1 => report(seq, rng.next(N as u64), 25.0 + rng.next(20) as f64),
                             // Re-issue the request two frames back: same run
                             // or the run before, either way answered once.
-                            5 => {
-                                reissues += 1;
-                                let RequestFrame { req, .. } = frames[k as usize - 2].clone();
-                                RequestFrame { corr: seq, replay_seq: None, req }
-                            }
+                            5 => reissue(&frames[k as usize - 2]),
+                            // Re-issue the previous window's last request: an
+                            // earlier run, and under compaction often one
+                            // behind a snapshot.
+                            6 if k == 6 && w > 0 => reissue(&previous[62]),
                             _ => request(seq, rng.next(N as u64), 0.5 + rng.next(8) as f64, id),
                         });
                     }
                     conn.send(&frames);
-                    assert_eq!(conn.recv(frames.len()).len(), frames.len());
+                    let replies = conn.recv(frames.len());
+                    assert_eq!(replies.len(), frames.len());
+                    for (frame, reply) in frames.iter().zip(replies) {
+                        assert_eq!(reply.corr, frame.corr);
+                        let WireRequest::Request { req_id: Some(id), .. } = frame.req else {
+                            books.reports += 1;
+                            continue;
+                        };
+                        match decided.get(&id) {
+                            Some(original) => {
+                                books.reissues += 1;
+                                let bytes = |resp: &WireResponse| {
+                                    ResponseFrame { corr: 0, resp: resp.clone() }.encode()
+                                };
+                                assert_eq!(
+                                    bytes(&reply.resp),
+                                    bytes(original),
+                                    "{id:?} re-decided"
+                                );
+                            }
+                            None => {
+                                books.first_issues += 1;
+                                books.grants +=
+                                    u64::from(matches!(reply.resp, WireResponse::Grant(Ok(_))));
+                                decided.insert(id, reply.resp);
+                            }
+                        }
+                    }
+                    previous = frames;
                 }
-                reissues
+                books
             })
         })
         .collect();
-    let reissues: u64 = drivers.into_iter().map(|d| d.join().unwrap()).sum();
+    let mut books = Books::default();
+    for driver in drivers {
+        let b = driver.join().unwrap();
+        books.reports += b.reports;
+        books.first_issues += b.first_issues;
+        books.grants += b.grants;
+        books.reissues += b.reissues;
+    }
+    let journaled = conns * windows * width - books.reissues;
 
-    // Group commit groups. Every connection ends on a request, whose reply
-    // waits for its record to be durable, so with every reply in the
-    // syncer has retired every journaled record (a re-issue journals
-    // nothing) — in fewer fsyncs than records. It publishes its counters
-    // just after releasing the replies, hence the bounded wait.
-    let journaled = conns * windows * width - reissues;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let (fsyncs, synced) = loop {
-        let stats = listener.group_commit_stats();
-        if stats.1 >= journaled || Instant::now() >= deadline {
-            break stats;
-        }
-        std::thread::yield_now();
-    };
-    assert!(fsyncs >= 1, "no group fsync under FsyncPolicy::Batched");
-    assert_eq!(synced, journaled, "group fsyncs cover exactly the journaled records");
-    assert!(fsyncs < synced, "{fsyncs} fsyncs for {synced} records: nothing was grouped");
+    if compact_every == 0 {
+        // Group commit groups. Every connection ends on a request, whose
+        // reply waits for its record to be durable, so with every reply
+        // in the syncer has retired every journaled record (a re-issue
+        // journals nothing) — in fewer fsyncs than records. It publishes
+        // its counters just after releasing the replies, hence the
+        // bounded wait. (A compaction syncs inline and adds a snapshot
+        // record, so only the uncompacted run counts exactly.)
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let (fsyncs, synced) = loop {
+            let stats = listener.group_commit_stats();
+            if stats.1 >= journaled || Instant::now() >= deadline {
+                break stats;
+            }
+            std::thread::yield_now();
+        };
+        assert!(fsyncs >= 1, "no group fsync under FsyncPolicy::Batched");
+        assert_eq!(synced, journaled, "group fsyncs cover exactly the journaled records");
+        assert!(fsyncs < synced, "{fsyncs} fsyncs for {synced} records: nothing was grouped");
+    }
 
     let h = listener.handle();
     let live = h.availability().unwrap();
     let stats = h.stats().unwrap();
+    let live_window = listener.mirror_snapshot().dedup;
     listener.shutdown();
 
+    // The daemon's counters are the clients' books. `respawn` seeds the
+    // pools with one report per principal.
+    assert_eq!(stats.reports, books.reports + N as u64);
+    assert_eq!(stats.requests, books.first_issues);
+    assert_eq!(stats.granted, books.grants);
+    assert_eq!(stats.duplicate_requests, books.reissues);
+
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let (_, recovered) = open_journal(&dir, FsyncPolicy::EveryOp);
+    let (journal, recovered) = open_journal(&dir, FsyncPolicy::EveryOp);
     assert_eq!(
         bits(&recovered.availability),
         bits(&live),
         "the journal folds to the live pools only if it is in execution order"
     );
+    assert_eq!(recovered.snapshot().dedup, live_window, "the folded dedup window is the live one");
 
+    // No id settles twice: not within the live segment, and not in it
+    // again after a snapshot already holds it.
+    let (snapshot, records) = newest_segment(&dir);
     let (mut reports, mut requests, mut granted, mut units) = (0u64, 0u64, 0u64, 0.0f64);
     let mut settled: HashMap<RequestId, u32> = HashMap::new();
-    for rec in journal_records(&dir) {
+    for (id, _) in &snapshot.dedup {
+        settled.insert(*id, 1);
+    }
+    for rec in records {
         match rec {
             JournalRecord::Report { .. } => reports += 1,
             JournalRecord::Decision { id, body: DecisionBody::Grant(res), .. } => {
@@ -313,23 +398,85 @@ fn racing_connections(conns: u64) {
         }
     }
     assert!(settled.values().all(|&times| times == 1), "a RequestId settled twice");
-    // `respawn` seeds the pools with one report per principal.
-    assert_eq!(stats.reports, reports + N as u64);
-    assert_eq!(stats.requests, requests);
-    assert_eq!(stats.granted, granted);
-    assert_eq!(stats.duplicate_requests, reissues);
-    assert!((stats.granted_units - units).abs() <= 1e-9 * units.max(1.0));
-    assert_eq!(requests + reissues + reports, conns * windows * width);
+    if compact_every == 0 {
+        // The whole history is one segment: it adds up to the counters.
+        assert_eq!(stats.reports, reports + N as u64);
+        assert_eq!(stats.requests, requests);
+        assert_eq!(stats.granted, granted);
+        assert!((stats.granted_units - units).abs() <= 1e-9 * units.max(1.0));
+        assert_eq!(requests + books.reissues + reports, conns * windows * width);
+    } else {
+        let compactions = journal.segment_index();
+        assert!(compactions >= 4, "only {compactions} compactions: the race never straddled one");
+    }
 }
 
 #[test]
 fn two_racing_connections_journal_in_execution_order() {
-    racing_connections(2);
+    racing_connections(2, 0);
 }
 
 #[test]
 fn four_racing_connections_journal_in_execution_order() {
-    racing_connections(4);
+    racing_connections(4, 0);
+}
+
+#[test]
+fn racing_connections_compact_mid_race_without_losing_the_fold() {
+    racing_connections(2, 100);
+}
+
+/// Reports the core drops are acknowledged but neither journaled nor
+/// folded: the reopened journal holds what the live pools hold.
+#[test]
+fn dropped_reports_are_neither_journaled_nor_folded() {
+    let dir = scratch("runs-dropped");
+    let listener = daemon(&dir, FsyncPolicy::EveryOp);
+    let mut conn = Raw::connect(&dir);
+    let frames = [
+        report(0, 0, f64::NAN),
+        report(1, 1, -3.0),
+        report(2, 2, f64::INFINITY),
+        report(3, N as u64 + 5, 5.0),
+        request(4, 3, 1.0, RequestId { client: 1, seq: 1 }),
+    ];
+    conn.send(&frames);
+    let replies = conn.recv(frames.len());
+    for reply in &replies[..4] {
+        assert_eq!(reply.resp, WireResponse::Unit(Ok(())), "a report is acknowledged");
+    }
+    assert!(matches!(replies[4].resp, WireResponse::Grant(Ok(_))), "{:?}", replies[4]);
+    let live = listener.handle().availability().unwrap();
+    assert_eq!(live, vec![40.0, 40.0, 40.0, 39.0]);
+    drop(conn);
+    listener.shutdown();
+
+    let (_, recovered) = open_journal(&dir, FsyncPolicy::EveryOp);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&recovered.availability), bits(&live), "{:?}", recovered.availability);
+    assert_eq!(recovered.records, 2, "the snapshot and the grant");
+}
+
+/// `respawn` seeds the pools with reports it does not wait for; with an
+/// empty dedup window nothing blocks behind them. The first run the
+/// listener executes on the core must not be overwritten by one of them
+/// landing later.
+#[test]
+fn seeding_reports_land_before_the_first_run() {
+    let dir = scratch("runs-seed");
+    let listener = daemon(&dir, FsyncPolicy::EveryOp);
+    let mut conn = Raw::connect(&dir);
+    conn.send(&[report(0, 0, 7.0), request(1, 0, 1.0, RequestId { client: 1, seq: 1 })]);
+    let replies = conn.recv(2);
+    let WireResponse::Grant(Ok(alloc)) = &replies[1].resp else {
+        panic!("{:?}", replies[1]);
+    };
+    let live = listener.handle().availability().unwrap();
+    let expected: Vec<f64> =
+        [7.0, 40.0, 40.0, 40.0].iter().zip(&alloc.draws).map(|(v, d)| (v - d).max(0.0)).collect();
+    assert_eq!(live, expected, "the reported pool survives the seeding");
+    drop(conn);
+    listener.shutdown();
 }
 
 #[test]
@@ -401,7 +548,7 @@ fn a_connection_dropped_mid_window_does_not_stall_the_others() {
     listener.shutdown();
     // Whatever the quitters' windows got to decide is in the journal once.
     let mut seen = std::collections::HashSet::new();
-    for rec in journal_records(&dir) {
+    for rec in newest_segment(&dir).1 {
         if let JournalRecord::Decision { id: Some(id), .. } = rec {
             assert!(seen.insert(id), "{id:?} journaled twice");
         }
