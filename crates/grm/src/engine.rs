@@ -1,26 +1,47 @@
 //! The decision engines behind the GRM serve loop (DESIGN.md §18).
 //!
-//! A server runs exactly one [`Engine`]. The shell in
-//! [`crate::server`] owns everything that is the same whichever engine
-//! decides — the lease clock, the books, the dedup window, telemetry —
-//! and an engine owns only the state it consults for a decision: its
-//! availability storage, its solver or admission front door and, for
-//! the flat engine alone, the incremental flow table.
+//! A server runs exactly one [`Engine`]: flat or hierarchical, each over
+//! k ≥ 1 resource lanes. A single-resource GRM is the one-lane case, a
+//! multi-resource GRM one lane per named resource; the agreements govern
+//! the principals, not any one resource (paper §3.2), so every lane is
+//! decided over the same agreement graph and a grant commits every lane
+//! or none. The shell in [`crate::server`] owns everything that is the
+//! same whichever engine decides — the lease clock, the books, the dedup
+//! window, telemetry, and the refusal of single-pool calls on more than
+//! one lane — and an engine owns only the state it consults for a
+//! decision: its per-lane availability, its solvers or admission front
+//! door and, for the flat engine alone, the incremental flow table.
 //!
-//! Every operation an engine does not implement answers
-//! [`GrmError::Unsupported`] from the trait's defaults. The defaults
-//! carry the multi-resource family's wording, because the two
-//! multi-resource engines are the ones that implement none of the
-//! single-pool calls and none of the membership ones; the hierarchical
-//! engine overrides three of them only to keep its own wording.
+//! The two engines differ only in how agreements are renegotiated: the
+//! flat engine edits principal agreements and membership, the
+//! hierarchical one edits inter-group agreements over a fixed partition.
+//! Each refuses the other's operations with [`GrmError::Unsupported`].
 
 use crate::server::{GrmError, GrmStats};
 use agreements_flow::{AgreementMatrix, IncrementalFlow};
 use agreements_sched::{
-    first_binding_resource, AdmissionRequest, Allocation, AllocationSolver, BatchedAdmission,
-    HierarchicalScheduler, MultiAdmission, MultiAllocation, MultiSolver, SchedError, SystemState,
+    first_binding_resource, Allocation, AllocationSolver, LaneGrant, LaneRequest, MultiAdmission,
+    MultiAllocation, SchedError, SystemState,
 };
 use agreements_telemetry::{Telemetry, TelemetryEvent};
+
+/// An in-range request of a run, as the core hands it to a batching
+/// engine: the requester and one amount per lane, borrowed from its call.
+#[derive(Clone, Copy)]
+pub(crate) struct Ask<'a> {
+    pub(crate) lrm: usize,
+    pub(crate) amounts: &'a [f64],
+}
+
+impl LaneRequest for Ask<'_> {
+    fn requester(&self) -> usize {
+        self.lrm
+    }
+
+    fn amounts(&self) -> &[f64] {
+        self.amounts
+    }
+}
 
 /// What the serve loop asks of its decision engine. `Send`: the core
 /// that owns it is shared beyond the serve thread ([`crate::GrmCore`]).
@@ -29,25 +50,14 @@ pub(crate) trait Engine: Send {
     fn n(&self) -> usize;
 
     /// Resource lanes: the length of a valid availability report.
-    fn lanes(&self) -> usize {
-        1
-    }
+    fn lanes(&self) -> usize;
 
-    /// Lane `lane` of the availability view, one entry per principal:
-    /// what a report writes and a lease expiry zeroes.
+    /// Lane `lane` of the availability view, one entry per principal.
+    fn lane(&self, lane: usize) -> &[f64];
+
+    /// Lane `lane` of the availability view, mutably: what a report
+    /// writes, a lease expiry zeroes and, on one lane, a release credits.
     fn lane_mut(&mut self, lane: usize) -> &mut [f64];
-
-    /// The engine's one pool: what a release credits, a degraded-mode
-    /// grant was drawn against and `availability()` shows. An engine
-    /// with a pool per resource has no such thing and refuses.
-    fn pool(&mut self, refusal: &'static str) -> Result<&mut [f64], GrmError> {
-        Err(GrmError::Unsupported(refusal))
-    }
-
-    /// The per-lane availability view (outer = lane, inner = principal).
-    fn availability_multi(&self) -> Result<Vec<Vec<f64>>, GrmError> {
-        Err(GrmError::Unsupported("availability_multi on a single-resource GRM"))
-    }
 
     /// `UnknownLrm` unless `lrm` indexes a principal.
     fn check(&self, lrm: usize) -> Result<(), GrmError> {
@@ -58,63 +68,53 @@ pub(crate) trait Engine: Send {
         }
     }
 
-    /// Decide a single-resource request and commit a grant's draws.
-    fn admit(&mut self, _lrm: usize, _amount: f64) -> Result<Allocation, GrmError> {
-        Err(GrmError::Unsupported(
-            "single-resource request on a multi-resource GRM; use request_multi",
-        ))
-    }
+    /// Decide a request on a one-lane engine and commit a grant's draws.
+    fn admit(&mut self, lrm: usize, amount: f64) -> Result<Allocation, GrmError>;
 
-    /// Decide a multi-resource request; a grant commits every lane or
-    /// none.
-    fn admit_multi(&mut self, _lrm: usize, _amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
-        Err(GrmError::Unsupported("multi-resource request on a single-resource GRM"))
-    }
+    /// Decide a request with one amount per lane; a grant commits every
+    /// lane or none.
+    fn admit_multi(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError>;
 
     /// Whether the serve loop should hand this engine each contiguous
-    /// run of drained requests as one [`Engine::admit_run`] batch.
+    /// run of requests as one [`Engine::admit_run`] (or
+    /// [`Engine::admit_run_multi`]) batch.
     fn batches(&self) -> bool {
         false
     }
 
+    /// Decide a run of in-range requests on a one-lane engine,
+    /// bit-identical to [`Engine::admit`] on each in order.
+    fn admit_run(&mut self, run: &[Ask]) -> Vec<Result<Allocation, GrmError>> {
+        run.iter().map(|ask| self.admit(ask.lrm, ask.amounts[0])).collect()
+    }
+
     /// Decide a run of in-range requests, bit-identical to
-    /// [`Engine::admit`] on each in order.
-    fn admit_run(&mut self, reqs: &[AdmissionRequest]) -> Vec<Result<Allocation, GrmError>> {
-        reqs.iter().map(|r| self.admit(r.requester, r.amount)).collect()
+    /// [`Engine::admit_multi`] on each in order.
+    fn admit_run_multi(&mut self, run: &[Ask]) -> Vec<Result<MultiAllocation, GrmError>> {
+        run.iter().map(|ask| self.admit_multi(ask.lrm, ask.amounts)).collect()
     }
 
     /// Set one agreement; returns the flow rows recomputed.
-    fn set_agreement(&mut self, _from: usize, _to: usize, _share: f64) -> Result<usize, GrmError> {
-        // A flat multi engine's lane states hold clones of the flow
-        // snapshot; renegotiation would have to republish into every
-        // lane atomically. Out of scope until someone needs it.
-        Err(GrmError::Unsupported("set_agreement on a multi-resource GRM"))
-    }
+    fn set_agreement(&mut self, from: usize, to: usize, share: f64) -> Result<usize, GrmError>;
 
     /// Admit a new principal; returns its index.
-    fn join(&mut self) -> Result<usize, GrmError> {
-        Err(GrmError::Unsupported("join on a multi-resource GRM (fixed membership)"))
-    }
+    fn join(&mut self) -> Result<usize, GrmError>;
 
-    /// Drop every agreement of `lrm` and zero its availability.
-    fn leave(&mut self, _lrm: usize) -> Result<(), GrmError> {
-        Err(GrmError::Unsupported("leave on a multi-resource GRM (fixed membership)"))
-    }
+    /// Drop every agreement of `lrm` and zero its availability in every
+    /// lane.
+    fn leave(&mut self, lrm: usize) -> Result<(), GrmError>;
 
     /// Renegotiate one inter-group agreement; returns the coarse flow
     /// rows recomputed.
-    fn set_inter(&mut self, _from: usize, _to: usize, _share: f64) -> Result<usize, GrmError> {
-        Err(GrmError::Unsupported("set_inter_group on a flat multi-resource GRM"))
-    }
+    fn set_inter(&mut self, from: usize, to: usize, share: f64) -> Result<usize, GrmError>;
 
     /// Fill in the [`GrmStats`] fields only an engine can count (its
     /// flow-row, fast-reject and executor-fallback totals).
-    fn publish(&self, _stats: &mut GrmStats) {}
+    fn publish(&self, stats: &mut GrmStats);
 }
 
-/// The guards the two flat engines run ahead of the solver, lane by
-/// lane in resource order (the single-resource engine is the one-lane
-/// case).
+/// The guards the flat engine runs ahead of the solvers, lane by lane in
+/// resource order.
 ///
 /// **Poisoned availability**: a non-finite or negative entry (e.g. a
 /// release with non-finite draws) must keep failing requests exactly
@@ -144,7 +144,7 @@ impl FastReject {
         states: &[SystemState],
         requester: usize,
         amounts: &[f64],
-        names: Option<&[&'static str]>,
+        names: &[&'static str],
     ) -> Result<(), GrmError> {
         if let Some(&bad) =
             states.iter().flat_map(|st| &st.availability).find(|v| !v.is_finite() || **v < 0.0)
@@ -155,7 +155,7 @@ impl FastReject {
             if let Some((lane, reachable)) =
                 first_binding_resource(states, requester, amounts, &mut self.bound)
             {
-                let (requested, resource) = (amounts[lane], names.map(|names| names[lane]));
+                let requested = amounts[lane];
                 self.count += 1;
                 self.telemetry.add("grm.fast_rejects", 1);
                 self.telemetry.record_with(|| TelemetryEvent::FastReject {
@@ -168,7 +168,7 @@ impl FastReject {
                     requester,
                     capacity: reachable,
                     requested,
-                    resource,
+                    resource: names.get(lane).copied(),
                 }));
             }
         }
@@ -176,93 +176,148 @@ impl FastReject {
     }
 }
 
-/// The flat LP engine. Three hot-path properties hold relative to a
+/// The flat LP engine: one warm solver per lane over one agreement
+/// graph. Three hot-path properties hold relative to a
 /// recompute-and-clone loop, none moving a grant decision by a bit:
 ///
 /// - **Incremental flow**: `set_agreement` repairs only the dirty rows
-///   of the flow table through [`IncrementalFlow`] (join/leave still
+///   of the one flow table through [`IncrementalFlow`] (join/leave still
 ///   full-recompute); the repaired table is bit-identical to a full
-///   recompute by construction.
-/// - **Zero-clone requests**: the [`SystemState`] is persistent — the
-///   flow snapshot is shared by `Arc` and the availability vector *is*
-///   the live view, so a request allocates nothing beyond the returned
-///   draw vector, and the solver's skeleton check is one pointer
-///   compare.
-/// - **Capacity fast-reject**: see [`FastReject`], run over the one lane.
+///   recompute by construction. Every lane's state shares the table's
+///   snapshot by `Arc`, republished after each edit.
+/// - **Zero-clone requests**: each lane's [`SystemState`] is persistent
+///   — the availability vector *is* the live view, so a request
+///   allocates nothing beyond the returned draw vectors, and each
+///   solver's skeleton check is one pointer compare.
+/// - **Capacity fast-reject**: see [`FastReject`].
 struct FlatEngine {
     incflow: IncrementalFlow,
-    /// Persistent request state: shared flow snapshot + live
+    /// Lane names, resource order; empty for the one unnamed lane of a
+    /// single-resource GRM, whose rejections carry no resource.
+    names: Vec<&'static str>,
+    /// Per lane: the shared flow snapshot and the lane's live
     /// availability (`absolute` stays `None` for the centralized GRM).
-    state: SystemState,
-    /// Persistent solver (cached skeleton + workspace); every grant is
-    /// bit-identical to the stateless LP policy, which is what the
-    /// adapter tests assert.
-    policy: AllocationSolver,
+    states: Vec<SystemState>,
+    /// Per lane: a persistent solver (cached skeleton + workspace); every
+    /// grant is bit-identical to the stateless LP policy, which is what
+    /// the adapter tests assert.
+    solvers: Vec<AllocationSolver>,
     fast: FastReject,
 }
 
-/// The flat LP engine over `agreements` at transitivity `level`.
+/// The flat LP engine over `agreements` at transitivity `level`, one lane
+/// per name (one unnamed lane when `names` is empty).
 pub(crate) fn flat(
+    names: Vec<&'static str>,
     agreements: AgreementMatrix,
     level: usize,
     telemetry: Telemetry,
 ) -> Box<dyn Engine> {
     let n = agreements.n();
+    let lanes = names.len().max(1);
     let mut incflow = IncrementalFlow::new(agreements, level);
     incflow.set_telemetry(telemetry.clone());
-    let state =
-        SystemState { flow: incflow.snapshot(), absolute: None, availability: vec![0.0; n] };
-    let mut policy = AllocationSolver::reduced();
-    policy.set_telemetry(telemetry.clone());
+    let flow = incflow.snapshot();
+    let states = (0..lanes)
+        .map(|_| SystemState { flow: flow.clone(), absolute: None, availability: vec![0.0; n] })
+        .collect();
+    let solvers = (0..lanes)
+        .map(|_| {
+            let mut solver = AllocationSolver::reduced();
+            solver.set_telemetry(telemetry.clone());
+            solver
+        })
+        .collect();
     Box::new(FlatEngine {
         incflow,
-        state,
-        policy,
+        names,
+        states,
+        solvers,
         fast: FastReject { telemetry, ..FastReject::default() },
     })
 }
 
+impl FlatEngine {
+    /// Decide a request in either grant shape: screen every lane, solve
+    /// lane by lane in resource order (the first refusal is the verdict),
+    /// and commit every lane only when all admit.
+    fn decide<G: LaneGrant>(&mut self, lrm: usize, amounts: &[f64]) -> Result<G, GrmError> {
+        self.check(lrm)?;
+        self.fast.screen(&self.states, lrm, amounts, &self.names)?;
+        let k = self.states.len();
+        if amounts.len() != k {
+            let got = amounts.len();
+            return Err(GrmError::Sched(SchedError::DimensionMismatch { expected: k, got }));
+        }
+        let names = &self.names;
+        let lanes = self.states.iter().zip(&mut self.solvers).zip(amounts).enumerate();
+        let grant = G::from_lanes(lanes.map(|(r, ((state, solver), &x))| {
+            solver.allocate(state, lrm, x).map_err(|e| e.tagged(names.get(r).copied()))
+        }))
+        .map_err(GrmError::Sched)?;
+        for (state, lane) in self.states.iter_mut().zip(grant.lanes()) {
+            state.apply(lane).map_err(GrmError::Sched)?;
+        }
+        Ok(grant)
+    }
+
+    /// Hand every lane the flow table's current snapshot: requests
+    /// decided before the next edit all share the new `Arc`.
+    fn republish(&mut self) {
+        let flow = self.incflow.snapshot();
+        for state in &mut self.states {
+            state.flow = flow.clone();
+        }
+    }
+}
+
 impl Engine for FlatEngine {
     fn n(&self) -> usize {
-        self.state.n()
+        self.states[0].n()
     }
 
-    fn lane_mut(&mut self, _lane: usize) -> &mut [f64] {
-        &mut self.state.availability
+    fn lanes(&self) -> usize {
+        self.states.len()
     }
 
-    fn pool(&mut self, _refusal: &'static str) -> Result<&mut [f64], GrmError> {
-        Ok(&mut self.state.availability)
+    fn lane(&self, lane: usize) -> &[f64] {
+        &self.states[lane].availability
+    }
+
+    fn lane_mut(&mut self, lane: usize) -> &mut [f64] {
+        &mut self.states[lane].availability
     }
 
     fn admit(&mut self, lrm: usize, amount: f64) -> Result<Allocation, GrmError> {
-        self.check(lrm)?;
-        self.fast.screen(std::slice::from_ref(&self.state), lrm, &[amount], None)?;
-        let alloc = self.policy.allocate(&self.state, lrm, amount).map_err(GrmError::Sched)?;
-        self.state.apply(&alloc).map_err(GrmError::Sched)?;
-        Ok(alloc)
+        self.decide(lrm, std::slice::from_ref(&amount))
+    }
+
+    fn admit_multi(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
+        self.decide(lrm, amounts)
     }
 
     fn set_agreement(&mut self, from: usize, to: usize, share: f64) -> Result<usize, GrmError> {
         let rows = self.incflow.set(from, to, share).map_err(GrmError::Flow)?;
-        // Republish the flow snapshot: requests issued before the next
-        // mutation all share the new `Arc`.
-        self.state.flow = self.incflow.snapshot();
+        self.republish();
         Ok(rows)
     }
 
     fn join(&mut self) -> Result<usize, GrmError> {
         let newcomer = self.incflow.grow();
-        self.state.availability.push(0.0);
-        self.state.flow = self.incflow.snapshot();
+        for state in &mut self.states {
+            state.availability.push(0.0);
+        }
+        self.republish();
         Ok(newcomer)
     }
 
     fn leave(&mut self, lrm: usize) -> Result<(), GrmError> {
         self.check(lrm)?;
         self.incflow.isolate(lrm).map_err(GrmError::Flow)?;
-        self.state.availability[lrm] = 0.0;
-        self.state.flow = self.incflow.snapshot();
+        for state in &mut self.states {
+            state.availability[lrm] = 0.0;
+        }
+        self.republish();
         Ok(())
     }
 
@@ -276,73 +331,101 @@ impl Engine for FlatEngine {
     }
 }
 
-/// A [`HierarchicalScheduler`] behind the batched admission front door:
-/// requests drained in one wakeup are admitted as a batch
-/// (bit-identical to one-by-one), and the front door commits the draws
-/// itself. The partition is fixed at construction.
+/// One [`agreements_sched::HierarchicalScheduler`] per lane behind the
+/// [`MultiAdmission`] front door (the lanes share one partition, fixed at
+/// construction): contiguous runs of requests are admitted as one batch
+/// through its wave loop (bit-identical to one by one), and the front
+/// door commits the draws itself.
 struct HierEngine {
-    front: BatchedAdmission,
-    availability: Vec<f64>,
+    front: MultiAdmission,
+    /// Per-lane availability (outer = lane, inner = principal).
+    availability: Vec<Vec<f64>>,
     telemetry: Telemetry,
     /// Last executor-fallback total mirrored into the telemetry plane
-    /// (the executor keeps a cumulative counter; telemetry counters are
+    /// (the executors keep cumulative counters; telemetry counters are
     /// additive, so the engine publishes deltas).
     last_fallbacks: u64,
 }
 
-/// The hierarchical engine over a prebuilt scheduler.
-pub(crate) fn hierarchical(sched: HierarchicalScheduler, telemetry: Telemetry) -> Box<dyn Engine> {
-    let availability = vec![0.0; sched.num_principals()];
-    let mut front = BatchedAdmission::new(sched);
+/// The hierarchical engine over a prebuilt front door.
+pub(crate) fn hierarchical(mut front: MultiAdmission, telemetry: Telemetry) -> Box<dyn Engine> {
     front.set_telemetry(telemetry.clone());
+    let availability = vec![vec![0.0; front.num_principals()]; front.num_resources()];
     Box::new(HierEngine { front, availability, telemetry, last_fallbacks: 0 })
 }
 
 impl HierEngine {
-    /// Mirror the executor's cumulative sequential-fallback counter into
+    /// The lanes' sequential-fallback total.
+    fn executor_fallbacks(&self) -> u64 {
+        (0..self.front.num_resources()).map(|r| self.front.lane(r).executor_fallbacks()).sum()
+    }
+
+    /// Mirror the executors' cumulative sequential-fallback counter into
     /// the telemetry plane as increments. Guarded on `enabled()` so the
     /// disabled plane keeps its one-branch cost (no atomic load).
     fn sync_executor_fallbacks(&mut self) {
         if !self.telemetry.enabled() {
             return;
         }
-        let total = self.front.scheduler().executor_fallbacks();
+        let total = self.executor_fallbacks();
         let delta = total.saturating_sub(self.last_fallbacks);
         if delta > 0 {
             self.telemetry.add("grm.executor_fallbacks_sequential", delta);
             self.last_fallbacks = total;
         }
     }
+
+    /// Decide one request in either grant shape.
+    fn decide<G: LaneGrant>(&mut self, lrm: usize, amounts: &[f64]) -> Result<G, GrmError> {
+        self.check(lrm)?;
+        let res = self.front.decide(&mut self.availability, lrm, amounts);
+        self.sync_executor_fallbacks();
+        res.map_err(GrmError::Sched)
+    }
+
+    /// Decide a run in either grant shape, through the wave loop.
+    fn decide_run<G: LaneGrant>(&mut self, run: &[Ask]) -> Vec<Result<G, GrmError>> {
+        let decisions = self.front.decide_run(&mut self.availability, run);
+        self.sync_executor_fallbacks();
+        decisions.into_iter().map(|d| d.map_err(GrmError::Sched)).collect()
+    }
 }
 
 impl Engine for HierEngine {
     fn n(&self) -> usize {
+        self.front.num_principals()
+    }
+
+    fn lanes(&self) -> usize {
         self.availability.len()
     }
 
-    fn lane_mut(&mut self, _lane: usize) -> &mut [f64] {
-        &mut self.availability
+    fn lane(&self, lane: usize) -> &[f64] {
+        &self.availability[lane]
     }
 
-    fn pool(&mut self, _refusal: &'static str) -> Result<&mut [f64], GrmError> {
-        Ok(&mut self.availability)
+    fn lane_mut(&mut self, lane: usize) -> &mut [f64] {
+        &mut self.availability[lane]
     }
 
     fn admit(&mut self, lrm: usize, amount: f64) -> Result<Allocation, GrmError> {
-        self.check(lrm)?;
-        let res = self.front.admit_one(&mut self.availability, lrm, amount);
-        self.sync_executor_fallbacks();
-        res.map_err(GrmError::Sched)
+        self.decide(lrm, std::slice::from_ref(&amount))
+    }
+
+    fn admit_multi(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
+        self.decide(lrm, amounts)
     }
 
     fn batches(&self) -> bool {
         true
     }
 
-    fn admit_run(&mut self, reqs: &[AdmissionRequest]) -> Vec<Result<Allocation, GrmError>> {
-        let decisions = self.front.admit_batch(&mut self.availability, reqs);
-        self.sync_executor_fallbacks();
-        decisions.into_iter().map(|d| d.map_err(GrmError::Sched)).collect()
+    fn admit_run(&mut self, run: &[Ask]) -> Vec<Result<Allocation, GrmError>> {
+        self.decide_run(run)
+    }
+
+    fn admit_run_multi(&mut self, run: &[Ask]) -> Vec<Result<MultiAllocation, GrmError>> {
+        self.decide_run(run)
     }
 
     fn set_agreement(&mut self, _from: usize, _to: usize, _share: f64) -> Result<usize, GrmError> {
@@ -359,125 +442,13 @@ impl Engine for HierEngine {
         Err(GrmError::Unsupported("leave on a hierarchical GRM (fixed partition)"))
     }
 
-    fn set_inter(&mut self, from: usize, to: usize, share: f64) -> Result<usize, GrmError> {
-        self.front.set_inter(from, to, share).map_err(GrmError::Sched)
-    }
-
-    fn publish(&self, stats: &mut GrmStats) {
-        stats.executor_fallbacks_sequential = self.front.scheduler().executor_fallbacks();
-    }
-}
-
-/// One warm LP lane per resource over a shared agreement economy (the
-/// agreements govern the principals, not any single resource): every
-/// lane's [`SystemState`] shares one flow snapshot and owns its
-/// availability vector.
-struct MultiFlatEngine {
-    n: usize,
-    states: Vec<SystemState>,
-    solver: MultiSolver,
-    fast: FastReject,
-}
-
-/// The flat multi-resource engine: one lane per resource name.
-pub(crate) fn multi_flat(
-    names: Vec<&'static str>,
-    agreements: AgreementMatrix,
-    level: usize,
-    telemetry: Telemetry,
-) -> Box<dyn Engine> {
-    let n = agreements.n();
-    let flow = IncrementalFlow::new(agreements, level).snapshot();
-    let states = names
-        .iter()
-        .map(|_| SystemState { flow: flow.clone(), absolute: None, availability: vec![0.0; n] })
-        .collect();
-    let mut solver = MultiSolver::reduced(names);
-    solver.set_telemetry(telemetry.clone());
-    Box::new(MultiFlatEngine {
-        n,
-        states,
-        solver,
-        fast: FastReject { telemetry, ..FastReject::default() },
-    })
-}
-
-impl Engine for MultiFlatEngine {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn lanes(&self) -> usize {
-        self.states.len()
-    }
-
-    fn lane_mut(&mut self, lane: usize) -> &mut [f64] {
-        &mut self.states[lane].availability
-    }
-
-    fn availability_multi(&self) -> Result<Vec<Vec<f64>>, GrmError> {
-        Ok(self.states.iter().map(|st| st.availability.clone()).collect())
-    }
-
-    fn admit_multi(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
-        self.check(lrm)?;
-        self.fast.screen(&self.states, lrm, amounts, Some(self.solver.names()))?;
-        let alloc = self.solver.allocate(&self.states, lrm, amounts).map_err(GrmError::Sched)?;
-        for (st, lane) in self.states.iter_mut().zip(&alloc.lanes) {
-            st.apply(lane).map_err(GrmError::Sched)?;
-        }
-        Ok(alloc)
-    }
-
-    fn publish(&self, stats: &mut GrmStats) {
-        stats.fast_rejects = self.fast.count;
-    }
-}
-
-/// One [`HierarchicalScheduler`] per resource behind [`MultiAdmission`]
-/// (the lanes share one partition by construction), which carries its
-/// own guards and commits every lane or none.
-struct MultiHierEngine {
-    front: MultiAdmission,
-    /// Per-lane availability (outer = resource, inner = principal).
-    availability: Vec<Vec<f64>>,
-}
-
-/// The hierarchical multi-resource engine over a prebuilt front door.
-pub(crate) fn multi_hierarchical(
-    mut front: MultiAdmission,
-    telemetry: Telemetry,
-) -> Box<dyn Engine> {
-    front.set_telemetry(telemetry);
-    let availability = vec![vec![0.0; front.num_principals()]; front.num_resources()];
-    Box::new(MultiHierEngine { front, availability })
-}
-
-impl Engine for MultiHierEngine {
-    fn n(&self) -> usize {
-        self.front.num_principals()
-    }
-
-    fn lanes(&self) -> usize {
-        self.availability.len()
-    }
-
-    fn lane_mut(&mut self, lane: usize) -> &mut [f64] {
-        &mut self.availability[lane]
-    }
-
-    fn availability_multi(&self) -> Result<Vec<Vec<f64>>, GrmError> {
-        Ok(self.availability.clone())
-    }
-
-    fn admit_multi(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
-        self.check(lrm)?;
-        self.front.admit_one(&mut self.availability, lrm, amounts).map_err(GrmError::Sched)
-    }
-
     /// Renegotiation applies to every lane: the inter-group agreement
     /// is between principals, not resources.
     fn set_inter(&mut self, from: usize, to: usize, share: f64) -> Result<usize, GrmError> {
         self.front.set_inter(from, to, share).map_err(GrmError::Sched)
+    }
+
+    fn publish(&self, stats: &mut GrmStats) {
+        stats.executor_fallbacks_sequential = self.executor_fallbacks();
     }
 }

@@ -9,11 +9,10 @@
 //! instead of double-granting (DESIGN.md §8).
 
 use crate::dedup::DedupWindow;
-use crate::engine::{self, Engine};
+use crate::engine::{self, Ask, Engine};
 use agreements_flow::{AgreementMatrix, FlowError};
 use agreements_sched::{
-    AdmissionRequest, Allocation, HierarchicalScheduler, MultiAdmission, MultiAllocation,
-    SchedError,
+    Allocation, HierarchicalScheduler, LaneGrant, MultiAdmission, MultiAllocation, SchedError,
 };
 use agreements_telemetry::{HistKind, Telemetry, TelemetryEvent};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -47,8 +46,9 @@ pub enum GrmError {
     },
     /// The operation is not available on this engine: a hierarchical
     /// GRM renegotiates with `set_inter_group`, a flat GRM with
-    /// `set_agreement`; membership changes are flat-only. The payload
-    /// names the rejected operation.
+    /// `set_agreement`; membership changes are flat-only; the single-pool
+    /// calls (`request`, `release`, `replay_grant`, `availability`) need
+    /// one resource lane. The payload names the rejected operation.
     Unsupported(&'static str),
     /// Nothing is listening at the server's address (the daemon is down
     /// or restarting). The call never reached a server, so retrying the
@@ -193,10 +193,10 @@ pub enum Answer {
     GrantMulti { result: Result<MultiAllocation, GrmError>, fresh: bool },
     /// A release's or a replay settlement's decision.
     Unit { result: Result<(), GrmError>, fresh: bool },
-    /// The single-pool availability view.
-    Availability(Vec<f64>),
+    /// The single-pool availability view; refused on more than one lane.
+    Availability(Result<Vec<f64>, GrmError>),
     /// The per-lane availability view.
-    AvailabilityMulti(Result<Vec<Vec<f64>>, GrmError>),
+    AvailabilityMulti(Vec<Vec<f64>>),
     /// The operational counters.
     Stats(GrmStats),
 }
@@ -224,12 +224,12 @@ impl Answer {
 
     fn availability(self) -> Result<Vec<f64>, GrmError> {
         let Answer::Availability(view) = self else { return Err(MISPAIRED) };
-        Ok(view)
+        view
     }
 
     fn availability_multi(self) -> Result<Vec<Vec<f64>>, GrmError> {
         let Answer::AvailabilityMulti(view) = self else { return Err(MISPAIRED) };
-        view
+        Ok(view)
     }
 
     fn stats(self) -> Result<GrmStats, GrmError> {
@@ -405,19 +405,19 @@ impl GrmHandle {
     }
 
     /// A new LRM joins the federation; returns its index. It starts with
-    /// no agreements and zero reported availability — wire it in with
-    /// [`GrmHandle::set_agreement`] and [`GrmHandle::report`]. Its
-    /// liveness lease starts *now*: joining late does not make it
-    /// instantly lease-expired. Flat single-resource GRMs only: the
-    /// other engines fix their membership at construction and answer
+    /// no agreements and zero reported availability in every lane — wire
+    /// it in with [`GrmHandle::set_agreement`] and [`GrmHandle::report`].
+    /// Its liveness lease starts *now*: joining late does not make it
+    /// instantly lease-expired. Flat GRMs only: a hierarchical GRM fixes
+    /// its partition at construction and answers
     /// [`GrmError::Unsupported`].
     pub fn join(&self) -> Result<usize, GrmError> {
         wait(self.manage(ServerCore::join)?)?
     }
 
     /// An LRM leaves: all its agreements are dropped (both directions)
-    /// and its availability zeroed. Its index stays reserved so other
-    /// indices remain stable.
+    /// and its availability zeroed in every lane. Its index stays
+    /// reserved so other indices remain stable.
     pub fn leave(&self, lrm: usize) -> Result<(), GrmError> {
         wait(self.manage(move |core| core.engine.leave(lrm))?)?
     }
@@ -425,7 +425,9 @@ impl GrmHandle {
     /// Allocation RPC: LRM `lrm` requests `amount` units under the
     /// agreements. Blocks for the decision. Carries no request id — use
     /// [`GrmHandle::request_idempotent`] (or a `ResilientGrmClient`)
-    /// when the call may be retried.
+    /// when the call may be retried. A GRM with more than one resource
+    /// lane answers [`GrmError::Unsupported`]: use
+    /// [`GrmHandle::request_multi`].
     pub fn request(&self, lrm: usize, amount: f64) -> Result<Allocation, GrmError> {
         wait(GrmClient::issue_request(self, lrm, amount, None)?)?
     }
@@ -453,8 +455,8 @@ impl GrmHandle {
     /// Multi-resource allocation RPC: LRM `lrm` requests `amounts`
     /// units, one entry per resource lane, granted only when **every**
     /// lane's LP admits; a capacity rejection names the binding
-    /// resource. Single-resource GRMs answer
-    /// [`GrmError::Unsupported`].
+    /// resource (a single-resource GRM's one lane has no name). Any lane
+    /// count answers, one included.
     pub fn request_multi(&self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
         let amounts = amounts.to_vec();
         wait(self.issue(Call::RequestMulti { lrm, amounts, req_id: None }, Answer::grant_multi)?)?
@@ -473,9 +475,8 @@ impl GrmHandle {
         wait(self.issue(Call::RequestMulti { lrm, amounts, req_id }, Answer::grant_multi)?)?
     }
 
-    /// Snapshot of a multi-resource GRM's per-lane availability view
-    /// (outer index = resource lane, inner = principal).
-    /// Single-resource GRMs answer [`GrmError::Unsupported`].
+    /// Snapshot of the GRM's per-lane availability view (outer index =
+    /// resource lane, inner = principal), whatever its lane count.
     pub fn availability_multi(&self) -> Result<Vec<Vec<f64>>, GrmError> {
         wait(self.issue(Call::AvailabilityMulti, Answer::availability_multi)?)?
     }
@@ -492,7 +493,8 @@ impl GrmHandle {
         GrmClient::issue_request(self, lrm, amount, None)
     }
 
-    /// Return a previous allocation's draws to the pool.
+    /// Return a previous allocation's draws to the pool. A GRM with more
+    /// than one resource lane answers [`GrmError::Unsupported`].
     pub fn release(&self, alloc: Allocation) -> Result<(), GrmError> {
         wait(GrmClient::issue_release(self, alloc, None)?)?
     }
@@ -525,7 +527,8 @@ impl GrmHandle {
     }
 
     /// Agreement-management service: set `S[from][to] = share` and
-    /// recompute the transitive flow.
+    /// recompute the transitive flow, for every lane. Hierarchical GRMs
+    /// answer [`GrmError::Unsupported`].
     pub fn set_agreement(&self, from: usize, to: usize, share: f64) -> Result<(), GrmError> {
         wait(self.manage(move |core| {
             let rows = core.engine.set_agreement(from, to, share);
@@ -533,10 +536,10 @@ impl GrmHandle {
         })?)?
     }
 
-    /// Renegotiate one inter-group agreement on a hierarchical GRM (the
-    /// coarse analogue of [`GrmHandle::set_agreement`]); requests
-    /// decided after the reply see the new share. Flat GRMs answer
-    /// [`GrmError::Unsupported`].
+    /// Renegotiate one inter-group agreement on a hierarchical GRM, in
+    /// every lane (the coarse analogue of [`GrmHandle::set_agreement`]);
+    /// requests decided after the reply see the new share. Flat GRMs
+    /// answer [`GrmError::Unsupported`].
     pub fn set_inter_group(
         &self,
         from_group: usize,
@@ -566,7 +569,9 @@ impl GrmHandle {
         wait(self.issue(Call::Stats, Answer::stats)?)?
     }
 
-    /// Snapshot of the GRM's current availability view.
+    /// Snapshot of the GRM's current availability view. A GRM with more
+    /// than one resource lane answers [`GrmError::Unsupported`]: use
+    /// [`GrmHandle::availability_multi`].
     pub fn availability(&self) -> Result<Vec<f64>, GrmError> {
         wait(self.issue(Call::Availability, Answer::availability)?)?
     }
@@ -672,7 +677,8 @@ impl GrmServer {
         level: usize,
         telemetry: Telemetry,
     ) -> GrmServer {
-        Self::spawn_engine(move |t| engine::flat(agreements, level, t), None, telemetry)
+        let build = move |t| engine::flat(Vec::new(), agreements, level, t);
+        Self::spawn_engine(build, None, telemetry)
     }
 
     /// Spawn a GRM whose *client-facing* channel passes through a fault
@@ -687,7 +693,7 @@ impl GrmServer {
         plane: &agreements_faults::FaultPlane,
         link: &str,
     ) -> GrmServer {
-        let build = move |t| engine::flat(agreements, level, t);
+        let build = move |t| engine::flat(Vec::new(), agreements, level, t);
         Self::spawn_engine(build, Some((plane, link)), Telemetry::default())
     }
 
@@ -698,8 +704,7 @@ impl GrmServer {
     /// the measured break-even says the dispatch will pay.
     ///
     /// The engine swap changes the management surface, not the RPC one:
-    /// `report`/`tick`/`request`/`release`/`replay_grant` behave as on a
-    /// flat GRM, renegotiation goes through
+    /// every RPC behaves as on a flat GRM, renegotiation goes through
     /// [`GrmHandle::set_inter_group`], and `set_agreement`/`join`/`leave`
     /// answer [`GrmError::Unsupported`] (the partition is fixed at
     /// construction).
@@ -714,35 +719,39 @@ impl GrmServer {
         sched: HierarchicalScheduler,
         telemetry: Telemetry,
     ) -> GrmServer {
-        Self::spawn_engine(move |t| engine::hierarchical(sched, t), None, telemetry)
+        let front = MultiAdmission::new(Vec::new(), vec![sched]).expect("one unnamed lane");
+        Self::spawn_engine(move |t| engine::hierarchical(front, t), None, telemetry)
     }
 
-    /// Spawn a **multi-resource** GRM: one warm LP lane per resource
-    /// name, all over the same agreement economy (the agreements govern
-    /// the principals, not any single resource). Clients use
-    /// [`GrmHandle::request_multi`] / [`GrmHandle::report_multi`] /
-    /// [`GrmHandle::availability_multi`]; a request is granted only when
-    /// every lane's LP admits it, and a capacity rejection names the
-    /// binding resource. The single-resource RPCs
-    /// (`request`/`release`/`replay_grant`) and membership/agreement
-    /// mutations answer [`GrmError::Unsupported`] — the engines do not
-    /// mix inside one server.
+    /// Spawn a **multi-resource** GRM: the flat engine with one warm LP
+    /// lane per resource name, all over the same agreement economy (the
+    /// agreements govern the principals, not any single resource).
+    /// Clients use [`GrmHandle::request_multi`] /
+    /// [`GrmHandle::report_multi`] / [`GrmHandle::availability_multi`]; a
+    /// request is granted only when every lane's LP admits it, and a
+    /// capacity rejection names the binding resource. Agreement and
+    /// membership changes apply to every lane. With more than one lane
+    /// the single-pool RPCs (`request`/`release`/`replay_grant`/
+    /// `availability`) answer [`GrmError::Unsupported`]; with one named
+    /// lane this is [`GrmServer::spawn`] with a name on its rejections.
     pub fn spawn_multi(
         names: Vec<&'static str>,
         agreements: AgreementMatrix,
         level: usize,
     ) -> GrmServer {
-        let build = move |t| engine::multi_flat(names, agreements, level, t);
+        let build = move |t| engine::flat(names, agreements, level, t);
         Self::spawn_engine(build, None, Telemetry::default())
     }
 
     /// Spawn a multi-resource GRM whose lanes are hierarchical: one
     /// [`HierarchicalScheduler`] per resource over a shared partition,
-    /// wrapped in [`MultiAdmission`]. Same RPC surface as
-    /// [`GrmServer::spawn_multi`]; inter-group renegotiation via
+    /// wrapped in [`MultiAdmission`]. The RPC surface of
+    /// [`GrmServer::spawn_multi`] and the management surface of
+    /// [`GrmServer::spawn_hierarchical`]: contiguous multi-resource
+    /// requests batch, and inter-group renegotiation via
     /// [`GrmHandle::set_inter_group`] applies to every lane.
     pub fn spawn_multi_hierarchical(front: MultiAdmission) -> GrmServer {
-        let build = move |t| engine::multi_hierarchical(front, t);
+        let build = move |t| engine::hierarchical(front, t);
         Self::spawn_engine(build, None, Telemetry::default())
     }
 
@@ -812,7 +821,7 @@ impl Drop for GrmServer {
 }
 
 /// Where a request-run entry's answer comes from (see
-/// `handle_request_run`).
+/// `ServerCore::request_run`).
 enum RunSlot {
     /// Decided during pre-screen without touching availability, and
     /// whether freshly: a dedup-window replay, or an unknown LRM.
@@ -833,11 +842,96 @@ fn reused_id<T>(amount: f64) -> Result<T, GrmError> {
     Err(GrmError::Sched(SchedError::InvalidRequest { amount }))
 }
 
-/// Read a settled decision as a single-resource grant.
-fn as_grant(decision: RecordedDecision, amount: f64) -> Result<Allocation, GrmError> {
-    match decision {
-        RecordedDecision::Grant(res) => res,
-        _ => reused_id(amount),
+/// Refuse a single-pool operation on an engine with more than one lane.
+fn one_lane(engine: &dyn Engine, refusal: &'static str) -> Result<(), GrmError> {
+    if engine.lanes() == 1 {
+        Ok(())
+    } else {
+        Err(GrmError::Unsupported(refusal))
+    }
+}
+
+/// The two request kinds, by the grant shape they decide: a `Request`'s
+/// [`Allocation`] (one lane) and a `RequestMulti`'s [`MultiAllocation`]
+/// (any lane count). Everything else about a request — dedup, books,
+/// batching — is one path for both.
+trait Grant: LaneGrant + Clone {
+    /// `call`'s request, when it is this kind: requester, amounts, id.
+    fn ask(call: &Call) -> Option<(Ask<'_>, Option<RequestId>)>;
+
+    /// Decide one request.
+    fn admit(engine: &mut dyn Engine, ask: Ask) -> Result<Self, GrmError>;
+
+    /// Decide a run of in-range requests on a batching engine.
+    fn admit_run(engine: &mut dyn Engine, run: &[Ask]) -> Vec<Result<Self, GrmError>>;
+
+    /// The decision as the dedup window records it.
+    fn recorded(result: Result<Self, GrmError>) -> RecordedDecision;
+
+    /// A settled decision read back as `ask`'s; another kind's decision
+    /// fails the reused id.
+    fn settled(decision: RecordedDecision, ask: Ask) -> Result<Self, GrmError>;
+
+    /// The answer carrying the decision.
+    fn answer(result: Result<Self, GrmError>, fresh: bool) -> Answer;
+}
+
+impl Grant for Allocation {
+    fn ask(call: &Call) -> Option<(Ask<'_>, Option<RequestId>)> {
+        let Call::Request { lrm, ref amount, req_id } = *call else { return None };
+        Some((Ask { lrm, amounts: std::slice::from_ref(amount) }, req_id))
+    }
+
+    fn admit(engine: &mut dyn Engine, ask: Ask) -> Result<Self, GrmError> {
+        one_lane(engine, "single-resource request on a multi-resource GRM; use request_multi")?;
+        engine.admit(ask.lrm, ask.amounts[0])
+    }
+
+    fn admit_run(engine: &mut dyn Engine, run: &[Ask]) -> Vec<Result<Self, GrmError>> {
+        engine.admit_run(run)
+    }
+
+    fn recorded(result: Result<Self, GrmError>) -> RecordedDecision {
+        RecordedDecision::Grant(result)
+    }
+
+    fn settled(decision: RecordedDecision, ask: Ask) -> Result<Self, GrmError> {
+        let RecordedDecision::Grant(result) = decision else { return reused_id(ask.amounts[0]) };
+        result
+    }
+
+    fn answer(result: Result<Self, GrmError>, fresh: bool) -> Answer {
+        Answer::Grant { result, fresh }
+    }
+}
+
+impl Grant for MultiAllocation {
+    fn ask(call: &Call) -> Option<(Ask<'_>, Option<RequestId>)> {
+        let Call::RequestMulti { lrm, ref amounts, req_id } = *call else { return None };
+        Some((Ask { lrm, amounts }, req_id))
+    }
+
+    fn admit(engine: &mut dyn Engine, ask: Ask) -> Result<Self, GrmError> {
+        engine.admit_multi(ask.lrm, ask.amounts)
+    }
+
+    fn admit_run(engine: &mut dyn Engine, run: &[Ask]) -> Vec<Result<Self, GrmError>> {
+        engine.admit_run_multi(run)
+    }
+
+    fn recorded(result: Result<Self, GrmError>) -> RecordedDecision {
+        RecordedDecision::GrantMulti(result)
+    }
+
+    fn settled(decision: RecordedDecision, ask: Ask) -> Result<Self, GrmError> {
+        let RecordedDecision::GrantMulti(result) = decision else {
+            return reused_id(ask.amounts.first().copied().unwrap_or(f64::NAN));
+        };
+        result
+    }
+
+    fn answer(result: Result<Self, GrmError>, fresh: bool) -> Answer {
+        Answer::GrantMulti { result, fresh }
     }
 }
 
@@ -852,7 +946,7 @@ impl GrmCore {
     /// Execute `run` under the core lock, as the serve thread executes a
     /// mailbox wakeup, then hand `then` the answers (in run order) and the
     /// core's hot state before the lock is released: the single-pool view
-    /// (empty on a multi-resource engine) and the dedup window.
+    /// (empty with more than one lane) and the dedup window.
     pub fn execute<R>(
         &self,
         run: &[Call],
@@ -860,8 +954,7 @@ impl GrmCore {
     ) -> R {
         let mut core = self.0.lock();
         let answers = core.execute(run);
-        let core = &mut *core;
-        let pool = core.engine.pool("the pool of a multi-resource GRM").map_or(&[][..], |p| p);
+        let pool = if core.engine.lanes() == 1 { core.engine.lane(0) } else { &[] };
         then(answers, pool, &core.dedup)
     }
 }
@@ -1023,43 +1116,37 @@ impl ServerCore {
         self.telemetry.add("grm.granted", 1);
     }
 
-    /// The request path, shared by `Request` and `RequestMulti` up to
-    /// the reply type: `admit` is the engine call that decides.
-    fn request(
-        &mut self,
-        req_id: Option<RequestId>,
-        admit: impl FnOnce(&mut dyn Engine) -> RecordedDecision,
-    ) -> (RecordedDecision, bool) {
-        self.settle(req_id, |core| {
+    /// The request path, one for both request kinds.
+    fn request<G: Grant>(&mut self, ask: Ask, req_id: Option<RequestId>) -> Answer {
+        let (decision, fresh) = self.settle(req_id, |core| {
             core.count_request();
             let span = core.telemetry.start();
-            let decision = admit(core.engine.as_mut());
+            let decision = G::recorded(G::admit(core.engine.as_mut(), ask));
             core.book(&decision);
             core.telemetry.stop(HistKind::RequestLatencySeconds, span);
             decision
-        })
+        });
+        G::answer(G::settled(decision, ask), fresh)
     }
 
-    /// Decide a contiguous run of requests (`(lrm, amount, req_id)`) as
-    /// one engine batch, pushing one answer per request. Equivalent to
-    /// deciding each in order — same decisions bit for bit, same
-    /// counters, same dedup-window contents — because (a) `admit_run` is
-    /// bit-identical to `admit` in input order and (b) the entries
-    /// answered outside the batch (dedup hits, in-run duplicates, unknown
-    /// LRMs) never touch availability, so pulling them out cannot move
-    /// any batched decision.
-    fn handle_request_run(
-        &mut self,
-        run: &[(usize, f64, Option<RequestId>)],
-        answers: &mut Vec<Answer>,
-    ) {
-        let mut slots: Vec<RunSlot> = Vec::with_capacity(run.len());
+    /// Decide the contiguous run of `G`'s requests at the head of `rest`
+    /// as one engine batch, pushing one answer per request; returns the
+    /// run's length. Equivalent to deciding each in order — same
+    /// decisions bit for bit, same counters, same dedup-window contents —
+    /// because (a) the engine's run is bit-identical to one by one in
+    /// input order and (b) the entries answered outside the batch (dedup
+    /// hits, in-run duplicates, unknown LRMs) never touch availability,
+    /// so pulling them out cannot move any batched decision.
+    fn request_run<G: Grant>(&mut self, rest: &[Call], answers: &mut Vec<Answer>) -> usize {
+        let run = || rest.iter().map_while(G::ask);
+        let len = run().count();
+        let mut slots: Vec<RunSlot> = Vec::with_capacity(len);
         // `replay_needed[j]` marks originals some later in-run duplicate
         // replays, so only those pay for keeping a decision clone.
-        let mut replay_needed = vec![false; run.len()];
-        let mut in_run: HashMap<RequestId, usize> = HashMap::new();
-        let mut reqs: Vec<AdmissionRequest> = Vec::new();
-        for (i, &(lrm, amount, req_id)) in run.iter().enumerate() {
+        let mut replay_needed = vec![false; len];
+        let mut in_run: HashMap<RequestId, usize> = HashMap::with_capacity(len);
+        let mut asks = Vec::with_capacity(len);
+        for (i, (ask, req_id)) in run().enumerate() {
             if let Some(id) = req_id {
                 if let Some(cached) = self.dedup.get(&id) {
                     self.stats.duplicate_requests += 1;
@@ -1078,29 +1165,27 @@ impl ServerCore {
                 in_run.insert(id, i);
             }
             self.count_request();
-            match self.engine.check(lrm) {
-                Err(unknown) => {
-                    slots.push(RunSlot::Ready(RecordedDecision::Grant(Err(unknown)), true))
-                }
+            match self.engine.check(ask.lrm) {
+                Err(unknown) => slots.push(RunSlot::Ready(G::recorded(Err(unknown)), true)),
                 Ok(()) => {
-                    reqs.push(AdmissionRequest { requester: lrm, amount });
+                    asks.push(ask);
                     slots.push(RunSlot::Batched);
                 }
             }
         }
-        let span = if reqs.is_empty() { None } else { self.telemetry.start() };
-        let decisions = self.engine.admit_run(&reqs);
+        let span = if asks.is_empty() { None } else { self.telemetry.start() };
+        let decisions = G::admit_run(self.engine.as_mut(), &asks);
         self.telemetry.stop(HistKind::RequestLatencySeconds, span);
-        self.stats.batched_allocations += reqs.len() as u64;
-        if !reqs.is_empty() {
-            self.telemetry.add("grm.batched_allocations", reqs.len() as u64);
-            self.telemetry.observe(HistKind::BatchSize, reqs.len() as f64);
+        self.stats.batched_allocations += asks.len() as u64;
+        if !asks.is_empty() {
+            self.telemetry.add("grm.batched_allocations", asks.len() as u64);
+            self.telemetry.observe(HistKind::BatchSize, asks.len() as f64);
         }
         // Book, remember, and answer in arrival order. Batched entries
         // consume the decision stream positionally.
         let mut decisions = decisions.into_iter();
         let mut replays: HashMap<usize, RecordedDecision> = HashMap::new();
-        for (i, (&(_, amount, req_id), slot)) in run.iter().zip(slots).enumerate() {
+        for (i, ((ask, req_id), slot)) in run().zip(slots).enumerate() {
             let (decision, fresh) = match slot {
                 RunSlot::Ready(decision, fresh) => (decision, fresh),
                 RunSlot::DupOf(j) => (
@@ -1109,7 +1194,7 @@ impl ServerCore {
                 ),
                 RunSlot::Batched => {
                     let res = decisions.next().expect("one decision per batched request");
-                    let decision = RecordedDecision::Grant(res);
+                    let decision = G::recorded(res);
                     self.book(&decision);
                     (decision, true)
                 }
@@ -1122,15 +1207,16 @@ impl ServerCore {
             if replay_needed[i] {
                 replays.insert(i, decision.clone());
             }
-            answers.push(Answer::Grant { result: as_grant(decision, amount), fresh });
+            answers.push(G::answer(G::settled(decision, ask), fresh));
         }
+        len
     }
 
     /// Return a released allocation's draws to the engine's pool.
     fn release(&mut self, draws: &[f64]) -> Result<(), GrmError> {
-        // A single-lane release cannot say which lane to credit; multi
-        // engines are grant-only for now.
-        let pool = self.engine.pool("release on a multi-resource GRM")?;
+        // A single-lane release cannot say which lane to credit.
+        one_lane(self.engine.as_ref(), "release on a multi-resource GRM")?;
+        let pool = self.engine.lane_mut(0);
         if draws.len() != pool.len() {
             return Err(GrmError::Sched(SchedError::DimensionMismatch {
                 expected: pool.len(),
@@ -1149,7 +1235,7 @@ impl ServerCore {
     fn replay_grant(&mut self, lrm: usize, amount: f64) -> Result<(), GrmError> {
         // Degraded-mode draws are single-pool units; a multi LRM has no
         // single pool to have drawn them from.
-        self.engine.pool("replay_grant on a multi-resource GRM")?;
+        one_lane(self.engine.as_ref(), "replay_grant on a multi-resource GRM")?;
         self.engine.check(lrm)?;
         if !(amount.is_finite() && amount > 0.0) {
             return Err(GrmError::Sched(SchedError::InvalidRequest { amount }));
@@ -1201,27 +1287,16 @@ impl ServerCore {
                 Answer::Applied(self.apply_report(lrm, &[available]))
             }
             Call::ReportMulti { lrm, ref available } => {
-                self.run_gen += 1;
                 Answer::Applied(self.apply_report(lrm, available))
             }
             Call::Tick { now, lease } => {
                 self.apply_tick(now, lease);
                 Answer::Applied(true)
             }
-            Call::Request { lrm, amount, req_id } => {
-                let (decision, fresh) = self
-                    .request(req_id, |engine| RecordedDecision::Grant(engine.admit(lrm, amount)));
-                Answer::Grant { result: as_grant(decision, amount), fresh }
-            }
+            Call::Request { lrm, ref amount, req_id } => self
+                .request::<Allocation>(Ask { lrm, amounts: std::slice::from_ref(amount) }, req_id),
             Call::RequestMulti { lrm, ref amounts, req_id } => {
-                let (decision, fresh) = self.request(req_id, |engine| {
-                    RecordedDecision::GrantMulti(engine.admit_multi(lrm, amounts))
-                });
-                let result = match decision {
-                    RecordedDecision::GrantMulti(res) => res,
-                    _ => reused_id(amounts.first().copied().unwrap_or(f64::NAN)),
-                };
-                Answer::GrantMulti { result, fresh }
+                self.request::<MultiAllocation>(Ask { lrm, amounts }, req_id)
             }
             Call::Release { ref alloc, req_id } => {
                 let (decision, fresh) = self
@@ -1247,28 +1322,26 @@ impl ServerCore {
                 };
                 Answer::Unit { result, fresh }
             }
-            Call::Availability => {
-                // The answer cannot carry a refusal: an engine without a
-                // single pool shows the all-zero view it always has.
-                let n = self.engine.n();
-                Answer::Availability(
-                    self.engine.pool("").map_or_else(|_| vec![0.0; n], |p| p.to_vec()),
-                )
-            }
-            Call::AvailabilityMulti => Answer::AvailabilityMulti(self.engine.availability_multi()),
+            Call::Availability => Answer::Availability(
+                one_lane(self.engine.as_ref(), "availability on a multi-resource GRM")
+                    .map(|()| self.engine.lane(0).to_vec()),
+            ),
+            Call::AvailabilityMulti => Answer::AvailabilityMulti(
+                (0..self.engine.lanes()).map(|lane| self.engine.lane(lane).to_vec()).collect(),
+            ),
             Call::Stats => Answer::Stats(self.published_stats()),
         }
     }
 
     /// The one execution function: execute `run` in order, one answer
-    /// per call. It coalesces *contiguous* `Report`s (last valid writer
-    /// per LRM wins, as in-order overwrite does; superseded writes are
-    /// counted) and equal-lease `Tick`s (one sweep at the latest clock:
-    /// with `last_report` frozen and the clock monotone, an intermediate
-    /// tick zeroes a subset of what the last one does), and hands a
-    /// batching engine each contiguous run of `Request`s as one batch.
-    /// No run extends across another kind of call, so every decision is
-    /// bit-identical to executing the calls one at a time.
+    /// per call. It coalesces *contiguous* reports of either kind (last
+    /// valid writer per LRM wins, as in-order overwrite does; superseded
+    /// writes are counted) and equal-lease `Tick`s (one sweep at the
+    /// latest clock: with `last_report` frozen and the clock monotone, an
+    /// intermediate tick zeroes a subset of what the last one does), and
+    /// hands a batching engine each contiguous run of one request kind as
+    /// one batch. No run extends across another kind of call, so every
+    /// decision is bit-identical to executing the calls one at a time.
     fn execute(&mut self, run: &[Call]) -> Vec<Answer> {
         let mut answers = Vec::with_capacity(run.len());
         let mut done = 0;
@@ -1287,19 +1360,15 @@ impl ServerCore {
                     answers.resize(answers.len() + count, answer);
                     count
                 }
-                Call::Request { .. } if self.engine.batches() => {
-                    let reqs: Vec<_> = rest
-                        .iter()
-                        .map_while(|c| match *c {
-                            Call::Request { lrm, amount, req_id } => Some((lrm, amount, req_id)),
-                            _ => None,
-                        })
-                        .collect();
-                    self.handle_request_run(&reqs, &mut answers);
-                    reqs.len()
+                Call::Request { .. } if self.engine.batches() && self.engine.lanes() == 1 => {
+                    self.request_run::<Allocation>(rest, &mut answers)
+                }
+                Call::RequestMulti { .. } if self.engine.batches() => {
+                    self.request_run::<MultiAllocation>(rest, &mut answers)
                 }
                 _ => {
-                    let report = |c: &Call| matches!(c, Call::Report { .. });
+                    let report =
+                        |c: &Call| matches!(c, Call::Report { .. } | Call::ReportMulti { .. });
                     if report(call) && (done == 0 || !report(&run[done - 1])) {
                         self.run_gen += 1;
                     }
@@ -1373,16 +1442,23 @@ mod tests {
     use crate::DEDUP_WINDOW;
 
     fn flat_core(agreements: AgreementMatrix, level: usize) -> ServerCore {
-        ServerCore::new(engine::flat(agreements, level, Telemetry::default()), Telemetry::default())
+        let engine = engine::flat(Vec::new(), agreements, level, Telemetry::default());
+        ServerCore::new(engine, Telemetry::default())
+    }
+
+    /// A hierarchical core over `front`, recording into `telemetry`.
+    fn hier_core_with(front: MultiAdmission, telemetry: Telemetry) -> ServerCore {
+        ServerCore::new(engine::hierarchical(front, telemetry.clone()), telemetry)
     }
 
     fn hier_core(sched: HierarchicalScheduler) -> ServerCore {
-        ServerCore::new(engine::hierarchical(sched, Telemetry::default()), Telemetry::default())
+        let front = MultiAdmission::new(Vec::new(), vec![sched]).unwrap();
+        hier_core_with(front, Telemetry::default())
     }
 
     /// The core's single-pool availability view.
     fn pool(core: &mut ServerCore) -> Vec<f64> {
-        core.engine.pool("test").unwrap().to_vec()
+        core.engine.lane(0).to_vec()
     }
 
     fn request(
@@ -1401,14 +1477,28 @@ mod tests {
         Msg::Call { call, reply: None, enqueued: None }
     }
 
+    /// A multi-resource request's mailbox message and its reply channel.
+    fn request_multi(
+        lrm: usize,
+        amounts: &[f64],
+        req_id: Option<RequestId>,
+    ) -> (Msg, Receiver<Result<MultiAllocation, GrmError>>) {
+        let (tx, rx) = unbounded();
+        let call = Call::RequestMulti { lrm, amounts: amounts.to_vec(), req_id };
+        let reply: Reply = Arc::new(move |answer| tx.send(answer.grant_multi()).unwrap());
+        (Msg::Call { call, reply: Some(reply), enqueued: None }, rx)
+    }
+
     /// Deliver one message on its own, as a wakeup of one — except that
-    /// a request is decided by the engine's one-at-a-time `admit`, never
-    /// through the batch front door.
+    /// a request of either kind is decided by the engine's one-at-a-time
+    /// path, never through the batch front door.
     fn handle(core: &mut ServerCore, msg: Msg) {
         match msg {
-            Msg::Call { call: call @ Call::Request { .. }, reply: Some(reply), .. } => {
-                reply(core.call(&call))
-            }
+            Msg::Call {
+                call: call @ (Call::Request { .. } | Call::RequestMulti { .. }),
+                reply: Some(reply),
+                ..
+            } => reply(core.call(&call)),
             msg => assert!(core.handle_batch(&mut VecDeque::from([msg])).is_none()),
         }
     }
@@ -2332,16 +2422,201 @@ mod tests {
         grm.shutdown();
     }
 
-    // ---- one script, four engines --------------------------------------
+    #[test]
+    fn multi_lane_reports_coalesce_like_single_lane_ones() {
+        let grm = spawn_two_lane(0.5);
+        let run = [
+            Call::ReportMulti { lrm: 0, available: vec![1.0, 1.0] },
+            Call::ReportMulti { lrm: 0, available: vec![2.0, 2.0] },
+            Call::Stats,
+            Call::AvailabilityMulti,
+        ];
+        let answers = grm.core().unwrap().execute(&run, |answers, _, _| answers);
+        let Answer::Stats(stats) = &answers[2] else { panic!("{answers:?}") };
+        assert_eq!(stats.reports, 2);
+        assert_eq!(stats.coalesced_reports, 1, "the second report superseded the first");
+        assert_eq!(answers[3], Answer::AvailabilityMulti(vec![vec![2.0, 0.0], vec![2.0, 0.0]]));
+        grm.shutdown();
+    }
 
-    /// One engine under the conformance script: how to spawn it over
-    /// four principals, whether its RPCs are the multi-resource ones,
-    /// and the exact `Unsupported` payload of every operation it refuses
-    /// (an operation not listed must not answer `Unsupported`).
+    /// Re-report every principal in both lanes, then let each request in
+    /// both: the decisions a GRM makes from here on.
+    fn later_decisions(h: &GrmHandle, n: usize) -> Vec<Result<MultiAllocation, GrmError>> {
+        for lrm in 0..n {
+            h.report_multi(lrm, vec![4.0 + lrm as f64, 2.0]).unwrap();
+        }
+        (0..n).map(|lrm| h.request_multi(lrm, &[5.0, 2.5])).collect()
+    }
+
+    /// A two-lane flat GRM renegotiates, grows and shrinks: after each
+    /// edit it decides bit for bit as a GRM spawned over the edited
+    /// matrix, and not as one over the unedited matrix.
+    #[test]
+    fn two_lane_flat_edits_match_a_grm_spawned_over_the_edited_matrix() {
+        let base = || complete(3, 0.3);
+        let mut renegotiated = base();
+        renegotiated.set(2, 0, 0.8).unwrap();
+        let mut grown = AgreementMatrix::zeros(4);
+        for (i, j) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
+            grown.set(i, j, 0.3).unwrap();
+        }
+        grown.set(3, 0, 0.6).unwrap();
+        grown.set(0, 3, 0.4).unwrap();
+        let mut shrunk = base();
+        for (i, j) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
+            shrunk.set(i, j, 0.0).unwrap();
+        }
+        type Edit = fn(&GrmHandle);
+        let edits: [(&str, Edit, AgreementMatrix); 3] = [
+            ("set_agreement", |h| h.set_agreement(2, 0, 0.8).unwrap(), renegotiated),
+            (
+                "join",
+                |h| {
+                    assert_eq!(h.join().unwrap(), 3);
+                    h.set_agreement(3, 0, 0.6).unwrap();
+                    h.set_agreement(0, 3, 0.4).unwrap();
+                },
+                grown,
+            ),
+            ("leave", |h| h.leave(1).unwrap(), shrunk),
+        ];
+        for (name, edit, matrix) in edits {
+            let n = matrix.n();
+            let live = GrmServer::spawn_multi(LANES.to_vec(), base(), 2);
+            let h = live.handle();
+            // A decision before the edit: the edit lands on warm solvers.
+            h.report_multi(0, vec![5.0, 5.0]).unwrap();
+            h.request_multi(0, &[1.0, 1.0]).unwrap();
+            edit(&h);
+            let edited = later_decisions(&h, n);
+            let fresh = GrmServer::spawn_multi(LANES.to_vec(), matrix, 2);
+            let unedited = GrmServer::spawn_multi(LANES.to_vec(), base(), 2);
+            let (want, before) =
+                (later_decisions(&fresh.handle(), n), later_decisions(&unedited.handle(), 3));
+            assert_eq!(format!("{edited:?}"), format!("{want:?}"), "{name}: bit for bit");
+            assert_ne!(
+                format!("{:?}", &edited[..3]),
+                format!("{before:?}"),
+                "{name}: the edit counts"
+            );
+            assert!(edited.iter().any(Result::is_ok), "{name}: {edited:?}");
+        }
+    }
+
+    /// A one-lane GRM, named or not, flat or hierarchical, answers both
+    /// call families: the per-lane calls and the single-pool ones.
+    #[test]
+    fn one_lane_grms_answer_both_call_families() {
+        type Spawn = fn() -> GrmServer;
+        let spawns: [(&str, Spawn); 4] = [
+            ("flat", || GrmServer::spawn(complete(4, 0.5), 1)),
+            ("flat, named", || GrmServer::spawn_multi(vec!["cpu"], complete(4, 0.5), 1)),
+            ("hierarchical", || GrmServer::spawn_hierarchical(hier_sched(false))),
+            ("hierarchical, named", || {
+                let front = MultiAdmission::new(vec!["cpu"], vec![hier_sched(false)]).unwrap();
+                GrmServer::spawn_multi_hierarchical(front)
+            }),
+        ];
+        for (name, spawn) in &spawns {
+            let grm = spawn();
+            let h = grm.handle();
+            for lrm in 0..4 {
+                h.report_multi(lrm, vec![10.0]).unwrap();
+            }
+            let multi = h.request_multi(0, &[3.0]).unwrap();
+            assert_eq!(multi.lanes.len(), 1, "{name}");
+            let single = h.request(1, 4.0).unwrap();
+            let pool = h.availability().unwrap();
+            assert_eq!(h.availability_multi().unwrap(), vec![pool.clone()], "{name}");
+            assert!((pool.iter().sum::<f64>() - 33.0).abs() < 1e-9, "{name}: {pool:?}");
+            h.release(single).unwrap();
+            h.release(multi.lanes[0].clone()).unwrap();
+            let pool = h.availability().unwrap();
+            assert!((pool.iter().sum::<f64>() - 40.0).abs() < 1e-9, "{name}: {pool:?}");
+            h.replay_grant(RequestId { client: 9, seq: 1 }, 2, 2.5).unwrap();
+            let stats = h.stats().unwrap();
+            assert_eq!((stats.granted, stats.journaled_grants), (2, 1), "{name}");
+            grm.shutdown();
+        }
+    }
+
+    /// A run of multi-resource requests on a two-lane hierarchical engine
+    /// is admitted as one batch, and decides bit for bit as the same calls
+    /// executed one by one.
+    #[test]
+    fn two_lane_hierarchical_batched_run_matches_one_by_one() {
+        let front = || {
+            MultiAdmission::new(LANES.to_vec(), (0..2).map(|_| hier_sched(true)).collect()).unwrap()
+        };
+        let (id_a, id_b) = (RequestId { client: 1, seq: 1 }, RequestId { client: 1, seq: 2 });
+        let build_trace = || {
+            let mut msgs = Vec::new();
+            let mut replies = Vec::new();
+            for (lrm, available) in
+                [(0, [6.0, 3.0]), (1, [4.0, 1.0]), (2, [10.0, 5.0]), (3, [2.0, 2.0])]
+            {
+                msgs.push(post(Call::ReportMulti { lrm, available: available.to_vec() }));
+            }
+            for (lrm, amounts, req_id) in [
+                (0, [3.0, 1.0], Some(id_a)),
+                (2, [5.0, 2.0], None),
+                (0, [3.0, 1.0], Some(id_a)), // in-run duplicate
+                (7, [1.0, 1.0], None),       // unknown LRM
+                (1, [1.0, 50.0], None),      // bandwidth binds
+                (3, [4.0, 1.0], Some(id_b)), // needs the coarse path
+                (3, [1.0, -1.0], None),      // invalid second lane
+                (1, [2.0, 0.5], None),
+            ] {
+                let (msg, rx) = request_multi(lrm, &amounts, req_id);
+                msgs.push(msg);
+                replies.push(rx);
+            }
+            (msgs, replies)
+        };
+
+        let (msgs_one, replies_one) = build_trace();
+        let (msgs_batch, replies_batch) = build_trace();
+        let mut one = hier_core_with(front(), Telemetry::default());
+        for m in msgs_one {
+            handle(&mut one, m);
+        }
+        let (telemetry, recorder) = Telemetry::recorder(64);
+        let mut batched = hier_core_with(front(), telemetry);
+        assert!(batched.handle_batch(&mut VecDeque::from(msgs_batch)).is_none());
+
+        for (ra, rb) in replies_one.iter().zip(&replies_batch) {
+            let (a, b) = (ra.try_recv().unwrap(), rb.try_recv().unwrap());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "bit for bit");
+        }
+        let bits = |core: &ServerCore, lane| {
+            core.engine.lane(lane).iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        for lane in 0..2 {
+            assert_eq!(bits(&one, lane), bits(&batched, lane), "lane {lane}");
+        }
+        let (mut s1, mut s2) = (one.published_stats(), batched.published_stats());
+        assert_eq!((s1.batched_allocations, s2.batched_allocations), (0, 6));
+        assert_eq!((s1.granted, s1.duplicate_requests), (s2.granted, s2.duplicate_requests));
+        s1.batched_allocations = 0;
+        s2.batched_allocations = 0;
+        s1.executor_fallbacks_sequential = 0;
+        s2.executor_fallbacks_sequential = 0;
+        assert_eq!(s1, s2, "all other counters agree");
+        let sizes = recorder.snapshot();
+        let sizes = sizes.histogram(HistKind::BatchSize).expect("batch sizes");
+        assert!(sizes.max > 1.0, "the run was admitted as one batch: {sizes:?}");
+    }
+
+    // ---- one script, two engines × one or two lanes ----------------------
+
+    /// One engine at one lane count under the conformance script: how to
+    /// spawn it over four principals, its lane count, and the exact
+    /// `Unsupported` payload of every operation it refuses (an operation
+    /// not listed must not answer `Unsupported`).
     struct EngineCase {
         name: &'static str,
         spawn: fn() -> GrmServer,
-        multi: bool,
+        lanes: usize,
         refusals: &'static [(&'static str, &'static str)],
     }
 
@@ -2351,62 +2626,61 @@ mod tests {
         MultiAdmission::new(LANES.to_vec(), (0..2).map(|_| hier_sched(false)).collect()).unwrap()
     }
 
-    const SINGLE_ONLY: [(&str, &str); 2] = [
-        ("request_multi", "multi-resource request on a single-resource GRM"),
-        ("availability_multi", "availability_multi on a single-resource GRM"),
+    /// What the flat engine refuses at any lane count.
+    const FLAT_ONLY: (&str, &str) = ("set_inter_group", "set_inter_group on a flat GRM");
+
+    /// What the hierarchical engine refuses at any lane count.
+    const HIER_ONLY: [(&str, &str); 3] = [
+        ("join", "join on a hierarchical GRM (fixed partition)"),
+        ("leave", "leave on a hierarchical GRM (fixed partition)"),
+        ("set_agreement", "set_agreement on a hierarchical GRM; renegotiate with set_inter_group"),
+    ];
+
+    /// The single-pool calls more than one lane refuses.
+    const ONE_LANE_ONLY: [(&str, &str); 4] = [
+        ("request", "single-resource request on a multi-resource GRM; use request_multi"),
+        ("release", "release on a multi-resource GRM"),
+        ("replay_grant", "replay_grant on a multi-resource GRM"),
+        ("availability", "availability on a multi-resource GRM"),
     ];
 
     const ENGINES: [EngineCase; 4] = [
         EngineCase {
             name: "flat",
             spawn: || GrmServer::spawn(complete(4, 0.5), 1),
-            multi: false,
+            lanes: 1,
+            refusals: &[FLAT_ONLY],
+        },
+        EngineCase {
+            name: "flat, two lanes",
+            spawn: || GrmServer::spawn_multi(LANES.to_vec(), complete(4, 0.5), 1),
+            lanes: 2,
             refusals: &[
-                ("set_inter_group", "set_inter_group on a flat GRM"),
-                SINGLE_ONLY[0],
-                SINGLE_ONLY[1],
+                FLAT_ONLY,
+                ONE_LANE_ONLY[0],
+                ONE_LANE_ONLY[1],
+                ONE_LANE_ONLY[2],
+                ONE_LANE_ONLY[3],
             ],
         },
         EngineCase {
             name: "hierarchical",
             spawn: || GrmServer::spawn_hierarchical(hier_sched(false)),
-            multi: false,
-            refusals: &[
-                ("join", "join on a hierarchical GRM (fixed partition)"),
-                ("leave", "leave on a hierarchical GRM (fixed partition)"),
-                (
-                    "set_agreement",
-                    "set_agreement on a hierarchical GRM; renegotiate with set_inter_group",
-                ),
-                SINGLE_ONLY[0],
-                SINGLE_ONLY[1],
-            ],
+            lanes: 1,
+            refusals: &HIER_ONLY,
         },
         EngineCase {
-            name: "multi-flat",
-            spawn: || GrmServer::spawn_multi(LANES.to_vec(), complete(4, 0.5), 1),
-            multi: true,
-            refusals: &[
-                ("join", "join on a multi-resource GRM (fixed membership)"),
-                ("leave", "leave on a multi-resource GRM (fixed membership)"),
-                ("set_agreement", "set_agreement on a multi-resource GRM"),
-                ("set_inter_group", "set_inter_group on a flat multi-resource GRM"),
-                ("request", "single-resource request on a multi-resource GRM; use request_multi"),
-                ("release", "release on a multi-resource GRM"),
-                ("replay_grant", "replay_grant on a multi-resource GRM"),
-            ],
-        },
-        EngineCase {
-            name: "multi-hierarchical",
+            name: "hierarchical, two lanes",
             spawn: || GrmServer::spawn_multi_hierarchical(two_hier_lanes()),
-            multi: true,
+            lanes: 2,
             refusals: &[
-                ("join", "join on a multi-resource GRM (fixed membership)"),
-                ("leave", "leave on a multi-resource GRM (fixed membership)"),
-                ("set_agreement", "set_agreement on a multi-resource GRM"),
-                ("request", "single-resource request on a multi-resource GRM; use request_multi"),
-                ("release", "release on a multi-resource GRM"),
-                ("replay_grant", "replay_grant on a multi-resource GRM"),
+                HIER_ONLY[0],
+                HIER_ONLY[1],
+                HIER_ONLY[2],
+                ONE_LANE_ONLY[0],
+                ONE_LANE_ONLY[1],
+                ONE_LANE_ONLY[2],
+                ONE_LANE_ONLY[3],
             ],
         },
     ];
@@ -2414,8 +2688,8 @@ mod tests {
     impl EngineCase {
         /// Report `available` in every lane.
         fn report(&self, h: &GrmHandle, lrm: usize, available: f64) {
-            if self.multi {
-                h.report_multi(lrm, vec![available; LANES.len()]).unwrap();
+            if self.lanes > 1 {
+                h.report_multi(lrm, vec![available; self.lanes]).unwrap();
             } else {
                 h.report(lrm, available).unwrap();
             }
@@ -2429,21 +2703,23 @@ mod tests {
             amount: f64,
             id: RequestId,
         ) -> Result<Vec<Allocation>, GrmError> {
-            if self.multi {
-                let amounts = vec![amount; LANES.len()];
+            if self.lanes > 1 {
+                let amounts = vec![amount; self.lanes];
                 h.request_multi_idempotent(lrm, &amounts, id).map(|grant| grant.lanes)
             } else {
                 h.request_idempotent(lrm, amount, id).map(|grant| vec![grant])
             }
         }
 
-        /// The availability view, lane by lane.
+        /// The availability view, lane by lane — read through the
+        /// single-pool call where there is one pool, and checked against
+        /// the per-lane call.
         fn view(&self, h: &GrmHandle) -> Vec<Vec<f64>> {
-            if self.multi {
-                h.availability_multi().unwrap()
-            } else {
-                vec![h.availability().unwrap()]
+            let lanes = h.availability_multi().unwrap();
+            if self.lanes == 1 {
+                assert_eq!(lanes, vec![h.availability().unwrap()], "{}", self.name);
             }
+            lanes
         }
     }
 
@@ -2454,8 +2730,7 @@ mod tests {
     #[test]
     fn every_engine_passes_the_conformance_script() {
         for case in &ENGINES {
-            let ctx = case.name;
-            let lanes = if case.multi { LANES.len() } else { 1 };
+            let (ctx, lanes) = (case.name, case.lanes);
             let grm = (case.spawn)();
             let h = grm.handle();
 
@@ -2484,7 +2759,7 @@ mod tests {
             // names, and moves nothing.
             match case.request(&h, 0, 1e6, RequestId { client: 1, seq: 2 }) {
                 Err(GrmError::Sched(SchedError::InsufficientCapacity { resource, .. })) => {
-                    assert_eq!(resource, case.multi.then_some(LANES[0]), "{ctx}");
+                    assert_eq!(resource, (lanes > 1).then_some(LANES[0]), "{ctx}");
                 }
                 other => panic!("{ctx}: expected a capacity rejection, got {other:?}"),
             }
@@ -2525,9 +2800,10 @@ mod tests {
             // `Unsupported`; the others answer something else. (Last:
             // the supported ones change membership and agreements.)
             type Op = (&'static str, Box<dyn Fn(&GrmHandle) -> Result<(), GrmError>>);
-            let ops: [Op; 9] = [
+            let ops: [Op; 10] = [
                 ("request", Box::new(|h| h.request(0, 1.0).map(drop))),
                 ("request_multi", Box::new(|h| h.request_multi(0, &[1.0, 1.0]).map(drop))),
+                ("availability", Box::new(|h| h.availability().map(drop))),
                 ("availability_multi", Box::new(|h| h.availability_multi().map(drop))),
                 ("release", Box::new(move |h| h.release(stray.clone()))),
                 (

@@ -611,8 +611,14 @@ fn syncer_loop(shared: &Shared, max_pending: usize, max_hold: Duration) {
             return;
         }
         shared.telemetry.stop(HistKind::JournalFsyncSeconds, span);
-        shared.log.lock().journal.note_synced(target);
-        let covered = shared.durability.advance(0, target);
+        // Advance under the log lock: a run publishing the journal's
+        // watermark in between would otherwise retire these records
+        // first, and the group counters would miss them.
+        let covered = {
+            let mut log = shared.log.lock();
+            log.journal.note_synced(target);
+            shared.durability.advance(0, target)
+        };
         shared.group_syncs.fetch_add(1, Ordering::Relaxed);
         shared.group_records.fetch_add(covered, Ordering::Relaxed);
         // `covered` is the unsynced tail this fsync retired — exactly
@@ -756,10 +762,10 @@ fn response(answer: Answer) -> WireResponse {
         Answer::Grant { result, .. } => WireResponse::Grant(result),
         Answer::GrantMulti { result, .. } => WireResponse::GrantMulti(result),
         Answer::Unit { result, .. } => WireResponse::Unit(result),
-        Answer::Availability(view) => WireResponse::Availability(view),
-        Answer::AvailabilityMulti(res) => {
-            res.map_or_else(|e| WireResponse::Unit(Err(e)), WireResponse::AvailabilityMulti)
+        Answer::Availability(res) => {
+            res.map_or_else(|e| WireResponse::Unit(Err(e)), WireResponse::Availability)
         }
+        Answer::AvailabilityMulti(lanes) => WireResponse::AvailabilityMulti(lanes),
         Answer::Stats(stats) => WireResponse::Stats(Box::new(stats)),
         // Reports and ticks are acked whether or not they applied.
         Answer::Applied(_) => WireResponse::Unit(Ok(())),

@@ -389,6 +389,12 @@ fn multi_resource_rpcs_over_the_socket_and_across_a_restart() {
         Err(GrmError::Unsupported(_)) => {}
         other => panic!("expected Unsupported for a single-resource call, got {other:?}"),
     }
+    // Two lanes have no single pool: its read is refused, not answered
+    // with a view indistinguishable from a federation with no capacity.
+    match net.availability() {
+        Err(GrmError::Unsupported(_)) => {}
+        other => panic!("expected Unsupported for the single-pool view, got {other:?}"),
+    }
 
     daemon.shutdown();
 

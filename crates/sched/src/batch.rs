@@ -1,44 +1,17 @@
-//! Cross-request batched admission: the front door that lets one warm
-//! fine solver amortize over a whole drained admission queue (PR 6).
+//! Cross-request batched admission for a single resource (PR 6): the
+//! front door that lets one warm fine solver amortize over a whole
+//! drained admission queue.
 //!
-//! The GRM serve loop already drains its mailbox on every wakeup; before
-//! this module each drained allocation request still paid a full
-//! scheduler round trip one at a time. [`BatchedAdmission`] instead takes
-//! the drained run of requests, groups them by the requester's home
-//! group, and ships each group's slot-ordered run to the persistent
-//! `ShardExecutor` worker that owns that group's warm
-//! solver. Workers replay their runs against a private copy of their
-//! members' availability; the coordinator then commits accepted steps
-//! **in global slot order** with the same full-vector
-//! `(v − d).max(0.0)` expression the GRM applies, so the availability
-//! vector evolves through literally the same sequence of operations as
-//! one-by-one submission — including the `-0.0` normalization of
-//! untouched entries. That is the bit-identity contract, property-tested
-//! in `tests/proptest_batch.rs`.
-//!
-//! # The wave/stall protocol
-//!
-//! Requests that fit in their home group are independent across groups
-//! (groups are disjoint), so they parallelize freely. A request its home
-//! group cannot cover needs the coarse LP over *global* state, which
-//! depends on every earlier decision. The batch therefore executes in
-//! waves:
-//!
-//! 1. Fan the undecided tail of the batch out as per-group runs; each
-//!    worker stops at the first request its group cannot cover.
-//! 2. Let `S` be the earliest stalled slot across groups. Steps for
-//!    slots before `S` are final (nothing at or after `S` can affect
-//!    them); commit them in slot order. Steps at or after `S` are
-//!    discarded — a coarse draw at `S` may touch their groups.
-//! 3. Decide slot `S` inline through the ordinary one-by-one path (the
-//!    coarse LP), then start the next wave at `S + 1`.
-//!
-//! Every wave decides at least one slot, so the loop terminates; a batch
-//! with no coarse traffic finishes in a single wave.
+//! [`BatchedAdmission`] is the one-lane entry into the one hierarchical
+//! wave loop, [`crate::multires::MultiAdmission::decide_run`]: one
+//! unnamed lane, so decisions are plain [`Allocation`]s and capacity
+//! rejections carry `resource: None`. The loop's wave/stall protocol and
+//! its bit-identity to one-by-one admission are documented there;
+//! `tests/proptest_batch.rs` property-tests this entry.
 
 use crate::error::SchedError;
-use crate::executor::{GroupRun, RunRequest, RunStep};
-use crate::hierarchy::{FineMode, HierarchicalScheduler};
+use crate::hierarchy::HierarchicalScheduler;
+use crate::multires::MultiAdmission;
 use crate::state::Allocation;
 use agreements_telemetry::Telemetry;
 
@@ -57,25 +30,26 @@ pub struct AdmissionRequest {
 /// after a call it reflects every granted allocation.
 #[derive(Debug)]
 pub struct BatchedAdmission {
-    sched: HierarchicalScheduler,
+    front: MultiAdmission,
 }
 
 impl BatchedAdmission {
     /// Wrap a scheduler. Enable its executor (`set_parallel_auto` /
     /// `set_parallel_fine`) *before* wrapping.
     pub fn new(sched: HierarchicalScheduler) -> Self {
-        BatchedAdmission { sched }
+        let front = MultiAdmission::new(Vec::new(), vec![sched]).expect("one unnamed lane");
+        BatchedAdmission { front }
     }
 
     /// The underlying scheduler.
     pub fn scheduler(&self) -> &HierarchicalScheduler {
-        &self.sched
+        self.front.lane(0)
     }
 
     /// Attach a telemetry plane (delegates to the scheduler, which also
     /// broadcasts it to any live executor workers).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.sched.set_telemetry(telemetry);
+        self.front.set_telemetry(telemetry);
     }
 
     /// Renegotiate one inter-group agreement mid-stream; returns the
@@ -87,7 +61,7 @@ impl BatchedAdmission {
         to_group: usize,
         share: f64,
     ) -> Result<usize, SchedError> {
-        self.sched.set_inter(from_group, to_group, share)
+        self.front.set_inter(from_group, to_group, share)
     }
 
     /// Admit a single request: allocate through the scheduler and commit
@@ -95,15 +69,12 @@ impl BatchedAdmission {
     /// `(v − d).max(0.0)` expression. Errors leave the vector untouched.
     pub fn admit_one(
         &self,
-        availability: &mut [f64],
+        mut availability: &mut [f64],
         requester: usize,
         amount: f64,
     ) -> Result<Allocation, SchedError> {
-        let alloc = self.sched.allocate(availability, requester, amount)?;
-        for (v, d) in availability.iter_mut().zip(&alloc.draws) {
-            *v = (*v - *d).max(0.0);
-        }
-        Ok(alloc)
+        let lanes = std::slice::from_mut(&mut availability);
+        self.front.decide(lanes, requester, std::slice::from_ref(&amount))
     }
 
     /// Admit a whole batch, returning one decision per request in input
@@ -113,117 +84,10 @@ impl BatchedAdmission {
     /// live or a wave's fan-out is below the measured break-even.
     pub fn admit_batch(
         &self,
-        availability: &mut [f64],
+        mut availability: &mut [f64],
         reqs: &[AdmissionRequest],
     ) -> Vec<Result<Allocation, SchedError>> {
-        let k = reqs.len();
-        let n = self.sched.num_principals();
-        let executor_live =
-            availability.len() == n && self.sched.shard_executor().is_some() && k >= 2;
-        if !executor_live {
-            if self.sched.fine_mode() != FineMode::Sequential && k >= 2 {
-                self.sched.exec_stats().note_fallback();
-            }
-            return reqs
-                .iter()
-                .map(|r| self.admit_one(availability, r.requester, r.amount))
-                .collect();
-        }
-        let ex = self.sched.shard_executor().expect("checked above");
-
-        let mut decisions: Vec<Option<Result<Allocation, SchedError>>> =
-            (0..k).map(|_| None).collect();
-        let mut i = 0;
-        while i < k {
-            // Build per-group runs over the undecided tail, deciding
-            // stateless validation errors inline (they never touch
-            // availability, so deciding them early changes nothing).
-            let mut run_of_group: Vec<usize> = vec![usize::MAX; self.sched.num_groups()];
-            let mut runs: Vec<GroupRun> = Vec::new();
-            for slot in i..k {
-                if decisions[slot].is_some() {
-                    continue;
-                }
-                let r = &reqs[slot];
-                if r.requester >= n {
-                    decisions[slot] =
-                        Some(Err(SchedError::UnknownPrincipal { index: r.requester, n }));
-                    continue;
-                }
-                if !r.amount.is_finite() || r.amount < 0.0 {
-                    decisions[slot] = Some(Err(SchedError::InvalidRequest { amount: r.amount }));
-                    continue;
-                }
-                let g = self.sched.group_of(r.requester).expect("validated requester");
-                if run_of_group[g] == usize::MAX {
-                    run_of_group[g] = runs.len();
-                    let members = &self.sched.groups()[g];
-                    runs.push(GroupRun {
-                        group: g,
-                        first_member: members[0],
-                        start: members.iter().map(|&m| availability[m]).collect(),
-                        reqs: Vec::new(),
-                    });
-                }
-                runs[run_of_group[g]].reqs.push(RunRequest { slot, amount: r.amount });
-            }
-
-            if !ex.should_parallelize(runs.len()) {
-                if runs.len() >= 2 {
-                    self.sched.exec_stats().note_fallback();
-                }
-                for slot in i..k {
-                    if decisions[slot].is_none() {
-                        let r = &reqs[slot];
-                        decisions[slot] = Some(self.admit_one(availability, r.requester, r.amount));
-                    }
-                }
-                break;
-            }
-
-            let outcomes = ex.run_fan(runs);
-            let stall = outcomes.iter().filter_map(|o| o.stalled_at).min();
-            let cutoff = stall.unwrap_or(k);
-
-            // Steps before the earliest stall are final. Collect them
-            // across groups and commit in global slot order — the exact
-            // state evolution one-by-one submission would produce.
-            let mut accepted: Vec<(usize, RunStep)> = Vec::new();
-            for outcome in outcomes {
-                for step in outcome.steps {
-                    if step.slot < cutoff {
-                        accepted.push((outcome.group, step));
-                    }
-                }
-            }
-            accepted.sort_by_key(|(_, step)| step.slot);
-            for (group, step) in accepted {
-                let slot = step.slot;
-                let r = &reqs[slot];
-                decisions[slot] = Some(step.result.map(|(local, theta)| {
-                    let mut draws = vec![0.0; n];
-                    for (&m, d) in self.sched.groups()[group].iter().zip(local) {
-                        draws[m] += d;
-                    }
-                    for (v, d) in availability.iter_mut().zip(&draws) {
-                        *v = (*v - *d).max(0.0);
-                    }
-                    Allocation { requester: r.requester, amount: r.amount, draws, theta }
-                }));
-            }
-
-            match stall {
-                Some(s) => {
-                    // The stalled request needs global state (the coarse
-                    // LP); decide it through the ordinary path.
-                    let r = &reqs[s];
-                    decisions[s] = Some(self.admit_one(availability, r.requester, r.amount));
-                    i = s + 1;
-                }
-                None => i = k,
-            }
-        }
-        decisions.into_iter().map(|d| d.expect("every slot decided")).collect()
+        self.front.decide_run(std::slice::from_mut(&mut availability), reqs)
     }
 }
 

@@ -56,6 +56,21 @@ pub enum SchedError {
     Flow(FlowError),
 }
 
+impl SchedError {
+    /// This error as resource lane `resource`'s verdict: a capacity
+    /// rejection names the lane as the binding resource (`None` for the
+    /// unnamed lane of a single-resource scheduler); every other kind
+    /// passes through.
+    pub fn tagged(self, resource: Option<&'static str>) -> SchedError {
+        match self {
+            SchedError::InsufficientCapacity { requester, capacity, requested, .. } => {
+                SchedError::InsufficientCapacity { requester, capacity, requested, resource }
+            }
+            other => other,
+        }
+    }
+}
+
 impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -30,7 +30,8 @@
 //!   at all, so sequential hosts never regress.
 //!
 //! The batched-run protocol (`GroupRun` → `RunOutcome`) is the
-//! executor half of [`crate::batch::BatchedAdmission`]: a worker replays a
+//! executor half of the wave loop,
+//! [`crate::multires::MultiAdmission::decide_run`]: a worker replays a
 //! slot-ordered run of home-group requests against a private copy of its
 //! members' availability, stopping at the first request its group cannot
 //! cover (the coordinator finishes that one on the coarse path). Every

@@ -78,7 +78,7 @@ pub use explain::{explain_allocation, Explanation};
 pub use hierarchy::HierarchicalScheduler;
 pub use lp_model::Formulation;
 pub use multires::{
-    MultiAdmission, MultiAdmissionRequest, MultiAllocation, MultiSolver, ResourceVector,
+    LaneGrant, LaneRequest, MultiAdmission, MultiAdmissionRequest, MultiAllocation, ResourceVector,
     STANDARD_RESOURCES,
 };
 pub use objectives::{CostAwareLpPolicy, FairShareLpPolicy};

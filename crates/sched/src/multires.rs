@@ -1,52 +1,78 @@
-//! Multi-resource admission at scale (paper §3.2, scaled path).
+//! Multi-resource admission at scale (paper §3.2, scaled path), and the
+//! one hierarchical wave loop.
 //!
 //! [`crate::multi`] binds co-located resources into one composite pool.
 //! This module instead runs **one full enforcement lane per resource** —
-//! CPU, bandwidth, storage — each with its own agreement-derived state
-//! and warm LP solver, and admits a request iff *every* resource's LP
-//! admits it. A rejection names the **binding resource**: the first
-//! lane, in resource order, whose admission failed.
+//! CPU, bandwidth, storage — each with its own warm hierarchical scheduler
+//! over one shared partition, and admits a request iff *every* lane
+//! admits it. A rejection names the **binding resource**: the first lane,
+//! in resource order, whose admission failed.
 //!
-//! Two front doors mirror the single-resource stack:
+//! [`MultiAdmission`] is the hierarchical front door for every lane count
+//! k ≥ 1, and its wave loop is the only one: a single-resource scheduler
+//! is the one-lane case. [`crate::batch::BatchedAdmission`] is one
+//! unnamed lane, whose capacity rejections carry `resource: None`. The
+//! caller picks the grant shape ([`LaneGrant`]): an [`Allocation`] for
+//! one lane, a [`MultiAllocation`] for any count. The one-lane shape
+//! costs what the single-resource path always cost — no per-decision
+//! vector of lanes, no re-boxed request.
 //!
-//! - [`MultiSolver`] — flat per-lane [`AllocationSolver`]s over a slice
-//!   of [`SystemState`]s (the GRM server's engine).
-//! - [`MultiAdmission`] — per-lane [`HierarchicalScheduler`]s with the
-//!   batched wave/stall protocol of [`crate::batch`] run lane-wise (the
-//!   scaled engine).
+//! # The wave/stall protocol
+//!
+//! [`MultiAdmission::decide_run`] takes a drained run of requests, groups
+//! them by the requester's home group, and ships each group's
+//! slot-ordered run to the persistent `ShardExecutor` worker that owns
+//! that group's warm solver, once per lane. Workers replay their runs
+//! against a private copy of their members' availability; the
+//! coordinator then commits accepted steps **in global slot order**, lane
+//! by lane, with the same full-vector `(v − d).max(0.0)` expression the
+//! GRM applies, so every availability vector evolves through literally
+//! the same sequence of operations as one-by-one admission — including
+//! the `-0.0` normalization of untouched entries.
+//!
+//! Requests that fit in their home group are independent across groups
+//! (groups are disjoint), so they parallelize freely. A request its home
+//! group cannot cover needs the coarse LP over *global* state, which
+//! depends on every earlier decision. The run therefore executes in
+//! waves:
+//!
+//! 1. Fan the undecided tail out as per-group runs in every lane; each
+//!    worker stops at the first request its group cannot cover.
+//! 2. The cutoff is the earliest slot, across all lanes, that stalled
+//!    (needs the coarse LP) — and, with more than one lane, that a lane's
+//!    group solver rejected, or whose verdict depends on state (an
+//!    invalid amount past the first lane, where an earlier lane may
+//!    refuse on capacity first). A slot rejected in one lane is rejected
+//!    globally, so lanes that accepted it advanced their private
+//!    availability past a decision that is never committed. One lane
+//!    keeps the stall rule alone, so the degeneracy below holds by
+//!    construction.
+//! 3. Steps before the cutoff were decided by every lane; commit them in
+//!    slot order. Decide the cutoff slot through the one-by-one path
+//!    ([`MultiAdmission::decide`]) on the now-current availability, then
+//!    start the next wave after it.
+//!
+//! Every wave decides at least one slot, so the loop terminates; a run
+//! with no coarse traffic and no lane rejection finishes in one wave.
 //!
 //! # Degeneracy contract
 //!
-//! With a single lane, every path here reduces to the exact
-//! single-resource algorithm: the wave protocol computes the same
-//! cutoffs, commits the same steps in the same order, and evaluates the
-//! same expressions, so decisions and availability are **bit-identical**
-//! to [`crate::batch::BatchedAdmission`] — the only difference is that
-//! `InsufficientCapacity` rejections carry `resource: Some(name)`
-//! instead of `None`. `tests/proptest_multires.rs` pins this.
-//!
-//! # The multi-lane wave protocol
-//!
-//! Per wave, each lane fans its own per-group runs to its own
-//! `ShardExecutor`. The cutoff is the earliest slot,
-//! across *all* lanes, that either stalled (needs the coarse LP) or was
-//! rejected by its lane's group solver. The rejection cap is new to the
-//! multi-lane case: a slot rejected in one lane is rejected *globally*,
-//! so lanes that accepted it advanced their private availability past a
-//! decision the system will never commit — everything at or beyond that
-//! slot must be replayed. Slots before the cutoff were accepted by every
-//! lane and commit in global slot order, lane by lane; the cutoff slot
-//! is decided inline through [`MultiAdmission::admit_one`] (which
-//! reproduces the lane verdicts on the now-current availability), and
-//! the next wave starts after it. Each per-lane rejection therefore
-//! costs a wave — correctness over throughput.
+//! With a single lane every path here is the single-resource algorithm:
+//! the same cutoffs, the same steps committed in the same order, the same
+//! expressions. A one-lane front is bit-identical to
+//! [`crate::batch::BatchedAdmission`] in decisions and availability; a
+//! named lane differs only in tagging `InsufficientCapacity` rejections
+//! `resource: Some(name)` where the unnamed lane says `None`.
+//! `tests/proptest_multires.rs` pins this, and `tests/proptest_batch.rs`
+//! holds every run bit-identical to one-by-one admission.
 
+use crate::batch::AdmissionRequest;
 use crate::error::SchedError;
 use crate::executor::{GroupRun, RunRequest};
 use crate::hierarchy::{FineMode, HierarchicalScheduler};
-use crate::solver::AllocationSolver;
-use crate::state::{Allocation, SystemState};
+use crate::state::Allocation;
 use agreements_telemetry::Telemetry;
+use std::ops::DerefMut;
 
 /// The standard three-resource schema, in lane order.
 pub const STANDARD_RESOURCES: [&str; 3] = ["cpu", "bandwidth", "storage"];
@@ -117,103 +143,101 @@ impl MultiAllocation {
     }
 }
 
-/// Stamp the binding-resource name onto a capacity rejection; other
-/// error kinds (validation, LP trouble) pass through untouched.
-fn tag(e: SchedError, name: &'static str) -> SchedError {
-    match e {
-        SchedError::InsufficientCapacity { requester, capacity, requested, .. } => {
-            SchedError::InsufficientCapacity {
-                requester,
-                capacity,
-                requested,
-                resource: Some(name),
-            }
-        }
-        other => other,
+/// A queued request as a lane-generic admission path reads it.
+pub trait LaneRequest {
+    /// Requesting principal (global index).
+    fn requester(&self) -> usize;
+    /// One amount per lane, resource order.
+    fn amounts(&self) -> &[f64];
+}
+
+impl LaneRequest for AdmissionRequest {
+    fn requester(&self) -> usize {
+        self.requester
+    }
+
+    fn amounts(&self) -> &[f64] {
+        std::slice::from_ref(&self.amount)
     }
 }
 
-/// Flat per-resource admission: one warm [`AllocationSolver`] per lane
-/// over caller-owned [`SystemState`]s. This is the multi-resource
-/// analogue of the GRM server's single cached solver.
-#[derive(Debug)]
-pub struct MultiSolver {
-    names: Vec<&'static str>,
-    solvers: Vec<AllocationSolver>,
-}
-
-impl MultiSolver {
-    /// One warm reduced-form solver per named resource lane.
-    pub fn reduced(names: Vec<&'static str>) -> Self {
-        let solvers = names.iter().map(|_| AllocationSolver::reduced()).collect();
-        MultiSolver { names, solvers }
+impl LaneRequest for MultiAdmissionRequest {
+    fn requester(&self) -> usize {
+        self.requester
     }
 
-    /// The resource names, lane order.
-    pub fn names(&self) -> &[&'static str] {
-        &self.names
-    }
-
-    /// Number of resource lanes.
-    pub fn num_resources(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Attach a telemetry plane to every lane's solver.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        for s in &mut self.solvers {
-            s.set_telemetry(telemetry.clone());
-        }
-    }
-
-    /// Evaluate every lane in resource order and return the per-lane
-    /// allocations iff all admit. The first lane to refuse decides the
-    /// verdict, with capacity rejections tagged by that lane's name.
-    /// States are not mutated — the caller commits grants.
-    pub fn allocate(
-        &mut self,
-        states: &[SystemState],
-        requester: usize,
-        amounts: &[f64],
-    ) -> Result<MultiAllocation, SchedError> {
-        let k = self.names.len();
-        if states.len() != k {
-            return Err(SchedError::DimensionMismatch { expected: k, got: states.len() });
-        }
-        if amounts.len() != k {
-            return Err(SchedError::DimensionMismatch { expected: k, got: amounts.len() });
-        }
-        let mut lanes = Vec::with_capacity(k);
-        for (r, (state, solver)) in states.iter().zip(&mut self.solvers).enumerate() {
-            match solver.allocate(state, requester, amounts[r]) {
-                Ok(a) => lanes.push(a),
-                Err(e) => return Err(tag(e, self.names[r])),
-            }
-        }
-        Ok(MultiAllocation { lanes })
+    fn amounts(&self) -> &[f64] {
+        &self.amounts
     }
 }
 
-/// Batched multi-resource admission over one [`HierarchicalScheduler`]
-/// per resource lane (see module docs for the wave protocol and the
-/// single-lane degeneracy contract). All lanes must share the same
-/// principal partition; availability is one vector per lane.
+/// The shape of a grant over resource lanes: [`Allocation`] is the
+/// one-lane shape, [`MultiAllocation`] the shape for any lane count.
+pub trait LaneGrant: Sized {
+    /// Assemble a grant from its lanes' verdicts, in lane order: the
+    /// first refusal is the verdict. An [`Allocation`] takes exactly one
+    /// lane.
+    fn from_lanes<E>(lanes: impl Iterator<Item = Result<Allocation, E>>) -> Result<Self, E>;
+
+    /// The per-lane allocations, lane order.
+    fn lanes(&self) -> &[Allocation];
+}
+
+impl LaneGrant for Allocation {
+    fn from_lanes<E>(mut lanes: impl Iterator<Item = Result<Allocation, E>>) -> Result<Self, E> {
+        let lane = lanes.next().expect("a grant has a lane")?;
+        assert!(lanes.next().is_none(), "an Allocation grants one lane");
+        Ok(lane)
+    }
+
+    fn lanes(&self) -> &[Allocation] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl LaneGrant for MultiAllocation {
+    fn from_lanes<E>(lanes: impl Iterator<Item = Result<Allocation, E>>) -> Result<Self, E> {
+        Ok(MultiAllocation { lanes: lanes.collect::<Result<_, E>>()? })
+    }
+
+    fn lanes(&self) -> &[Allocation] {
+        &self.lanes
+    }
+}
+
+/// Commit one lane's draws with the GRM's `(v − d).max(0.0)` expression.
+fn commit(availability: &mut [f64], draws: &[f64]) {
+    for (v, d) in availability.iter_mut().zip(draws) {
+        *v = (*v - *d).max(0.0);
+    }
+}
+
+/// Hierarchical admission over one [`HierarchicalScheduler`] per
+/// resource lane (see module docs for the wave protocol and the
+/// single-lane degeneracy contract). All lanes share one principal
+/// partition; availability is one vector per lane, owned by the caller
+/// and committed into, so after a call it reflects every grant.
 #[derive(Debug)]
 pub struct MultiAdmission {
+    /// Lane names, resource order; empty for one unnamed lane.
     names: Vec<&'static str>,
     lanes: Vec<HierarchicalScheduler>,
 }
 
 impl MultiAdmission {
-    /// Wrap one scheduler per named resource. Fails with
+    /// Wrap one scheduler per named resource — or a single scheduler
+    /// with no name, whose capacity rejections stay untagged. Fails with
     /// [`SchedError::DimensionMismatch`] if names and lanes disagree in
     /// count, no lanes are given, or the lanes' group partitions differ
     /// (the wave protocol shares one run structure across lanes).
+    /// Enable each lane's executor (`set_parallel_auto` /
+    /// `set_parallel_fine`) *before* wrapping.
     pub fn new(
         names: Vec<&'static str>,
         lanes: Vec<HierarchicalScheduler>,
     ) -> Result<Self, SchedError> {
-        if names.len() != lanes.len() {
+        let unnamed = names.is_empty() && lanes.len() == 1;
+        if names.len() != lanes.len() && !unnamed {
             return Err(SchedError::DimensionMismatch { expected: names.len(), got: lanes.len() });
         }
         if lanes.is_empty() {
@@ -230,14 +254,14 @@ impl MultiAdmission {
         Ok(MultiAdmission { names, lanes })
     }
 
-    /// The resource names, lane order.
+    /// The resource names, lane order (empty for one unnamed lane).
     pub fn names(&self) -> &[&'static str] {
         &self.names
     }
 
     /// Number of resource lanes.
     pub fn num_resources(&self) -> usize {
-        self.names.len()
+        self.lanes.len()
     }
 
     /// Number of principals (identical across lanes).
@@ -250,11 +274,6 @@ impl MultiAdmission {
         &self.lanes[r]
     }
 
-    /// Mutable access to lane `r`'s scheduler (mode switches).
-    pub fn lane_mut(&mut self, r: usize) -> &mut HierarchicalScheduler {
-        &mut self.lanes[r]
-    }
-
     /// Attach a telemetry plane to every lane.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         for lane in &mut self.lanes {
@@ -264,7 +283,8 @@ impl MultiAdmission {
 
     /// Renegotiate one inter-group agreement in every lane; returns the
     /// coarse rows recomputed in the last lane (identical counts, the
-    /// partitions being shared).
+    /// partitions being shared). Requests admitted after this call see
+    /// the new agreement — batched or not.
     pub fn set_inter(
         &mut self,
         from_group: usize,
@@ -278,18 +298,26 @@ impl MultiAdmission {
         Ok(rows)
     }
 
-    /// Admit a single multi-resource request: evaluate every lane in
-    /// resource order against its availability vector (no mutation),
-    /// and only if all admit, commit each lane's draws with the GRM's
-    /// `(v − d).max(0.0)` expression. The first refusing lane decides
-    /// the verdict; capacity rejections are tagged with that lane's
-    /// name. Errors leave every availability vector untouched.
-    pub fn admit_one(
+    /// The tag lane `r`'s capacity rejections carry.
+    fn name(&self, r: usize) -> Option<&'static str> {
+        self.names.get(r).copied()
+    }
+
+    /// Decide one request: evaluate every lane in resource order against
+    /// its availability vector (no mutation), and only if all admit,
+    /// commit each lane's draws. The first refusing lane decides the
+    /// verdict, its capacity rejection tagged with the lane's name.
+    /// Errors leave every availability vector untouched.
+    pub fn decide<A, G>(
         &self,
-        availability: &mut [Vec<f64>],
+        availability: &mut [A],
         requester: usize,
         amounts: &[f64],
-    ) -> Result<MultiAllocation, SchedError> {
+    ) -> Result<G, SchedError>
+    where
+        A: DerefMut<Target = [f64]>,
+        G: LaneGrant,
+    {
         let k = self.lanes.len();
         if availability.len() != k {
             return Err(SchedError::DimensionMismatch { expected: k, got: availability.len() });
@@ -297,34 +325,37 @@ impl MultiAdmission {
         if amounts.len() != k {
             return Err(SchedError::DimensionMismatch { expected: k, got: amounts.len() });
         }
-        let mut lanes = Vec::with_capacity(k);
-        for r in 0..k {
-            match self.lanes[r].allocate(&availability[r], requester, amounts[r]) {
-                Ok(a) => lanes.push(a),
-                Err(e) => return Err(tag(e, self.names[r])),
-            }
+        let lanes = self.lanes.iter().zip(availability.iter()).zip(amounts).enumerate();
+        let grant = G::from_lanes(lanes.map(|(r, ((lane, avail), &x))| {
+            lane.allocate(avail, requester, x).map_err(|e| e.tagged(self.name(r)))
+        }))?;
+        for (avail, alloc) in availability.iter_mut().zip(grant.lanes()) {
+            commit(avail, &alloc.draws);
         }
-        for (avail, alloc) in availability.iter_mut().zip(&lanes) {
-            for (v, d) in avail.iter_mut().zip(&alloc.draws) {
-                *v = (*v - *d).max(0.0);
-            }
-        }
-        Ok(MultiAllocation { lanes })
+        Ok(grant)
     }
 
-    /// Admit a whole batch, returning one decision per request in input
-    /// order. Bit-identical to calling [`Self::admit_one`] on each
-    /// request in order; the wave protocol (module docs) exists purely
-    /// for throughput. Falls back to the one-by-one loop when any lane
-    /// lacks a live executor or a wave's fan-out is below break-even.
-    pub fn admit_batch(
+    /// Decide a whole run, one decision per request in input order,
+    /// bit-identical to [`Self::decide`] on each in order: the wave
+    /// protocol (module docs) exists purely for throughput. Falls back to
+    /// the one-by-one loop when any lane lacks a live executor or a
+    /// wave's fan-out is below break-even.
+    pub fn decide_run<A, R, G>(
         &self,
-        availability: &mut [Vec<f64>],
-        reqs: &[MultiAdmissionRequest],
-    ) -> Vec<Result<MultiAllocation, SchedError>> {
+        availability: &mut [A],
+        reqs: &[R],
+    ) -> Vec<Result<G, SchedError>>
+    where
+        A: DerefMut<Target = [f64]>,
+        R: LaneRequest,
+        G: LaneGrant,
+    {
         let rk = self.lanes.len();
         let k = reqs.len();
         let n = self.num_principals();
+        let one_by_one = |availability: &mut [A], r: &R| -> Result<G, SchedError> {
+            self.decide(availability, r.requester(), r.amounts())
+        };
         let executor_live = availability.len() == rk
             && availability.iter().all(|a| a.len() == n)
             && self.lanes.iter().all(|l| l.shard_executor().is_some())
@@ -335,74 +366,62 @@ impl MultiAdmission {
                     lane.exec_stats().note_fallback();
                 }
             }
-            return reqs
-                .iter()
-                .map(|r| self.admit_one(availability, r.requester, &r.amounts))
-                .collect();
+            return reqs.iter().map(|r| one_by_one(availability, r)).collect();
         }
 
-        let mut decisions: Vec<Option<Result<MultiAllocation, SchedError>>> =
-            (0..k).map(|_| None).collect();
+        let groups = self.lanes[0].groups();
+        let mut decisions: Vec<Option<Result<G, SchedError>>> = (0..k).map(|_| None).collect();
         let mut i = 0;
         while i < k {
             // Build per-lane runs over the undecided tail, deciding
-            // stateless validation errors inline — in [`Self::admit_one`]
-            // order (dimensions, then principal, then lane-0 amount), so
-            // the inline verdict is the one the one-by-one path reports.
-            // Run structure (groups, slots) is identical across lanes;
+            // stateless validation errors inline in `decide`'s order
+            // (dimensions, principal, lane-0 amount): deciding them early
+            // changes nothing, since they never touch availability. Run
+            // structure (groups, slots) is identical across lanes;
             // amounts differ.
-            let mut run_of_group: Vec<usize> = vec![usize::MAX; self.lanes[0].num_groups()];
+            let mut run_of_group: Vec<usize> = vec![usize::MAX; groups.len()];
             let mut runs: Vec<Vec<GroupRun>> = (0..rk).map(|_| Vec::new()).collect();
-            // Earliest slot whose verdict is state-dependent despite
-            // being a sure rejection: an invalid amount in a lane past
-            // the first, where an earlier lane may refuse on capacity
-            // first. Such a slot must be decided inline at its turn,
-            // exactly like a stall.
             let mut forced_cut: Option<usize> = None;
             for slot in i..k {
                 if decisions[slot].is_some() {
                     continue;
                 }
-                let r = &reqs[slot];
-                if r.amounts.len() != rk {
-                    decisions[slot] = Some(Err(SchedError::DimensionMismatch {
-                        expected: rk,
-                        got: r.amounts.len(),
-                    }));
+                let (requester, amounts) = (reqs[slot].requester(), reqs[slot].amounts());
+                let invalid = |a: &f64| !a.is_finite() || *a < 0.0;
+                let early = if amounts.len() != rk {
+                    Some(SchedError::DimensionMismatch { expected: rk, got: amounts.len() })
+                } else if requester >= n {
+                    Some(SchedError::UnknownPrincipal { index: requester, n })
+                } else if invalid(&amounts[0]) {
+                    Some(SchedError::InvalidRequest { amount: amounts[0] })
+                } else {
+                    None
+                };
+                if let Some(e) = early {
+                    decisions[slot] = Some(Err(e));
                     continue;
                 }
-                if r.requester >= n {
-                    decisions[slot] =
-                        Some(Err(SchedError::UnknownPrincipal { index: r.requester, n }));
+                // An invalid amount past the first lane: an earlier lane
+                // may refuse on capacity first, so its verdict is
+                // decided at its turn, like a stall.
+                if amounts[1..].iter().any(invalid) {
+                    forced_cut.get_or_insert(slot);
                     continue;
                 }
-                if !r.amounts[0].is_finite() || r.amounts[0] < 0.0 {
-                    decisions[slot] =
-                        Some(Err(SchedError::InvalidRequest { amount: r.amounts[0] }));
-                    continue;
-                }
-                if r.amounts[1..].iter().any(|a| !a.is_finite() || *a < 0.0) {
-                    if forced_cut.is_none() {
-                        forced_cut = Some(slot);
-                    }
-                    continue;
-                }
-                let g = self.lanes[0].group_of(r.requester).expect("validated requester");
+                let g = self.lanes[0].group_of(requester).expect("validated requester");
                 if run_of_group[g] == usize::MAX {
                     run_of_group[g] = runs[0].len();
                     for (lane_runs, avail) in runs.iter_mut().zip(availability.iter()) {
-                        let members = &self.lanes[0].groups()[g];
                         lane_runs.push(GroupRun {
                             group: g,
-                            first_member: members[0],
-                            start: members.iter().map(|&m| avail[m]).collect(),
+                            first_member: groups[g][0],
+                            start: groups[g].iter().map(|&m| avail[m]).collect(),
                             reqs: Vec::new(),
                         });
                     }
                 }
-                let ri = run_of_group[g];
-                for (lane_idx, lane_runs) in runs.iter_mut().enumerate() {
-                    lane_runs[ri].reqs.push(RunRequest { slot, amount: r.amounts[lane_idx] });
+                for (lane_runs, &amount) in runs.iter_mut().zip(amounts) {
+                    lane_runs[run_of_group[g]].reqs.push(RunRequest { slot, amount });
                 }
             }
 
@@ -419,120 +438,91 @@ impl MultiAdmission {
                 }
                 for slot in i..k {
                     if decisions[slot].is_none() {
-                        let r = &reqs[slot];
-                        decisions[slot] =
-                            Some(self.admit_one(availability, r.requester, &r.amounts));
+                        decisions[slot] = Some(one_by_one(availability, &reqs[slot]));
                     }
                 }
                 break;
             }
 
-            let mut outcomes_by_lane = Vec::with_capacity(rk);
-            for (lane, lane_runs) in self.lanes.iter().zip(runs) {
-                outcomes_by_lane
-                    .push(lane.shard_executor().expect("checked live").run_fan(lane_runs));
-            }
+            let outcomes: Vec<_> = self
+                .lanes
+                .iter()
+                .zip(runs)
+                .map(|(lane, runs)| lane.shard_executor().expect("checked live").run_fan(runs))
+                .collect();
+            let stalls = outcomes.iter().flatten().filter_map(|o| o.stalled_at);
+            let rejections = outcomes
+                .iter()
+                .flatten()
+                .flat_map(|o| &o.steps)
+                .filter(|step| rk > 1 && step.result.is_err())
+                .map(|step| step.slot);
+            let cutoff = forced_cut.into_iter().chain(stalls).chain(rejections).min().unwrap_or(k);
 
-            // Cutoff: earliest stall across all lanes — and, with more
-            // than one lane, the earliest per-lane rejection too (module
-            // docs), plus any slot whose verdict is state-dependent
-            // (`forced_cut`). A single lane keeps the single-resource
-            // rule so the degeneracy contract holds structurally.
-            let mut cut: Option<usize> = forced_cut;
-            let mut note = |s: usize| cut = Some(cut.map_or(s, |c| c.min(s)));
-            for outcomes in &outcomes_by_lane {
-                for o in outcomes {
-                    if let Some(s) = o.stalled_at {
-                        note(s);
-                    }
-                    if rk > 1 {
-                        for step in &o.steps {
-                            if step.result.is_err() {
-                                note(step.slot);
-                            }
-                        }
-                    }
-                }
-            }
-            let cutoff = cut.unwrap_or(k);
-
-            // Steps before the cutoff are final in every lane. Sort by
-            // (slot, lane) and commit in global slot order, lane by
-            // lane — the exact state evolution of one-by-one admission.
-            let mut accepted: Vec<(usize, usize, usize, _)> = Vec::new();
-            for (lane_idx, outcomes) in outcomes_by_lane.into_iter().enumerate() {
+            // Steps before the cutoff were decided by every lane. Commit
+            // them in global slot order, lane by lane — the exact state
+            // evolution of one-by-one admission.
+            let mut accepted = Vec::new();
+            for (lane, outcomes) in outcomes.into_iter().enumerate() {
                 for outcome in outcomes {
-                    for step in outcome.steps {
-                        if step.slot < cutoff {
-                            accepted.push((step.slot, lane_idx, outcome.group, step.result));
-                        }
+                    for step in outcome.steps.into_iter().filter(|step| step.slot < cutoff) {
+                        accepted.push((step.slot, lane, outcome.group, step.result));
                     }
                 }
             }
-            accepted.sort_by_key(|&(slot, lane, _, _)| (slot, lane));
-            let mut per_slot: Vec<Vec<(usize, _)>> = (0..k).map(|_| Vec::new()).collect();
-            let mut slots_in_order: Vec<usize> = Vec::new();
-            for (slot, _lane, group, result) in accepted {
-                if per_slot[slot].is_empty() {
-                    slots_in_order.push(slot);
-                }
-                per_slot[slot].push((group, result));
-            }
-            for slot in slots_in_order {
-                let entries = std::mem::take(&mut per_slot[slot]);
-                debug_assert_eq!(entries.len(), rk, "one step per lane below the cutoff");
-                let r = &reqs[slot];
-                let mut lane_allocs: Vec<Allocation> = Vec::with_capacity(rk);
-                let mut failure: Option<SchedError> = None;
-                for (lane_idx, (group, result)) in entries.into_iter().enumerate() {
-                    match result {
-                        Ok((local, theta)) => {
-                            let mut draws = vec![0.0; n];
-                            for (&m, d) in self.lanes[0].groups()[group].iter().zip(local) {
-                                draws[m] += d;
-                            }
-                            lane_allocs.push(Allocation {
-                                requester: r.requester,
-                                amount: r.amounts[lane_idx],
-                                draws,
-                                theta,
-                            });
-                        }
-                        Err(e) => {
-                            // Only reachable with a single lane (multi
-                            // lanes cap the cutoff at rejections); the
-                            // worker never advanced availability, so the
-                            // rejection commits without state effect.
-                            debug_assert_eq!(rk, 1, "lane rejections cap the cutoff when rk > 1");
-                            failure = Some(tag(e, self.names[lane_idx]));
-                        }
+            accepted.sort_by_key(|&(slot, lane, ..)| (slot, lane));
+            let mut accepted = accepted.into_iter();
+            while let Some(first) = accepted.next() {
+                let (slot, r) = (first.0, &reqs[first.0]);
+                let lanes = std::iter::once(first).chain(accepted.by_ref().take(rk - 1));
+                let decision = G::from_lanes(lanes.map(|(at, lane, group, result)| {
+                    debug_assert_eq!(at, slot, "one step per lane below the cutoff");
+                    // A lane's rejection is reachable here with one lane
+                    // only (more lanes cap the cutoff at rejections); the
+                    // worker never advanced availability for it.
+                    let (local, theta) = result.map_err(|e| e.tagged(self.name(lane)))?;
+                    let mut draws = vec![0.0; n];
+                    for (&m, d) in groups[group].iter().zip(local) {
+                        draws[m] += d;
+                    }
+                    let amount = r.amounts()[lane];
+                    Ok(Allocation { requester: r.requester(), amount, draws, theta })
+                }));
+                if let Ok(grant) = &decision {
+                    for (avail, alloc) in availability.iter_mut().zip(grant.lanes()) {
+                        commit(avail, &alloc.draws);
                     }
                 }
-                decisions[slot] = Some(match failure {
-                    Some(e) => Err(e),
-                    None => {
-                        for (avail, alloc) in availability.iter_mut().zip(&lane_allocs) {
-                            for (v, d) in avail.iter_mut().zip(&alloc.draws) {
-                                *v = (*v - *d).max(0.0);
-                            }
-                        }
-                        Ok(MultiAllocation { lanes: lane_allocs })
-                    }
-                });
+                decisions[slot] = Some(decision);
             }
 
             if cutoff < k {
                 // The cutoff slot needs global state (a coarse LP) or a
-                // fresh conjunction verdict; decide it through the
-                // ordinary one-by-one path.
-                let r = &reqs[cutoff];
-                decisions[cutoff] = Some(self.admit_one(availability, r.requester, &r.amounts));
-                i = cutoff + 1;
-            } else {
-                i = k;
+                // fresh conjunction verdict; decide it one by one.
+                decisions[cutoff] = Some(one_by_one(availability, &reqs[cutoff]));
             }
+            i = cutoff + 1;
         }
         decisions.into_iter().map(|d| d.expect("every slot decided")).collect()
+    }
+
+    /// [`Self::decide`] in the multi-resource shape.
+    pub fn admit_one(
+        &self,
+        availability: &mut [Vec<f64>],
+        requester: usize,
+        amounts: &[f64],
+    ) -> Result<MultiAllocation, SchedError> {
+        self.decide(availability, requester, amounts)
+    }
+
+    /// [`Self::decide_run`] in the multi-resource shape.
+    pub fn admit_batch(
+        &self,
+        availability: &mut [Vec<f64>],
+        reqs: &[MultiAdmissionRequest],
+    ) -> Vec<Result<MultiAllocation, SchedError>> {
+        self.decide_run(availability, reqs)
     }
 }
 
@@ -653,28 +643,5 @@ mod tests {
             MultiAdmission::new(vec!["cpu", "bandwidth"], vec![a, b]),
             Err(SchedError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn flat_multi_solver_names_binding_lane() {
-        use agreements_flow::TransitiveFlow;
-        let mut s = AgreementMatrix::zeros(2);
-        s.set(0, 1, 0.5).unwrap();
-        s.set(1, 0, 0.5).unwrap();
-        let flow = TransitiveFlow::compute(&s, 1);
-        let states = vec![
-            SystemState::new(flow.clone(), None, vec![5.0, 5.0]).unwrap(),
-            SystemState::new(flow, None, vec![0.5, 0.5]).unwrap(),
-        ];
-        let mut solver = MultiSolver::reduced(vec!["cpu", "bandwidth"]);
-        let got = solver.allocate(&states, 0, &[2.0, 0.5]).unwrap();
-        assert_eq!(got.lanes.len(), 2);
-        let err = solver.allocate(&states, 0, &[2.0, 3.0]).unwrap_err();
-        match err {
-            SchedError::InsufficientCapacity { resource, .. } => {
-                assert_eq!(resource, Some("bandwidth"));
-            }
-            other => panic!("expected capacity rejection, got {other:?}"),
-        }
     }
 }

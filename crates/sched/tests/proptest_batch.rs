@@ -1,4 +1,7 @@
-//! Property oracle for the batched admission front door.
+//! Property oracle for the one hierarchical wave loop
+//! (`MultiAdmission::decide_run`), at one lane through its single-resource
+//! entry `BatchedAdmission` and at two and three lanes through
+//! `MultiAdmission`.
 //!
 //! The contract under test is the whole point of the shard executor:
 //! `BatchedAdmission::admit_batch` on a **force-parallel** scheduler is

@@ -1,13 +1,15 @@
 //! Degeneracy oracle for the multi-resource admission path.
 //!
 //! A single-resource config routed through [`MultiAdmission`] with one
-//! lane must be **bit-identical** to the existing single-resource
-//! [`BatchedAdmission`] path — verdicts, grants (amount, theta, every
+//! named lane must be **bit-identical** to the single-resource
+//! [`BatchedAdmission`] entry — verdicts, grants (amount, theta, every
 //! draw), the availability vector left behind, and the executor
-//! fallback stats. The one sanctioned difference: multi-path capacity
-//! rejections carry `resource: Some("cpu")` where the single path says
-//! `None` — the payload is otherwise identical, which is exactly what
-//! these properties check after substituting the tag out.
+//! fallback stats. Both are entries into one wave loop, so this compares
+//! two call paths (grant shapes, request types, the lane tag) through one
+//! implementation. The one sanctioned difference: the named lane's
+//! capacity rejections carry `resource: Some("cpu")` where the unnamed
+//! one says `None` — the payload is otherwise identical, which is
+//! exactly what these properties check after substituting the tag out.
 //!
 //! This mirrors the invariant `tests/multires_consistency.rs` pins for
 //! the proxysim, now at the scaled enforcement layer: the multi-resource
