@@ -141,7 +141,7 @@ pub struct RequestId {
 /// A decided idempotent call in exportable form: what the dedup window
 /// remembers about a [`RequestId`], made public so a durable journal can
 /// persist decisions and seed them back into a respawned server
-/// ([`GrmHandle::seed_decision`]) — at-most-once then holds across
+/// ([`GrmHandle::seed`]) — at-most-once then holds across
 /// process death, not just within one lifetime.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordedDecision {
@@ -552,16 +552,28 @@ impl GrmHandle {
         })?)?
     }
 
-    /// Seed one recovered decision into the server's dedup window
-    /// (recovery plumbing: a respawned server replays its durable
-    /// journal through this before serving traffic, so a duplicate RPC
-    /// straddling the restart still replays the original decision
-    /// instead of executing twice). Blocks until the seed is applied;
-    /// seeds count toward the window's [`crate::DEDUP_WINDOW`] capacity in
-    /// insertion order, so replay oldest-first.
-    pub fn seed_decision(&self, id: RequestId, decision: RecordedDecision) -> Result<(), GrmError> {
-        // Recovery plumbing, not a served request: no stats counters move.
-        wait(self.manage(move |core| core.dedup.insert(id, decision.clone()))?)
+    /// Seed recovered state in one step on the core (recovery plumbing: a
+    /// respawned server takes its durable journal's state through this
+    /// before serving traffic). `pools[i]` is applied as LRM `i`'s report,
+    /// so a multi-lane GRM drops them as it drops any single-lane report;
+    /// then `window`'s decisions enter the dedup window, oldest first and
+    /// moved, not cloned, so a duplicate RPC straddling the restart
+    /// replays the original decision instead of executing twice. They
+    /// count toward the window's [`crate::DEDUP_WINDOW`] capacity in that
+    /// order. Blocks until the seed is applied.
+    pub fn seed(
+        &self,
+        pools: Vec<f64>,
+        window: Vec<(RequestId, RecordedDecision)>,
+    ) -> Result<(), GrmError> {
+        // A message the fault plane duplicates finds the seed taken and
+        // installs nothing a second time.
+        let seed = Mutex::new(Some((pools, window)));
+        wait(self.manage(move |core| {
+            if let Some((pools, window)) = seed.lock().take() {
+                core.seed(&pools, window);
+            }
+        })?)
     }
 
     /// Operational counters since the server started.
@@ -788,8 +800,8 @@ impl GrmServer {
 
     /// The core the server thread executes on, for a caller that executes
     /// runs on it directly ([`GrmCore::execute`]). A mailbox round trip
-    /// (past any fault plane): every message posted before it, such as the
-    /// reports a respawn queued, has executed when it returns.
+    /// (past any fault plane): every message posted before it, such as a
+    /// fire-and-forget report, has executed when it returns.
     pub fn core(&self) -> Result<GrmCore, GrmError> {
         let (tx, rx) = unbounded();
         self.control.send(Msg::Core(tx)).map_err(|_| GrmError::Disconnected)?;
@@ -1270,6 +1282,19 @@ impl ServerCore {
         self.last_report.push(self.clock);
         self.run_stamp.push(0);
         Ok(index)
+    }
+
+    /// [`GrmHandle::seed`]'s effect: the pools as one run of reports, then
+    /// the window. Recovery plumbing, not served requests: beyond the
+    /// reports' own counters, no stats move.
+    fn seed(&mut self, pools: &[f64], window: Vec<(RequestId, RecordedDecision)>) {
+        self.run_gen += 1;
+        for (lrm, available) in pools.iter().enumerate() {
+            self.apply_report(lrm, std::slice::from_ref(available));
+        }
+        for (id, decision) in window {
+            self.dedup.insert(id, decision);
+        }
     }
 
     /// Book a short fulfilment; a malformed note is dropped.
@@ -1957,9 +1982,8 @@ mod tests {
         // serves traffic — the durable-journal recovery path in miniature.
         let standby = GrmServer::spawn(complete(2, 1.0), 1);
         let h2 = standby.handle();
-        h2.seed_decision(id, RecordedDecision::Grant(Ok(alloc.clone()))).unwrap();
-        h2.report(0, 0.0).unwrap();
-        h2.report(1, 6.0).unwrap();
+        h2.seed(vec![0.0, 6.0], vec![(id, RecordedDecision::Grant(Ok(alloc.clone())))]).unwrap();
+        assert_eq!(h2.stats().unwrap().reports, 2, "the pools arrive as reports");
 
         // The client's retry of the same id replays the original grant —
         // bit-identical draws — instead of executing a second time.
@@ -1981,12 +2005,11 @@ mod tests {
     fn seeded_release_and_replay_decisions_dedup_by_kind() {
         let grm = GrmServer::spawn(complete(2, 1.0), 1);
         let h = grm.handle();
-        h.report(0, 2.0).unwrap();
-        h.report(1, 2.0).unwrap();
         let rid = RequestId { client: 8, seq: 0 };
         let jid = RequestId { client: 8, seq: 1 };
-        h.seed_decision(rid, RecordedDecision::Release(Ok(()))).unwrap();
-        h.seed_decision(jid, RecordedDecision::Replay(Ok(()))).unwrap();
+        let window =
+            vec![(rid, RecordedDecision::Release(Ok(()))), (jid, RecordedDecision::Replay(Ok(())))];
+        h.seed(vec![2.0, 2.0], window).unwrap();
         // A duplicate release under the seeded id is answered from the
         // window without touching the pool.
         let alloc = Allocation { requester: 0, amount: 1.0, draws: vec![1.0, 0.0], theta: 1.0 };

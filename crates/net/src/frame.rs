@@ -50,8 +50,7 @@ pub const FRAME_OVERHEAD: usize = 10;
 pub enum FrameError {
     /// The bytes at the decode position did not start with [`MAGIC`].
     BadMagic,
-    /// The length prefix exceeded the decoder's frame limit
-    /// ([`MAX_FRAME_LEN`] on the wire).
+    /// The length prefix exceeded [`MAX_FRAME_LEN`].
     Oversized {
         /// The rejected length.
         len: usize,
@@ -74,13 +73,13 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) slicing-by-8
-/// lookup tables, built at compile time — the container has no crc crate
-/// and needs none. `CRC_TABLES[0]` is the classic bytewise table;
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) slicing-by-16
+/// lookup tables, built at compile time — the build has no crc crate and
+/// needs none. `CRC_TABLES[0]` is the classic bytewise table;
 /// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
-/// which is what lets eight input bytes fold in one step.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// which is what lets sixteen input bytes fold in one step.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -93,7 +92,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut t = 1;
-    while t < 8 {
+    while t < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[t - 1][i];
@@ -105,22 +104,22 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Fold `bytes` into the running (pre-inverted) CRC register `c`, eight
+/// Fold `bytes` into the running (pre-inverted) CRC register `c`, sixteen
 /// bytes per step and the tail bytewise.
 fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut chunks = bytes.chunks_exact(8);
+    // Input byte `k` of a step is followed by `15 - k` more, so it is
+    // looked up in table `15 - k`.
+    let fold = |word: u32, first: usize| {
+        t[first][(word & 0xFF) as usize]
+            ^ t[first - 1][((word >> 8) & 0xFF) as usize]
+            ^ t[first - 2][((word >> 16) & 0xFF) as usize]
+            ^ t[first - 3][(word >> 24) as usize]
+    };
+    let mut chunks = bytes.chunks_exact(16);
     for w in &mut chunks {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        let word = |k: usize| u32::from_le_bytes([w[k], w[k + 1], w[k + 2], w[k + 3]]);
+        c = fold(word(0) ^ c, 15) ^ fold(word(4), 11) ^ fold(word(8), 7) ^ fold(word(12), 3);
     }
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -192,34 +191,22 @@ pub fn frame_len(payload_len: usize) -> usize {
 /// frames with [`next_frame`](FrameDecoder::next_frame) until it returns
 /// `Ok(None)` ("need more bytes"). Errors report a corrupted frame *and
 /// leave the decoder usable*: it has already skipped forward to the next
-/// magic candidate.
-#[derive(Debug)]
+/// magic candidate. Sockets only: journal recovery finds its frames in
+/// place and stops at the first damage instead of resyncing
+/// ([`crate::journal`]).
+#[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Index of the first unconsumed byte in `buf`.
     start: usize,
     /// Corrupt frames skipped since construction (telemetry hook).
     corrupt: u64,
-    /// Largest acceptable payload length (see [`FrameDecoder::limited`]).
-    max_len: usize,
-}
-
-impl Default for FrameDecoder {
-    fn default() -> Self {
-        FrameDecoder::limited(MAX_FRAME_LEN)
-    }
 }
 
 impl FrameDecoder {
     /// A decoder with empty buffer and the wire limit [`MAX_FRAME_LEN`].
     pub fn new() -> Self {
         FrameDecoder::default()
-    }
-
-    /// A decoder accepting payloads up to `max_len` bytes — the journal
-    /// recovery path, whose snapshot records outgrow the wire limit.
-    pub fn limited(max_len: usize) -> Self {
-        FrameDecoder { buf: Vec::new(), start: 0, corrupt: 0, max_len }
     }
 
     /// Feed raw bytes from the stream.
@@ -275,7 +262,7 @@ impl FrameDecoder {
             self.buf[s + 4],
             self.buf[s + 5],
         ]) as usize;
-        if len > self.max_len {
+        if len > MAX_FRAME_LEN {
             // Corrupt length prefix: discard the magic and scan forward.
             self.resync(2);
             self.corrupt += 1;
@@ -318,8 +305,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The bytewise table loop the slicing-by-8 path replaced: the
-    /// reference the fast path must match on every input.
+    /// The bytewise table loop the sliced path replaced: the reference
+    /// the fast path must match on every input.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut c = 0xFFFF_FFFFu32;
         for &b in bytes {
@@ -336,7 +323,7 @@ mod tests {
     }
 
     proptest! {
-        /// Any length (so every remainder 0..8 after the 8-byte steps)
+        /// Any length (so every remainder 0..16 after the 16-byte steps)
         /// and any split point (so the steps start at every alignment):
         /// the sliced CRC, whole or resumed mid-stream, is the bytewise one.
         #[test]

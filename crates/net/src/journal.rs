@@ -31,6 +31,7 @@
 //! journaled event sequence, so a sequenced federation resumes without
 //! re-applying history.
 
+use std::borrow::Cow;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -40,10 +41,10 @@ use agreements_grm::{DedupWindow, GrmError, GrmServer, RecordedDecision, Request
 use agreements_sched::{Allocation, MultiAllocation};
 use agreements_telemetry::{HistKind, Telemetry};
 
-use crate::frame::FrameDecoder;
+use crate::frame::{crc32, FRAME_OVERHEAD, MAGIC};
 use crate::wire::{
-    decode_decision, frame_with, get_request_id, put_decision, put_request_id, DecisionRef, Reader,
-    Writer,
+    decode_decision, f64s_of, frame_with, get_request_id, put_decision, put_request_id,
+    DecisionRef, Reader, Writer,
 };
 
 /// Per-record frame limit in journal segments. Wire frames stay under
@@ -126,6 +127,17 @@ impl DecisionBody {
             DecisionBody::GrantMulti(r) => RecordedDecision::GrantMulti(r.clone()),
         }
     }
+
+    /// [`DecisionBody::to_recorded`], moving the decision instead of
+    /// cloning it.
+    fn into_recorded(self) -> RecordedDecision {
+        match self {
+            DecisionBody::Grant(r) => RecordedDecision::Grant(r),
+            DecisionBody::Release { result, .. } => RecordedDecision::Release(result),
+            DecisionBody::Replay { result, .. } => RecordedDecision::Replay(result),
+            DecisionBody::GrantMulti(r) => RecordedDecision::GrantMulti(r),
+        }
+    }
 }
 
 /// One durable journal record.
@@ -183,13 +195,12 @@ fn put_matrix(w: &mut Writer, m: &AgreementMatrix) {
 fn get_matrix(r: &mut Reader) -> Result<AgreementMatrix, String> {
     let n = r.u64()? as usize;
     // Guard before the O(n²) read: a corrupt count must not OOM.
-    if n > 1 << 16 {
+    if n > 1 << 16 || n * n * 8 > r.remaining() {
         return Err(format!("implausible matrix dimension {n}"));
     }
     let mut m = AgreementMatrix::zeros(n);
     for i in 0..n {
-        for j in 0..n {
-            let v = r.f64()?;
+        for (j, v) in f64s_of(r.take(n * 8)?).enumerate() {
             if i != j && v != 0.0 {
                 m.set(i, j, v).map_err(|e| format!("invalid journaled share: {e}"))?;
             }
@@ -403,6 +414,12 @@ pub struct RecoveredState {
 impl RecoveredState {
     /// The state a journal holding only `snapshot` recovers to.
     pub fn from_snapshot(snapshot: &Snapshot) -> RecoveredState {
+        RecoveredState::loaded(snapshot.clone())
+    }
+
+    /// [`RecoveredState::from_snapshot`], taking the snapshot's values
+    /// instead of cloning them.
+    fn loaded(snapshot: Snapshot) -> RecoveredState {
         let mut st = RecoveredState {
             matrix: AgreementMatrix::zeros(0),
             level: 0,
@@ -418,43 +435,56 @@ impl RecoveredState {
     }
 
     /// Replace the state with `s` (a snapshot record's whole effect).
-    fn load(&mut self, s: &Snapshot) {
-        self.matrix = s.matrix.clone();
+    fn load(&mut self, s: Snapshot) {
+        self.matrix = s.matrix;
         self.level = s.level;
-        self.availability = s.availability.clone();
+        self.availability = s.availability;
         self.next_seq = s.next_seq;
         self.dedup = DedupWindow::default();
-        for (id, d) in &s.dedup {
-            self.dedup.insert(*id, d.clone());
+        for (id, d) in s.dedup {
+            self.dedup.insert(id, d);
         }
     }
 
-    /// Apply one record to the in-memory state. Shared by segment replay
-    /// and by tests that build expected states by hand.
+    /// Apply one record to the in-memory state: the fold segment replay
+    /// runs, here cloning what the state keeps of the borrowed record.
+    /// Also used by tests that build expected states by hand.
     pub fn apply(&mut self, rec: &JournalRecord) {
-        match rec {
-            JournalRecord::Snapshot(s) => self.load(s),
+        self.fold(Cow::Borrowed(rec));
+    }
+
+    /// The one fold body. Its effects are read from the borrow; then a
+    /// snapshot's values and a decision's dedup entry are moved out of an
+    /// owned record ([`replay`]) or cloned out of a borrowed one
+    /// ([`RecoveredState::apply`]).
+    fn fold(&mut self, rec: Cow<'_, JournalRecord>) {
+        let remembered = match &*rec {
+            JournalRecord::Snapshot(_) => None,
             JournalRecord::AgreementSet { from, to, share } => {
                 // The live server accepted this op before it was
                 // journaled, so re-applying cannot fail; ignore defends
                 // against a hand-edited journal.
                 let _ = self.matrix.set(*from as usize, *to as usize, *share);
+                None
             }
             JournalRecord::Join => {
                 self.matrix = self.matrix.grown();
                 self.availability.push(0.0);
+                None
             }
             JournalRecord::Leave { lrm } => {
                 let _ = self.matrix.isolate(*lrm as usize);
                 if let Some(v) = self.availability.get_mut(*lrm as usize) {
                     *v = 0.0;
                 }
+                None
             }
             JournalRecord::Report { seq, lrm, available } => {
                 if let Some(v) = self.availability.get_mut(*lrm as usize) {
                     *v = *available;
                 }
                 self.bump_seq(*seq);
+                None
             }
             JournalRecord::Decision { seq, id, body } => {
                 // A decision whose id is already in the window is a
@@ -477,11 +507,20 @@ impl RecoveredState {
                         _ => {}
                     }
                 }
-                if let Some(id) = id {
-                    self.dedup.insert(*id, body.to_recorded());
-                }
                 self.bump_seq(*seq);
+                *id
             }
+        };
+        match (rec, remembered) {
+            (Cow::Owned(JournalRecord::Snapshot(s)), _) => self.load(s),
+            (Cow::Borrowed(JournalRecord::Snapshot(s)), _) => self.load(s.clone()),
+            (Cow::Owned(JournalRecord::Decision { body, .. }), Some(id)) => {
+                self.dedup.insert(id, body.into_recorded());
+            }
+            (Cow::Borrowed(JournalRecord::Decision { body, .. }), Some(id)) => {
+                self.dedup.insert(id, body.to_recorded());
+            }
+            _ => {}
         }
         self.records += 1;
     }
@@ -501,20 +540,16 @@ impl RecoveredState {
     }
 
     /// Seed an already-spawned server (any decision engine — flat LP or
-    /// hierarchical batched) with the recovered soft state: availability
-    /// as synthetic reports, dedup window so retries straddling the
-    /// crash replay their original decisions. The caller is responsible
-    /// for spawning the server on [`RecoveredState::matrix`]; this lets
-    /// a daemon choose `spawn_hierarchical` while sharing one recovery
-    /// path.
+    /// hierarchical batched) with the recovered soft state, in one step
+    /// on its core ([`agreements_grm::GrmHandle::seed`]): availability as
+    /// synthetic reports, dedup window so retries straddling the crash
+    /// replay their original decisions. Each window entry is cloned once.
+    /// The caller is responsible for spawning the server on
+    /// [`RecoveredState::matrix`]; this lets a daemon choose
+    /// `spawn_hierarchical` while sharing one recovery path.
     pub fn respawn_with(&self, server: GrmServer) -> Result<GrmServer, GrmError> {
-        let h = server.handle();
-        for (i, &v) in self.availability.iter().enumerate() {
-            h.report(i, v)?;
-        }
-        for (id, d) in self.dedup.iter() {
-            h.seed_decision(*id, d.clone())?;
-        }
+        let window = self.dedup.iter().map(|(id, d)| (*id, d.clone())).collect();
+        server.handle().seed(self.availability.clone(), window)?;
         Ok(server)
     }
 
@@ -879,56 +914,91 @@ impl DurableJournal {
     }
 }
 
+/// Bytes [`replay`] reads from a segment per refill. Its one buffer is
+/// reused for the whole segment and grows past this only to hold a
+/// larger frame (a snapshot record).
+const READ_CHUNK: usize = 1 << 20;
+
 /// Replay one segment file. Returns `None` when the segment's first
 /// record is not an intact snapshot (stillborn segment); otherwise the
 /// state, the byte offset of the end of the last complete record, and
 /// how many tail bytes must be truncated.
 fn replay_segment(path: &Path) -> io::Result<Option<(RecoveredState, u64, u64)>> {
-    let mut file = match File::open(path) {
+    let file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let mut dec = FrameDecoder::limited(MAX_JOURNAL_FRAME_LEN);
-    dec.push(&bytes);
-    let mut state: Option<RecoveredState> = None;
-    let mut good_offset = 0u64;
-    loop {
-        match dec.next_frame() {
-            Ok(Some(payload)) => {
-                let rec = match JournalRecord::decode(&payload) {
-                    Ok(rec) => rec,
-                    // A framed-but-undecodable record: treat everything
-                    // from here on as tail damage.
-                    Err(_) => break,
-                };
-                match (&mut state, rec) {
-                    (None, JournalRecord::Snapshot(s)) => {
-                        state = Some(RecoveredState::from_snapshot(&s));
-                    }
-                    // A segment must open with a snapshot.
-                    (None, _) => return Ok(None),
-                    (Some(st), rec) => st.apply(&rec),
-                }
-                good_offset += (crate::frame::FRAME_OVERHEAD + payload.len()) as u64;
-            }
-            // Incomplete frame at the tail: torn write.
-            Ok(None) => break,
-            // Corrupt frame: torn or damaged tail. Everything after the
-            // last complete record is discarded.
-            Err(_) => break,
-        }
-    }
-    match state {
-        None => Ok(None),
-        Some(st) => {
-            let truncated = bytes.len() as u64 - good_offset;
-            Ok(Some((st, good_offset, truncated)))
-        }
-    }
+    let len = file.metadata()?.len();
+    Ok(replay(file, len, READ_CHUNK)?.map(|(state, keep)| (state, keep, len - keep)))
 }
+
+/// Replay the `len` bytes of a segment in one pass, reading `chunk` bytes
+/// at a time into one buffer. Each frame is found, CRC-checked and
+/// decoded where it lies in the buffer, and its record is folded by
+/// move. Replay stops at the first damage — bad magic, a length over
+/// [`MAX_JOURNAL_FRAME_LEN`] or past the end, a CRC mismatch, an
+/// undecodable record — and everything from there on is tail. Returns the
+/// state and the end offset of its last record, or `None` when the
+/// segment does not open with an intact snapshot.
+fn replay(mut src: impl Read, len: u64, chunk: usize) -> io::Result<Option<(RecoveredState, u64)>> {
+    let mut buf = Vec::with_capacity(chunk);
+    // `buf[at..]` is unread; `keep` is its offset in the segment, the end
+    // of the last complete record.
+    let (mut at, mut keep) = (0, 0u64);
+    let mut state: Option<RecoveredState> = None;
+    while fill(&mut src, &mut buf, &mut at, 6, chunk)? {
+        let head = &buf[at..at + 6];
+        let payload_len = u32::from_le_bytes([head[2], head[3], head[4], head[5]]) as usize;
+        let frame_len = FRAME_OVERHEAD + payload_len;
+        if head[..2] != MAGIC
+            || payload_len > MAX_JOURNAL_FRAME_LEN
+            // Checked before the buffer grows to hold the frame.
+            || keep + frame_len as u64 > len
+            || !fill(&mut src, &mut buf, &mut at, frame_len, chunk)?
+        {
+            break;
+        }
+        let (payload, crc) = buf[at + 6..at + frame_len].split_at(payload_len);
+        if crc32(payload).to_le_bytes() != crc {
+            break;
+        }
+        let Ok(rec) = JournalRecord::decode(payload) else { break };
+        match (&mut state, rec) {
+            (None, JournalRecord::Snapshot(s)) => state = Some(RecoveredState::loaded(s)),
+            // A segment must open with a snapshot.
+            (None, _) => return Ok(None),
+            (Some(st), rec) => st.fold(Cow::Owned(rec)),
+        }
+        at += frame_len;
+        keep += frame_len as u64;
+    }
+    Ok(state.map(|state| (state, keep)))
+}
+
+/// Make `buf[*at..]` hold at least `need` bytes: move the unread bytes (a
+/// part of one frame) to the front, then read up to `need` or `chunk`
+/// bytes in all, whichever is more. `false` when `src` ends first.
+fn fill(
+    src: &mut impl Read,
+    buf: &mut Vec<u8>,
+    at: &mut usize,
+    need: usize,
+    chunk: usize,
+) -> io::Result<bool> {
+    if buf.len() - *at >= need {
+        return Ok(true);
+    }
+    buf.drain(..*at);
+    *at = 0;
+    let want = need.max(chunk) - buf.len();
+    buf.reserve_exact(want);
+    src.take(want as u64).read_to_end(buf)?;
+    Ok(buf.len() >= need)
+}
+
+#[cfg(test)]
+mod replay_tests;
 
 #[cfg(test)]
 mod tests {

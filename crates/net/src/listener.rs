@@ -84,7 +84,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -282,6 +282,23 @@ struct Shared {
 }
 
 impl Shared {
+    /// Wake every thread parked on a condvar so it sees the shutdown
+    /// flag now rather than at its next `POLL` timeout. Each condvar's
+    /// mutex is taken first: a waiter checks the flag under that mutex,
+    /// so the notification cannot fall between its check and its wait.
+    /// Runs from `Drop`, and reads nothing the mutexes guard, so a
+    /// poisoned one is taken all the same.
+    fn wake_waiters(&self) {
+        let durability = self.durability.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.durability.work.notify_all();
+        self.durability.done.notify_all();
+        drop(durability);
+        if let Some(seq) = &self.sequencer {
+            let _state = seq.state.lock().unwrap_or_else(PoisonError::into_inner);
+            seq.cv.notify_all();
+        }
+    }
+
     /// Propagate the journal's LSN counters into the durability plane.
     fn publish_durability(&self, journal: &DurableJournal) {
         self.durability.advance(journal.appended_lsn(), journal.synced_lsn());
@@ -423,8 +440,9 @@ impl GrmListener {
     ) -> io::Result<GrmListener> {
         let sequencer = config.sequenced.then(|| Sequencer::new(recovered.next_seq));
         let policy = journal.policy();
-        // The one blocking round trip: it also drains the reports a
-        // respawn queued, so none can overwrite a run executed directly.
+        // The one blocking round trip: it also drains whatever was posted
+        // to the server before it, so no queued report can overwrite a
+        // run executed directly.
         let core = server.core().map_err(io::Error::other)?;
         let RecoveredState { matrix, level, next_seq, .. } = recovered;
         let cold =
@@ -502,6 +520,7 @@ impl GrmListener {
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake_waiters();
         if let Some(j) = self.accept.take() {
             let _ = j.join();
         }

@@ -199,3 +199,24 @@ fn a_compaction_snapshot_carries_the_replay_cursor_past_its_run() {
     assert_eq!(recovered.availability, vec![53.0, 54.0, 55.0]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_batched_listener_shuts_down_without_waiting_out_its_poll() {
+    // The syncer parks on its condvar for up to `POLL` between groups; a
+    // shutdown that only sets the flag waits that out on every stop.
+    let mut fastest = Duration::MAX;
+    for round in 0..3 {
+        let (dir, listener) =
+            listen(FsyncPolicy::Batched { max_pending: 8 }, &format!("stop-{round}"));
+        let client = NetGrmClient::uds(&dir.join("grm.sock"));
+        let id = RequestId { client: 9, seq: round };
+        let decided = client.request_acked_async(0, 1.0, id).unwrap().0.recv().unwrap();
+        decided.expect("a decision");
+        client.disconnect();
+        let stopping = Instant::now();
+        listener.shutdown();
+        fastest = fastest.min(stopping.elapsed());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(fastest < POLL / 2, "fastest of three shutdowns took {fastest:?}");
+}

@@ -207,10 +207,13 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// A `u32` count, then the vector's bit patterns, reserved as one
+    /// block.
     pub(crate) fn f64s(&mut self, vs: &[f64]) {
         self.u32(vs.len() as u32);
-        for &v in vs {
-            self.f64(v);
+        self.buf.reserve(vs.len() * 8);
+        for v in vs {
+            self.buf.extend_from_slice(&v.to_le_bytes());
         }
     }
 }
@@ -296,15 +299,17 @@ impl<'a> Reader<'a> {
     pub(crate) fn f64s(&mut self) -> WireResult<Vec<f64>> {
         let n = self.u32()? as usize;
         // Guard before allocating: a corrupt count must not OOM.
-        if n * 8 > self.b.len() - self.pos {
+        if n * 8 > self.remaining() {
             return Err(format!("vector count {n} exceeds remaining bytes"));
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+        Ok(f64s_of(self.take(n * 8)?).collect())
     }
+}
+
+/// The `f64`s whose little-endian bit patterns `bytes` holds back to back
+/// (`bytes.len()` a multiple of 8).
+pub(crate) fn f64s_of(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("an 8-byte chunk")))
 }
 
 // ---------------------------------------------------------------------
@@ -965,6 +970,7 @@ pub fn decode_decision(bytes: &[u8]) -> Result<RecordedDecision, GrmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn alloc() -> Allocation {
         Allocation { requester: 3, amount: 2.5, draws: vec![0.0, 1.25, 1.25, -0.0], theta: 0.125 }
@@ -1197,6 +1203,62 @@ mod tests {
         assert_eq!(b.theta.to_bits(), a.theta.to_bits());
         for (x, y) in b.draws.iter().zip(&a.draws) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    /// The element-at-a-time vector encoding the bulk one replaced: the
+    /// reference its bytes must equal.
+    fn f64s_elementwise(vs: &[f64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u32(vs.len() as u32);
+        for &v in vs {
+            w.f64(v);
+        }
+        w.into_bytes()
+    }
+
+    /// Any `f64` bit pattern, with the edge cases drawn often: NaN
+    /// payloads of either sign, `-0.0`, subnormals and ±∞.
+    fn any_f64_bits() -> impl Strategy<Value = u64> {
+        const MANTISSA: u64 = (1 << 52) - 1;
+        let sign = |neg: bool| (neg as u64) << 63;
+        prop_oneof![
+            any::<u64>(),
+            (1..=MANTISSA, any::<bool>())
+                .prop_map(move |(m, neg)| m | 0x7FF0_0000_0000_0000 | sign(neg)),
+            (1..=MANTISSA, any::<bool>()).prop_map(move |(m, neg)| m | sign(neg)),
+            Just((-0.0f64).to_bits()),
+            Just(f64::INFINITY.to_bits()),
+            Just(f64::NEG_INFINITY.to_bits()),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn bulk_vector_codec_is_byte_identical(
+            bits in proptest::collection::vec(any_f64_bits(), 0..48),
+        ) {
+            let vs: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let mut w = Writer::new();
+            w.f64s(&vs);
+            let bytes = w.into_bytes();
+            prop_assert_eq!(&bytes, &f64s_elementwise(&vs));
+
+            let mut r = Reader::new(&bytes);
+            let back: Vec<u64> = r.f64s().unwrap().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(back, bits);
+            r.finish().unwrap();
+
+            // A count past the bytes that follow it fails the guard, which
+            // runs before the vector is allocated.
+            if !vs.is_empty() {
+                prop_assert!(Reader::new(&bytes[..bytes.len() - 1]).f64s().is_err());
+            }
+            let mut inflated = bytes.clone();
+            inflated[..4].copy_from_slice(&(vs.len() as u32 + 1).to_le_bytes());
+            prop_assert!(Reader::new(&inflated).f64s().is_err());
+            inflated[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            prop_assert!(Reader::new(&inflated).f64s().is_err());
         }
     }
 

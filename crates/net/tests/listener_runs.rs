@@ -22,10 +22,9 @@ use std::time::{Duration, Instant};
 
 use agreements_flow::AgreementMatrix;
 use agreements_grm::{GrmServer, RequestId};
-use agreements_net::frame::{encode_frame, FrameDecoder};
+use agreements_net::frame::{crc32, encode_frame, FrameDecoder, FRAME_OVERHEAD, MAGIC};
 use agreements_net::journal::{
     DecisionBody, DurableJournal, FsyncPolicy, JournalRecord, RecoveredState, Snapshot,
-    MAX_JOURNAL_FRAME_LEN,
 };
 use agreements_net::listener::{GrmListener, ListenerConfig};
 use agreements_net::{RequestFrame, ResponseFrame, WireRequest, WireResponse};
@@ -147,13 +146,18 @@ fn newest_segment(dir: &Path) -> (Snapshot, Vec<JournalRecord>) {
         .max()
         .expect("a segment");
     let bytes = std::fs::read(newest).unwrap();
-    let mut dec = FrameDecoder::limited(MAX_JOURNAL_FRAME_LEN);
-    dec.push(&bytes);
     let mut out = Vec::new();
-    while let Some(payload) = dec.next_frame().unwrap() {
-        out.push(JournalRecord::decode(&payload).unwrap());
+    let mut rest = &bytes[..];
+    while !rest.is_empty() {
+        // magic, length, payload, CRC: the frame layout of `frame`.
+        assert_eq!(rest[..2], MAGIC, "a frame starts here");
+        let len = u32::from_le_bytes(rest[2..6].try_into().unwrap()) as usize;
+        let (frame, tail) = rest.split_at(FRAME_OVERHEAD + len);
+        let (payload, crc) = frame[6..].split_at(len);
+        assert_eq!(crc32(payload).to_le_bytes(), crc, "an intact frame");
+        out.push(JournalRecord::decode(payload).unwrap());
+        rest = tail;
     }
-    assert_eq!(dec.pending(), 0, "journal ends on a record boundary");
     let JournalRecord::Snapshot(snapshot) = out.remove(0) else {
         panic!("a segment opens with a snapshot");
     };
@@ -457,8 +461,7 @@ fn dropped_reports_are_neither_journaled_nor_folded() {
     assert_eq!(recovered.records, 2, "the snapshot and the grant");
 }
 
-/// `respawn` seeds the pools with reports it does not wait for; with an
-/// empty dedup window nothing blocks behind them. The first run the
+/// `respawn` seeds the pools as reports on the core. The first run the
 /// listener executes on the core must not be overwritten by one of them
 /// landing later.
 #[test]
