@@ -693,7 +693,7 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
             let secs = parsed.parse_or("duration", 0.0f64, "seconds")?;
             eprint!("{out}");
             std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-            let stats = listener.handle().stats().map_err(|e| CliError::Domain(e.to_string()))?;
+            let stats = listener.stats();
             listener.shutdown();
             writeln!(
                 out,

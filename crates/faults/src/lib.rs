@@ -7,19 +7,22 @@
 //! reproduce those conditions *deterministically*, so a failing fault
 //! schedule is a seed, not a flake:
 //!
-//! - [`FaultPlane`] interposes on any channel [`Sender`] at the GRM↔LRM
-//!   boundary and applies a seeded per-link fault schedule (message drop,
-//!   duplication, and hold-back delay, which also reorders). Decisions
-//!   depend only on the plane seed, the link name, and the message's
-//!   sequence number on that link — never on wall-clock timing.
+//! - [`FaultPlane`] interposes on a link at the GRM↔LRM boundary: what
+//!   is sent down the link passes a seeded per-link fault schedule
+//!   (message drop, duplication, hold-back delay, which also reorders,
+//!   and in-place delay) before a pump thread hands it to the link's
+//!   delivery function — for a GRM, the function that executes it on the
+//!   GRM core. Decisions depend only on the plane seed, the link name,
+//!   and the message's sequence number on that link — never on
+//!   wall-clock timing.
 //! - [`ChaosClock`] is the logical clock the chaos harness uses to drive
 //!   the GRM's lease-based liveness (`GrmHandle::tick`), so lease expiry
 //!   in a fault schedule is as reproducible as the faults themselves.
 //!
-//! The plane is inert until wired in: production code paths construct
-//! their channels directly and never pay for it. `FaultPlane::heal`
-//! flips a live plane into a transparent pipe (flushing anything held),
-//! which is how chaos tests model a network that has recovered.
+//! The plane is inert until wired in: production code paths deliver
+//! directly and never pay for it. `FaultPlane::heal` flips a live plane
+//! into a transparent pipe (flushing anything held), which is how chaos
+//! tests model a network that has recovered.
 
 #![warn(missing_docs)]
 
@@ -228,7 +231,7 @@ impl<T> HoldBuffer<T> {
 /// Counters of what a [`FaultPlane`] actually did, across all its links.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlaneStats {
-    /// Messages forwarded to the upstream (duplicates counted twice).
+    /// Messages delivered (duplicates counted twice).
     pub delivered: u64,
     /// Messages dropped.
     pub dropped: u64,
@@ -319,22 +322,28 @@ impl FaultPlane {
         }
     }
 
-    /// Interpose on a link: returns a new sender whose traffic passes
-    /// through this plane's fault schedule before reaching `upstream`.
+    /// Interpose on a link: returns a sender whose traffic passes through
+    /// this plane's fault schedule on a pump thread, which hands what it
+    /// lets through to `deliver`. `deliver` answers whether the far end
+    /// is still there; once it is not, the pump stops.
     ///
     /// The returned sender is cloneable like any channel sender; all
     /// clones share one sequence-numbered stream, so the fault schedule
     /// is a deterministic function of (plane seed, link name, per-link
-    /// message index). Requires `T: Clone` because duplication re-sends
-    /// the same message.
-    pub fn wrap<T: Send + Clone + 'static>(&self, link: &str, upstream: Sender<T>) -> Sender<T> {
+    /// message index). Requires `T: Clone` because duplication delivers
+    /// the same message twice.
+    pub fn wrap<T: Send + Clone + 'static>(
+        &self,
+        link: &str,
+        deliver: impl FnMut(T) -> bool + Send + 'static,
+    ) -> Sender<T> {
         let (tx, rx) = unbounded::<T>();
         let schedule = FaultSchedule::new(self.seed, link, self.mix);
         let plane = self.clone();
         let link = link.to_string();
         std::thread::Builder::new()
             .name(format!("fault-plane:{link}"))
-            .spawn(move || plane.pump(&link, rx, upstream, schedule))
+            .spawn(move || plane.pump(&link, rx, deliver, schedule))
             .expect("spawn fault-plane pump");
         tx
     }
@@ -343,7 +352,7 @@ impl FaultPlane {
         &self,
         link: &str,
         rx: Receiver<T>,
-        upstream: Sender<T>,
+        mut deliver: impl FnMut(T) -> bool,
         mut schedule: FaultSchedule,
     ) {
         let mut held: HoldBuffer<T> = HoldBuffer::new();
@@ -355,18 +364,18 @@ impl FaultPlane {
                     // A healed plane must not keep messages hostage on a
                     // quiet link.
                     if !self.is_active() {
-                        flush_all(&mut held, &upstream, &self.counters);
+                        flush_all(&mut held, &mut deliver, &self.counters);
                     }
                     continue;
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    flush_all(&mut held, &upstream, &self.counters);
+                    flush_all(&mut held, &mut deliver, &self.counters);
                     return;
                 }
             };
             if !self.is_active() {
-                flush_all(&mut held, &upstream, &self.counters);
-                if upstream.send(msg).is_err() {
+                flush_all(&mut held, &mut deliver, &self.counters);
+                if !deliver(msg) {
                     return;
                 }
                 self.counters.delivered.fetch_add(1, Ordering::SeqCst);
@@ -385,7 +394,7 @@ impl FaultPlane {
                     self.telemetry
                         .record_with(|| TelemetryEvent::ChaosDup { link: link.to_string() });
                     for m in [msg.clone(), msg] {
-                        if upstream.send(m).is_err() {
+                        if !deliver(m) {
                             return;
                         }
                         self.counters.delivered.fetch_add(1, Ordering::SeqCst);
@@ -406,13 +415,13 @@ impl FaultPlane {
                     // Head-of-line stall: successors wait behind the
                     // delayed message, so order (and determinism) hold.
                     std::thread::sleep(Duration::from_micros(micros));
-                    if upstream.send(msg).is_err() {
+                    if !deliver(msg) {
                         return;
                     }
                     self.counters.delivered.fetch_add(1, Ordering::SeqCst);
                 }
                 Fate::Deliver => {
-                    if upstream.send(msg).is_err() {
+                    if !deliver(msg) {
                         return;
                     }
                     self.counters.delivered.fetch_add(1, Ordering::SeqCst);
@@ -421,7 +430,7 @@ impl FaultPlane {
             seq += 1;
             // Release everything whose hold distance has elapsed.
             while let Some(msg) = held.release_due(seq) {
-                if upstream.send(msg).is_err() {
+                if !deliver(msg) {
                     return;
                 }
                 self.counters.delivered.fetch_add(1, Ordering::SeqCst);
@@ -430,10 +439,14 @@ impl FaultPlane {
     }
 }
 
-fn flush_all<T>(held: &mut HoldBuffer<T>, upstream: &Sender<T>, counters: &PlaneCounters) {
+fn flush_all<T>(
+    held: &mut HoldBuffer<T>,
+    deliver: &mut impl FnMut(T) -> bool,
+    counters: &PlaneCounters,
+) {
     // Drain in (release_at, arrival) order for determinism.
     for msg in held.drain() {
-        if upstream.send(msg).is_ok() {
+        if deliver(msg) {
             counters.delivered.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -478,6 +491,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
+    /// Deliver into `tx`, as long as its receiver is there.
+    fn forward(tx: Sender<u32>) -> impl FnMut(u32) -> bool + Send + 'static {
+        move |m| tx.send(m).is_ok()
+    }
+
     fn collect_until_quiet(rx: &Receiver<u32>) -> Vec<u32> {
         let mut out = Vec::new();
         while let Ok(v) = rx.recv_timeout(Duration::from_millis(50)) {
@@ -493,7 +511,7 @@ mod tests {
     fn run_schedule(seed: u64, mix: FaultMix, n: u32) -> Vec<u32> {
         let (up_tx, up_rx) = unbounded();
         let plane = FaultPlane::new(seed, mix);
-        let tx = plane.wrap("test", up_tx);
+        let tx = plane.wrap("test", forward(up_tx));
         for i in 0..n {
             tx.send(i).unwrap();
         }
@@ -523,8 +541,8 @@ mod tests {
         let plane = FaultPlane::new(7, mix);
         let (atx, arx) = unbounded();
         let (btx, brx) = unbounded();
-        let a = plane.wrap("alpha", atx);
-        let b = plane.wrap("beta", btx);
+        let a = plane.wrap("alpha", forward(atx));
+        let b = plane.wrap("beta", forward(btx));
         for i in 0..200 {
             a.send(i).unwrap();
             b.send(i).unwrap();
@@ -566,7 +584,7 @@ mod tests {
             // Re-run on a fresh plane to read its counters.
             let (up_tx, up_rx) = unbounded();
             let plane = FaultPlane::new(11, FaultMix::delay_heavy());
-            let tx = plane.wrap("test", up_tx);
+            let tx = plane.wrap("test", forward(up_tx));
             for i in 0..300 {
                 tx.send(i).unwrap();
             }
@@ -585,7 +603,7 @@ mod tests {
         assert_eq!(got, (0..200).collect::<Vec<_>>(), "delay never drops or reorders");
         let (up_tx, up_rx) = unbounded();
         let plane = FaultPlane::new(17, mix);
-        let tx = plane.wrap("test", up_tx);
+        let tx = plane.wrap("test", forward(up_tx));
         for i in 0..200u32 {
             tx.send(i).unwrap();
         }
@@ -631,7 +649,7 @@ mod tests {
     fn heal_flushes_and_stops_injecting() {
         let (up_tx, up_rx) = unbounded();
         let plane = FaultPlane::new(3, FaultMix { drop: 1.0, ..FaultMix::none() });
-        let tx = plane.wrap("test", up_tx);
+        let tx = plane.wrap("test", forward(up_tx));
         for i in 0..50u32 {
             tx.send(i).unwrap();
         }
@@ -652,7 +670,7 @@ mod tests {
         let (up_tx, up_rx) = unbounded();
         // Hold every message far beyond the traffic we send.
         let plane = FaultPlane::new(9, FaultMix { hold: 1.0, max_hold: 1000, ..FaultMix::none() });
-        let tx = plane.wrap("test", up_tx);
+        let tx = plane.wrap("test", forward(up_tx));
         for i in 0..5u32 {
             tx.send(i).unwrap();
         }

@@ -1,4 +1,4 @@
-//! The decision engines behind the GRM serve loop (DESIGN.md §18).
+//! The decision engines behind the GRM core (DESIGN.md §18).
 //!
 //! A server runs exactly one [`Engine`]: flat or hierarchical, each over
 //! k ≥ 1 resource lanes. A single-resource GRM is the one-lane case, a
@@ -43,8 +43,8 @@ impl LaneRequest for Ask<'_> {
     }
 }
 
-/// What the serve loop asks of its decision engine. `Send`: the core
-/// that owns it is shared beyond the serve thread ([`crate::GrmCore`]).
+/// What the core asks of its decision engine. `Send`: the core that owns
+/// it executes on whichever thread holds its lock ([`crate::GrmCore`]).
 pub(crate) trait Engine: Send {
     /// Number of principals.
     fn n(&self) -> usize;
@@ -75,7 +75,7 @@ pub(crate) trait Engine: Send {
     /// lane or none.
     fn admit_multi(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError>;
 
-    /// Whether the serve loop should hand this engine each contiguous
+    /// Whether the core should hand this engine each contiguous
     /// run of requests as one [`Engine::admit_run`] (or
     /// [`Engine::admit_run_multi`]) batch.
     fn batches(&self) -> bool {

@@ -1,5 +1,5 @@
 //! GRM/LRM runtime: the paper's cluster resource-manager architecture
-//! (§3.2, final paragraph), realized on threads and channels.
+//! (§3.2, final paragraph), realized in process.
 //!
 //! > "The resource management system has two components: a centralized
 //! > global resource manager (GRM) and multiple local resource managers
@@ -10,12 +10,13 @@
 //! > GRM's decisions. The architecture also permits splitting of the GRMs
 //! > into multiple levels, each responsible for a subset of the LRMs."
 //!
-//! - [`server::GrmServer`] runs the global scheduler on its own thread,
-//!   owning the agreement flow table and the last-reported availability
-//!   of every LRM; clients talk to it through a cloneable
-//!   [`server::GrmHandle`] over crossbeam channels (agreement management,
-//!   availability reports, allocation RPCs); the network listener runs
-//!   calls on its core directly, under the same lock ([`server::GrmCore`]).
+//! - [`server::GrmServer`] is the global scheduler: one core, under one
+//!   lock, owning the agreement flow table and the last-reported
+//!   availability of every LRM. Clients call it through a cloneable
+//!   [`server::GrmHandle`] (agreement management, availability reports,
+//!   allocation RPCs), which executes each call on the caller's thread;
+//!   the network listener executes runs of calls on the same core
+//!   ([`server::GrmCore`]).
 //! - [`lrm::Lrm`] owns an actual local resource pool and fulfils the
 //!   GRM's reservation directives, reporting availability after every
 //!   local change. When the GRM is unreachable it degrades to

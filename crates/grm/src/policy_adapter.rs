@@ -4,7 +4,7 @@
 //! service boundary: local managers report availability, jobs arrive as
 //! RPCs, decisions come back as draw vectors. [`GrmBackedPolicy`] wires
 //! any consumer of the in-process [`AllocationPolicy`] trait (notably the
-//! web-proxy simulator) to a real [`crate::GrmServer`] thread:
+//! web-proxy simulator) to a real [`crate::GrmServer`]:
 //! each `allocate` call first syncs the caller's availability view to the
 //! GRM (the LRM report step), then issues the allocation RPC.
 //!

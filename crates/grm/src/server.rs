@@ -7,6 +7,13 @@
 //! [`RequestId`]s and a bounded dedup window: a duplicated or retried
 //! `Request`/`Release`/`ReplayGrant` returns the original decision
 //! instead of double-granting (DESIGN.md §8).
+//!
+//! The server has no thread of its own. It is one state, the core, under
+//! one lock; every call executes on its caller's thread, under that lock,
+//! through one function ([`GrmCore::execute`]): a [`GrmHandle`]'s calls
+//! as runs of one, a network listener's frames as runs of many. A
+//! chaotic server's handles send their calls through a fault plane, whose
+//! pump executes them on the core the same way.
 
 use crate::dedup::DedupWindow;
 use crate::engine::{self, Ask, Engine};
@@ -15,13 +22,11 @@ use agreements_sched::{
     Allocation, HierarchicalScheduler, LaneGrant, MultiAdmission, MultiAllocation, SchedError,
 };
 use agreements_telemetry::{HistKind, Telemetry, TelemetryEvent};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::{Arc, Weak};
 
 /// Errors surfaced to GRM clients.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +37,7 @@ pub enum GrmError {
     Flow(FlowError),
     /// Referenced an unregistered LRM.
     UnknownLrm(usize),
-    /// The server thread is gone (shut down or panicked).
+    /// The server is gone (shut down or crashed).
     Disconnected,
     /// No reply arrived within the caller's per-call deadline.
     DeadlineExceeded {
@@ -159,9 +164,10 @@ pub enum RecordedDecision {
 /// RPC or report a client serves through the GRM, without a reply
 /// channel. Each variant is the [`GrmHandle`] method of its name (its
 /// `_idempotent` twin when it carries an id), its fields that method's
-/// arguments. The handle posts these through the mailbox; a caller
-/// holding the core executes them directly. Agreement, membership and
-/// recovery operations are not calls: only the handle reaches them.
+/// arguments. The handle executes each as a run of one; a caller holding
+/// the core executes runs of many. Agreement, membership and recovery
+/// operations are not calls: they run as closures on the locked core,
+/// and only the handle reaches them.
 #[allow(missing_docs)] // the named GrmHandle methods document them
 #[derive(Debug, Clone)]
 pub enum Call {
@@ -238,28 +244,6 @@ impl Answer {
     }
 }
 
-/// Where a posted call's answer goes: read as its waiter's kind and sent
-/// on the waiter's channel. Shared, not boxed: a fault plane duplicates
-/// messages.
-type Reply = Arc<dyn Fn(Answer) + Send + Sync>;
-
-/// A mailbox message. A posted call carries where its answer goes (none
-/// when fire-and-forget) and, for a traced request, its send-time stamp.
-#[derive(Clone)]
-enum Msg {
-    Call {
-        call: Call,
-        reply: Option<Reply>,
-        enqueued: Option<Instant>,
-    },
-    /// An agreement, membership, recovery or fulfilment operation: it
-    /// runs on the core alone, between runs, and answers on its own.
-    Manage(Arc<dyn Fn(&mut ServerCore) + Send + Sync>),
-    /// Hand out the core ([`GrmServer::core`]).
-    Core(Sender<GrmCore>),
-    Shutdown,
-}
-
 /// Operational counters maintained by the GRM server.
 ///
 /// All integral counters are `u64` so their width does not vary with the
@@ -293,7 +277,7 @@ pub struct GrmStats {
     /// Total units across replayed degraded-mode grants.
     pub journaled_units: f64,
     /// Availability reports superseded by a later report for the same
-    /// LRM within one serve-loop wakeup (last-writer-wins coalescing).
+    /// LRM within one run (last-writer-wins coalescing).
     pub coalesced_reports: u64,
     /// Requests rejected by the capacity pre-check without building an
     /// LP (a strict subset of `rejected_capacity`).
@@ -303,7 +287,7 @@ pub struct GrmStats {
     pub flow_rows_recomputed: u64,
     /// Allocation requests decided through the batched admission front
     /// door (hierarchical engines only). Counts every request routed
-    /// through a drained run, including runs of one; the `BatchSize`
+    /// through a run, including runs of one; the `BatchSize`
     /// telemetry histogram carries the distribution.
     pub batched_allocations: u64,
     /// Times the shard executor (hierarchical engines only) declined a
@@ -343,56 +327,75 @@ fn wait<T>(rx: Receiver<T>) -> Result<T, GrmError> {
     rx.recv().map_err(|_| GrmError::Disconnected)
 }
 
-/// Cloneable client handle to a running GRM.
+/// What a [`GrmHandle`] sends down its link: an operation on the locked
+/// core that answers on its own — a call executed as a run of one, or an
+/// agreement, membership, recovery or fulfilment operation. Shared, not
+/// boxed: a fault plane duplicates what it carries.
+type Op = Arc<dyn Fn(&mut ServerCore) + Send + Sync>;
+
+/// Execute `op` on `core` under its lock: the one delivery function,
+/// called by a direct handle on its own thread and by a fault plane's
+/// pump once the plane has let the op through. `Disconnected` once the
+/// server is gone.
+fn deliver(core: &Weak<Mutex<ServerCore>>, op: &Op) -> Result<(), GrmError> {
+    let core = core.upgrade().ok_or(GrmError::Disconnected)?;
+    op(&mut core.lock());
+    Ok(())
+}
+
+/// Cloneable client handle to a GRM. It holds the core weakly: once the
+/// server is dropped, every call answers [`GrmError::Disconnected`].
 #[derive(Clone)]
 pub struct GrmHandle {
-    tx: Sender<Msg>,
-    /// The server's telemetry plane, shared so the handle can stamp
-    /// requests at send time for the queue-wait histogram. Disabled
-    /// (the default) costs one branch per request.
-    telemetry: Telemetry,
+    core: Weak<Mutex<ServerCore>>,
+    /// A chaotic server's link: what is sent here reaches the core only
+    /// through the fault plane's pump.
+    chaos: Option<Sender<Op>>,
 }
 
 impl GrmHandle {
-    /// Post `call` with `reply`'s channel, if any. Only requests are
-    /// stamped for the queue-wait histogram: a stamp costs a clock read.
-    fn post(&self, call: Call, reply: Option<Reply>) -> Result<(), GrmError> {
-        let enqueued = match call {
-            Call::Request { .. } | Call::RequestMulti { .. } => self.telemetry.start(),
-            _ => None,
-        };
-        self.tx.send(Msg::Call { call, reply, enqueued }).map_err(|_| GrmError::Disconnected)
+    /// Send `op` down the link: delivered now, on this thread, or handed
+    /// to the fault plane, which delivers it (or not) on its pump.
+    fn send(&self, op: Op) -> Result<(), GrmError> {
+        match &self.chaos {
+            _ if self.core.strong_count() == 0 => Err(GrmError::Disconnected),
+            Some(plane) => plane.send(op).map_err(|_| GrmError::Disconnected),
+            None => deliver(&self.core, &op),
+        }
     }
 
-    /// Post `call` without waiting: the answer arrives on the returned
-    /// receiver, as `read` reads it.
+    /// Execute `op` on the core; its result arrives on the returned
+    /// receiver — on a direct link, before this returns. The result of a
+    /// second execution (the fault plane duplicated the op) is discarded:
+    /// for a call, dedup made it the first one's or the call carries no
+    /// id.
+    fn manage<T: Send + 'static>(
+        &self,
+        op: impl Fn(&mut ServerCore) -> T + Send + Sync + 'static,
+    ) -> Result<Receiver<T>, GrmError> {
+        let (tx, rx) = bounded(1);
+        self.send(Arc::new(move |core| drop(tx.try_send(op(core)))))?;
+        Ok(rx)
+    }
+
+    /// Execute `call` as a run of one: its answer, as `read` reads it,
+    /// arrives on the returned receiver.
     fn issue<T: Send + 'static>(
         &self,
         call: Call,
         read: fn(Answer) -> Result<T, GrmError>,
     ) -> Result<Receiver<Result<T, GrmError>>, GrmError> {
-        let (tx, rx) = unbounded();
-        // A waiter that gave up is not the serve thread's problem.
-        let reply: Reply = Arc::new(move |answer| drop(tx.send(read(answer))));
-        self.post(call, Some(reply))?;
-        Ok(rx)
+        self.manage(move |core| read(core.execute_one(&call)))
     }
 
-    /// Queue `op` to run on the core between runs; its result arrives on
-    /// the returned receiver.
-    fn manage<T: Send + 'static>(
-        &self,
-        op: impl Fn(&mut ServerCore) -> T + Send + Sync + 'static,
-    ) -> Result<Receiver<T>, GrmError> {
-        let (tx, rx) = unbounded();
-        let op = Msg::Manage(Arc::new(move |core| drop(tx.send(op(core)))));
-        self.tx.send(op).map_err(|_| GrmError::Disconnected)?;
-        Ok(rx)
+    /// Execute `call` as a run of one, discarding its answer.
+    fn post(&self, call: Call) -> Result<(), GrmError> {
+        self.send(Arc::new(move |core| drop(core.execute_one(&call))))
     }
 
     /// Dynamic availability report (LRM -> GRM).
     pub fn report(&self, lrm: usize, available: f64) -> Result<(), GrmError> {
-        self.post(Call::Report { lrm, available }, None)
+        self.post(Call::Report { lrm, available })
     }
 
     /// Advance the GRM's logical clock for lease-based liveness: any LRM
@@ -401,7 +404,7 @@ impl GrmHandle {
     /// not be scheduled against). The clock is supplied by the caller so
     /// tests and simulations stay deterministic.
     pub fn tick(&self, now: u64, lease: u64) -> Result<(), GrmError> {
-        self.post(Call::Tick { now, lease }, None)
+        self.post(Call::Tick { now, lease })
     }
 
     /// A new LRM joins the federation; returns its index. It starts with
@@ -449,7 +452,7 @@ impl GrmHandle {
     /// [`GrmHandle::availability_multi`]). A report whose length is not
     /// the server's lane count is dropped, as any malformed report is.
     pub fn report_multi(&self, lrm: usize, available: Vec<f64>) -> Result<(), GrmError> {
-        self.post(Call::ReportMulti { lrm, available }, None)
+        self.post(Call::ReportMulti { lrm, available })
     }
 
     /// Multi-resource allocation RPC: LRM `lrm` requests `amounts`
@@ -481,10 +484,11 @@ impl GrmHandle {
         wait(self.issue(Call::AvailabilityMulti, Answer::availability_multi)?)?
     }
 
-    /// Send a request without blocking for the decision; returns the
-    /// reply channel. Pipelining many in-flight requests this way is
-    /// what lets the server's drain loop see them as one batch — a
-    /// blocking client hands it runs of one by construction.
+    /// [`GrmHandle::request`], answered on a channel: on a direct link
+    /// the decision is made, as a run of one, before this returns; through
+    /// a fault plane it arrives when the plane delivers the call. A batch
+    /// is a run of many calls, executed together through
+    /// [`GrmCore::execute`].
     pub fn request_async(
         &self,
         lrm: usize,
@@ -523,7 +527,7 @@ impl GrmHandle {
         want: f64,
         taken: f64,
     ) -> Result<(), GrmError> {
-        self.manage(move |core| core.fulfil_shortfall(lrm, want, taken)).map(drop)
+        self.send(Arc::new(move |core| core.fulfil_shortfall(lrm, want, taken)))
     }
 
     /// Agreement-management service: set `S[from][to] = share` and
@@ -560,13 +564,13 @@ impl GrmHandle {
     /// moved, not cloned, so a duplicate RPC straddling the restart
     /// replays the original decision instead of executing twice. They
     /// count toward the window's [`crate::DEDUP_WINDOW`] capacity in that
-    /// order. Blocks until the seed is applied.
+    /// order. Returns once the seed is applied.
     pub fn seed(
         &self,
         pools: Vec<f64>,
         window: Vec<(RequestId, RecordedDecision)>,
     ) -> Result<(), GrmError> {
-        // A message the fault plane duplicates finds the seed taken and
+        // An op the fault plane duplicates finds the seed taken and
         // installs nothing a second time.
         let seed = Mutex::new(Some((pools, window)));
         wait(self.manage(move |core| {
@@ -592,8 +596,8 @@ impl GrmHandle {
 /// The client-side transport surface the retry/failover layer needs: the
 /// three idempotent RPCs issued *without blocking* (each reply arrives on
 /// the returned channel, so the caller applies its own deadline), plus
-/// the two fire-and-forget refreshes. [`GrmHandle`] implements it over
-/// in-process channels; a networked client implements it over sockets —
+/// the two fire-and-forget refreshes. [`GrmHandle`] implements it in
+/// process; a networked client implements it over sockets —
 /// and everything layered on top (`ResilientGrmClient`'s deadlines,
 /// backoff, rebind; the LRM's degraded-mode journal) works unchanged,
 /// because nothing above this trait knows what carries the bytes.
@@ -664,13 +668,12 @@ impl GrmClient for GrmHandle {
     }
 }
 
-/// A running GRM server thread.
+/// A GRM: its core, and the handle its clients clone. Dropping it (or
+/// [`GrmServer::shutdown`], or [`GrmServer::crash`]) drops the core, and
+/// every handle answers [`GrmError::Disconnected`] from then on.
 pub struct GrmServer {
+    core: GrmCore,
     handle: GrmHandle,
-    /// Direct line to the server thread, bypassing any fault plane, so
-    /// shutdown/crash cannot be dropped by the chaos schedule.
-    control: Sender<Msg>,
-    join: Option<JoinHandle<()>>,
 }
 
 impl GrmServer {
@@ -680,25 +683,25 @@ impl GrmServer {
         Self::spawn_with_telemetry(agreements, level, Telemetry::default())
     }
 
-    /// Spawn a GRM with an attached telemetry plane: the serve loop,
-    /// the core's admission/grant path, the solver, and the incremental
-    /// flow maintainer all record through `telemetry`. Passing
+    /// Spawn a GRM with an attached telemetry plane: the core's
+    /// admission/grant path, the solver, and the incremental flow
+    /// maintainer all record through `telemetry`. Passing
     /// `Telemetry::default()` (disabled) is exactly [`GrmServer::spawn`].
     pub fn spawn_with_telemetry(
         agreements: AgreementMatrix,
         level: usize,
         telemetry: Telemetry,
     ) -> GrmServer {
-        let build = move |t| engine::flat(Vec::new(), agreements, level, t);
-        Self::spawn_engine(build, None, telemetry)
+        Self::spawn_engine(move |t| engine::flat(Vec::new(), agreements, level, t), telemetry)
     }
 
-    /// Spawn a GRM whose *client-facing* channel passes through a fault
-    /// plane link named `link`: every message a [`GrmHandle`] sends is
-    /// subject to the plane's seeded drop/duplicate/hold schedule. The
-    /// server's own control line stays direct, so shutdown is reliable
-    /// even on a fully partitioned link. With an inert or healed plane
-    /// the server behaves bit-identically to [`GrmServer::spawn`].
+    /// Spawn a GRM whose handles pass through a fault plane link named
+    /// `link`: every call or operation a [`GrmHandle`] sends is subject to
+    /// the plane's seeded drop/duplicate/hold/delay schedule, and the
+    /// plane's pump executes what it lets through on the core. Shutdown
+    /// needs no message, so it is reliable even on a fully partitioned
+    /// link. With an inert or healed plane the server behaves
+    /// bit-identically to [`GrmServer::spawn`].
     pub fn spawn_chaotic(
         agreements: AgreementMatrix,
         level: usize,
@@ -706,14 +709,17 @@ impl GrmServer {
         link: &str,
     ) -> GrmServer {
         let build = move |t| engine::flat(Vec::new(), agreements, level, t);
-        Self::spawn_engine(build, Some((plane, link)), Telemetry::default())
+        let mut server = Self::spawn_engine(build, Telemetry::default());
+        let core = server.handle.core.clone();
+        server.handle.chaos = Some(plane.wrap(link, move |op: Op| deliver(&core, &op).is_ok()));
+        server
     }
 
     /// Spawn a GRM whose decisions run through a [`HierarchicalScheduler`]
-    /// wrapped in the batched admission front door: requests drained in
-    /// one wakeup are admitted as a batch (bit-identical to one-by-one),
-    /// and the scheduler's shard executor fans the fine solves out when
-    /// the measured break-even says the dispatch will pay.
+    /// wrapped in the batched admission front door: the requests of one
+    /// run are admitted as a batch (bit-identical to one-by-one), and the
+    /// scheduler's shard executor fans the fine solves out when the
+    /// measured break-even says the dispatch will pay.
     ///
     /// The engine swap changes the management surface, not the RPC one:
     /// every RPC behaves as on a flat GRM, renegotiation goes through
@@ -725,14 +731,14 @@ impl GrmServer {
     }
 
     /// [`GrmServer::spawn_hierarchical`] with a telemetry plane: batch
-    /// sizes, queue waits, fine-solve spans, and executor fallbacks all
-    /// record through `telemetry`.
+    /// sizes, fine-solve spans, and executor fallbacks all record through
+    /// `telemetry`.
     pub fn spawn_hierarchical_with_telemetry(
         sched: HierarchicalScheduler,
         telemetry: Telemetry,
     ) -> GrmServer {
         let front = MultiAdmission::new(Vec::new(), vec![sched]).expect("one unnamed lane");
-        Self::spawn_engine(move |t| engine::hierarchical(front, t), None, telemetry)
+        Self::spawn_engine(move |t| engine::hierarchical(front, t), telemetry)
     }
 
     /// Spawn a **multi-resource** GRM: the flat engine with one warm LP
@@ -751,8 +757,7 @@ impl GrmServer {
         agreements: AgreementMatrix,
         level: usize,
     ) -> GrmServer {
-        let build = move |t| engine::flat(names, agreements, level, t);
-        Self::spawn_engine(build, None, Telemetry::default())
+        Self::spawn_engine(move |t| engine::flat(names, agreements, level, t), Telemetry::default())
     }
 
     /// Spawn a multi-resource GRM whose lanes are hierarchical: one
@@ -763,34 +768,18 @@ impl GrmServer {
     /// requests batch, and inter-group renegotiation via
     /// [`GrmHandle::set_inter_group`] applies to every lane.
     pub fn spawn_multi_hierarchical(front: MultiAdmission) -> GrmServer {
-        let build = move |t| engine::hierarchical(front, t);
-        Self::spawn_engine(build, None, Telemetry::default())
+        Self::spawn_engine(move |t| engine::hierarchical(front, t), Telemetry::default())
     }
 
-    /// The one spawn path: the engine is built on the server thread (an
-    /// n = 1000 flow table or partition is not the caller's to wait
-    /// for), and `chaos` routes the client-facing sender through a
-    /// fault-plane link.
+    /// The one spawn path: the core over the engine `build` makes, and a
+    /// direct handle.
     fn spawn_engine(
-        build: impl FnOnce(Telemetry) -> Box<dyn Engine> + Send + 'static,
-        chaos: Option<(&agreements_faults::FaultPlane, &str)>,
+        build: impl FnOnce(Telemetry) -> Box<dyn Engine>,
         telemetry: Telemetry,
     ) -> GrmServer {
-        let (tx, rx) = unbounded();
-        let thread_telemetry = telemetry.clone();
-        let join = std::thread::Builder::new()
-            .name("grm-server".into())
-            .spawn(move || {
-                let engine = build(thread_telemetry.clone());
-                let core = ServerCore::new(engine, thread_telemetry);
-                serve_core(GrmCore(Arc::new(Mutex::new(core))), rx);
-            })
-            .expect("spawn GRM thread");
-        let client_tx = match chaos {
-            Some((plane, link)) => plane.wrap(link, tx.clone()),
-            None => tx.clone(),
-        };
-        GrmServer { handle: GrmHandle { tx: client_tx, telemetry }, control: tx, join: Some(join) }
+        let core = Arc::new(Mutex::new(ServerCore::new(build(telemetry.clone()), telemetry)));
+        let handle = GrmHandle { core: Arc::downgrade(&core), chaos: None };
+        GrmServer { core: GrmCore(core), handle }
     }
 
     /// Client handle.
@@ -798,17 +787,15 @@ impl GrmServer {
         self.handle.clone()
     }
 
-    /// The core the server thread executes on, for a caller that executes
-    /// runs on it directly ([`GrmCore::execute`]). A mailbox round trip
-    /// (past any fault plane): every message posted before it, such as a
-    /// fire-and-forget report, has executed when it returns.
-    pub fn core(&self) -> Result<GrmCore, GrmError> {
-        let (tx, rx) = unbounded();
-        self.control.send(Msg::Core(tx)).map_err(|_| GrmError::Disconnected)?;
-        wait(rx)
+    /// The core, for a caller that executes runs on it directly
+    /// ([`GrmCore::execute`]). Every call a direct handle made before
+    /// this has executed already: there is no queue to drain. A
+    /// [`GrmCore`] keeps the core alive after the server is dropped.
+    pub fn core(&self) -> GrmCore {
+        self.core.clone()
     }
 
-    /// Shut down and join the server thread (what dropping it does).
+    /// Shut the server down (what dropping it does).
     pub fn shutdown(self) {}
 
     /// Abruptly stop the server, losing all volatile state (availability
@@ -820,15 +807,6 @@ impl GrmServer {
     /// the agreement matrix when no agreement op was ever applied).
     pub fn crash(self) {
         self.shutdown();
-    }
-}
-
-impl Drop for GrmServer {
-    fn drop(&mut self) {
-        let _ = self.control.send(Msg::Shutdown);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
     }
 }
 
@@ -947,18 +925,17 @@ impl Grant for MultiAllocation {
     }
 }
 
-/// Direct access to a running server's core: its one state — engine,
-/// pools, lease clock, books, dedup window — which the serve thread
-/// executes mailbox messages on, under a lock this shares. Obtained from
-/// [`GrmServer::core`].
+/// Direct access to a server's core: its one state — engine, pools,
+/// lease clock, books, dedup window — under the lock every handle call
+/// takes too. Obtained from [`GrmServer::core`].
 #[derive(Clone)]
 pub struct GrmCore(Arc<Mutex<ServerCore>>);
 
 impl GrmCore {
-    /// Execute `run` under the core lock, as the serve thread executes a
-    /// mailbox wakeup, then hand `then` the answers (in run order) and the
-    /// core's hot state before the lock is released: the single-pool view
-    /// (empty with more than one lane) and the dedup window.
+    /// Execute `run` under the core lock, as a handle executes its call,
+    /// then hand `then` the answers (in run order) and the core's hot
+    /// state before the lock is released: the single-pool view (empty
+    /// with more than one lane) and the dedup window.
     pub fn execute<R>(
         &self,
         run: &[Call],
@@ -971,11 +948,11 @@ impl GrmCore {
     }
 }
 
-/// The GRM's single-threaded state machine. The serve thread and any
-/// [`GrmCore`] holder execute calls through one function,
-/// [`ServerCore::execute`]; the agreement, membership, recovery and
-/// fulfilment operations only a [`GrmHandle`] reaches run between runs
-/// on the serve thread.
+/// The GRM's state machine, one caller at a time under the core lock.
+/// Handles, fault-plane pumps and [`GrmCore`] holders execute calls
+/// through one function, [`ServerCore::execute`]; the agreement,
+/// membership, recovery and fulfilment operations only a [`GrmHandle`]
+/// reaches run between runs, as closures on the locked core.
 ///
 /// This is the engine-agnostic shell: the lease clock, the books, the
 /// dedup window and telemetry are the same whichever [`Engine`]
@@ -1224,16 +1201,21 @@ impl ServerCore {
         len
     }
 
-    /// Return a released allocation's draws to the engine's pool.
-    fn release(&mut self, draws: &[f64]) -> Result<(), GrmError> {
+    /// Return a released allocation's draws to the engine's pool. Draws
+    /// that are not all finite and non-negative are refused: no grant
+    /// draws them, and adding them would poison the pools.
+    fn release(&mut self, alloc: &Allocation) -> Result<(), GrmError> {
         // A single-lane release cannot say which lane to credit.
         one_lane(self.engine.as_ref(), "release on a multi-resource GRM")?;
-        let pool = self.engine.lane_mut(0);
+        let (pool, draws) = (self.engine.lane_mut(0), &alloc.draws);
         if draws.len() != pool.len() {
             return Err(GrmError::Sched(SchedError::DimensionMismatch {
                 expected: pool.len(),
                 got: draws.len(),
             }));
+        }
+        if !draws.iter().all(|d| d.is_finite() && *d >= 0.0) {
+            return Err(GrmError::Sched(SchedError::InvalidRequest { amount: alloc.amount }));
         }
         for (v, d) in pool.iter_mut().zip(draws) {
             *v += d;
@@ -1324,8 +1306,8 @@ impl ServerCore {
                 self.request::<MultiAllocation>(Ask { lrm, amounts }, req_id)
             }
             Call::Release { ref alloc, req_id } => {
-                let (decision, fresh) = self
-                    .settle(req_id, |core| RecordedDecision::Release(core.release(&alloc.draws)));
+                let (decision, fresh) =
+                    self.settle(req_id, |core| RecordedDecision::Release(core.release(alloc)));
                 let result = match decision {
                     RecordedDecision::Release(res) => res,
                     _ => reused_id(alloc.amount),
@@ -1405,59 +1387,9 @@ impl ServerCore {
         answers
     }
 
-    /// The mailbox adapter over [`ServerCore::execute`]: the calls at
-    /// the head of `batch` execute as one run, each answer going to its
-    /// reply channel. Stops at the first message that is not a call and
-    /// returns it; what is queued behind it stays in `batch`.
-    fn handle_batch(&mut self, batch: &mut VecDeque<Msg>) -> Option<Msg> {
-        let (mut run, mut replies) = (Vec::new(), Vec::new());
-        let control = loop {
-            match batch.pop_front() {
-                Some(Msg::Call { call, reply, enqueued }) => {
-                    // The queue wait ends when the wakeup's processing
-                    // begins.
-                    self.telemetry.stop(HistKind::QueueWaitSeconds, enqueued);
-                    run.push(call);
-                    replies.push(reply);
-                }
-                control => break control,
-            }
-        };
-        for (reply, answer) in replies.into_iter().zip(self.execute(&run)) {
-            if let Some(reply) = reply {
-                reply(answer);
-            }
-        }
-        control
-    }
-}
-
-fn serve_core(core: GrmCore, rx: Receiver<Msg>) {
-    // Block for the first message of a wakeup, then drain everything
-    // already queued and execute it as one run: a burst costs one pass
-    // (and on a batching engine, one admission batch), not one wakeup
-    // per message.
-    let mut batch = VecDeque::new();
-    while let Ok(first) = rx.recv() {
-        batch.push_back(first);
-        while let Ok(more) = rx.try_recv() {
-            batch.push_back(more);
-        }
-        let mut locked = core.0.lock();
-        locked.telemetry.add("grm.wakeups", 1);
-        let span = locked.telemetry.start();
-        while !batch.is_empty() {
-            match locked.handle_batch(&mut batch) {
-                Some(Msg::Manage(op)) => op(&mut locked),
-                Some(Msg::Core(reply)) => {
-                    let _ = reply.send(core.clone());
-                }
-                // Anything queued behind the shutdown is dropped.
-                Some(Msg::Shutdown) => return,
-                _ => {}
-            }
-        }
-        locked.telemetry.stop(HistKind::ServeDrainSeconds, span);
+    /// [`ServerCore::execute`] on a run of one.
+    fn execute_one(&mut self, call: &Call) -> Answer {
+        self.execute(std::slice::from_ref(call)).pop().expect("one answer per call")
     }
 }
 
@@ -1486,45 +1418,22 @@ mod tests {
         core.engine.lane(0).to_vec()
     }
 
-    fn request(
-        lrm: usize,
-        amount: f64,
-        req_id: Option<RequestId>,
-    ) -> (Msg, Receiver<Result<Allocation, GrmError>>) {
-        let (tx, rx) = unbounded();
-        let call = Call::Request { lrm, amount, req_id };
-        let reply: Reply = Arc::new(move |answer| tx.send(answer.grant()).unwrap());
-        (Msg::Call { call, reply: Some(reply), enqueued: None }, rx)
+    /// Execute `run` one call at a time, each call a run of its own —
+    /// except that a request of either kind is decided by the engine's
+    /// one-at-a-time path, never through the batch front door.
+    fn one_by_one(core: &mut ServerCore, run: &[Call]) -> Vec<Answer> {
+        let one = |core: &mut ServerCore, call: &Call| match call {
+            Call::Request { .. } | Call::RequestMulti { .. } => core.call(call),
+            _ => core.execute_one(call),
+        };
+        run.iter().map(|call| one(core, call)).collect()
     }
 
-    /// A fire-and-forget call's mailbox message.
-    fn post(call: Call) -> Msg {
-        Msg::Call { call, reply: None, enqueued: None }
-    }
-
-    /// A multi-resource request's mailbox message and its reply channel.
-    fn request_multi(
-        lrm: usize,
-        amounts: &[f64],
-        req_id: Option<RequestId>,
-    ) -> (Msg, Receiver<Result<MultiAllocation, GrmError>>) {
-        let (tx, rx) = unbounded();
-        let call = Call::RequestMulti { lrm, amounts: amounts.to_vec(), req_id };
-        let reply: Reply = Arc::new(move |answer| tx.send(answer.grant_multi()).unwrap());
-        (Msg::Call { call, reply: Some(reply), enqueued: None }, rx)
-    }
-
-    /// Deliver one message on its own, as a wakeup of one — except that
-    /// a request of either kind is decided by the engine's one-at-a-time
-    /// path, never through the batch front door.
-    fn handle(core: &mut ServerCore, msg: Msg) {
-        match msg {
-            Msg::Call {
-                call: call @ (Call::Request { .. } | Call::RequestMulti { .. }),
-                reply: Some(reply),
-                ..
-            } => reply(core.call(&call)),
-            msg => assert!(core.handle_batch(&mut VecDeque::from([msg])).is_none()),
+    /// Answers compared bit for bit (`Debug` prints every `f64` exactly).
+    fn assert_bit_identical(a: &[Answer], b: &[Answer]) {
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "bit for bit");
         }
     }
 
@@ -1931,13 +1840,165 @@ mod tests {
         assert!(matches!(h1.availability(), Err(GrmError::Disconnected)));
     }
 
+    /// Every handle method, each as a fallible call.
+    fn every_method(h: &GrmHandle) -> Vec<(&'static str, Result<(), GrmError>)> {
+        let alloc = Allocation { requester: 0, amount: 1.0, draws: vec![1.0, 0.0], theta: 0.0 };
+        let id = RequestId { client: 1, seq: 1 };
+        vec![
+            ("request", h.request(0, 1.0).map(drop)),
+            ("request_idempotent", h.request_idempotent(0, 1.0, id).map(drop)),
+            ("request_async", h.request_async(0, 1.0).map(drop)),
+            ("request_multi", h.request_multi(0, &[1.0]).map(drop)),
+            ("report", h.report(0, 1.0)),
+            ("report_multi", h.report_multi(0, vec![1.0])),
+            ("tick", h.tick(1, 1)),
+            ("release", h.release(alloc.clone())),
+            ("release_idempotent", h.release_idempotent(alloc, id)),
+            ("replay_grant", h.replay_grant(id, 0, 1.0)),
+            ("set_agreement", h.set_agreement(0, 1, 0.2)),
+            ("set_inter_group", h.set_inter_group(0, 1, 0.2)),
+            ("join", h.join().map(drop)),
+            ("leave", h.leave(1)),
+            ("seed", h.seed(vec![1.0, 1.0], Vec::new())),
+            ("report_fulfil_shortfall", h.report_fulfil_shortfall(0, 2.0, 1.0)),
+            ("stats", h.stats().map(drop)),
+            ("availability", h.availability().map(drop)),
+            ("availability_multi", h.availability_multi().map(drop)),
+        ]
+    }
+
     #[test]
-    fn a_mispaired_answer_fails_the_caller_not_the_serve_thread() {
+    fn every_handle_method_answers_disconnected_once_the_server_is_gone() {
+        use agreements_faults::FaultPlane;
+        let plane = FaultPlane::inert(3);
+        type Spawn = fn(&FaultPlane) -> GrmServer;
+        type Stop = fn(GrmServer);
+        let links: [(&str, Spawn); 2] = [
+            ("direct", |_| GrmServer::spawn(complete(2, 0.5), 1)),
+            ("chaotic", |plane| GrmServer::spawn_chaotic(complete(2, 0.5), 1, plane, "grm")),
+        ];
+        let stops: [(&str, Stop); 2] =
+            [("shutdown", GrmServer::shutdown), ("crash", GrmServer::crash)];
+        for (link, spawn) in links {
+            for (stop_name, stop) in stops {
+                let grm = spawn(&plane);
+                let h = grm.handle();
+                let live = every_method(&h);
+                assert!(live.iter().all(|(_, r)| r != &Err(GrmError::Disconnected)), "{live:?}");
+                stop(grm);
+                for (method, result) in every_method(&h) {
+                    assert_eq!(
+                        result,
+                        Err(GrmError::Disconnected),
+                        "{link} handle after {stop_name}: {method}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// No queue stands between a handle and the core: what a direct handle
+    /// sent before `core()` has landed when `core()` returns.
+    #[test]
+    fn what_a_handle_sent_has_landed_when_core_returns() {
+        let grm = GrmServer::spawn(complete(3, 0.5), 1);
+        let h = grm.handle();
+        h.seed(vec![1.0, 2.0, 3.0], Vec::new()).unwrap();
+        h.report(0, 7.0).unwrap();
+        let pools = grm.core().execute(&[], |_, pools, _| pools.to_vec());
+        assert_eq!(pools, vec![7.0, 2.0, 3.0]);
+        grm.shutdown();
+    }
+
+    /// What one racing client sent and saw.
+    #[derive(Default)]
+    struct Books {
+        fresh: u64,
+        grants: u64,
+        reissues: u64,
+        /// Per principal, the units this client's grants drew.
+        drawn: Vec<f64>,
+    }
+
+    /// Four threads race 512 idempotent requests each through their own
+    /// handles, released together by a barrier; one call in eight
+    /// re-issues the thread's own request three back. The core lock alone
+    /// serialises them: each id settles once
+    /// (every re-issue replays its original bit for bit, and the counters
+    /// are the clients' books) and the pools are conserved against the
+    /// granted draws.
+    fn racing_handles(grm: GrmServer, n: usize) {
+        const POOL: f64 = 1e6;
+        for lrm in 0..n {
+            grm.handle().report(lrm, POOL).unwrap();
+        }
+        let start = std::sync::Barrier::new(4);
+        let books: Vec<Books> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..4u64)
+                .map(|client| {
+                    let (h, start) = (grm.handle(), &start);
+                    scope.spawn(move || {
+                        let mut books = Books { drawn: vec![0.0; n], ..Books::default() };
+                        start.wait();
+                        let mut decided = Vec::new();
+                        for seq in 0..512u64 {
+                            if seq % 8 == 7 {
+                                let (id, lrm, amount, original) = &decided[decided.len() - 3];
+                                let replay = h.request_idempotent(*lrm, *amount, *id);
+                                assert_eq!(format!("{replay:?}"), format!("{original:?}"));
+                                books.reissues += 1;
+                                continue;
+                            }
+                            let id = RequestId { client, seq };
+                            let lrm = ((client + seq) % n as u64) as usize;
+                            let amount = 0.5 + (seq % 16) as f64 * 0.25;
+                            let decision = h.request_idempotent(lrm, amount, id);
+                            books.fresh += 1;
+                            if let Ok(alloc) = &decision {
+                                books.grants += 1;
+                                for (total, d) in books.drawn.iter_mut().zip(&alloc.draws) {
+                                    *total += d;
+                                }
+                            }
+                            decided.push((id, lrm, amount, decision));
+                        }
+                        books
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let h = grm.handle();
+        let stats = h.stats().unwrap();
+        let sum = |f: fn(&Books) -> u64| books.iter().map(f).sum::<u64>();
+        assert_eq!(stats.requests, sum(|b| b.fresh), "each id settled once");
+        assert_eq!(stats.granted, sum(|b| b.grants));
+        assert_eq!(stats.duplicate_requests, sum(|b| b.reissues));
+        assert_eq!(stats.granted, 4 * 448, "the pools never run dry");
+        for (lrm, left) in h.availability().unwrap().into_iter().enumerate() {
+            let drawn: f64 = books.iter().map(|b| b.drawn[lrm]).sum();
+            assert!((left + drawn - POOL).abs() < 1e-6, "LRM {lrm}: {left} + {drawn} != {POOL}");
+        }
+        grm.shutdown();
+    }
+
+    #[test]
+    fn racing_handles_settle_each_id_once_on_a_flat_grm() {
+        racing_handles(GrmServer::spawn(complete(4, 0.5), 1), 4);
+    }
+
+    #[test]
+    fn racing_handles_settle_each_id_once_on_a_hierarchical_grm() {
+        racing_handles(GrmServer::spawn_hierarchical(hier_sched(false)), 4);
+    }
+
+    #[test]
+    fn a_mispaired_answer_fails_the_caller_not_the_core() {
         let grm = GrmServer::spawn(complete(2, 0.5), 1);
         let h = grm.handle();
         let rx = h.issue(Call::Stats, Answer::grant).unwrap();
         assert!(matches!(rx.recv().unwrap(), Err(MISPAIRED)));
-        assert_eq!(h.stats().unwrap().requests, 0, "the serve thread still serves");
+        assert_eq!(h.stats().unwrap().requests, 0, "the core still serves");
         grm.shutdown();
     }
 
@@ -2035,88 +2096,57 @@ mod tests {
 
     #[test]
     fn batched_delivery_is_bit_identical_to_one_at_a_time() {
-        // One message trace, delivered two ways: one `handle` call per
-        // message vs a single `handle_batch` over the whole vector.
-        // Every reply and the final server state must agree bit for
-        // bit; only `coalesced_reports` (bookkeeping for superseded
-        // writes) may differ.
-        let build_trace = || {
-            let mut msgs = Vec::new();
-            let mut replies = Vec::new();
-            // A report burst with two writers to LRM 1: in a batch the
+        // One call trace, executed two ways: one run per call vs a single
+        // run over the whole trace. Every answer and the final server
+        // state must agree bit for bit; only `coalesced_reports`
+        // (bookkeeping for superseded writes) may differ.
+        let run = [
+            // A report burst with two writers to LRM 1: in a run the
             // second supersedes the first.
-            msgs.push(post(Call::Report { lrm: 0, available: 4.0 }));
-            msgs.push(post(Call::Report { lrm: 1, available: 3.0 }));
-            msgs.push(post(Call::Report { lrm: 1, available: 9.0 }));
-            msgs.push(post(Call::Report { lrm: 2, available: 2.0 }));
+            Call::Report { lrm: 0, available: 4.0 },
+            Call::Report { lrm: 1, available: 3.0 },
+            Call::Report { lrm: 1, available: 9.0 },
+            Call::Report { lrm: 2, available: 2.0 },
             // Equal-lease ticks arriving out of clock order.
-            msgs.push(post(Call::Tick { now: 5, lease: 10 }));
-            msgs.push(post(Call::Tick { now: 3, lease: 10 }));
+            Call::Tick { now: 5, lease: 10 },
+            Call::Tick { now: 3, lease: 10 },
             // A request in the middle: runs must not reorder around it.
-            let (msg, rx) = request(0, 6.0, None);
-            msgs.push(msg);
-            replies.push(rx);
+            Call::Request { lrm: 0, amount: 6.0, req_id: None },
             // A fresh report, a lease-expiring tick, then an over-ask
             // that must reject identically on both paths.
-            msgs.push(post(Call::Report { lrm: 0, available: 1.0 }));
-            msgs.push(post(Call::Tick { now: 20, lease: 10 }));
-            let (msg, rx) = request(2, 100.0, None);
-            msgs.push(msg);
-            replies.push(rx);
-            (msgs, replies)
-        };
-
-        let (msgs_one, replies_one) = build_trace();
-        let (msgs_batch, replies_batch) = build_trace();
+            Call::Report { lrm: 0, available: 1.0 },
+            Call::Tick { now: 20, lease: 10 },
+            Call::Request { lrm: 2, amount: 100.0, req_id: None },
+        ];
 
         let mut one = flat_core(complete(3, 0.5), 2);
-        for m in msgs_one {
-            handle(&mut one, m);
-        }
+        let answers_one = one_by_one(&mut one, &run);
         let mut batched = flat_core(complete(3, 0.5), 2);
-        let mut batch = VecDeque::from(msgs_batch);
-        assert!(batched.handle_batch(&mut batch).is_none());
-        assert!(batch.is_empty(), "batch fully drained");
+        let answers_batched = batched.execute(&run);
 
-        for (ra, rb) in replies_one.iter().zip(&replies_batch) {
-            assert_eq!(ra.try_recv().unwrap(), rb.try_recv().unwrap());
-        }
+        assert_bit_identical(&answers_one, &answers_batched);
+        assert!(matches!(answers_one[6], Answer::Grant { result: Ok(_), fresh: true }));
+        assert!(matches!(answers_one[9], Answer::Grant { result: Err(_), fresh: true }));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&pool(&mut one)), bits(&pool(&mut batched)));
         assert_eq!(one.clock, batched.clock);
         assert_eq!(one.last_report, batched.last_report);
         let (mut s1, mut s2) = (one.published_stats(), batched.published_stats());
         assert_eq!(s1.coalesced_reports, 0, "one-at-a-time never coalesces");
-        assert_eq!(s2.coalesced_reports, 1, "LRM 1's first report superseded in-batch");
+        assert_eq!(s2.coalesced_reports, 1, "LRM 1's first report superseded in the run");
         s1.coalesced_reports = 0;
         s2.coalesced_reports = 0;
         assert_eq!(s1, s2, "all other counters agree");
     }
 
     #[test]
-    fn batch_stops_at_shutdown_and_drops_the_rest() {
-        let mut core = flat_core(complete(2, 0.5), 1);
-        let mut batch = VecDeque::from([
-            post(Call::Report { lrm: 0, available: 5.0 }),
-            Msg::Shutdown,
-            post(Call::Report { lrm: 1, available: 7.0 }),
-        ]);
-        assert!(matches!(core.handle_batch(&mut batch), Some(Msg::Shutdown)));
-        assert_eq!(batch.len(), 1, "the shutdown stops the run");
-        assert_eq!(core.stats.reports, 1, "messages behind Shutdown are dropped");
-        assert_eq!(pool(&mut core)[1].to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
     fn capacity_fast_reject_matches_solver_verdict_and_counts() {
         let mut core = flat_core(complete(3, 0.5), 2);
         for (lrm, available) in [(0, 0.0), (1, 10.0), (2, 10.0)] {
-            handle(&mut core, post(Call::Report { lrm, available }));
+            core.execute_one(&Call::Report { lrm, available });
         }
         let decide = |core: &mut ServerCore, amount| {
-            let (msg, rx) = request(0, amount, None);
-            handle(core, msg);
-            rx.try_recv().unwrap()
+            core.call(&Call::Request { lrm: 0, amount, req_id: None }).grant()
         };
         // Reachable for 0: clamped two-level flow 0.5 + 0.25 = 0.75 per
         // peer ⇒ 7.5 + 7.5 = 15. Asking 16 rejects without an LP build,
@@ -2148,21 +2178,56 @@ mod tests {
 
     #[test]
     fn poisoned_availability_still_fails_requests() {
-        // A release with non-finite draws poisons the persistent view;
-        // `decide` must keep answering like the removed per-request
+        // No call writes a non-finite pool (reports and releases are
+        // validated), so poison the view behind the core's back: `decide`
+        // must keep answering like the removed per-request
         // `SystemState::new` validation did.
-        let grm = GrmServer::spawn(complete(2, 0.5), 1);
-        let h = grm.handle();
-        h.report(0, 5.0).unwrap();
-        h.report(1, 5.0).unwrap();
-        let poison =
-            Allocation { requester: 0, amount: f64::NAN, draws: vec![f64::NAN, 0.0], theta: 0.0 };
-        h.release(poison).unwrap();
+        let mut core = flat_core(complete(2, 0.5), 1);
+        core.execute(&[Call::Report { lrm: 0, available: 5.0 }]);
+        core.engine.lane_mut(0)[1] = f64::NAN;
         assert!(matches!(
-            h.request(0, 1.0),
+            core.execute_one(&Call::Request { lrm: 0, amount: 1.0, req_id: None }).grant(),
             Err(GrmError::Sched(SchedError::InvalidRequest { .. }))
         ));
-        grm.shutdown();
+    }
+
+    #[test]
+    fn a_release_with_non_finite_or_negative_draws_is_refused() {
+        let mut core = flat_core(complete(3, 0.5), 2);
+        for lrm in 0..3 {
+            core.execute_one(&Call::Report { lrm, available: 5.0 });
+        }
+        let bits =
+            |core: &mut ServerCore| pool(core).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let before = bits(&mut core);
+        for draws in [
+            vec![f64::NAN, 0.0, 0.0],
+            vec![0.0, -3.0, 0.0],
+            vec![0.0, 0.0, f64::INFINITY],
+            vec![f64::NEG_INFINITY, 1.0, 1.0],
+            vec![f64::NAN, -3.0, f64::INFINITY],
+        ] {
+            let alloc = Allocation { requester: 0, amount: 2.0, draws, theta: 0.0 };
+            for req_id in [None, Some(RequestId { client: 5, seq: 1 })] {
+                let release = Call::Release { alloc: alloc.clone(), req_id };
+                let Answer::Unit { result, .. } = core.execute_one(&release) else {
+                    panic!("a release answers a unit")
+                };
+                assert_eq!(
+                    result,
+                    Err(GrmError::Sched(SchedError::InvalidRequest { amount: 2.0 })),
+                    "{:?}",
+                    alloc.draws
+                );
+                assert_eq!(bits(&mut core), before, "the pools are untouched: {:?}", alloc.draws);
+            }
+        }
+        // A release of finite, non-negative draws (zeros included) lands.
+        let alloc =
+            Allocation { requester: 0, amount: 1.5, draws: vec![1.5, 0.0, -0.0], theta: 0.0 };
+        let answer = core.execute_one(&Call::Release { alloc, req_id: None });
+        assert_eq!(answer, Answer::Unit { result: Ok(()), fresh: true });
+        assert_eq!(pool(&mut core), vec![6.5, 5.0, 5.0]);
     }
 
     #[test]
@@ -2234,63 +2299,42 @@ mod tests {
         grm.shutdown();
     }
 
-    /// One message trace with a contiguous request run, delivered one
-    /// `handle` call at a time vs through `handle_batch`'s batched front
-    /// door. Every reply, the availability vector, and the counters must
-    /// agree bit for bit (`batched_allocations` — bookkeeping for which
-    /// door decided — is the one permitted difference).
+    /// One call trace with a contiguous request run, executed one call
+    /// at a time vs as one run through the batched front door. Every
+    /// answer, the availability vector, and the counters must agree bit
+    /// for bit (`batched_allocations` — bookkeeping for which door decided
+    /// — is the one permitted difference).
     fn hier_batched_run_matches_one_by_one(parallel: bool) {
         let id_a = RequestId { client: 1, seq: 1 };
         let id_b = RequestId { client: 1, seq: 2 };
-        let build_trace = || {
-            let mut msgs = Vec::new();
-            let mut replies = Vec::new();
-            for (lrm, avail) in [(0, 6.0), (1, 4.0), (2, 10.0), (3, 2.0)] {
-                msgs.push(post(Call::Report { lrm, available: avail }));
-            }
-            // A run mixing grants, an in-run duplicate, an unknown LRM,
-            // a capacity rejection, and an invalid amount.
-            for (lrm, amount, req_id) in [
-                (0, 3.0, Some(id_a)),
-                (2, 5.0, None),
-                (0, 3.0, Some(id_a)), // in-run duplicate: replays, no re-grant
-                (7, 1.0, None),       // unknown LRM
-                (1, 100.0, None),     // beyond reach
-                (3, 4.0, Some(id_b)), // needs the coarse cross-group path
-                (3, -1.0, None),      // invalid amount
-            ] {
-                let (msg, rx) = request(lrm, amount, req_id);
-                msgs.push(msg);
-                replies.push(rx);
-            }
-            // A report breaks the run; the retry of `id_a` behind it is
-            // a window hit on both paths.
-            msgs.push(post(Call::Report { lrm: 1, available: 9.0 }));
-            let (msg, rx) = request(0, 3.0, Some(id_a));
-            msgs.push(msg);
-            replies.push(rx);
-            (msgs, replies)
-        };
-
-        let (msgs_one, replies_one) = build_trace();
-        let (msgs_batch, replies_batch) = build_trace();
+        let mut run: Vec<Call> = [(0, 6.0), (1, 4.0), (2, 10.0), (3, 2.0)]
+            .into_iter()
+            .map(|(lrm, available)| Call::Report { lrm, available })
+            .collect();
+        // A run mixing grants, an in-run duplicate, an unknown LRM,
+        // a capacity rejection, and an invalid amount.
+        for (lrm, amount, req_id) in [
+            (0, 3.0, Some(id_a)),
+            (2, 5.0, None),
+            (0, 3.0, Some(id_a)), // in-run duplicate: replays, no re-grant
+            (7, 1.0, None),       // unknown LRM
+            (1, 100.0, None),     // beyond reach
+            (3, 4.0, Some(id_b)), // needs the coarse cross-group path
+            (3, -1.0, None),      // invalid amount
+        ] {
+            run.push(Call::Request { lrm, amount, req_id });
+        }
+        // A report breaks the run; the retry of `id_a` behind it is a
+        // window hit on both paths.
+        run.push(Call::Report { lrm: 1, available: 9.0 });
+        run.push(Call::Request { lrm: 0, amount: 3.0, req_id: Some(id_a) });
 
         let mut one = hier_core(hier_sched(parallel));
-        for m in msgs_one {
-            handle(&mut one, m);
-        }
+        let answers_one = one_by_one(&mut one, &run);
         let mut batched = hier_core(hier_sched(parallel));
-        let mut batch = VecDeque::from(msgs_batch);
-        assert!(batched.handle_batch(&mut batch).is_none());
+        let answers_batched = batched.execute(&run);
 
-        for (ra, rb) in replies_one.iter().zip(&replies_batch) {
-            let (a, b) = (ra.try_recv().unwrap(), rb.try_recv().unwrap());
-            assert_eq!(a, b);
-            if let (Ok(a), Ok(b)) = (&a, &b) {
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&a.draws), bits(&b.draws), "draws bit-identical");
-            }
-        }
+        assert_bit_identical(&answers_one, &answers_batched);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&pool(&mut one)), bits(&pool(&mut batched)));
         let (mut s1, mut s2) = (one.published_stats(), batched.published_stats());
@@ -2454,7 +2498,7 @@ mod tests {
             Call::Stats,
             Call::AvailabilityMulti,
         ];
-        let answers = grm.core().unwrap().execute(&run, |answers, _, _| answers);
+        let answers = grm.core().execute(&run, |answers, _, _| answers);
         let Answer::Stats(stats) = &answers[2] else { panic!("{answers:?}") };
         assert_eq!(stats.reports, 2);
         assert_eq!(stats.coalesced_reports, 1, "the second report superseded the first");
@@ -2572,45 +2616,31 @@ mod tests {
             MultiAdmission::new(LANES.to_vec(), (0..2).map(|_| hier_sched(true)).collect()).unwrap()
         };
         let (id_a, id_b) = (RequestId { client: 1, seq: 1 }, RequestId { client: 1, seq: 2 });
-        let build_trace = || {
-            let mut msgs = Vec::new();
-            let mut replies = Vec::new();
-            for (lrm, available) in
-                [(0, [6.0, 3.0]), (1, [4.0, 1.0]), (2, [10.0, 5.0]), (3, [2.0, 2.0])]
-            {
-                msgs.push(post(Call::ReportMulti { lrm, available: available.to_vec() }));
-            }
-            for (lrm, amounts, req_id) in [
-                (0, [3.0, 1.0], Some(id_a)),
-                (2, [5.0, 2.0], None),
-                (0, [3.0, 1.0], Some(id_a)), // in-run duplicate
-                (7, [1.0, 1.0], None),       // unknown LRM
-                (1, [1.0, 50.0], None),      // bandwidth binds
-                (3, [4.0, 1.0], Some(id_b)), // needs the coarse path
-                (3, [1.0, -1.0], None),      // invalid second lane
-                (1, [2.0, 0.5], None),
-            ] {
-                let (msg, rx) = request_multi(lrm, &amounts, req_id);
-                msgs.push(msg);
-                replies.push(rx);
-            }
-            (msgs, replies)
-        };
-
-        let (msgs_one, replies_one) = build_trace();
-        let (msgs_batch, replies_batch) = build_trace();
-        let mut one = hier_core_with(front(), Telemetry::default());
-        for m in msgs_one {
-            handle(&mut one, m);
+        let mut run: Vec<Call> =
+            [(0, [6.0, 3.0]), (1, [4.0, 1.0]), (2, [10.0, 5.0]), (3, [2.0, 2.0])]
+                .into_iter()
+                .map(|(lrm, available)| Call::ReportMulti { lrm, available: available.to_vec() })
+                .collect();
+        for (lrm, amounts, req_id) in [
+            (0, [3.0, 1.0], Some(id_a)),
+            (2, [5.0, 2.0], None),
+            (0, [3.0, 1.0], Some(id_a)), // in-run duplicate
+            (7, [1.0, 1.0], None),       // unknown LRM
+            (1, [1.0, 50.0], None),      // bandwidth binds
+            (3, [4.0, 1.0], Some(id_b)), // needs the coarse path
+            (3, [1.0, -1.0], None),      // invalid second lane
+            (1, [2.0, 0.5], None),
+        ] {
+            run.push(Call::RequestMulti { lrm, amounts: amounts.to_vec(), req_id });
         }
+
+        let mut one = hier_core_with(front(), Telemetry::default());
+        let answers_one = one_by_one(&mut one, &run);
         let (telemetry, recorder) = Telemetry::recorder(64);
         let mut batched = hier_core_with(front(), telemetry);
-        assert!(batched.handle_batch(&mut VecDeque::from(msgs_batch)).is_none());
+        let answers_batched = batched.execute(&run);
 
-        for (ra, rb) in replies_one.iter().zip(&replies_batch) {
-            let (a, b) = (ra.try_recv().unwrap(), rb.try_recv().unwrap());
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "bit for bit");
-        }
+        assert_bit_identical(&answers_one, &answers_batched);
         let bits = |core: &ServerCore, lane| {
             core.engine.lane(lane).iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         };

@@ -541,9 +541,11 @@ impl RecoveredState {
 
     /// Seed an already-spawned server (any decision engine — flat LP or
     /// hierarchical batched) with the recovered soft state, in one step
-    /// on its core ([`agreements_grm::GrmHandle::seed`]): availability as
-    /// synthetic reports, dedup window so retries straddling the crash
-    /// replay their original decisions. Each window entry is cloned once.
+    /// on its core, on the calling thread
+    /// ([`agreements_grm::GrmHandle::seed`]): availability as synthetic
+    /// reports, dedup window so retries straddling the crash replay their
+    /// original decisions. The seed has landed when this returns. Each
+    /// window entry is cloned once.
     /// The caller is responsible for spawning the server on
     /// [`RecoveredState::matrix`]; this lets a daemon choose
     /// `spawn_hierarchical` while sharing one recovery path.

@@ -88,7 +88,7 @@ use std::sync::{Arc, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use agreements_grm::{Answer, Call, DedupWindow, GrmCore, GrmError, GrmHandle, GrmServer};
+use agreements_grm::{Answer, Call, DedupWindow, GrmCore, GrmError, GrmServer, GrmStats};
 use agreements_telemetry::{HistKind, Telemetry};
 use parking_lot::Mutex;
 
@@ -341,13 +341,14 @@ impl Shared {
 }
 
 /// A daemon serving one [`GrmServer`] over a socket, journaling every
-/// decision before it is acknowledged. See the module docs.
+/// decision before it is acknowledged. It holds the server's core, not
+/// the server: every write to the core is a journaled run, and dropping
+/// the listener drops the core. See the module docs.
 pub struct GrmListener {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     syncer: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    server: Option<GrmServer>,
     tcp_addr: Option<SocketAddr>,
     uds_path: Option<PathBuf>,
 }
@@ -440,10 +441,9 @@ impl GrmListener {
     ) -> io::Result<GrmListener> {
         let sequencer = config.sequenced.then(|| Sequencer::new(recovered.next_seq));
         let policy = journal.policy();
-        // The one blocking round trip: it also drains whatever was posted
-        // to the server before it, so no queued report can overwrite a
-        // run executed directly.
-        let core = server.core().map_err(io::Error::other)?;
+        // Whatever the server was seeded with has executed already: no
+        // queue holds a report that could overwrite a run.
+        let core = server.core();
         let RecoveredState { matrix, level, next_seq, .. } = recovered;
         let cold =
             Snapshot { matrix, level, availability: Vec::new(), next_seq, dedup: Vec::new() };
@@ -472,7 +472,6 @@ impl GrmListener {
             accept: None,
             syncer,
             conns: Arc::new(Mutex::new(Vec::new())),
-            server: Some(server),
             tcp_addr: None,
             uds_path: None,
         })
@@ -483,9 +482,30 @@ impl GrmListener {
         self.tcp_addr
     }
 
-    /// In-process handle to the served GRM (for harness assertions).
-    pub fn handle(&self) -> GrmHandle {
-        self.server.as_ref().expect("the server lives as long as the listener").handle()
+    /// Execute `call` on the served core as a run of one. For reads only:
+    /// every write goes through a journaled run.
+    fn read(&self, call: Call) -> Answer {
+        self.shared
+            .core
+            .execute(&[call], |mut answers, _, _| answers.pop())
+            .expect("one answer per call")
+    }
+
+    /// The served GRM's operational counters.
+    pub fn stats(&self) -> GrmStats {
+        let Answer::Stats(stats) = self.read(Call::Stats) else {
+            unreachable!("a Stats call answers Stats")
+        };
+        stats
+    }
+
+    /// The served GRM's single-pool availability view; refused on more
+    /// than one lane, as [`agreements_grm::GrmHandle::availability`] is.
+    pub fn availability(&self) -> Result<Vec<f64>, GrmError> {
+        let Answer::Availability(view) = self.read(Call::Availability) else {
+            unreachable!("an Availability call answers Availability")
+        };
+        view
     }
 
     /// A snapshot of the journaled state — what a compaction right now
@@ -513,7 +533,7 @@ impl GrmListener {
     }
 
     /// Stop accepting, drain connection threads, sync the journal, and
-    /// shut the served GRM down.
+    /// drop the served GRM's core.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -544,9 +564,6 @@ impl GrmListener {
 impl Drop for GrmListener {
     fn drop(&mut self) {
         self.stop();
-        if let Some(server) = self.server.take() {
-            server.shutdown();
-        }
     }
 }
 

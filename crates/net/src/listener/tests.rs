@@ -84,10 +84,10 @@ fn fail_stop(policy: FsyncPolicy, tag: &str) {
     }
     assert!(refused > 0, "the failing run is answered JOURNAL_DOWN");
     // Later journaled ops are refused before they reach the GRM …
-    let before = listener.handle().stats().unwrap().requests;
+    let before = listener.stats().requests;
     let late = client.request_acked_async(0, 1.0, RequestId { client: 7, seq: 5000 }).unwrap().0;
     assert_eq!(late.recv().unwrap(), Err(JOURNAL_DOWN));
-    assert_eq!(listener.handle().stats().unwrap().requests, before);
+    assert_eq!(listener.stats().requests, before);
     // … while reads still answer.
     assert_eq!(client.availability().unwrap().len(), 3);
     drop(client);

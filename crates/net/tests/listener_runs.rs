@@ -9,7 +9,7 @@
 //!   the clients' books, and no `RequestId` settles twice — also with
 //!   compactions landing mid-race.
 //! - Only what the core applied is journaled: a dropped report is not
-//!   folded on recovery.
+//!   folded on recovery, and a refused release moves no pool.
 //! - The reports a respawn seeds land before the first run.
 //! - A pipelined window reaches a hierarchical engine as a batch.
 //! - A connection that vanishes mid-window does not stall the others.
@@ -21,14 +21,14 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use agreements_flow::AgreementMatrix;
-use agreements_grm::{GrmServer, RequestId};
+use agreements_grm::{GrmError, GrmServer, RequestId};
 use agreements_net::frame::{crc32, encode_frame, FrameDecoder, FRAME_OVERHEAD, MAGIC};
 use agreements_net::journal::{
     DecisionBody, DurableJournal, FsyncPolicy, JournalRecord, RecoveredState, Snapshot,
 };
 use agreements_net::listener::{GrmListener, ListenerConfig};
 use agreements_net::{RequestFrame, ResponseFrame, WireRequest, WireResponse};
-use agreements_sched::{Allocation, HierarchicalScheduler};
+use agreements_sched::{Allocation, HierarchicalScheduler, SchedError};
 use agreements_telemetry::{HistKind, Telemetry};
 
 fn complete(n: usize, share: f64) -> AgreementMatrix {
@@ -357,9 +357,8 @@ fn racing_connections(conns: u64, compact_every: u64) {
         assert!(fsyncs < synced, "{fsyncs} fsyncs for {synced} records: nothing was grouped");
     }
 
-    let h = listener.handle();
-    let live = h.availability().unwrap();
-    let stats = h.stats().unwrap();
+    let live = listener.availability().unwrap();
+    let stats = listener.stats();
     let live_window = listener.mirror_snapshot().dedup;
     listener.shutdown();
 
@@ -450,7 +449,7 @@ fn dropped_reports_are_neither_journaled_nor_folded() {
         assert_eq!(reply.resp, WireResponse::Unit(Ok(())), "a report is acknowledged");
     }
     assert!(matches!(replies[4].resp, WireResponse::Grant(Ok(_))), "{:?}", replies[4]);
-    let live = listener.handle().availability().unwrap();
+    let live = listener.availability().unwrap();
     assert_eq!(live, vec![40.0, 40.0, 40.0, 39.0]);
     drop(conn);
     listener.shutdown();
@@ -459,6 +458,38 @@ fn dropped_reports_are_neither_journaled_nor_folded() {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&recovered.availability), bits(&live), "{:?}", recovered.availability);
     assert_eq!(recovered.records, 2, "the snapshot and the grant");
+}
+
+/// A release whose draws are not all finite and non-negative is refused
+/// and moves no pool, with or without an id: the reopened journal folds to
+/// the live pools bit for bit.
+#[test]
+fn a_release_of_non_finite_or_negative_draws_moves_no_pool() {
+    let dir = scratch("runs-poisoned-release");
+    let listener = daemon(&dir, FsyncPolicy::EveryOp);
+    let mut conn = Raw::connect(&dir);
+    let draws = vec![f64::NAN, -3.0, f64::INFINITY, 0.0];
+    let alloc = Allocation { requester: 0, amount: 3.0, draws, theta: 0.0 };
+    let release = |corr, req_id| RequestFrame {
+        corr,
+        replay_seq: None,
+        req: WireRequest::Release { alloc: alloc.clone(), req_id },
+    };
+    let frames = [release(0, Some(RequestId { client: 1, seq: 1 })), release(1, None)];
+    conn.send(&frames);
+    for reply in conn.recv(frames.len()) {
+        let refused =
+            WireResponse::Unit(Err(GrmError::Sched(SchedError::InvalidRequest { amount: 3.0 })));
+        assert_eq!(reply.resp, refused, "corr {}", reply.corr);
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let live = listener.availability().unwrap();
+    assert_eq!(bits(&live), bits(&[40.0; N]), "no pool moved");
+    drop(conn);
+    listener.shutdown();
+
+    let (_, recovered) = open_journal(&dir, FsyncPolicy::EveryOp);
+    assert_eq!(bits(&recovered.availability), bits(&live), "{:?}", recovered.availability);
 }
 
 /// `respawn` seeds the pools as reports on the core. The first run the
@@ -474,7 +505,7 @@ fn seeding_reports_land_before_the_first_run() {
     let WireResponse::Grant(Ok(alloc)) = &replies[1].resp else {
         panic!("{:?}", replies[1]);
     };
-    let live = listener.handle().availability().unwrap();
+    let live = listener.availability().unwrap();
     let expected: Vec<f64> =
         [7.0, 40.0, 40.0, 40.0].iter().zip(&alloc.draws).map(|(v, d)| (v - d).max(0.0)).collect();
     assert_eq!(live, expected, "the reported pool survives the seeding");
@@ -516,7 +547,7 @@ fn a_pipelined_window_reaches_a_hierarchical_engine_as_a_batch() {
         conn.send(&frames);
         conn.recv(frames.len());
     }
-    let stats = listener.handle().stats().unwrap();
+    let stats = listener.stats();
     assert_eq!(stats.batched_allocations, windows * width);
     let snap = recorder.snapshot();
     let batches = snap.histogram(HistKind::BatchSize).expect("batch-size histogram");

@@ -253,7 +253,7 @@ fn duplicate_rpc_straddling_restart_replays_original_decision() {
         original.draws.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
         "replayed decision must be bit-identical to the original"
     );
-    let stats = daemon.handle().stats().unwrap();
+    let stats = daemon.stats();
     assert_eq!(stats.duplicate_requests, 1, "the retry must hit the recovered dedup window");
     assert_eq!(stats.granted, 0, "the retry must not execute a second grant");
     let avail_after = client.availability().unwrap();

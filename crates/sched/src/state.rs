@@ -8,7 +8,7 @@ use std::sync::Arc;
 /// agreement flow table and the (dynamic) per-owner availability.
 ///
 /// The flow table is held by `Arc` so request handling never clones the
-/// n×n coefficient matrix: the GRM serve loop and the proxy simulator
+/// n×n coefficient matrix: the GRM core and the proxy simulator
 /// share one snapshot across every request against an unchanged
 /// agreement set, and the allocation solver keys its cached skeleton on
 /// the `Arc`'s pointer identity.

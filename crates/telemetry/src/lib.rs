@@ -44,18 +44,20 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 pub enum HistKind {
     /// Wall-clock time of one LP solve in `AllocationSolver::place`.
     LpSolveSeconds,
-    /// Wall-clock time of one GRM serve-loop wakeup drain
-    /// (`handle_batch` over everything that piled up while asleep).
+    /// Wall-clock time of one drain of the GRM's former serve-thread
+    /// mailbox. Nothing records it since the GRM executes on its callers;
+    /// it stays until a benchmark revision retires it.
     ServeDrainSeconds,
     /// End-to-end latency of one GRM request decision (receipt to reply).
     RequestLatencySeconds,
     /// Dirty rows recomputed by one `IncrementalFlow::set` repair.
     FlowDirtyRows,
-    /// Allocation requests decided per contiguous request run inside one
-    /// GRM serve-loop wakeup (the batched-admission front door).
+    /// Allocation requests decided per contiguous request run the GRM
+    /// core executes (the batched-admission front door).
     BatchSize,
-    /// Time an allocation request spent queued between the client's send
-    /// and the serve loop starting its batch.
+    /// Time an allocation request spent in the GRM's former serve-thread
+    /// mailbox. Nothing records it since the GRM executes on its callers;
+    /// it stays until a benchmark revision retires it.
     QueueWaitSeconds,
     /// Wall-clock time of one durable-journal fsync (the group-commit
     /// barrier a networked GRM daemon pays before releasing replies).

@@ -1,6 +1,6 @@
-//! Full circle: the web-proxy case study scheduled through a **live GRM
-//! server thread** (availability reports + allocation RPCs over
-//! channels) produces exactly the same simulation as the in-process LP
+//! Full circle: the web-proxy case study scheduled through a **live GRM**
+//! (availability reports + allocation RPCs through its handle)
+//! produces exactly the same simulation as the in-process LP
 //! policy. This is the paper's architecture claim made executable: the
 //! GRM service boundary adds no scheduling difference, only distribution.
 //!

@@ -2,9 +2,11 @@
 //! GRM's single-resource request path, counted exactly.
 //!
 //! Seeded runs of `Call::Request`s execute through
-//! `GrmServer::core()?.execute(..)` on the calling thread, so a counting
+//! `GrmServer::core().execute(..)` on the calling thread, so a counting
 //! global allocator with a thread-local counter sees every allocation the
-//! decision path makes there and none of another thread's. The counts are
+//! decision path makes there and none of another thread's. A
+//! `GrmHandle` call runs wholly on its caller's thread too, so the handle
+//! path is counted the same way, call by call. The counts are
 //! functions of the code and the seed, not of the host, so they are
 //! pinned as integers: a change that makes the one-lane path allocate
 //! more fails here, on any host, with no benchmark run. The debug and
@@ -87,32 +89,59 @@ impl Lcg {
     }
 }
 
-/// `(allocations, bytes)` on the calling thread over `DECISIONS` seeded
-/// requests executed on `grm`'s core in runs of `RUN`. Before every run
-/// each of the `n` principals re-reports a pool of 10 (not counted), so
-/// every run decides against the same state; one request in eight asks
-/// beyond any principal's reach.
-fn decision_costs(grm: GrmServer, n: usize, seed: u64) -> (u64, u64) {
-    let core = grm.core().expect("GRM alive");
-    let reports: Vec<Call> = (0..n).map(|lrm| Call::Report { lrm, available: 10.0 }).collect();
+/// `DECISIONS` seeded requests over `n` principals, in runs of `RUN`;
+/// one request in eight asks beyond any principal's reach.
+fn request_runs(n: usize, seed: u64) -> Vec<Vec<Call>> {
     let mut rng = Lcg(seed);
     let mut seq = 0;
+    let mut request = || {
+        seq += 1;
+        let lrm = rng.below(n);
+        let amount = if rng.below(8) == 0 { 1e6 } else { 0.5 + rng.below(40) as f64 / 4.0 };
+        Call::Request { lrm, amount, req_id: Some(RequestId { client: 1, seq }) }
+    };
+    (0..DECISIONS / RUN).map(|_| (0..RUN).map(|_| request()).collect()).collect()
+}
+
+/// `(allocations, bytes)` on the calling thread over the seeded requests,
+/// each run executed on `grm`'s core. Before every run each of the `n`
+/// principals re-reports a pool of 10 (not counted), so every run decides
+/// against the same state.
+fn decision_costs(grm: GrmServer, n: usize, seed: u64) -> (u64, u64) {
+    let core = grm.core();
+    let reports: Vec<Call> = (0..n).map(|lrm| Call::Report { lrm, available: 10.0 }).collect();
     let (mut allocs, mut bytes) = (0, 0);
-    for _ in 0..DECISIONS / RUN {
+    for run in request_runs(n, seed) {
         core.execute(&reports, |_, _, _| ());
-        let run: Vec<Call> = (0..RUN)
-            .map(|_| {
-                seq += 1;
-                let lrm = rng.below(n);
-                let amount = if rng.below(8) == 0 { 1e6 } else { 0.5 + rng.below(40) as f64 / 4.0 };
-                Call::Request { lrm, amount, req_id: Some(RequestId { client: 1, seq }) }
-            })
-            .collect();
         let before = counts();
         core.execute(&run, |answers, _, _| drop(answers));
         let after = counts();
         allocs += after.0 - before.0;
         bytes += after.1 - before.1;
+    }
+    grm.shutdown();
+    (allocs, bytes)
+}
+
+/// [`decision_costs`] through `GrmHandle::request_idempotent`, one call at
+/// a time: the handle's own costs (its answer channel and the closure it
+/// sends) on top of a run of one's.
+fn handle_costs(grm: GrmServer, n: usize, seed: u64) -> (u64, u64) {
+    let h = grm.handle();
+    let (mut allocs, mut bytes) = (0, 0);
+    for run in request_runs(n, seed) {
+        for lrm in 0..n {
+            h.report(lrm, 10.0).unwrap();
+        }
+        for call in run {
+            let Call::Request { lrm, amount, req_id: Some(id) } = call else { unreachable!() };
+            let before = counts();
+            let decision = h.request_idempotent(lrm, amount, id);
+            let after = counts();
+            drop(decision);
+            allocs += after.0 - before.0;
+            bytes += after.1 - before.1;
+        }
     }
     grm.shutdown();
     (allocs, bytes)
@@ -158,6 +187,14 @@ fn assert_within(engine: &str, got: (u64, u64), pinned: (u64, u64)) {
 fn flat_n10_request_path_allocations_are_pinned() {
     let got = decision_costs(GrmServer::spawn(complete(10, 0.3), 2), 10, 7);
     assert_within("flat n = 10", got, (10_986, 1_838_822));
+}
+
+/// Pinned exactly: the whole handle call runs on the calling thread, so
+/// nothing it allocates escapes the counter.
+#[test]
+fn flat_n10_handle_request_path_allocations_are_pinned() {
+    let got = handle_costs(GrmServer::spawn(complete(10, 0.3), 2), 10, 7);
+    assert_eq!(got, (19_050, 3_526_374), "flat n = 10 through the handle, over {DECISIONS} calls");
 }
 
 #[test]
