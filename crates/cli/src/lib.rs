@@ -16,6 +16,7 @@
 //! so commands are unit-testable without spawning processes.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod args;
 pub mod commands;

@@ -7,6 +7,8 @@
 //! series/summary printers whose rows can be diffed against
 //! `EXPERIMENTS.md`.
 
+#![deny(unsafe_code)]
+
 pub mod checker;
 pub mod fairness;
 pub mod multires;

@@ -25,6 +25,7 @@
 //! tests model a network that has recovered.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use agreements_telemetry::{Telemetry, TelemetryEvent};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};

@@ -36,7 +36,7 @@ impl AgreementMatrix {
 
     /// Row `i` of `S`: the shares `i` grants, indexed by recipient.
     #[inline]
-    pub(crate) fn row(&self, i: usize) -> &[f64] {
+    pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 

@@ -45,6 +45,7 @@
 // crate; clippy's iterator rewrites would obscure the row/column algebra.
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod dedup;
 mod engine;

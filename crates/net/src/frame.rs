@@ -11,10 +11,15 @@
 //! ```
 //!
 //! The CRC is CRC-32 (IEEE 802.3, reflected) over the payload only; the
-//! magic and length are validated structurally. `len` is bounded by
-//! [`MAX_FRAME_LEN`], so a corrupt length prefix can never make the
-//! decoder buffer unbounded garbage — it is rejected immediately and the
-//! decoder *resyncs*: it scans forward for the next magic candidate and
+//! magic and length are validated structurally. [`crc32`] folds 64 bytes
+//! per step with a carry-less multiply (`PCLMULQDQ`) on x86_64 CPUs that
+//! have one, and uses slicing-by-16 tables for inputs under 64 bytes and
+//! everywhere else; both give the same bits, so a frame's bytes never
+//! depend on the machine that wrote it.
+//!
+//! `len` is bounded by [`MAX_FRAME_LEN`], so a corrupt length prefix can
+//! never make the decoder buffer unbounded garbage — it is rejected
+//! immediately and the decoder *resyncs*: it scans forward for the next magic candidate and
 //! keeps decoding, so one torn or corrupted frame costs one error, not
 //! the connection. (A candidate inside surviving payload bytes is
 //! possible; the CRC rejects it and the scan continues.)
@@ -25,6 +30,10 @@
 //! byte-for-byte.
 
 use std::fmt;
+
+mod crc;
+
+pub use crc::crc32;
 
 /// Frame preamble: resync marker for the scanning decoder.
 pub const MAGIC: [u8; 2] = [0xA6, 0x4D];
@@ -72,65 +81,6 @@ impl fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) slicing-by-16
-/// lookup tables, built at compile time — the build has no crc crate and
-/// needs none. `CRC_TABLES[0]` is the classic bytewise table;
-/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
-/// which is what lets sixteen input bytes fold in one step.
-const CRC_TABLES: [[u32; 256]; 16] = {
-    let mut tables = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 16 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-/// Fold `bytes` into the running (pre-inverted) CRC register `c`, sixteen
-/// bytes per step and the tail bytewise.
-fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    // Input byte `k` of a step is followed by `15 - k` more, so it is
-    // looked up in table `15 - k`.
-    let fold = |word: u32, first: usize| {
-        t[first][(word & 0xFF) as usize]
-            ^ t[first - 1][((word >> 8) & 0xFF) as usize]
-            ^ t[first - 2][((word >> 16) & 0xFF) as usize]
-            ^ t[first - 3][(word >> 24) as usize]
-    };
-    let mut chunks = bytes.chunks_exact(16);
-    for w in &mut chunks {
-        let word = |k: usize| u32::from_le_bytes([w[k], w[k + 1], w[k + 2], w[k + 3]]);
-        c = fold(word(0) ^ c, 15) ^ fold(word(4), 11) ^ fold(word(8), 7) ^ fold(word(12), 3);
-    }
-    for &b in chunks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
-}
 
 /// Append one encoded frame carrying `payload` to `out`. Fails only when
 /// the payload exceeds [`MAX_FRAME_LEN`] — a frame the decoder would be
@@ -303,41 +253,6 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// The bytewise table loop the sliced path replaced: the reference
-    /// the fast path must match on every input.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        c ^ 0xFFFF_FFFF
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The canonical IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    proptest! {
-        /// Any length (so every remainder 0..16 after the 16-byte steps)
-        /// and any split point (so the steps start at every alignment):
-        /// the sliced CRC, whole or resumed mid-stream, is the bytewise one.
-        #[test]
-        fn sliced_crc32_equals_bytewise_reference(
-            bytes in proptest::collection::vec(any::<u8>(), 0..600),
-            split in 0usize..600,
-        ) {
-            let want = crc32_bytewise(&bytes);
-            prop_assert_eq!(crc32(&bytes), want);
-            let (head, tail) = bytes.split_at(split.min(bytes.len()));
-            let resumed = crc32_update(crc32_update(0xFFFF_FFFF, head), tail) ^ 0xFFFF_FFFF;
-            prop_assert_eq!(resumed, want);
-        }
-    }
 
     #[test]
     fn in_place_frame_encoding_matches_the_copying_encoder() {

@@ -33,6 +33,8 @@
 //! stack as separate processes, including kill-9 crash-recovery.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;
 pub mod frame;

@@ -275,6 +275,8 @@ struct Shared {
     compact_every: u64,
     /// Frames that passed CRC but did not decode as a request.
     undecodable: AtomicU64,
+    /// Frames the decoder skipped: bad magic, oversized, CRC mismatch.
+    corrupt: AtomicU64,
     /// Completed group-commit fsyncs (syncer thread only).
     group_syncs: AtomicU64,
     /// Records covered by those fsyncs.
@@ -456,6 +458,7 @@ impl GrmListener {
             shutdown: AtomicBool::new(false),
             compact_every: config.compact_every,
             undecodable: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
             group_syncs: AtomicU64::new(0),
             group_records: AtomicU64::new(0),
         });
@@ -521,6 +524,14 @@ impl GrmListener {
     /// Frames that passed CRC but failed request decoding.
     pub fn undecodable_frames(&self) -> u64 {
         self.shared.undecodable.load(Ordering::Relaxed)
+    }
+
+    /// Frames dropped before decoding, across connections: a bad magic,
+    /// an oversized length prefix or a CRC mismatch (the decoder's
+    /// [`FrameError`](crate::frame::FrameError) cases). The request a
+    /// damaged frame carried is lost; its sender's retry recovers it.
+    pub fn corrupt_frames(&self) -> u64 {
+        self.shared.corrupt.load(Ordering::Relaxed)
     }
 
     /// Group-commit amortization counters: `(fsyncs, records covered)`.
@@ -866,7 +877,10 @@ impl Shared {
                 Ok(None) => break,
                 // Corrupt frame: the decoder resynced; the lost request
                 // is the sender's retry problem.
-                Err(_) => continue,
+                Err(_) => {
+                    self.corrupt.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
             };
             self.telemetry.observe(HistKind::FrameBytes, (payload.len() + FRAME_OVERHEAD) as f64);
             let Ok(rf) = RequestFrame::decode(&payload) else {

@@ -1,6 +1,7 @@
 //! In-crate tests of the listener's internals: the fail-stop journal
 //! (which needs the `#[cfg(test)]` hook that breaks the segment handle
-//! under a live listener), connection reaping and undecodable frames.
+//! under a live listener), connection reaping and corrupt or
+//! undecodable frames.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -151,11 +152,19 @@ fn an_undecodable_frame_is_counted_and_skipped() {
     let appended = || listener.shared.log.lock().journal.appended_lsn();
     let records = appended();
 
-    // One write: a frame whose CRC holds but whose payload is no request,
-    // then a valid read on the same connection.
-    let probe = RequestFrame { corr: 42, replay_seq: None, req: WireRequest::Availability };
+    // One write: a grant request with one payload byte flipped, a frame
+    // whose CRC holds but whose payload is no request, then a valid read
+    // on the same connection.
+    let grant = WireRequest::Request { lrm: 0, amount: 1.0, req_id: None };
     let mut bytes = Vec::new();
+    encode_frame(&RequestFrame { corr: 41, replay_seq: None, req: grant }.encode(), &mut bytes)
+        .unwrap();
+    bytes[8] ^= 0x01;
+    // The damaged frame's bytes hold no magic candidate, so the decoder
+    // resyncs straight to the next frame: one corrupt frame, one error.
+    assert!(!bytes[1..].contains(&crate::frame::MAGIC[0]));
     encode_frame(b"\xff not a request", &mut bytes).unwrap();
+    let probe = RequestFrame { corr: 42, replay_seq: None, req: WireRequest::Availability };
     encode_frame(&probe.encode(), &mut bytes).unwrap();
     let mut stream = std::os::unix::net::UnixStream::connect(dir.join("grm.sock")).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -172,8 +181,9 @@ fn an_undecodable_frame_is_counted_and_skipped() {
         dec.push(&buf[..n]);
     };
     assert_eq!(reply, ResponseFrame { corr: 42, resp: WireResponse::Availability(vec![100.0; 3]) });
+    assert_eq!(listener.corrupt_frames(), 1);
     assert_eq!(listener.undecodable_frames(), 1);
-    assert_eq!(appended(), records, "nothing journaled for either frame");
+    assert_eq!(appended(), records, "nothing journaled for any frame");
     drop(stream);
     listener.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -212,6 +212,11 @@ impl Writer {
     pub(crate) fn f64s(&mut self, vs: &[f64]) {
         self.u32(vs.len() as u32);
         self.buf.reserve(vs.len() * 8);
+        self.f64_block(vs);
+    }
+
+    /// The values' bit patterns back to back, with no count.
+    pub(crate) fn f64_block(&mut self, vs: &[f64]) {
         for v in vs {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }

@@ -22,6 +22,7 @@
 //! fractions — everything Figures 5–13 plot.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod config;
 pub mod metrics;

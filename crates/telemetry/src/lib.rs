@@ -27,6 +27,7 @@
 //! binaries and the CLI export behind `--telemetry-out`.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;

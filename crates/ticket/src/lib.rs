@@ -54,6 +54,7 @@
 // crate; clippy's iterator rewrites would obscure the row/column algebra.
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod currency;

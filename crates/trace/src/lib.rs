@@ -21,6 +21,7 @@
 //! Traces serialize to a compact binary format ([`io`]) and to CSV.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod analysis;
 pub mod generator;

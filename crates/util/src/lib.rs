@@ -7,6 +7,7 @@
 //! span both ends of the dependency graph.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 /// Apply `f` to every item on its own scoped thread and return the
 /// outputs **in input order**. Spawning one thread per item is the right

@@ -13,6 +13,8 @@
 //! - [`proxysim`] — the cooperating web-proxy simulator (§4).
 //! - [`telemetry`] — the unified counters/histograms/event-trace plane.
 
+#![deny(unsafe_code)]
+
 pub use agreements_flow as flow;
 pub use agreements_grm as grm;
 pub use agreements_lp as lp;
