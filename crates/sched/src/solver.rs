@@ -78,6 +78,9 @@ pub struct SolverStats {
     pub bound_builds: u64,
     /// Skeleton (re)builds — steady state is 1 per flow/requester change.
     pub skeleton_rebuilds: u64,
+    /// Simplex iterations over every solve: the sum of each solve's
+    /// phase-1 and phase-2 iterations (pivots and bound flips alike).
+    pub pivots: u64,
 }
 
 /// A reusable allocation solver (see module docs).
@@ -245,6 +248,7 @@ impl AllocationSolver {
             sk.num_structural,
             &self.opts,
         )?;
+        self.stats.pivots += (sol.stats.phase1_iters + sol.stats.phase2_iters) as u64;
         let draws = (0..n).map(|i| sk.col_of[i].map_or(0.0, |col| sol.x[col])).collect();
         Ok((draws, sol.objective))
     }

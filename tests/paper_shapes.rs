@@ -250,6 +250,62 @@ fn golden_scale_run_checksum_at_n100() {
     );
 }
 
+/// Golden fingerprint of the flat n = 128 allocation path: the first 512
+/// demands of an 8 192-demand `ScaleConfig::isp(128)` day at level-1
+/// flow, replayed through one [`AllocationSolver`] (the stateful solver
+/// the flat GRM engine runs) with the pools refilled every hour, as in
+/// the n = 100 run above. The day is dense enough that owners run dry and
+/// about one demand in seven is denied, and consecutive demands come from
+/// different principals, as the daemon's do. Every granted draw and θ is
+/// folded by its bits, and the solve and simplex-iteration counts are
+/// pinned exactly, so a change to how the LP is assembled or pivoted
+/// shows here even when it leaves the n = 10 and n = 100 goldens alone.
+///
+/// [`AllocationSolver`]: sharing_agreements::sched::AllocationSolver
+#[test]
+fn golden_flat_allocation_checksum_at_n128() {
+    use sharing_agreements::flow::TransitiveFlow;
+    use sharing_agreements::sched::{AllocationSolver, SystemState};
+
+    const SEED: u64 = 20_000;
+    const DEMANDS: usize = 512;
+    let cfg = ScaleConfig::isp(128, 8_192, SEED);
+    let workload = cfg.generate();
+    let flow = TransitiveFlow::compute(&cfg.agreements().unwrap(), 1);
+    let mut state = SystemState::new(flow, None, workload.availability.clone()).unwrap();
+    let mut solver = AllocationSolver::reduced();
+
+    let mut hour = 0usize;
+    let (mut admitted, mut denied) = (0usize, 0usize);
+    let mut sum = FNV_BASIS;
+    for d in workload.demands.iter().take(DEMANDS) {
+        while d.t >= (hour + 1) as f64 * HOUR {
+            hour += 1;
+            state.availability.copy_from_slice(&workload.availability);
+        }
+        match solver.allocate(&state, d.requester, d.amount) {
+            Ok(alloc) => {
+                for &dr in &alloc.draws {
+                    sum = fnv_f64(sum, dr);
+                }
+                sum = fnv_f64(sum, alloc.theta);
+                state.apply(&alloc).unwrap();
+                admitted += 1;
+            }
+            Err(SchedError::InsufficientCapacity { .. }) => denied += 1,
+            Err(e) => panic!("flat n = 128 replay failed: {e}"),
+        }
+    }
+    assert_eq!(admitted + denied, DEMANDS);
+    let stats = solver.stats();
+    assert_eq!((admitted, denied, stats.solves, stats.pivots), (437, 75, 437, 7_754));
+    assert_eq!(
+        sum, 0xc96a_d5ca_f7fe_63e2,
+        "flat n = 128 fingerprint drifted: got {sum:#018x} \
+         (re-pin only if the change to the pipeline is intentional)"
+    );
+}
+
 /// Figure 13: the LP scheme beats proportional end-point enforcement at
 /// the peak.
 #[test]
