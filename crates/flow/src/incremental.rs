@@ -48,8 +48,8 @@ use std::sync::Arc;
 /// [`IncrementalFlow::grow`] / [`IncrementalFlow::isolate`] fall back
 /// to a full recompute. [`IncrementalFlow::snapshot`] publishes the
 /// table as a cached [`Arc<TransitiveFlow>`], so unchanged tables keep
-/// their pointer identity (which the scheduler's skeleton cache keys
-/// on).
+/// their pointer identity (which the allocation solver's inflow index
+/// keys on).
 #[derive(Debug, Clone)]
 pub struct IncrementalFlow {
     s: AgreementMatrix,
@@ -189,7 +189,7 @@ impl IncrementalFlow {
 
     /// The current table as a shared [`TransitiveFlow`]. Cached: calling
     /// twice without an intervening mutation returns the same `Arc`, so
-    /// pointer-keyed caches (the allocation solver's skeleton) stay
+    /// pointer-keyed caches (the allocation solver's inflow index) stay
     /// warm.
     pub fn snapshot(&mut self) -> Arc<TransitiveFlow> {
         if let Some(snap) = &self.snapshot {

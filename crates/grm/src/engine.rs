@@ -188,7 +188,7 @@ impl FastReject {
 /// - **Zero-clone requests**: each lane's [`SystemState`] is persistent
 ///   — the availability vector *is* the live view, so a request
 ///   allocates nothing beyond the returned draw vectors, and each
-///   solver's skeleton check is one pointer compare.
+///   solver's inflow-index check is one pointer compare.
 /// - **Capacity fast-reject**: see [`FastReject`].
 struct FlatEngine {
     incflow: IncrementalFlow,
@@ -198,7 +198,7 @@ struct FlatEngine {
     /// Per lane: the shared flow snapshot and the lane's live
     /// availability (`absolute` stays `None` for the centralized GRM).
     states: Vec<SystemState>,
-    /// Per lane: a persistent solver (cached skeleton + workspace); every
+    /// Per lane: a persistent solver (inflow index + workspace); every
     /// grant is bit-identical to the stateless LP policy, which is what
     /// the adapter tests assert.
     solvers: Vec<AllocationSolver>,

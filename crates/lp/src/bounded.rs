@@ -21,6 +21,10 @@
 //!
 //! Solves `min c·x` s.t. `A x = b`, `0 ≤ x_j ≤ u_j` (`u_j = ∞` allowed),
 //! `b ≥ 0`. Phase 1 uses artificials exactly like the row-based solver.
+//! `A` arrives as [`SparseRows`]: the tableau is built by zero-filling it
+//! and scattering the entries, and the initial slack basis is found from
+//! the entries alone, so building costs O(m·n) writes plus O(nonzeros),
+//! with no column-strided scan.
 //!
 //! # Workspaces
 //!
@@ -38,14 +42,22 @@
 use crate::error::LpError;
 use crate::matrix::Matrix;
 use crate::simplex::{PivotRule, SimplexOptions, SimplexStats, StandardSolution};
+use crate::sparse::SparseRows;
+
+// The slack-basis scan's marks for a column with no nonzero seen yet and
+// for one out of the running; any other mark is the row of the column's
+// one nonzero so far, which is within `EPSILON` of 1.
+const NO_ENTRY: u32 = u32::MAX;
+const NOT_UNIT: u32 = u32::MAX - 1;
 
 /// Solve `min c·x` s.t. `Ax = b`, `0 ≤ x ≤ u`, `b ≥ 0`.
 ///
+/// `a` holds the `m` rows of `A` over the `c.len()` columns.
 /// `upper[j] = f64::INFINITY` leaves variable `j` unbounded above.
 /// `num_structural` plays the same role as in
 /// [`crate::simplex::solve_standard`].
 pub fn solve_bounded(
-    a: &[Vec<f64>],
+    a: &SparseRows,
     b: &[f64],
     c: &[f64],
     upper: &[f64],
@@ -77,6 +89,9 @@ pub struct SimplexWorkspace {
     /// Phase-2 costs in current coordinates (negated for flipped cols).
     cost: Vec<f64>,
     marker: Vec<usize>,
+    /// Per column, the slack-basis scan's mark: [`NO_ENTRY`],
+    /// [`NOT_UNIT`] or the row of the column's one unit entry.
+    unit_row: Vec<u32>,
     art_start: usize,
     num_artificial: usize,
     // Pricing/ratio-test scratch, reused across iterations.
@@ -102,6 +117,7 @@ impl SimplexWorkspace {
             flipped: Vec::new(),
             cost: Vec::new(),
             marker: Vec::new(),
+            unit_row: Vec::new(),
             art_start: 0,
             num_artificial: 0,
             z: Vec::new(),
@@ -126,36 +142,41 @@ impl SimplexWorkspace {
     /// Build (or rebuild) the tableau for a model, reusing all buffers.
     fn prepare(
         &mut self,
-        a: &[Vec<f64>],
+        a: &SparseRows,
         b: &[f64],
         c: &[f64],
         upper: &[f64],
         num_structural: usize,
-    ) -> Result<(), LpError> {
-        let m = a.len();
-        let n = a[0].len();
+    ) {
+        let m = a.rows();
+        let n = c.len();
         // Slack-region unit columns with infinite bound can serve as the
-        // initial basis (in our standard form slacks are unbounded).
-        self.basis.clear();
-        self.basis.resize(m, usize::MAX);
-        'col: for j in num_structural..n {
-            if upper[j].is_finite() {
-                continue;
-            }
-            let mut unit_row = usize::MAX;
-            for (i, row) in a.iter().enumerate() {
-                let v = row[j];
-                if v == 0.0 {
+        // initial basis (in our standard form slacks are unbounded): a
+        // column qualifies when its only nonzero is within EPSILON of 1,
+        // and columns take their rows in ascending order, first come,
+        // first served. One pass over the entries marks every column.
+        self.unit_row.clear();
+        self.unit_row.resize(n, NO_ENTRY);
+        for i in 0..m {
+            let row = u32::try_from(i).expect("a row index fits in u32");
+            for (j, v) in a.row(i) {
+                if j < num_structural || upper[j].is_finite() || v == 0.0 {
                     continue;
                 }
-                if (v - 1.0).abs() <= f64::EPSILON && unit_row == usize::MAX {
-                    unit_row = i;
+                let mark = &mut self.unit_row[j];
+                *mark = if *mark == NO_ENTRY && (v - 1.0).abs() <= f64::EPSILON {
+                    row
                 } else {
-                    continue 'col;
-                }
+                    NOT_UNIT
+                };
             }
-            if unit_row != usize::MAX && self.basis[unit_row] == usize::MAX {
-                self.basis[unit_row] = j;
+        }
+        self.basis.clear();
+        self.basis.resize(m, usize::MAX);
+        for j in num_structural..n {
+            let i = self.unit_row[j] as usize;
+            if i < m && self.basis[i] == usize::MAX {
+                self.basis[i] = j;
             }
         }
         self.art_rows.clear();
@@ -165,7 +186,7 @@ impl SimplexWorkspace {
         self.t.reset(m, total + 1);
         for i in 0..m {
             let row = self.t.row_mut(i);
-            row[..n].copy_from_slice(&a[i]);
+            a.scatter(i, row);
             row[total] = b[i];
         }
         self.marker.clear();
@@ -193,7 +214,6 @@ impl SimplexWorkspace {
         self.work_cost.resize(total, 0.0);
         self.basic.clear();
         self.basic.resize(total, false);
-        Ok(())
     }
 
     /// Reduced costs for `work_cost` written into `z`.
@@ -444,16 +464,18 @@ impl SimplexWorkspace {
 /// docs for the guarantees; results are bit-identical to `solve_bounded`.
 pub fn solve_bounded_with(
     ws: &mut SimplexWorkspace,
-    a: &[Vec<f64>],
+    a: &SparseRows,
     b: &[f64],
     c: &[f64],
     upper: &[f64],
     num_structural: usize,
     opts: &SimplexOptions,
 ) -> Result<StandardSolution, LpError> {
-    let m = a.len();
-    let n = if m == 0 { c.len() } else { a[0].len() };
+    let m = a.rows();
+    let n = c.len();
     debug_assert_eq!(upper.len(), n, "one upper bound per column");
+    debug_assert_eq!(b.len(), m, "one right-hand side per row");
+    debug_assert!((0..m).all(|i| a.row(i).all(|(j, _)| j < n)), "every entry inside the columns");
     debug_assert!(b.iter().all(|&bi| bi >= 0.0), "standard form requires b >= 0");
     if upper.iter().any(|&u| u < 0.0 || u.is_nan()) {
         return Err(LpError::InvalidModel("negative or NaN upper bound".into()));
@@ -480,7 +502,7 @@ pub fn solve_bounded_with(
         });
     }
 
-    ws.prepare(a, b, c, upper, num_structural)?;
+    ws.prepare(a, b, c, upper, num_structural);
     let stats1 = ws.phase1(opts)?;
     let stats2 = ws.phase2(opts)?;
 
@@ -511,7 +533,7 @@ mod tests {
         upper: &[f64],
         ns: usize,
     ) -> Result<StandardSolution, LpError> {
-        solve_bounded(a, b, c, upper, ns, &SimplexOptions::default())
+        solve_bounded(&SparseRows::from_dense(a), b, c, upper, ns, &SimplexOptions::default())
     }
 
     const INF: f64 = f64::INFINITY;
@@ -620,6 +642,106 @@ mod tests {
         ));
     }
 
+    // --- slack-basis rule ---
+
+    /// The starting basis `prepare` picks: per row, its slack column, or
+    /// `ART` for a row that starts on an artificial.
+    const ART: usize = usize::MAX;
+
+    fn slack_basis(a: &[Vec<f64>], upper: &[f64], ns: usize) -> Vec<usize> {
+        let mut ws = SimplexWorkspace::new();
+        let n = upper.len();
+        let b = vec![1.0; a.len()];
+        ws.prepare(&SparseRows::from_dense(a), &b, &vec![0.0; n], upper, ns);
+        ws.basis.iter().map(|&j| if j >= n { ART } else { j }).collect()
+    }
+
+    /// The rule as the dense `prepare` applied it, column by column:
+    /// the reference the entry scan must reproduce.
+    fn dense_slack_basis(a: &[Vec<f64>], upper: &[f64], ns: usize) -> Vec<usize> {
+        let mut basis = vec![ART; a.len()];
+        'col: for j in ns..upper.len() {
+            if upper[j].is_finite() {
+                continue;
+            }
+            let mut unit_row = ART;
+            for (i, row) in a.iter().enumerate() {
+                let v = row[j];
+                if v == 0.0 {
+                    continue;
+                }
+                if (v - 1.0).abs() <= f64::EPSILON && unit_row == ART {
+                    unit_row = i;
+                } else {
+                    continue 'col;
+                }
+            }
+            if unit_row != ART && basis[unit_row] == ART {
+                basis[unit_row] = j;
+            }
+        }
+        basis
+    }
+
+    #[test]
+    fn unit_column_whose_row_is_taken_stays_nonbasic() {
+        // s1 and s2 are both unit columns of row 0: the lower one wins,
+        // and row 1 has no slack of its own.
+        let a = vec![vec![1.0, 1.0, 1.0], vec![1.0, 0.0, 0.0]];
+        assert_eq!(slack_basis(&a, &[INF; 3], 1), vec![1, ART]);
+    }
+
+    #[test]
+    fn column_with_ones_in_two_rows_is_not_a_slack() {
+        let a = vec![vec![1.0, 1.0, 0.0], vec![0.0, 1.0, 1.0]];
+        assert_eq!(slack_basis(&a, &[INF; 3], 1), vec![ART, 2]);
+    }
+
+    #[test]
+    fn entry_within_epsilon_of_one_is_a_unit() {
+        let near = 1.0 + f64::EPSILON;
+        let far = 1.0 + 2.0 * f64::EPSILON;
+        let a = vec![vec![1.0, near, 0.0], vec![1.0, 0.0, far]];
+        assert_eq!(slack_basis(&a, &[INF; 3], 1), vec![1, ART]);
+    }
+
+    #[test]
+    fn slack_region_column_with_finite_bound_is_not_a_slack() {
+        // Column 1 is a unit column past num_structural, but bounded.
+        let a = vec![vec![1.0, 1.0, 0.0], vec![1.0, 0.0, 1.0]];
+        assert_eq!(slack_basis(&a, &[INF, 4.0, INF], 1), vec![ART, 2]);
+    }
+
+    #[test]
+    fn negative_zero_is_no_entry_and_nan_disqualifies() {
+        // -0.0 is an entry of the sparse rows but counts as zero, as the
+        // dense rule's `v == 0.0` did; NaN counts as a non-unit nonzero.
+        let a = vec![vec![1.0, 1.0, f64::NAN], vec![1.0, -0.0, 1.0]];
+        assert_eq!(slack_basis(&a, &[INF; 3], 1), vec![1, ART]);
+    }
+
+    proptest::proptest! {
+        /// The entry scan picks the basis the dense column scan picked, on
+        /// matrices drawn from the cells that decide the rule.
+        #[test]
+        fn entry_scan_matches_the_dense_rule(
+            cells in proptest::collection::vec(0usize..8, 1..=36),
+            rows in 1usize..=6,
+            ns in 0usize..=3,
+            finite in proptest::collection::vec(0u8..5, 6),
+        ) {
+            const CELLS: [f64; 8] =
+                [0.0, 0.0, -0.0, 1.0, 1.0 + f64::EPSILON, 1.0 - f64::EPSILON, 2.0, f64::NAN];
+            let cols = cells.len().div_ceil(rows);
+            let a: Vec<Vec<f64>> = (0..rows)
+                .map(|i| (0..cols).map(|j| CELLS[cells.get(i * cols + j).copied().unwrap_or(0)]).collect())
+                .collect();
+            let upper: Vec<f64> = (0..cols).map(|j| if finite[j % 6] == 0 { 5.0 } else { INF }).collect();
+            let ns = ns.min(cols);
+            proptest::prop_assert_eq!(slack_basis(&a, &upper, ns), dense_slack_basis(&a, &upper, ns));
+        }
+    }
+
     #[test]
     fn negative_upper_bound_rejected() {
         let a = vec![vec![1.0]];
@@ -674,13 +796,13 @@ mod tests {
     /// The allocation-shaped LP above, parameterized by demand x, as raw
     /// standard form.
     #[allow(clippy::type_complexity)]
-    fn alloc_lp(x: f64) -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>, Vec<f64>) {
-        let a = vec![
+    fn alloc_lp(x: f64) -> (SparseRows, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let a = SparseRows::from_dense(&[
             vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
             vec![1.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
             vec![0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0],
             vec![0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 1.0],
-        ];
+        ]);
         let b = vec![x, 0.0, 0.0, 0.0];
         let c = vec![0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0];
         let upper = vec![5.0, 3.0, 4.0, INF, INF, INF, INF];
@@ -709,7 +831,7 @@ mod tests {
         // Big problem, then small, then big again.
         let (a, b, c, u) = alloc_lp(6.0);
         let s1 = solve_bounded_with(&mut ws, &a, &b, &c, &u, 4, &opts).unwrap();
-        let small_a = vec![vec![1.0, 1.0]];
+        let small_a = SparseRows::from_dense(&[vec![1.0, 1.0]]);
         let s2 =
             solve_bounded_with(&mut ws, &small_a, &[10.0], &[-1.0, 0.0], &[4.0, INF], 1, &opts)
                 .unwrap();

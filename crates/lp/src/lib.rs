@@ -40,9 +40,11 @@ pub mod error;
 pub mod matrix;
 pub mod problem;
 pub mod simplex;
+pub mod sparse;
 
 pub use bounded::{solve_bounded, solve_bounded_with, SimplexWorkspace};
 pub use error::LpError;
 pub use matrix::{Matrix, Vector};
 pub use problem::{ConstraintId, Problem, Relation, Sense, Solution, VarId};
 pub use simplex::{PivotRule, SimplexOptions, SimplexStats};
+pub use sparse::SparseRows;

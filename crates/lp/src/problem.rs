@@ -8,6 +8,7 @@
 
 use crate::error::LpError;
 use crate::simplex::{SimplexOptions, SimplexStats};
+use crate::sparse::SparseRows;
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,7 +150,7 @@ impl Problem {
         self.validate()?;
         let std = self.standardize();
         let out = crate::bounded::solve_bounded(
-            &std.a,
+            &SparseRows::from_dense(&std.a),
             &std.b,
             &std.c,
             &std.upper,

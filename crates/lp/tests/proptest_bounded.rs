@@ -6,8 +6,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use agreements_lp::simplex::{solve_standard, SimplexOptions};
-use agreements_lp::solve_bounded;
 use agreements_lp::LpError;
+use agreements_lp::{solve_bounded, SparseRows};
 use proptest::prelude::*;
 
 /// Random packing-style LP in equality standard form:
@@ -47,7 +47,7 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
 }
 
 /// Encode for the bounded solver: columns = structural + slacks.
-fn bounded_form(inst: &Instance) -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>, Vec<f64>) {
+fn bounded_form(inst: &Instance) -> (SparseRows, Vec<f64>, Vec<f64>, Vec<f64>) {
     let total = inst.nv + inst.m;
     let mut a = vec![vec![0.0; total]; inst.m];
     for i in 0..inst.m {
@@ -58,7 +58,7 @@ fn bounded_form(inst: &Instance) -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>, Vec<f64>
     c[..inst.nv].copy_from_slice(&inst.c);
     let mut u = vec![f64::INFINITY; total];
     u[..inst.nv].copy_from_slice(&inst.u);
-    (a, inst.b.clone(), c, u)
+    (SparseRows::from_dense(&a), inst.b.clone(), c, u)
 }
 
 /// Encode for the row solver: finite bounds become extra `x + t = u` rows.

@@ -7,7 +7,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use agreements_lp::simplex::SimplexOptions;
-use agreements_lp::{solve_bounded, solve_bounded_with, LpError, SimplexWorkspace};
+use agreements_lp::{solve_bounded, solve_bounded_with, LpError, SimplexWorkspace, SparseRows};
 use proptest::prelude::*;
 
 /// Random packing-style LP already in bounded standard form:
@@ -68,9 +68,9 @@ proptest! {
         let opts = SimplexOptions::default();
         let mut ws = SimplexWorkspace::new();
         for inst in &seq {
-            let fresh = solve_bounded(&inst.a, &inst.b, &inst.c, &inst.u, inst.nv, &opts);
-            let reused =
-                solve_bounded_with(&mut ws, &inst.a, &inst.b, &inst.c, &inst.u, inst.nv, &opts);
+            let a = SparseRows::from_dense(&inst.a);
+            let fresh = solve_bounded(&a, &inst.b, &inst.c, &inst.u, inst.nv, &opts);
+            let reused = solve_bounded_with(&mut ws, &a, &inst.b, &inst.c, &inst.u, inst.nv, &opts);
             match (fresh, reused) {
                 (Ok(f), Ok(r)) => {
                     prop_assert_eq!(f.x, r.x);

@@ -108,8 +108,9 @@ impl Simulator {
                 let policy: Box<dyn AllocationPolicy + Send> = match sh.policy {
                     // Consultations solve the same-shaped LP thousands of
                     // times per day: run them on the cached solver
-                    // (persistent skeleton + workspace, single-solve best
-                    // effort) — bit-identical to the stateless LpPolicy.
+                    // (persistent inflow index + workspace, single-solve
+                    // best effort) — bit-identical to the stateless
+                    // LpPolicy.
                     PolicyKind::Lp => Box::new(CachedLpPolicy::reduced()),
                     PolicyKind::Proportional => {
                         // End-point enforcement: the proportional split is

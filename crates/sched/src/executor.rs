@@ -10,7 +10,7 @@
 //!
 //! - **Worker ownership.** Each worker thread owns the `GroupSolver`s
 //!   of the groups hashed onto it (`group % workers`), so their simplex
-//!   workspaces and cached skeletons stay warm across requests. Groups
+//!   workspaces and row buffers stay warm across requests. Groups
 //!   are disjoint and a group is always served by the same worker, so no
 //!   solver is ever shared — no locks on the solve path.
 //! - **Channel protocol.** The coordinator sends `Job`s over an
@@ -42,7 +42,7 @@
 
 use crate::error::SchedError;
 use crate::lp_model::DRAW_EPS;
-use agreements_lp::{solve_bounded_with, LpError, SimplexOptions, SimplexWorkspace};
+use agreements_lp::{solve_bounded_with, LpError, SimplexOptions, SimplexWorkspace, SparseRows};
 use agreements_telemetry::{HistKind, Telemetry};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
@@ -52,102 +52,85 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A per-group fine solver: persistent simplex workspace plus the cached
-/// standard form of the group's min-max refinement LP
+/// A per-group fine solver: persistent simplex workspace plus the
+/// buffers that the group's min-max refinement LP
 ///
 /// ```text
 /// min θ  s.t.  Σ_i d_i = amount,   d_i − θ ≤ 0,   0 ≤ d_i ≤ avail_i
 /// ```
 ///
-/// Column layout (the `AllocationSolver` skeleton convention): one column
-/// per member with positive availability (ascending member order), then
-/// θ, then one slack per drop row. Zero-availability members are
-/// substituted out, so the skeleton is keyed on that pattern and rebuilt
-/// only when it changes. Every solve is a cold start, which is what
-/// makes parallel and sequential refinement bit-identical.
+/// is written into per solve. Column layout (the `AllocationSolver`
+/// convention): one column per member with positive availability
+/// (ascending member order), then θ, then one slack per drop row.
+/// Zero-availability members are substituted out. Every solve is a cold
+/// start, which is what makes parallel and sequential refinement
+/// bit-identical.
 pub(crate) struct GroupSolver {
     ws: SimplexWorkspace,
-    /// Zero-availability pattern the skeleton was built for.
-    fixed: Vec<bool>,
     /// Standard-form column of each member's draw variable.
     col_of: Vec<Option<usize>>,
-    a: Vec<Vec<f64>>,
+    rows: SparseRows,
     b: Vec<f64>,
     c: Vec<f64>,
     upper: Vec<f64>,
-    num_structural: usize,
-    built: bool,
 }
 
 impl GroupSolver {
     pub(crate) fn new() -> Self {
         GroupSolver {
             ws: SimplexWorkspace::new(),
-            fixed: Vec::new(),
             col_of: Vec::new(),
-            a: Vec::new(),
+            rows: SparseRows::new(),
             b: Vec::new(),
             c: Vec::new(),
             upper: Vec::new(),
-            num_structural: 0,
-            built: false,
         }
     }
 
-    fn skeleton_is_current(&self, mavail: &[f64]) -> bool {
-        self.built
-            && self.fixed.len() == mavail.len()
-            && mavail.iter().zip(&self.fixed).all(|(&v, &f)| f == (v.max(0.0) == 0.0))
-    }
-
-    fn rebuild(&mut self, mavail: &[f64]) {
-        let m = mavail.len();
-        self.fixed.clear();
+    /// Fill the standard form for `mavail` and `amount`; returns its
+    /// number of structural columns.
+    fn assemble(&mut self, mavail: &[f64], amount: f64) -> usize {
         self.col_of.clear();
-        let mut col = 0usize;
+        let mut k = 0;
         for &v in mavail {
-            let is_fixed = v.max(0.0) == 0.0;
-            self.fixed.push(is_fixed);
-            if is_fixed {
+            if v.max(0.0) == 0.0 {
                 self.col_of.push(None);
             } else {
-                self.col_of.push(Some(col));
-                col += 1;
+                self.col_of.push(Some(k));
+                k += 1;
             }
         }
-        let k = col;
         let theta_col = k;
         let num_structural = k + 1;
-        let rows = 1 + k;
         let total = num_structural + k;
-
-        self.a.resize_with(rows, Vec::new);
-        self.a.truncate(rows);
-        for row in &mut self.a {
-            row.clear();
-            row.resize(total, 0.0);
-        }
-        self.b.clear();
-        self.b.resize(rows, 0.0);
-        // Row 0: Σ d_i = amount (rhs rewritten per solve).
-        for i in 0..m {
-            if let Some(c) = self.col_of[i] {
-                self.a[0][c] = 1.0;
+        self.upper.clear();
+        self.upper.resize(total, f64::INFINITY);
+        for (&v, col) in mavail.iter().zip(&self.col_of) {
+            if let Some(col) = *col {
+                self.upper[col] = v.max(0.0);
             }
-        }
-        // Rows 1..=k: d_t − θ + s_t = 0 for each active member t.
-        for t in 0..k {
-            self.a[1 + t][t] = 1.0;
-            self.a[1 + t][theta_col] = -1.0;
-            self.a[1 + t][num_structural + t] = 1.0;
         }
         self.c.clear();
         self.c.resize(total, 0.0);
         self.c[theta_col] = 1.0;
-        self.upper.clear();
-        self.upper.resize(total, f64::INFINITY);
-        self.num_structural = num_structural;
-        self.built = true;
+        self.b.clear();
+        self.b.resize(1 + k, 0.0);
+        self.b[0] = amount;
+        self.rows.clear();
+        self.rows.reserve(1 + k, 4 * k);
+        // Row 0: Σ d_i = amount.
+        for t in 0..k {
+            self.rows.push(t, 1.0);
+        }
+        self.rows.end_row();
+        // Rows 1..=k: d_t − θ + s_t = 0 for each active member t.
+        for t in 0..k {
+            self.rows.push(t, 1.0);
+            self.rows.push(theta_col, -1.0);
+            self.rows.push(num_structural + t, 1.0);
+            self.rows.end_row();
+        }
+        num_structural
     }
 
     /// Solve the refinement LP; returns per-member draws (group-local
@@ -158,22 +141,14 @@ impl GroupSolver {
         amount: f64,
         opts: &SimplexOptions,
     ) -> Result<Vec<f64>, LpError> {
-        if !self.skeleton_is_current(mavail) {
-            self.rebuild(mavail);
-        }
-        self.b[0] = amount;
-        for (i, &v) in mavail.iter().enumerate() {
-            if let Some(c) = self.col_of[i] {
-                self.upper[c] = v.max(0.0);
-            }
-        }
+        let num_structural = self.assemble(mavail, amount);
         let sol = solve_bounded_with(
             &mut self.ws,
-            &self.a,
+            &self.rows,
             &self.b,
             &self.c,
             &self.upper,
-            self.num_structural,
+            num_structural,
             opts,
         )?;
         Ok((0..mavail.len())
@@ -323,7 +298,7 @@ fn spawn_worker(
 
 fn worker_loop(rx: Receiver<Job>, opts: SimplexOptions, mut telemetry: Telemetry) {
     // Warm solvers for every group hashed onto this worker, keyed by
-    // group index. Built lazily; skeletons persist across requests.
+    // group index. Built lazily; workspaces persist across requests.
     let mut solvers: HashMap<usize, GroupSolver> = HashMap::new();
     for job in rx.iter() {
         match job {

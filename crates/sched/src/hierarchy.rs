@@ -15,10 +15,11 @@
 //!   `AgreementMatrix` by [`agreements_flow::auto_partition`] — no hand
 //!   partitions at n = 1000.
 //! - **Pooled fine solvers**: each group owns a persistent
-//!   [`agreements_lp::SimplexWorkspace`] plus a cached standard-form
-//!   skeleton of its min-max refinement LP (the PR 1 pattern), so the
-//!   steady state performs no model construction and no heap allocation
-//!   beyond the per-group draw vector.
+//!   [`agreements_lp::SimplexWorkspace`] plus one reusable
+//!   [`agreements_lp::SparseRows`] buffer that its min-max refinement LP
+//!   is written into per solve (three entries per drop row), so the
+//!   steady state performs no heap allocation beyond the per-group draw
+//!   vector.
 //! - **Parallel fine solves** ([`HierarchicalScheduler::set_parallel_fine`]
 //!   / [`HierarchicalScheduler::set_parallel_auto`]): contributing groups
 //!   refine concurrently on the persistent `ShardExecutor`
@@ -600,9 +601,9 @@ mod tests {
     }
 
     #[test]
-    fn repeated_allocations_reuse_fine_skeletons() {
-        // Smoke the skeleton-currency path: same pattern of exhausted
-        // members across calls must keep results stable.
+    fn repeated_allocations_reuse_fine_solvers() {
+        // Smoke the warm fine solvers: repeated calls against a draining
+        // pool must keep results stable.
         let s = sched();
         let mut avail = vec![5.0, 5.0, 5.0, 5.0, 5.0, 5.0];
         for _ in 0..4 {

@@ -102,8 +102,9 @@ impl AllocationPolicy for LpPolicy {
 }
 
 /// [`LpPolicy`]'s semantics served by a persistent [`crate::AllocationSolver`]:
-/// the standardized model skeleton and the simplex workspace survive
-/// across consultations and `allocate_up_to` places in a single solve.
+/// the flow snapshot's inflow index, the constraint-row buffer and the
+/// simplex workspace survive across consultations, and `allocate_up_to`
+/// places in a single solve.
 /// This is what the simulator consultation loop runs on.
 ///
 /// The [`AllocationPolicy`] trait takes `&self`, so the solver sits
@@ -118,8 +119,8 @@ pub struct CachedLpPolicy {
 }
 
 impl CachedLpPolicy {
-    /// The production configuration: reduced formulation, cached skeleton
-    /// and workspace — bit-identical to [`LpPolicy`].
+    /// The production configuration: reduced formulation, cached inflow
+    /// index and workspace — bit-identical to [`LpPolicy`].
     pub fn reduced() -> Self {
         Self::from_solver(crate::solver::AllocationSolver::reduced())
     }
@@ -539,14 +540,10 @@ mod tests {
             assert_eq!(a.theta, e.theta);
             st.apply(&a).unwrap();
         }
-        // The skeleton is reused whenever the zero-bound pattern holds
-        // (draining an owner to zero is a legitimate rebuild).
+        // One flow snapshot, one inflow index, whatever the zero-bound
+        // pattern of each request.
         assert_eq!(exact.stats().solves, 4);
-        assert!(
-            exact.stats().skeleton_rebuilds < exact.stats().solves,
-            "skeleton must be reused: {:?}",
-            exact.stats()
-        );
+        assert_eq!(exact.stats().index_builds, 1, "index must be reused: {:?}", exact.stats());
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::sync::Arc;
 /// The flow table is held by `Arc` so request handling never clones the
 /// n×n coefficient matrix: the GRM core and the proxy simulator
 /// share one snapshot across every request against an unchanged
-/// agreement set, and the allocation solver keys its cached skeleton on
-/// the `Arc`'s pointer identity.
+/// agreement set, and the allocation solver keys its inflow index on the
+/// `Arc`'s pointer identity.
 #[derive(Debug, Clone)]
 pub struct SystemState {
     /// Precomputed transitive flow coefficients (clamped), shared.

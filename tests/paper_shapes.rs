@@ -299,6 +299,7 @@ fn golden_flat_allocation_checksum_at_n128() {
     assert_eq!(admitted + denied, DEMANDS);
     let stats = solver.stats();
     assert_eq!((admitted, denied, stats.solves, stats.pivots), (437, 75, 437, 7_754));
+    assert_eq!(stats.index_builds, 1, "one flow snapshot, one inflow index");
     assert_eq!(
         sum, 0xc96a_d5ca_f7fe_63e2,
         "flat n = 128 fingerprint drifted: got {sum:#018x} \
