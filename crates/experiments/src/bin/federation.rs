@@ -545,10 +545,9 @@ fn daemon(flags: Flags) {
     let server = match flags.mode {
         Mode::Pipelined => recovered.respawn().expect("respawn GRM from journal"),
         Mode::Nonseq => {
-            let mut sched =
+            let sched =
                 HierarchicalScheduler::auto(&recovered.matrix, &PartitionOptions::default(), LEVEL)
                     .expect("partition scale agreements");
-            sched.set_parallel_auto();
             recovered
                 .respawn_with(GrmServer::spawn_hierarchical_with_telemetry(
                     sched,

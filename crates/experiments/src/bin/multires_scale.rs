@@ -108,7 +108,7 @@ fn main() {
             "every denial must be attributed to a binding resource"
         );
         // Determinism: an identical second run must reproduce both
-        // fingerprints exactly (parallel fine solves included).
+        // fingerprints exactly.
         let again = run_multi_day(&adm, &workload, &Telemetry::default(), false);
         assert_eq!(
             result.draws_checksum, again.draws_checksum,

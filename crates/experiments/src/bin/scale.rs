@@ -184,7 +184,6 @@ fn main() {
 
     let (telemetry, recorder) = Telemetry::recorder(DEFAULT_EVENT_CAPACITY);
     let mut sched = HierarchicalScheduler::auto(&s, &PartitionOptions::default(), 1).expect("auto");
-    sched.set_parallel_fine(true);
     sched.set_telemetry(telemetry);
 
     let result = run_day(&sched, &workload, check);
@@ -209,12 +208,12 @@ fn main() {
     }
 
     if check {
-        // Determinism: an identical second run must reproduce the exact
-        // draw stream (parallel fine solves included).
+        // Determinism: an identical second run on the same (now warm)
+        // scheduler must reproduce the exact draw stream.
         let again = run_day(&sched, &workload, false);
         assert_eq!(
             result.draws_checksum, again.draws_checksum,
-            "re-run diverged: parallel fine solves are not deterministic"
+            "re-run diverged: hierarchical draws are not deterministic"
         );
         eprintln!("check: re-run bit-identical (checksum {:#018x})", result.draws_checksum);
     }

@@ -12,6 +12,9 @@
 //! decision: its per-lane availability, its solvers or admission front
 //! door and, for the flat engine alone, the incremental flow table.
 //!
+//! Both engines decide one request per call, in the order the core
+//! executes them.
+//!
 //! The two engines differ only in how agreements are renegotiated: the
 //! flat engine edits principal agreements and membership, the
 //! hierarchical one edits inter-group agreements over a fixed partition.
@@ -20,28 +23,10 @@
 use crate::server::{GrmError, GrmStats};
 use agreements_flow::{AgreementMatrix, IncrementalFlow};
 use agreements_sched::{
-    first_binding_resource, Allocation, AllocationSolver, LaneGrant, LaneRequest, MultiAdmission,
+    first_binding_resource, Allocation, AllocationSolver, LaneGrant, MultiAdmission,
     MultiAllocation, SchedError, SystemState,
 };
 use agreements_telemetry::{Telemetry, TelemetryEvent};
-
-/// An in-range request of a run, as the core hands it to a batching
-/// engine: the requester and one amount per lane, borrowed from its call.
-#[derive(Clone, Copy)]
-pub(crate) struct Ask<'a> {
-    pub(crate) lrm: usize,
-    pub(crate) amounts: &'a [f64],
-}
-
-impl LaneRequest for Ask<'_> {
-    fn requester(&self) -> usize {
-        self.lrm
-    }
-
-    fn amounts(&self) -> &[f64] {
-        self.amounts
-    }
-}
 
 /// What the core asks of its decision engine. `Send`: the core that owns
 /// it executes on whichever thread holds its lock ([`crate::GrmCore`]).
@@ -75,25 +60,6 @@ pub(crate) trait Engine: Send {
     /// lane or none.
     fn admit_multi(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError>;
 
-    /// Whether the core should hand this engine each contiguous
-    /// run of requests as one [`Engine::admit_run`] (or
-    /// [`Engine::admit_run_multi`]) batch.
-    fn batches(&self) -> bool {
-        false
-    }
-
-    /// Decide a run of in-range requests on a one-lane engine,
-    /// bit-identical to [`Engine::admit`] on each in order.
-    fn admit_run(&mut self, run: &[Ask]) -> Vec<Result<Allocation, GrmError>> {
-        run.iter().map(|ask| self.admit(ask.lrm, ask.amounts[0])).collect()
-    }
-
-    /// Decide a run of in-range requests, bit-identical to
-    /// [`Engine::admit_multi`] on each in order.
-    fn admit_run_multi(&mut self, run: &[Ask]) -> Vec<Result<MultiAllocation, GrmError>> {
-        run.iter().map(|ask| self.admit_multi(ask.lrm, ask.amounts)).collect()
-    }
-
     /// Set one agreement; returns the flow rows recomputed.
     fn set_agreement(&mut self, from: usize, to: usize, share: f64) -> Result<usize, GrmError>;
 
@@ -108,9 +74,9 @@ pub(crate) trait Engine: Send {
     /// rows recomputed.
     fn set_inter(&mut self, from: usize, to: usize, share: f64) -> Result<usize, GrmError>;
 
-    /// Fill in the [`GrmStats`] fields only an engine can count (its
-    /// flow-row, fast-reject and executor-fallback totals).
-    fn publish(&self, stats: &mut GrmStats);
+    /// Fill in the [`GrmStats`] fields only an engine can count (the flat
+    /// engine's flow-row and fast-reject totals).
+    fn publish(&self, _stats: &mut GrmStats) {}
 }
 
 /// The guards the flat engine runs ahead of the solvers, lane by lane in
@@ -333,61 +299,26 @@ impl Engine for FlatEngine {
 
 /// One [`agreements_sched::HierarchicalScheduler`] per lane behind the
 /// [`MultiAdmission`] front door (the lanes share one partition, fixed at
-/// construction): contiguous runs of requests are admitted as one batch
-/// through its wave loop (bit-identical to one by one), and the front
-/// door commits the draws itself.
+/// construction). Every request is one [`MultiAdmission::decide`], which
+/// commits the draws itself.
 struct HierEngine {
     front: MultiAdmission,
     /// Per-lane availability (outer = lane, inner = principal).
     availability: Vec<Vec<f64>>,
-    telemetry: Telemetry,
-    /// Last executor-fallback total mirrored into the telemetry plane
-    /// (the executors keep cumulative counters; telemetry counters are
-    /// additive, so the engine publishes deltas).
-    last_fallbacks: u64,
 }
 
 /// The hierarchical engine over a prebuilt front door.
 pub(crate) fn hierarchical(mut front: MultiAdmission, telemetry: Telemetry) -> Box<dyn Engine> {
-    front.set_telemetry(telemetry.clone());
+    front.set_telemetry(telemetry);
     let availability = vec![vec![0.0; front.num_principals()]; front.num_resources()];
-    Box::new(HierEngine { front, availability, telemetry, last_fallbacks: 0 })
+    Box::new(HierEngine { front, availability })
 }
 
 impl HierEngine {
-    /// The lanes' sequential-fallback total.
-    fn executor_fallbacks(&self) -> u64 {
-        (0..self.front.num_resources()).map(|r| self.front.lane(r).executor_fallbacks()).sum()
-    }
-
-    /// Mirror the executors' cumulative sequential-fallback counter into
-    /// the telemetry plane as increments. Guarded on `enabled()` so the
-    /// disabled plane keeps its one-branch cost (no atomic load).
-    fn sync_executor_fallbacks(&mut self) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        let total = self.executor_fallbacks();
-        let delta = total.saturating_sub(self.last_fallbacks);
-        if delta > 0 {
-            self.telemetry.add("grm.executor_fallbacks_sequential", delta);
-            self.last_fallbacks = total;
-        }
-    }
-
     /// Decide one request in either grant shape.
     fn decide<G: LaneGrant>(&mut self, lrm: usize, amounts: &[f64]) -> Result<G, GrmError> {
         self.check(lrm)?;
-        let res = self.front.decide(&mut self.availability, lrm, amounts);
-        self.sync_executor_fallbacks();
-        res.map_err(GrmError::Sched)
-    }
-
-    /// Decide a run in either grant shape, through the wave loop.
-    fn decide_run<G: LaneGrant>(&mut self, run: &[Ask]) -> Vec<Result<G, GrmError>> {
-        let decisions = self.front.decide_run(&mut self.availability, run);
-        self.sync_executor_fallbacks();
-        decisions.into_iter().map(|d| d.map_err(GrmError::Sched)).collect()
+        self.front.decide(&mut self.availability, lrm, amounts).map_err(GrmError::Sched)
     }
 }
 
@@ -416,18 +347,6 @@ impl Engine for HierEngine {
         self.decide(lrm, amounts)
     }
 
-    fn batches(&self) -> bool {
-        true
-    }
-
-    fn admit_run(&mut self, run: &[Ask]) -> Vec<Result<Allocation, GrmError>> {
-        self.decide_run(run)
-    }
-
-    fn admit_run_multi(&mut self, run: &[Ask]) -> Vec<Result<MultiAllocation, GrmError>> {
-        self.decide_run(run)
-    }
-
     fn set_agreement(&mut self, _from: usize, _to: usize, _share: f64) -> Result<usize, GrmError> {
         Err(GrmError::Unsupported(
             "set_agreement on a hierarchical GRM; renegotiate with set_inter_group",
@@ -446,9 +365,5 @@ impl Engine for HierEngine {
     /// is between principals, not resources.
     fn set_inter(&mut self, from: usize, to: usize, share: f64) -> Result<usize, GrmError> {
         self.front.set_inter(from, to, share).map_err(GrmError::Sched)
-    }
-
-    fn publish(&self, stats: &mut GrmStats) {
-        stats.executor_fallbacks_sequential = self.executor_fallbacks();
     }
 }

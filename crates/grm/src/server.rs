@@ -16,7 +16,7 @@
 //! pump executes them on the core the same way.
 
 use crate::dedup::DedupWindow;
-use crate::engine::{self, Ask, Engine};
+use crate::engine::{self, Engine};
 use agreements_flow::{AgreementMatrix, FlowError};
 use agreements_sched::{
     Allocation, HierarchicalScheduler, LaneGrant, MultiAdmission, MultiAllocation, SchedError,
@@ -24,7 +24,6 @@ use agreements_sched::{
 use agreements_telemetry::{HistKind, Telemetry, TelemetryEvent};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Weak};
 
@@ -285,15 +284,6 @@ pub struct GrmStats {
     /// Flow-table rows recomputed by the incremental maintainer across
     /// all agreement/membership mutations since the server started.
     pub flow_rows_recomputed: u64,
-    /// Allocation requests decided through the batched admission front
-    /// door (hierarchical engines only). Counts every request routed
-    /// through a run, including runs of one; the `BatchSize`
-    /// telemetry histogram carries the distribution.
-    pub batched_allocations: u64,
-    /// Times the shard executor (hierarchical engines only) declined a
-    /// parallel fan-out in favour of the bit-identical sequential path
-    /// — the break-even gate said the dispatch overhead would not pay.
-    pub executor_fallbacks_sequential: u64,
 }
 
 /// Compensated (Kahan) accumulator for a running `f64` total.
@@ -716,10 +706,9 @@ impl GrmServer {
     }
 
     /// Spawn a GRM whose decisions run through a [`HierarchicalScheduler`]
-    /// wrapped in the batched admission front door: the requests of one
-    /// run are admitted as a batch (bit-identical to one-by-one), and the
-    /// scheduler's shard executor fans the fine solves out when the
-    /// measured break-even says the dispatch will pay.
+    /// wrapped in the one-lane admission front door: every request is one
+    /// [`HierarchicalScheduler::allocate`], decided on the caller's
+    /// thread.
     ///
     /// The engine swap changes the management surface, not the RPC one:
     /// every RPC behaves as on a flat GRM, renegotiation goes through
@@ -730,9 +719,9 @@ impl GrmServer {
         Self::spawn_hierarchical_with_telemetry(sched, Telemetry::default())
     }
 
-    /// [`GrmServer::spawn_hierarchical`] with a telemetry plane: batch
-    /// sizes, fine-solve spans, and executor fallbacks all record through
-    /// `telemetry`.
+    /// [`GrmServer::spawn_hierarchical`] with a telemetry plane: request
+    /// latencies, coarse and fine solve spans and path counters all record
+    /// through `telemetry`.
     pub fn spawn_hierarchical_with_telemetry(
         sched: HierarchicalScheduler,
         telemetry: Telemetry,
@@ -764,8 +753,7 @@ impl GrmServer {
     /// [`HierarchicalScheduler`] per resource over a shared partition,
     /// wrapped in [`MultiAdmission`]. The RPC surface of
     /// [`GrmServer::spawn_multi`] and the management surface of
-    /// [`GrmServer::spawn_hierarchical`]: contiguous multi-resource
-    /// requests batch, and inter-group renegotiation via
+    /// [`GrmServer::spawn_hierarchical`]: inter-group renegotiation via
     /// [`GrmHandle::set_inter_group`] applies to every lane.
     pub fn spawn_multi_hierarchical(front: MultiAdmission) -> GrmServer {
         Self::spawn_engine(move |t| engine::hierarchical(front, t), Telemetry::default())
@@ -810,21 +798,6 @@ impl GrmServer {
     }
 }
 
-/// Where a request-run entry's answer comes from (see
-/// `ServerCore::request_run`).
-enum RunSlot {
-    /// Decided during pre-screen without touching availability, and
-    /// whether freshly: a dedup-window replay, or an unknown LRM.
-    Ready(RecordedDecision, bool),
-    /// In-run duplicate: replays the decision of the entry at this run
-    /// index once it exists.
-    DupOf(usize),
-    /// Waiting on the admission batch (no payload: batched entries are
-    /// matched up positionally — they appear in run order, as do the
-    /// batch's decisions).
-    Batched,
-}
-
 /// The answer to a call whose id the dedup window holds under another
 /// call kind: an id reused across kinds is a client bug; fail the call
 /// rather than act on it.
@@ -843,50 +816,35 @@ fn one_lane(engine: &dyn Engine, refusal: &'static str) -> Result<(), GrmError> 
 
 /// The two request kinds, by the grant shape they decide: a `Request`'s
 /// [`Allocation`] (one lane) and a `RequestMulti`'s [`MultiAllocation`]
-/// (any lane count). Everything else about a request — dedup, books,
-/// batching — is one path for both.
+/// (any lane count). Everything else about a request — dedup, books —
+/// is one path for both.
 trait Grant: LaneGrant + Clone {
-    /// `call`'s request, when it is this kind: requester, amounts, id.
-    fn ask(call: &Call) -> Option<(Ask<'_>, Option<RequestId>)>;
-
-    /// Decide one request.
-    fn admit(engine: &mut dyn Engine, ask: Ask) -> Result<Self, GrmError>;
-
-    /// Decide a run of in-range requests on a batching engine.
-    fn admit_run(engine: &mut dyn Engine, run: &[Ask]) -> Vec<Result<Self, GrmError>>;
+    /// Decide one request: `lrm` asks for `amounts`, one per lane.
+    fn admit(engine: &mut dyn Engine, lrm: usize, amounts: &[f64]) -> Result<Self, GrmError>;
 
     /// The decision as the dedup window records it.
     fn recorded(result: Result<Self, GrmError>) -> RecordedDecision;
 
-    /// A settled decision read back as `ask`'s; another kind's decision
-    /// fails the reused id.
-    fn settled(decision: RecordedDecision, ask: Ask) -> Result<Self, GrmError>;
+    /// A settled decision read back as a request for `amounts`; another
+    /// kind's decision fails the reused id.
+    fn settled(decision: RecordedDecision, amounts: &[f64]) -> Result<Self, GrmError>;
 
     /// The answer carrying the decision.
     fn answer(result: Result<Self, GrmError>, fresh: bool) -> Answer;
 }
 
 impl Grant for Allocation {
-    fn ask(call: &Call) -> Option<(Ask<'_>, Option<RequestId>)> {
-        let Call::Request { lrm, ref amount, req_id } = *call else { return None };
-        Some((Ask { lrm, amounts: std::slice::from_ref(amount) }, req_id))
-    }
-
-    fn admit(engine: &mut dyn Engine, ask: Ask) -> Result<Self, GrmError> {
+    fn admit(engine: &mut dyn Engine, lrm: usize, amounts: &[f64]) -> Result<Self, GrmError> {
         one_lane(engine, "single-resource request on a multi-resource GRM; use request_multi")?;
-        engine.admit(ask.lrm, ask.amounts[0])
-    }
-
-    fn admit_run(engine: &mut dyn Engine, run: &[Ask]) -> Vec<Result<Self, GrmError>> {
-        engine.admit_run(run)
+        engine.admit(lrm, amounts[0])
     }
 
     fn recorded(result: Result<Self, GrmError>) -> RecordedDecision {
         RecordedDecision::Grant(result)
     }
 
-    fn settled(decision: RecordedDecision, ask: Ask) -> Result<Self, GrmError> {
-        let RecordedDecision::Grant(result) = decision else { return reused_id(ask.amounts[0]) };
+    fn settled(decision: RecordedDecision, amounts: &[f64]) -> Result<Self, GrmError> {
+        let RecordedDecision::Grant(result) = decision else { return reused_id(amounts[0]) };
         result
     }
 
@@ -896,26 +854,17 @@ impl Grant for Allocation {
 }
 
 impl Grant for MultiAllocation {
-    fn ask(call: &Call) -> Option<(Ask<'_>, Option<RequestId>)> {
-        let Call::RequestMulti { lrm, ref amounts, req_id } = *call else { return None };
-        Some((Ask { lrm, amounts }, req_id))
-    }
-
-    fn admit(engine: &mut dyn Engine, ask: Ask) -> Result<Self, GrmError> {
-        engine.admit_multi(ask.lrm, ask.amounts)
-    }
-
-    fn admit_run(engine: &mut dyn Engine, run: &[Ask]) -> Vec<Result<Self, GrmError>> {
-        engine.admit_run_multi(run)
+    fn admit(engine: &mut dyn Engine, lrm: usize, amounts: &[f64]) -> Result<Self, GrmError> {
+        engine.admit_multi(lrm, amounts)
     }
 
     fn recorded(result: Result<Self, GrmError>) -> RecordedDecision {
         RecordedDecision::GrantMulti(result)
     }
 
-    fn settled(decision: RecordedDecision, ask: Ask) -> Result<Self, GrmError> {
+    fn settled(decision: RecordedDecision, amounts: &[f64]) -> Result<Self, GrmError> {
         let RecordedDecision::GrantMulti(result) = decision else {
-            return reused_id(ask.amounts.first().copied().unwrap_or(f64::NAN));
+            return reused_id(amounts.first().copied().unwrap_or(f64::NAN));
         };
         result
     }
@@ -1105,100 +1054,22 @@ impl ServerCore {
         self.telemetry.add("grm.granted", 1);
     }
 
-    /// The request path, one for both request kinds.
-    fn request<G: Grant>(&mut self, ask: Ask, req_id: Option<RequestId>) -> Answer {
+    /// The request path, one for both request kinds and both engines.
+    fn request<G: Grant>(
+        &mut self,
+        lrm: usize,
+        amounts: &[f64],
+        req_id: Option<RequestId>,
+    ) -> Answer {
         let (decision, fresh) = self.settle(req_id, |core| {
             core.count_request();
             let span = core.telemetry.start();
-            let decision = G::recorded(G::admit(core.engine.as_mut(), ask));
+            let decision = G::recorded(G::admit(core.engine.as_mut(), lrm, amounts));
             core.book(&decision);
             core.telemetry.stop(HistKind::RequestLatencySeconds, span);
             decision
         });
-        G::answer(G::settled(decision, ask), fresh)
-    }
-
-    /// Decide the contiguous run of `G`'s requests at the head of `rest`
-    /// as one engine batch, pushing one answer per request; returns the
-    /// run's length. Equivalent to deciding each in order — same
-    /// decisions bit for bit, same counters, same dedup-window contents —
-    /// because (a) the engine's run is bit-identical to one by one in
-    /// input order and (b) the entries answered outside the batch (dedup
-    /// hits, in-run duplicates, unknown LRMs) never touch availability,
-    /// so pulling them out cannot move any batched decision.
-    fn request_run<G: Grant>(&mut self, rest: &[Call], answers: &mut Vec<Answer>) -> usize {
-        let run = || rest.iter().map_while(G::ask);
-        let len = run().count();
-        let mut slots: Vec<RunSlot> = Vec::with_capacity(len);
-        // `replay_needed[j]` marks originals some later in-run duplicate
-        // replays, so only those pay for keeping a decision clone.
-        let mut replay_needed = vec![false; len];
-        let mut in_run: HashMap<RequestId, usize> = HashMap::with_capacity(len);
-        let mut asks = Vec::with_capacity(len);
-        for (i, (ask, req_id)) in run().enumerate() {
-            if let Some(id) = req_id {
-                if let Some(cached) = self.dedup.get(&id) {
-                    self.stats.duplicate_requests += 1;
-                    slots.push(RunSlot::Ready(cached.clone(), false));
-                    continue;
-                }
-                if let Some(&j) = in_run.get(&id) {
-                    // One-at-a-time delivery would find the original's
-                    // decision already in the window; here it does not
-                    // exist yet, so the answer is deferred.
-                    self.stats.duplicate_requests += 1;
-                    replay_needed[j] = true;
-                    slots.push(RunSlot::DupOf(j));
-                    continue;
-                }
-                in_run.insert(id, i);
-            }
-            self.count_request();
-            match self.engine.check(ask.lrm) {
-                Err(unknown) => slots.push(RunSlot::Ready(G::recorded(Err(unknown)), true)),
-                Ok(()) => {
-                    asks.push(ask);
-                    slots.push(RunSlot::Batched);
-                }
-            }
-        }
-        let span = if asks.is_empty() { None } else { self.telemetry.start() };
-        let decisions = G::admit_run(self.engine.as_mut(), &asks);
-        self.telemetry.stop(HistKind::RequestLatencySeconds, span);
-        self.stats.batched_allocations += asks.len() as u64;
-        if !asks.is_empty() {
-            self.telemetry.add("grm.batched_allocations", asks.len() as u64);
-            self.telemetry.observe(HistKind::BatchSize, asks.len() as f64);
-        }
-        // Book, remember, and answer in arrival order. Batched entries
-        // consume the decision stream positionally.
-        let mut decisions = decisions.into_iter();
-        let mut replays: HashMap<usize, RecordedDecision> = HashMap::new();
-        for (i, ((ask, req_id), slot)) in run().zip(slots).enumerate() {
-            let (decision, fresh) = match slot {
-                RunSlot::Ready(decision, fresh) => (decision, fresh),
-                RunSlot::DupOf(j) => (
-                    replays.get(&j).cloned().expect("in-run original decided before its duplicate"),
-                    false,
-                ),
-                RunSlot::Batched => {
-                    let res = decisions.next().expect("one decision per batched request");
-                    let decision = G::recorded(res);
-                    self.book(&decision);
-                    (decision, true)
-                }
-            };
-            if let (true, Some(id)) = (fresh, req_id) {
-                // Dedup hits never re-insert; in-run duplicates mirror
-                // that. Everything decided here is remembered.
-                self.dedup.insert(id, decision.clone());
-            }
-            if replay_needed[i] {
-                replays.insert(i, decision.clone());
-            }
-            answers.push(G::answer(G::settled(decision, ask), fresh));
-        }
-        len
+        G::answer(G::settled(decision, amounts), fresh)
     }
 
     /// Return a released allocation's draws to the engine's pool. Draws
@@ -1300,10 +1171,11 @@ impl ServerCore {
                 self.apply_tick(now, lease);
                 Answer::Applied(true)
             }
-            Call::Request { lrm, ref amount, req_id } => self
-                .request::<Allocation>(Ask { lrm, amounts: std::slice::from_ref(amount) }, req_id),
+            Call::Request { lrm, ref amount, req_id } => {
+                self.request::<Allocation>(lrm, std::slice::from_ref(amount), req_id)
+            }
             Call::RequestMulti { lrm, ref amounts, req_id } => {
-                self.request::<MultiAllocation>(Ask { lrm, amounts }, req_id)
+                self.request::<MultiAllocation>(lrm, amounts, req_id)
             }
             Call::Release { ref alloc, req_id } => {
                 let (decision, fresh) =
@@ -1345,10 +1217,10 @@ impl ServerCore {
     /// valid writer per LRM wins, as in-order overwrite does; superseded
     /// writes are counted) and equal-lease `Tick`s (one sweep at the
     /// latest clock: with `last_report` frozen and the clock monotone, an
-    /// intermediate tick zeroes a subset of what the last one does), and
-    /// hands a batching engine each contiguous run of one request kind as
-    /// one batch. No run extends across another kind of call, so every
-    /// decision is bit-identical to executing the calls one at a time.
+    /// intermediate tick zeroes a subset of what the last one does). Every
+    /// other call, requests included, executes on its own. No coalesced
+    /// run extends across another kind of call, so every decision is
+    /// bit-identical to executing the calls one at a time.
     fn execute(&mut self, run: &[Call]) -> Vec<Answer> {
         let mut answers = Vec::with_capacity(run.len());
         let mut done = 0;
@@ -1366,12 +1238,6 @@ impl ServerCore {
                     let answer = self.call(&Call::Tick { now: latest, lease });
                     answers.resize(answers.len() + count, answer);
                     count
-                }
-                Call::Request { .. } if self.engine.batches() && self.engine.lanes() == 1 => {
-                    self.request_run::<Allocation>(rest, &mut answers)
-                }
-                Call::RequestMulti { .. } if self.engine.batches() => {
-                    self.request_run::<MultiAllocation>(rest, &mut answers)
                 }
                 _ => {
                     let report =
@@ -1404,13 +1270,8 @@ mod tests {
     }
 
     /// A hierarchical core over `front`, recording into `telemetry`.
-    fn hier_core_with(front: MultiAdmission, telemetry: Telemetry) -> ServerCore {
+    fn hier_core(front: MultiAdmission, telemetry: Telemetry) -> ServerCore {
         ServerCore::new(engine::hierarchical(front, telemetry.clone()), telemetry)
-    }
-
-    fn hier_core(sched: HierarchicalScheduler) -> ServerCore {
-        let front = MultiAdmission::new(Vec::new(), vec![sched]).unwrap();
-        hier_core_with(front, Telemetry::default())
     }
 
     /// The core's single-pool availability view.
@@ -1418,15 +1279,9 @@ mod tests {
         core.engine.lane(0).to_vec()
     }
 
-    /// Execute `run` one call at a time, each call a run of its own —
-    /// except that a request of either kind is decided by the engine's
-    /// one-at-a-time path, never through the batch front door.
+    /// Execute `run` one call at a time, each call a run of its own.
     fn one_by_one(core: &mut ServerCore, run: &[Call]) -> Vec<Answer> {
-        let one = |core: &mut ServerCore, call: &Call| match call {
-            Call::Request { .. } | Call::RequestMulti { .. } => core.call(call),
-            _ => core.execute_one(call),
-        };
-        run.iter().map(|call| one(core, call)).collect()
+        run.iter().map(|call| core.execute_one(call)).collect()
     }
 
     /// Answers compared bit for bit (`Debug` prints every `f64` exactly).
@@ -1989,7 +1844,7 @@ mod tests {
 
     #[test]
     fn racing_handles_settle_each_id_once_on_a_hierarchical_grm() {
-        racing_handles(GrmServer::spawn_hierarchical(hier_sched(false)), 4);
+        racing_handles(GrmServer::spawn_hierarchical(hier_sched()), 4);
     }
 
     #[test]
@@ -2244,19 +2099,16 @@ mod tests {
     }
 
     /// Two groups of two with symmetric 50% inter-group sharing.
-    fn hier_sched(parallel: bool) -> HierarchicalScheduler {
+    fn hier_sched() -> HierarchicalScheduler {
         let mut inter = AgreementMatrix::zeros(2);
         inter.set(0, 1, 0.5).unwrap();
         inter.set(1, 0, 0.5).unwrap();
-        let mut sched =
-            HierarchicalScheduler::new(vec![vec![0, 1], vec![2, 3]], &inter, 1).unwrap();
-        sched.set_parallel_fine(parallel);
-        sched
+        HierarchicalScheduler::new(vec![vec![0, 1], vec![2, 3]], &inter, 1).unwrap()
     }
 
     #[test]
     fn hierarchical_grm_round_trip() {
-        let grm = GrmServer::spawn_hierarchical(hier_sched(false));
+        let grm = GrmServer::spawn_hierarchical(hier_sched());
         let h = grm.handle();
         for i in 0..4 {
             h.report(i, 10.0).unwrap();
@@ -2278,7 +2130,6 @@ mod tests {
         assert_eq!(s.granted, 1);
         assert_eq!(s.rejected_capacity, 1);
         assert!((s.granted_units - 15.0).abs() < 1e-9);
-        assert_eq!(s.batched_allocations, 2, "every request went through the front door");
         grm.shutdown();
     }
 
@@ -2299,70 +2150,68 @@ mod tests {
         grm.shutdown();
     }
 
-    /// One call trace with a contiguous request run, executed one call
-    /// at a time vs as one run through the batched front door. Every
-    /// answer, the availability vector, and the counters must agree bit
-    /// for bit (`batched_allocations` — bookkeeping for which door decided
-    /// — is the one permitted difference).
-    fn hier_batched_run_matches_one_by_one(parallel: bool) {
-        let id_a = RequestId { client: 1, seq: 1 };
-        let id_b = RequestId { client: 1, seq: 2 };
-        let mut run: Vec<Call> = [(0, 6.0), (1, 4.0), (2, 10.0), (3, 2.0)]
-            .into_iter()
-            .map(|(lrm, available)| Call::Report { lrm, available })
-            .collect();
-        // A run mixing grants, an in-run duplicate, an unknown LRM,
-        // a capacity rejection, and an invalid amount.
-        for (lrm, amount, req_id) in [
-            (0, 3.0, Some(id_a)),
-            (2, 5.0, None),
-            (0, 3.0, Some(id_a)), // in-run duplicate: replays, no re-grant
-            (7, 1.0, None),       // unknown LRM
-            (1, 100.0, None),     // beyond reach
-            (3, 4.0, Some(id_b)), // needs the coarse cross-group path
-            (3, -1.0, None),      // invalid amount
-        ] {
-            run.push(Call::Request { lrm, amount, req_id });
+    /// One call trace with a contiguous request run on a hierarchical
+    /// engine, at one lane (`Request`s) and at two (`RequestMulti`s),
+    /// executed one call at a time vs as one run. Every answer, every
+    /// lane, every counter and the request-latency histogram (one span
+    /// per decided request) must agree.
+    #[test]
+    fn hierarchical_runs_decide_as_one_at_a_time() {
+        let (id_a, id_b) = (RequestId { client: 1, seq: 1 }, RequestId { client: 1, seq: 2 });
+        // A run mixing grants, an in-run duplicate, an unknown LRM, a
+        // capacity rejection, the coarse cross-group path and an invalid
+        // amount.
+        let asks: [(usize, [f64; 2], Option<RequestId>); 8] = [
+            (0, [3.0, 1.0], Some(id_a)),
+            (2, [5.0, 2.0], None),
+            (0, [3.0, 1.0], Some(id_a)), // in-run duplicate: replays, no re-grant
+            (7, [1.0, 1.0], None),       // unknown LRM
+            (1, [100.0, 50.0], None),    // beyond reach
+            (3, [4.0, 1.0], Some(id_b)), // needs the coarse cross-group path
+            (3, [-1.0, -1.0], None),     // invalid amount
+            (1, [2.0, 0.5], None),
+        ];
+        let pools = [(0, [6.0, 3.0]), (1, [4.0, 1.0]), (2, [10.0, 5.0]), (3, [2.0, 2.0])];
+        for lanes in [1, 2] {
+            let report = |lrm: usize, available: &[f64]| match lanes {
+                1 => Call::Report { lrm, available: available[0] },
+                _ => Call::ReportMulti { lrm, available: available.to_vec() },
+            };
+            let request = |lrm: usize, amounts: &[f64], req_id| match lanes {
+                1 => Call::Request { lrm, amount: amounts[0], req_id },
+                _ => Call::RequestMulti { lrm, amounts: amounts.to_vec(), req_id },
+            };
+            let mut run: Vec<Call> = pools.iter().map(|(lrm, a)| report(*lrm, a)).collect();
+            run.extend(asks.iter().map(|(lrm, amounts, id)| request(*lrm, amounts, *id)));
+            // A report breaks the run; the retry of `id_a` behind it is a
+            // window hit on both paths.
+            run.push(report(1, &[9.0, 9.0]));
+            run.push(request(0, &[3.0, 1.0], Some(id_a)));
+
+            let front = || match lanes {
+                1 => MultiAdmission::new(Vec::new(), vec![hier_sched()]).unwrap(),
+                _ => MultiAdmission::new(LANES.to_vec(), vec![hier_sched(), hier_sched()]).unwrap(),
+            };
+            let mut one = hier_core(front(), Telemetry::default());
+            let answers_one = one_by_one(&mut one, &run);
+            let (telemetry, recorder) = Telemetry::recorder(64);
+            let mut whole = hier_core(front(), telemetry);
+            let answers_whole = whole.execute(&run);
+
+            assert_bit_identical(&answers_one, &answers_whole);
+            let bits = |core: &ServerCore, lane| {
+                core.engine.lane(lane).iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            for lane in 0..lanes {
+                assert_eq!(bits(&one, lane), bits(&whole, lane), "{lanes} lanes: lane {lane}");
+            }
+            let stats = whole.published_stats();
+            assert_eq!(one.published_stats(), stats, "{lanes} lanes: every counter agrees");
+            assert_eq!(stats.duplicate_requests, 2, "{lanes} lanes");
+            let latency = recorder.snapshot();
+            let latency = latency.histogram(HistKind::RequestLatencySeconds).expect("latency");
+            assert_eq!(latency.count, stats.requests, "{lanes} lanes: one span per decision");
         }
-        // A report breaks the run; the retry of `id_a` behind it is a
-        // window hit on both paths.
-        run.push(Call::Report { lrm: 1, available: 9.0 });
-        run.push(Call::Request { lrm: 0, amount: 3.0, req_id: Some(id_a) });
-
-        let mut one = hier_core(hier_sched(parallel));
-        let answers_one = one_by_one(&mut one, &run);
-        let mut batched = hier_core(hier_sched(parallel));
-        let answers_batched = batched.execute(&run);
-
-        assert_bit_identical(&answers_one, &answers_batched);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&pool(&mut one)), bits(&pool(&mut batched)));
-        let (mut s1, mut s2) = (one.published_stats(), batched.published_stats());
-        assert_eq!(s1.batched_allocations, 0, "one-at-a-time delivery never batches");
-        assert_eq!(
-            s2.batched_allocations, 5,
-            "the dup, the unknown LRM, and the window hit stay out of the batch"
-        );
-        assert_eq!(s1.duplicate_requests, 2);
-        assert_eq!(s2.duplicate_requests, 2);
-        // The executor decides per-wave whether fanning out pays, so the
-        // fallback counter legitimately differs between a batch and 8
-        // runs of one.
-        s1.batched_allocations = 0;
-        s2.batched_allocations = 0;
-        s1.executor_fallbacks_sequential = 0;
-        s2.executor_fallbacks_sequential = 0;
-        assert_eq!(s1, s2, "all other counters agree");
-    }
-
-    #[test]
-    fn hierarchical_batched_run_matches_one_by_one_sequential() {
-        hier_batched_run_matches_one_by_one(false);
-    }
-
-    #[test]
-    fn hierarchical_batched_run_matches_one_by_one_parallel() {
-        hier_batched_run_matches_one_by_one(true);
     }
 
     #[test]
@@ -2578,9 +2427,9 @@ mod tests {
         let spawns: [(&str, Spawn); 4] = [
             ("flat", || GrmServer::spawn(complete(4, 0.5), 1)),
             ("flat, named", || GrmServer::spawn_multi(vec!["cpu"], complete(4, 0.5), 1)),
-            ("hierarchical", || GrmServer::spawn_hierarchical(hier_sched(false))),
+            ("hierarchical", || GrmServer::spawn_hierarchical(hier_sched())),
             ("hierarchical, named", || {
-                let front = MultiAdmission::new(vec!["cpu"], vec![hier_sched(false)]).unwrap();
+                let front = MultiAdmission::new(vec!["cpu"], vec![hier_sched()]).unwrap();
                 GrmServer::spawn_multi_hierarchical(front)
             }),
         ];
@@ -2607,59 +2456,6 @@ mod tests {
         }
     }
 
-    /// A run of multi-resource requests on a two-lane hierarchical engine
-    /// is admitted as one batch, and decides bit for bit as the same calls
-    /// executed one by one.
-    #[test]
-    fn two_lane_hierarchical_batched_run_matches_one_by_one() {
-        let front = || {
-            MultiAdmission::new(LANES.to_vec(), (0..2).map(|_| hier_sched(true)).collect()).unwrap()
-        };
-        let (id_a, id_b) = (RequestId { client: 1, seq: 1 }, RequestId { client: 1, seq: 2 });
-        let mut run: Vec<Call> =
-            [(0, [6.0, 3.0]), (1, [4.0, 1.0]), (2, [10.0, 5.0]), (3, [2.0, 2.0])]
-                .into_iter()
-                .map(|(lrm, available)| Call::ReportMulti { lrm, available: available.to_vec() })
-                .collect();
-        for (lrm, amounts, req_id) in [
-            (0, [3.0, 1.0], Some(id_a)),
-            (2, [5.0, 2.0], None),
-            (0, [3.0, 1.0], Some(id_a)), // in-run duplicate
-            (7, [1.0, 1.0], None),       // unknown LRM
-            (1, [1.0, 50.0], None),      // bandwidth binds
-            (3, [4.0, 1.0], Some(id_b)), // needs the coarse path
-            (3, [1.0, -1.0], None),      // invalid second lane
-            (1, [2.0, 0.5], None),
-        ] {
-            run.push(Call::RequestMulti { lrm, amounts: amounts.to_vec(), req_id });
-        }
-
-        let mut one = hier_core_with(front(), Telemetry::default());
-        let answers_one = one_by_one(&mut one, &run);
-        let (telemetry, recorder) = Telemetry::recorder(64);
-        let mut batched = hier_core_with(front(), telemetry);
-        let answers_batched = batched.execute(&run);
-
-        assert_bit_identical(&answers_one, &answers_batched);
-        let bits = |core: &ServerCore, lane| {
-            core.engine.lane(lane).iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        };
-        for lane in 0..2 {
-            assert_eq!(bits(&one, lane), bits(&batched, lane), "lane {lane}");
-        }
-        let (mut s1, mut s2) = (one.published_stats(), batched.published_stats());
-        assert_eq!((s1.batched_allocations, s2.batched_allocations), (0, 6));
-        assert_eq!((s1.granted, s1.duplicate_requests), (s2.granted, s2.duplicate_requests));
-        s1.batched_allocations = 0;
-        s2.batched_allocations = 0;
-        s1.executor_fallbacks_sequential = 0;
-        s2.executor_fallbacks_sequential = 0;
-        assert_eq!(s1, s2, "all other counters agree");
-        let sizes = recorder.snapshot();
-        let sizes = sizes.histogram(HistKind::BatchSize).expect("batch sizes");
-        assert!(sizes.max > 1.0, "the run was admitted as one batch: {sizes:?}");
-    }
-
     // ---- one script, two engines × one or two lanes ----------------------
 
     /// One engine at one lane count under the conformance script: how to
@@ -2676,7 +2472,7 @@ mod tests {
     const LANES: [&str; 2] = ["cpu", "bandwidth"];
 
     fn two_hier_lanes() -> MultiAdmission {
-        MultiAdmission::new(LANES.to_vec(), (0..2).map(|_| hier_sched(false)).collect()).unwrap()
+        MultiAdmission::new(LANES.to_vec(), (0..2).map(|_| hier_sched()).collect()).unwrap()
     }
 
     /// What the flat engine refuses at any lane count.
@@ -2718,7 +2514,7 @@ mod tests {
         },
         EngineCase {
             name: "hierarchical",
-            spawn: || GrmServer::spawn_hierarchical(hier_sched(false)),
+            spawn: || GrmServer::spawn_hierarchical(hier_sched()),
             lanes: 1,
             refusals: &HIER_ONLY,
         },
@@ -2891,7 +2687,7 @@ mod tests {
 
         // Two groups of two per lane, symmetric 50% inter-group sharing —
         // the same shape as `hier_sched`, once per resource.
-        let lanes: Vec<HierarchicalScheduler> = (0..2).map(|_| hier_sched(false)).collect();
+        let lanes: Vec<HierarchicalScheduler> = (0..2).map(|_| hier_sched()).collect();
         let front = MultiAdmission::new(vec!["cpu", "bandwidth"], lanes).unwrap();
         let grm = GrmServer::spawn_multi_hierarchical(front);
         let h = grm.handle();

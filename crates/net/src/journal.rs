@@ -542,7 +542,7 @@ impl RecoveredState {
     }
 
     /// Seed an already-spawned server (any decision engine — flat LP or
-    /// hierarchical batched) with the recovered soft state, in one step
+    /// hierarchical) with the recovered soft state, in one step
     /// on its core, on the calling thread
     /// ([`agreements_grm::GrmHandle::seed`]): availability as synthetic
     /// reports, dedup window so retries straddling the crash replay their

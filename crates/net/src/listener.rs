@@ -15,8 +15,7 @@
 //! Each connection runs two threads. After every socket read the
 //! *reader* takes the complete frames the decoder holds — at most
 //! `RUN_MAX` at a time — as one **run**: it executes them in order on
-//! the core, under the core lock (a hierarchical engine admits the run's
-//! contiguous requests as one batch), appends the run's records with one
+//! the core, under the core lock, appends the run's records with one
 //! journal write, and queues the run's replies as one entry, which the
 //! *writer* puts on the wire with one write once the run's last LSN is
 //! durable. A lone frame is a run of one through the same code. Clients

@@ -696,8 +696,6 @@ fn put_stats(w: &mut Writer, s: &GrmStats) {
     w.u64(s.coalesced_reports);
     w.u64(s.fast_rejects);
     w.u64(s.flow_rows_recomputed);
-    w.u64(s.batched_allocations);
-    w.u64(s.executor_fallbacks_sequential);
 }
 
 fn get_stats(r: &mut Reader) -> WireResult<GrmStats> {
@@ -716,8 +714,6 @@ fn get_stats(r: &mut Reader) -> WireResult<GrmStats> {
         coalesced_reports: r.u64()?,
         fast_rejects: r.u64()?,
         flow_rows_recomputed: r.u64()?,
-        batched_allocations: r.u64()?,
-        executor_fallbacks_sequential: r.u64()?,
     })
 }
 

@@ -11,7 +11,7 @@
 //! - Only what the core applied is journaled: a dropped report is not
 //!   folded on recovery, and a refused release moves no pool.
 //! - The reports a respawn seeds land before the first run.
-//! - A pipelined window reaches a hierarchical engine as a batch.
+//! - A pipelined window reaches a hierarchical engine as one run.
 //! - A connection that vanishes mid-window does not stall the others.
 
 use std::collections::HashMap;
@@ -513,8 +513,12 @@ fn seeding_reports_land_before_the_first_run() {
     listener.shutdown();
 }
 
+/// Each window is two reports per LRM, then requests. Reports coalesce
+/// only inside one run on the core, so superseded reports show the
+/// listener executing a window as a run; the requests in it are decided
+/// one by one, one latency span each.
 #[test]
-fn a_pipelined_window_reaches_a_hierarchical_engine_as_a_batch() {
+fn a_pipelined_window_reaches_a_hierarchical_engine_as_one_run() {
     let dir = scratch("runs-hier");
     let (journal, state) = open_journal(&dir, FsyncPolicy::Batched { max_pending: 32 });
     let mut inter = AgreementMatrix::zeros(2);
@@ -533,30 +537,33 @@ fn a_pipelined_window_reaches_a_hierarchical_engine_as_a_batch() {
     )
     .unwrap();
     let mut conn = Raw::connect(&dir);
-    // The GRM thread may wake on a window's first message and decide it
-    // alone, so one window proves little; eight cannot all fall apart
-    // into runs of one.
-    let (windows, width) = (8u64, 16u64);
+    // A reader may wake on a window's first frame and execute it alone,
+    // so one window proves little; eight cannot all fall apart into runs
+    // of one.
+    let (windows, width) = (8u64, 8u64);
+    let reports = 2 * N as u64;
     for w in 0..windows {
-        let frames: Vec<_> = (0..width)
-            .map(|k| {
-                let seq = w * width + k;
-                request(seq, k % N as u64, 0.25, RequestId { client: 1, seq })
-            })
-            .collect();
+        let base = w * (reports + width);
+        let mut frames: Vec<_> =
+            (0..reports).map(|k| report(base + k, k % N as u64, 40.0)).collect();
+        frames.extend((0..width).map(|k| {
+            let seq = w * width + k;
+            request(base + reports + k, k % N as u64, 0.25, RequestId { client: 1, seq })
+        }));
         conn.send(&frames);
-        conn.recv(frames.len());
+        for reply in conn.recv(frames.len()) {
+            assert!(!matches!(reply.resp, WireResponse::Grant(Err(_))), "{reply:?}");
+        }
     }
     let stats = listener.stats();
-    assert_eq!(stats.batched_allocations, windows * width);
-    let snap = recorder.snapshot();
-    let batches = snap.histogram(HistKind::BatchSize).expect("batch-size histogram");
+    assert_eq!((stats.requests, stats.granted), (windows * width, windows * width));
     assert!(
-        batches.count < windows * width && batches.mean() > 1.0,
-        "{} admission batches for {} requests: the wire path never batched",
-        batches.count,
-        windows * width
+        stats.coalesced_reports > 0,
+        "no report was superseded within a run: the wire path never formed a run"
     );
+    let snap = recorder.snapshot();
+    let latency = snap.histogram(HistKind::RequestLatencySeconds).expect("latency histogram");
+    assert_eq!(latency.count, windows * width, "one latency span per decision");
     listener.shutdown();
 }
 

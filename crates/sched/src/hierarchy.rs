@@ -20,44 +20,140 @@
 //!   is written into per solve (three entries per drop row), so the
 //!   steady state performs no heap allocation beyond the per-group draw
 //!   vector.
-//! - **Parallel fine solves** ([`HierarchicalScheduler::set_parallel_fine`]
-//!   / [`HierarchicalScheduler::set_parallel_auto`]): contributing groups
-//!   refine concurrently on the persistent `ShardExecutor`
-//!   workers (warm solvers, no per-solve thread spawn), merged in
-//!   ascending group order. Groups are disjoint and per-group solves are
-//!   cold-started and deterministic, so parallel results are bit-identical
-//!   to sequential — property-tested in `tests/proptest_scale.rs`. Auto
-//!   mode measures a per-construction break-even and falls back to the
-//!   sequential loop (counted in [`ExecutorStats`]) whenever the fan-out
-//!   would not pay; on a 1-core host it never builds an executor at all.
+//! - **Sequential refinement**: contributing groups refine one after
+//!   another in ascending group order, on the caller's thread. Refinement
+//!   keeps each LP at group size, so a fine solve (2.4–6.8 µs at
+//!   `isp1000`'s groups of 8) costs less than one cross-thread round trip
+//!   (7.1–66.5 µs on a 2-vCPU host); fanning `k` solves over `w` workers
+//!   pays only when `(k − ⌈k/w⌉)·solve > k·round trip`, which never held
+//!   in a measured run (DESIGN.md §12).
 //! - **Incremental coarse flow**: the group-level transitive flow is
 //!   maintained through [`IncrementalFlow`], so an agreement renegotiation
 //!   ([`HierarchicalScheduler::set_inter`]) repairs only the dirty rows
 //!   instead of recomputing the closure.
 
 use crate::error::SchedError;
-use crate::executor::{ExecutorStats, GroupSolver, ShardExecutor};
-use crate::lp_model::{solve_allocation, Formulation};
+use crate::lp_model::{solve_allocation, Formulation, DRAW_EPS};
 use crate::state::{Allocation, SystemState};
 use agreements_flow::partition::{auto_partition, PartitionOptions};
 use agreements_flow::{AgreementMatrix, IncrementalFlow};
-use agreements_lp::{LpError, SimplexOptions};
+use agreements_lp::{solve_bounded_with, LpError, SimplexOptions, SimplexWorkspace, SparseRows};
 use agreements_telemetry::{HistKind, Telemetry};
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
 
-/// How fine refinement chooses between the sequential loop and the
-/// shard executor.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum FineMode {
-    /// No executor; the sequential loop, always.
-    Sequential,
-    /// Executor always consulted, no break-even gate (tests, opt-in).
-    Force,
-    /// Executor built only when the host has ≥ 2 cores; every fan-out is
-    /// gated on the measured break-even.
-    Auto,
+/// A per-group fine solver: persistent simplex workspace plus the
+/// buffers that the group's min-max refinement LP
+///
+/// ```text
+/// min θ  s.t.  Σ_i d_i = amount,   d_i − θ ≤ 0,   0 ≤ d_i ≤ avail_i
+/// ```
+///
+/// is written into per solve. Column layout (the `AllocationSolver`
+/// convention): one column per member with positive availability
+/// (ascending member order), then θ, then one slack per drop row.
+/// Zero-availability members are substituted out. Every solve is a cold
+/// start, so a group's draws depend only on its members' availability
+/// and the amount.
+struct GroupSolver {
+    ws: SimplexWorkspace,
+    /// Standard-form column of each member's draw variable.
+    col_of: Vec<Option<usize>>,
+    rows: SparseRows,
+    b: Vec<f64>,
+    c: Vec<f64>,
+    upper: Vec<f64>,
+}
+
+impl GroupSolver {
+    fn new() -> Self {
+        GroupSolver {
+            ws: SimplexWorkspace::new(),
+            col_of: Vec::new(),
+            rows: SparseRows::new(),
+            b: Vec::new(),
+            c: Vec::new(),
+            upper: Vec::new(),
+        }
+    }
+
+    /// Fill the standard form for `mavail` and `amount`; returns its
+    /// number of structural columns.
+    fn assemble(&mut self, mavail: &[f64], amount: f64) -> usize {
+        self.col_of.clear();
+        let mut k = 0;
+        for &v in mavail {
+            if v.max(0.0) == 0.0 {
+                self.col_of.push(None);
+            } else {
+                self.col_of.push(Some(k));
+                k += 1;
+            }
+        }
+        let theta_col = k;
+        let num_structural = k + 1;
+        let total = num_structural + k;
+        self.upper.clear();
+        self.upper.resize(total, f64::INFINITY);
+        for (&v, col) in mavail.iter().zip(&self.col_of) {
+            if let Some(col) = *col {
+                self.upper[col] = v.max(0.0);
+            }
+        }
+        self.c.clear();
+        self.c.resize(total, 0.0);
+        self.c[theta_col] = 1.0;
+        self.b.clear();
+        self.b.resize(1 + k, 0.0);
+        self.b[0] = amount;
+        self.rows.clear();
+        self.rows.reserve(1 + k, 4 * k);
+        // Row 0: Σ d_i = amount.
+        for t in 0..k {
+            self.rows.push(t, 1.0);
+        }
+        self.rows.end_row();
+        // Rows 1..=k: d_t − θ + s_t = 0 for each active member t.
+        for t in 0..k {
+            self.rows.push(t, 1.0);
+            self.rows.push(theta_col, -1.0);
+            self.rows.push(num_structural + t, 1.0);
+            self.rows.end_row();
+        }
+        num_structural
+    }
+
+    /// Solve the refinement LP; returns per-member draws (group-local
+    /// order), with sub-`DRAW_EPS` dust zeroed like the flat path.
+    fn solve(
+        &mut self,
+        mavail: &[f64],
+        amount: f64,
+        opts: &SimplexOptions,
+    ) -> Result<Vec<f64>, LpError> {
+        let num_structural = self.assemble(mavail, amount);
+        let sol = solve_bounded_with(
+            &mut self.ws,
+            &self.rows,
+            &self.b,
+            &self.c,
+            &self.upper,
+            num_structural,
+            opts,
+        )?;
+        Ok((0..mavail.len())
+            .map(|i| {
+                self.col_of[i].map_or(0.0, |c| {
+                    let d = sol.x[c];
+                    if d < DRAW_EPS {
+                        0.0
+                    } else {
+                        d
+                    }
+                })
+            })
+            .collect())
+    }
 }
 
 /// Hierarchical scheduler: a partition of principals into groups plus the
@@ -71,18 +167,10 @@ pub struct HierarchicalScheduler {
     /// `snapshot()` caches through `&mut self` while `allocate` takes
     /// `&self` (the GRM serves through a shared handle).
     coarse: Mutex<IncrementalFlow>,
-    /// One pooled fine solver per group for the sequential path; the
-    /// executor workers own their *own* warm solvers, so these never
-    /// contend with a fan-out.
+    /// One pooled fine solver per group, behind a mutex for the same
+    /// reason as `coarse`.
     fine: Vec<Mutex<GroupSolver>>,
     opts: SimplexOptions,
-    /// Persistent shard executor; present in Force mode and in Auto mode
-    /// on multi-core hosts.
-    executor: Option<ShardExecutor>,
-    mode: FineMode,
-    /// Fan-out/fallback counters shared with the executor; surfaced
-    /// through the GRM as `executor_fallbacks_sequential`.
-    exec_stats: Arc<ExecutorStats>,
     telemetry: Telemetry,
 }
 
@@ -90,8 +178,6 @@ impl fmt::Debug for HierarchicalScheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HierarchicalScheduler")
             .field("groups", &self.groups)
-            .field("mode", &self.mode)
-            .field("workers", &self.executor.as_ref().map(ShardExecutor::num_workers))
             .finish_non_exhaustive()
     }
 }
@@ -132,9 +218,6 @@ impl HierarchicalScheduler {
             coarse,
             fine,
             opts: SimplexOptions::default(),
-            executor: None,
-            mode: FineMode::Sequential,
-            exec_stats: Arc::new(ExecutorStats::default()),
             telemetry: Telemetry::default(),
         })
     }
@@ -163,85 +246,19 @@ impl HierarchicalScheduler {
         &self.groups
     }
 
-    /// Which group `principal` belongs to.
-    pub fn group_of(&self, principal: usize) -> Option<usize> {
-        self.member_of.get(principal).copied()
-    }
-
-    /// Force parallel fine solves on the persistent shard executor (or
-    /// tear the executor down with `false`). Forced mode skips the
-    /// break-even gate — every multi-group refinement fans out — and is
-    /// meant for tests and explicit opt-in; production callers should
-    /// prefer [`Self::set_parallel_auto`]. Results are bit-identical
-    /// either way.
-    pub fn set_parallel_fine(&mut self, on: bool) {
-        if on {
-            self.mode = FineMode::Force;
-            self.executor = Some(ShardExecutor::force(
-                self.groups.len(),
-                self.opts.clone(),
-                self.telemetry.clone(),
-                self.exec_stats.clone(),
-            ));
-        } else {
-            self.mode = FineMode::Sequential;
-            self.executor = None;
-        }
-    }
-
-    /// Enable parallel fine solves only where they can pay: builds the
-    /// executor when `std::thread::available_parallelism()` reports ≥ 2
-    /// cores (never on a 1-core host), and gates every fan-out on the
-    /// break-even measured at construction. Below break-even the
-    /// sequential loop runs and the fallback is counted in
-    /// [`Self::executor_fallbacks`].
-    pub fn set_parallel_auto(&mut self) {
-        self.mode = FineMode::Auto;
-        let sizes: Vec<usize> = self.groups.iter().map(Vec::len).collect();
-        self.executor = ShardExecutor::auto(
-            self.groups.len(),
-            &sizes,
-            self.opts.clone(),
-            self.telemetry.clone(),
-            self.exec_stats.clone(),
-        );
-    }
-
-    /// Whether a live shard executor backs fine refinement.
-    pub fn parallel_fine(&self) -> bool {
-        self.executor.is_some()
-    }
-
-    /// Times a parallel-capable configuration fell back to the
-    /// sequential loop (no executor on this host, or below break-even).
-    pub fn executor_fallbacks(&self) -> u64 {
-        self.exec_stats.fallbacks_sequential()
-    }
+    /// Does nothing: refinement is sequential (see module docs). Kept only
+    /// because the frozen benchmark calls it; benchmark revision 2a removes it.
+    pub fn set_parallel_auto(&mut self) {}
 
     /// Number of principals across all groups.
     pub fn num_principals(&self) -> usize {
         self.member_of.len()
     }
 
-    pub(crate) fn fine_mode(&self) -> FineMode {
-        self.mode
-    }
-
-    pub(crate) fn shard_executor(&self) -> Option<&ShardExecutor> {
-        self.executor.as_ref()
-    }
-
-    pub(crate) fn exec_stats(&self) -> &Arc<ExecutorStats> {
-        &self.exec_stats
-    }
-
     /// Attach a telemetry plane: coarse/fine LP solve spans land in the
     /// [`HistKind::LpSolveSeconds`] histogram, and `hier.home_hits` /
     /// `hier.coarse_solves` / `hier.fine_solves` count path traffic.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        if let Some(ex) = &self.executor {
-            ex.set_telemetry(telemetry.clone());
-        }
         self.telemetry = telemetry;
     }
 
@@ -318,27 +335,13 @@ impl HierarchicalScheduler {
             })?;
         self.telemetry.stop(HistKind::LpSolveSeconds, span);
 
-        // Refine each group's share among its members. Shares are clamped
-        // to the group's availability: the coarse optimum can overshoot it
-        // by a rounding epsilon, which must not read as infeasibility.
-        let contributing: Vec<(usize, f64)> = coarse
-            .draws
-            .iter()
-            .enumerate()
-            .filter(|&(_, &share)| share > 1e-12)
-            .map(|(gi, &share)| (gi, share.min(group_avail[gi])))
-            .collect();
-        match &self.executor {
-            Some(ex) if ex.should_parallelize(contributing.len()) => {
-                self.refine_executor(&contributing, availability, &mut draws)?;
-            }
-            _ => {
-                if self.mode != FineMode::Sequential && contributing.len() >= 2 {
-                    self.exec_stats.note_fallback();
-                }
-                for &(gi, share) in &contributing {
-                    self.refine_group(gi, availability, share, &mut draws)?;
-                }
+        // Refine each group's share among its members, in ascending group
+        // order. Shares are clamped to the group's availability: the
+        // coarse optimum can overshoot it by a rounding epsilon, which
+        // must not read as infeasibility.
+        for (gi, &share) in coarse.draws.iter().enumerate() {
+            if share > 1e-12 {
+                self.refine_group(gi, availability, share.min(group_avail[gi]), &mut draws)?;
             }
         }
         let theta = coarse.theta;
@@ -358,46 +361,6 @@ impl HierarchicalScheduler {
         let local = self.solve_fine(gi, availability, amount)?;
         for (&m, d) in self.groups[gi].iter().zip(local) {
             draws[m] += d;
-        }
-        Ok(())
-    }
-
-    /// Refine all contributing groups on the persistent shard executor,
-    /// merging results in ascending group order (the fan-out returns
-    /// replies keyed by slot, so merge order is input order). Each group
-    /// is solved by the worker that owns its warm solver; groups are
-    /// disjoint and solves are cold-started, so this is bit-identical to
-    /// the sequential loop (property-tested). The workers record the
-    /// `hier.fine_solves` counter and the LP solve span, mirroring
-    /// [`Self::solve_fine`].
-    fn refine_executor(
-        &self,
-        contributing: &[(usize, f64)],
-        availability: &[f64],
-        draws: &mut [f64],
-    ) -> Result<(), SchedError> {
-        let ex = self.executor.as_ref().expect("refine_executor requires an executor");
-        let jobs: Vec<(usize, Vec<f64>, f64)> = contributing
-            .iter()
-            .map(|&(gi, share)| {
-                let mavail = self.groups[gi].iter().map(|&m| availability[m]).collect();
-                (gi, mavail, share)
-            })
-            .collect();
-        let results = ex.solve_fan(jobs);
-        for (&(gi, share), result) in contributing.iter().zip(results) {
-            let local = result.map_err(|e| match e {
-                LpError::Infeasible { .. } => SchedError::InsufficientCapacity {
-                    requester: self.groups[gi][0],
-                    capacity: self.groups[gi].iter().map(|&m| availability[m]).sum(),
-                    requested: share,
-                    resource: None,
-                },
-                other => SchedError::Lp(other),
-            })?;
-            for (&m, d) in self.groups[gi].iter().zip(local) {
-                draws[m] += d;
-            }
         }
         Ok(())
     }
@@ -561,35 +524,6 @@ mod tests {
         s.set_inter(1, 0, 0.8).unwrap();
         let a = s.allocate(&avail, 0, 8.0).unwrap();
         assert!((a.draws[3..].iter().sum::<f64>() - 8.0).abs() < EPS);
-    }
-
-    #[test]
-    fn parallel_fine_is_bit_identical() {
-        let mut par = sched();
-        par.set_parallel_fine(true);
-        let seq = sched();
-        let avail = vec![2.0, 1.0, 0.5, 10.0, 7.0, 3.0];
-        let a = seq.allocate(&avail, 0, 10.0).unwrap();
-        let b = par.allocate(&avail, 0, 10.0).unwrap();
-        assert!(a.draws.iter().zip(&b.draws).all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(a.theta.to_bits(), b.theta.to_bits());
-    }
-
-    #[test]
-    fn auto_mode_is_safe_and_bit_identical_on_any_host() {
-        let mut auto = sched();
-        auto.set_parallel_auto();
-        // On a 1-core host the executor must not exist; either way the
-        // results match sequential bit for bit.
-        if std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1) < 2 {
-            assert!(!auto.parallel_fine(), "1-core host must stay sequential");
-        }
-        let seq = sched();
-        let avail = vec![2.0, 1.0, 0.5, 10.0, 7.0, 3.0];
-        let a = seq.allocate(&avail, 0, 10.0).unwrap();
-        let b = auto.allocate(&avail, 0, 10.0).unwrap();
-        assert!(a.draws.iter().zip(&b.draws).all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(a.theta.to_bits(), b.theta.to_bits());
     }
 
     #[test]

@@ -60,7 +60,6 @@
 pub mod admission;
 pub mod batch;
 pub mod error;
-pub mod executor;
 pub mod explain;
 pub mod hierarchy;
 pub mod lp_model;
@@ -74,13 +73,11 @@ pub mod state;
 pub use admission::{admission_bound, exceeds_bound, first_binding_resource, ADMISSION_SLACK};
 pub use batch::{AdmissionRequest, BatchedAdmission};
 pub use error::SchedError;
-pub use executor::ExecutorStats;
 pub use explain::{explain_allocation, Explanation};
 pub use hierarchy::HierarchicalScheduler;
 pub use lp_model::Formulation;
 pub use multires::{
-    LaneGrant, LaneRequest, MultiAdmission, MultiAdmissionRequest, MultiAllocation, ResourceVector,
-    STANDARD_RESOURCES,
+    LaneGrant, MultiAdmission, MultiAllocation, ResourceVector, STANDARD_RESOURCES,
 };
 pub use objectives::{CostAwareLpPolicy, FairShareLpPolicy};
 pub use policy::{AllocationPolicy, CachedLpPolicy, GreedyPolicy, LpPolicy, ProportionalPolicy};

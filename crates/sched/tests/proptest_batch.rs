@@ -1,16 +1,20 @@
-//! Property oracle for the one hierarchical wave loop
-//! (`MultiAdmission::decide_run`), at one lane through its single-resource
-//! entry `BatchedAdmission` and at two and three lanes through
-//! `MultiAdmission`.
+//! Property oracle for the admission front doors — `BatchedAdmission`
+//! (one unnamed lane) and `MultiAdmission` (two and three named lanes) —
+//! against each lane's own `HierarchicalScheduler::allocate`.
 //!
-//! The contract under test is the whole point of the shard executor:
-//! `BatchedAdmission::admit_batch` on a **force-parallel** scheduler is
-//! bit-identical to `admit_one` called per request, in the same order,
-//! on a purely **sequential** scheduler — across random economies,
-//! random availability, and request streams mixing grants, capacity
-//! rejections, invalid amounts, and unknown principals. A third
-//! property renegotiates an inter-group share mid-stream and demands
-//! the same equivalence on both sides of the split.
+//! A front door adds three things to the scheduler: the conjunction (a
+//! request is granted iff every lane admits its amount; the first lane to
+//! refuse, in resource order, is the verdict, a capacity rejection tagged
+//! with that lane's name), the commit (a grant moves every lane by the
+//! GRM's `(v − d).max(0.0)`, a refusal moves none) and the order (each
+//! request is decided against what the earlier ones left). The reference
+//! below rebuilds all three by hand from `allocate`, and the front door
+//! must match it bit for bit across random economies, availability and
+//! request streams mixing grants, capacity rejections, invalid amounts
+//! and unknown principals. A third property renegotiates an inter-group
+//! share mid-stream: the rest of the stream must be decided exactly as a
+//! scheduler built over the renegotiated matrix decides it, so the
+//! incremental coarse-flow repair is held to a fresh build.
 //!
 //! Economies are uniform-block: full sharing inside each group, a
 //! mutual share β < 0.5 across groups, so every request exercises the
@@ -62,7 +66,9 @@ fn arb_batch() -> impl Strategy<Value = BatchScenario> {
     })
 }
 
-fn build_sched(sc: &BatchScenario, parallel: bool) -> HierarchicalScheduler {
+/// The uniform-block scheduler, with inter-group share `inter[1][0]`
+/// replaced by `share_1_0` when given.
+fn build_sched_with(sc: &BatchScenario, share_1_0: Option<f64>) -> HierarchicalScheduler {
     let g = sc.num_groups;
     let mut inter = AgreementMatrix::zeros(g);
     for i in 0..g {
@@ -72,11 +78,31 @@ fn build_sched(sc: &BatchScenario, parallel: bool) -> HierarchicalScheduler {
             }
         }
     }
+    if let Some(share) = share_1_0 {
+        inter.set(1, 0, share).unwrap();
+    }
     let groups: Vec<Vec<usize>> =
         (0..g).map(|gi| (gi * sc.group_size..(gi + 1) * sc.group_size).collect()).collect();
-    let mut sched = HierarchicalScheduler::new(groups, &inter, 1).unwrap();
-    sched.set_parallel_fine(parallel);
-    sched
+    HierarchicalScheduler::new(groups, &inter, 1).unwrap()
+}
+
+fn build_sched(sc: &BatchScenario) -> HierarchicalScheduler {
+    build_sched_with(sc, None)
+}
+
+/// The reference decision: `sched.allocate`, committed with
+/// `(v − d).max(0.0)` on a grant.
+fn reference_admit(
+    sched: &HierarchicalScheduler,
+    avail: &mut [f64],
+    requester: usize,
+    amount: f64,
+) -> Result<Allocation, SchedError> {
+    let alloc = sched.allocate(avail, requester, amount)?;
+    for (v, d) in avail.iter_mut().zip(&alloc.draws) {
+        *v = (*v - *d).max(0.0);
+    }
+    Ok(alloc)
 }
 
 fn to_reqs(pairs: &[(usize, f64)]) -> Vec<AdmissionRequest> {
@@ -106,7 +132,7 @@ fn assert_decisions_identical(
             }
             (a, b) => {
                 return Err(TestCaseError::fail(format!(
-                    "slot {i}: verdicts diverge: one-by-one {a:?} vs batched {b:?}"
+                    "slot {i}: verdicts diverge: reference {a:?} vs front door {b:?}"
                 )));
             }
         }
@@ -121,79 +147,59 @@ fn bits(v: &[f64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Force-parallel batched admission ≡ sequential one-by-one, on the
-    /// decisions and on the availability vector left behind.
+    /// `BatchedAdmission::admit_batch` ≡ the scheduler's `allocate` plus
+    /// the commit, request by request, on the decisions and on the
+    /// availability vector left behind.
     #[test]
-    fn batched_parallel_equals_sequential_one_by_one(sc in arb_batch()) {
-        let reference = BatchedAdmission::new(build_sched(&sc, false));
-        let subject = BatchedAdmission::new(build_sched(&sc, true));
-        let reqs = to_reqs(&sc.reqs);
+    fn front_door_equals_scheduler_allocate_and_commit(sc in arb_batch()) {
+        let reference = build_sched(&sc);
+        let subject = BatchedAdmission::new(build_sched(&sc));
 
-        let mut avail_one = sc.avail.clone();
-        let one: Vec<_> = reqs
-            .iter()
-            .map(|q| reference.admit_one(&mut avail_one, q.requester, q.amount))
-            .collect();
-        let mut avail_bat = sc.avail.clone();
-        let bat = subject.admit_batch(&mut avail_bat, &reqs);
+        let mut avail_ref = sc.avail.clone();
+        let want: Vec<_> =
+            sc.reqs.iter().map(|&(r, x)| reference_admit(&reference, &mut avail_ref, r, x)).collect();
+        let mut avail_sub = sc.avail.clone();
+        let got = subject.admit_batch(&mut avail_sub, &to_reqs(&sc.reqs));
 
-        assert_decisions_identical(&one, &bat)?;
-        prop_assert_eq!(bits(&avail_one), bits(&avail_bat), "availability diverged");
+        assert_decisions_identical(&want, &got)?;
+        prop_assert_eq!(bits(&avail_ref), bits(&avail_sub), "availability diverged");
     }
 
-    /// Batching on both engines (sequential batch path vs parallel wave
-    /// path) agrees — admit_batch's internal fallback is not a separate
-    /// semantics.
+    /// A mid-stream `set_inter` renegotiation: decisions before the split
+    /// see the old share, and every decision after it is the one a
+    /// scheduler built over the renegotiated matrix makes, bit for bit.
     #[test]
-    fn batched_sequential_equals_batched_parallel(sc in arb_batch()) {
-        let seq = BatchedAdmission::new(build_sched(&sc, false));
-        let par = BatchedAdmission::new(build_sched(&sc, true));
-        let reqs = to_reqs(&sc.reqs);
-        let mut avail_seq = sc.avail.clone();
-        let a = seq.admit_batch(&mut avail_seq, &reqs);
-        let mut avail_par = sc.avail.clone();
-        let b = par.admit_batch(&mut avail_par, &reqs);
-        assert_decisions_identical(&a, &b)?;
-        prop_assert_eq!(bits(&avail_seq), bits(&avail_par), "availability diverged");
-    }
+    fn renegotiation_mid_stream_equals_a_fresh_build(sc in arb_batch()) {
+        let before = build_sched(&sc);
+        let after = build_sched_with(&sc, Some(sc.new_share));
+        let mut subject = BatchedAdmission::new(build_sched(&sc));
+        let (head, tail) = sc.reqs.split_at(sc.split);
 
-    /// A mid-stream `set_inter` renegotiation lands between two batches
-    /// exactly where it lands between two one-by-one admissions:
-    /// decisions before the split see the old share, decisions after it
-    /// the new one, bit for bit.
-    #[test]
-    fn renegotiation_mid_stream_is_order_equivalent(sc in arb_batch()) {
-        let mut reference = BatchedAdmission::new(build_sched(&sc, false));
-        let mut subject = BatchedAdmission::new(build_sched(&sc, true));
-        let reqs = to_reqs(&sc.reqs);
-        let (head, tail) = reqs.split_at(sc.split);
+        let mut avail_ref = sc.avail.clone();
+        let mut want: Vec<_> =
+            head.iter().map(|&(r, x)| reference_admit(&before, &mut avail_ref, r, x)).collect();
+        want.extend(tail.iter().map(|&(r, x)| reference_admit(&after, &mut avail_ref, r, x)));
 
-        let mut avail_one = sc.avail.clone();
-        let mut one: Vec<_> = head
-            .iter()
-            .map(|q| reference.admit_one(&mut avail_one, q.requester, q.amount))
-            .collect();
-        reference.set_inter(1, 0, sc.new_share).unwrap();
-        one.extend(tail.iter().map(|q| reference.admit_one(&mut avail_one, q.requester, q.amount)));
-
-        let mut avail_bat = sc.avail.clone();
-        let mut bat = subject.admit_batch(&mut avail_bat, head);
+        let mut avail_sub = sc.avail.clone();
+        let mut got = subject.admit_batch(&mut avail_sub, &to_reqs(head));
         subject.set_inter(1, 0, sc.new_share).unwrap();
-        bat.extend(subject.admit_batch(&mut avail_bat, tail));
+        got.extend(subject.admit_batch(&mut avail_sub, &to_reqs(tail)));
 
-        assert_decisions_identical(&one, &bat)?;
-        prop_assert_eq!(bits(&avail_one), bits(&avail_bat), "availability diverged");
+        assert_decisions_identical(&want, &got)?;
+        prop_assert_eq!(bits(&avail_ref), bits(&avail_sub), "availability diverged");
     }
 }
 
 // ---------------------------------------------------------------------
-// Multi-resource batched admission: the same bit-identity contracts,
-// lane-wise. Each lane gets its own availability vector and its own
-// per-request amount; batched ≡ one-by-one and sequential ≡ parallel
-// must hold with every lane's final availability compared bitwise.
+// Multi-resource admission: the same contract, lane-wise. Each lane gets
+// its own scheduler, availability vector and per-request amount; the
+// reference conjunction and commit are written out by hand, and every
+// lane's final availability is compared bitwise.
 // ---------------------------------------------------------------------
 
-use agreements_sched::{MultiAdmission, MultiAdmissionRequest, MultiAllocation};
+use agreements_sched::{MultiAdmission, MultiAllocation};
+
+const NAMES: [&str; 3] = ["cpu", "bandwidth", "storage"];
 
 #[derive(Debug, Clone)]
 struct MultiBatchScenario {
@@ -230,33 +236,52 @@ fn arb_multi_batch() -> impl Strategy<Value = MultiBatchScenario> {
     })
 }
 
-fn build_multi(sc: &MultiBatchScenario, parallel: bool) -> MultiAdmission {
-    const NAMES: [&str; 3] = ["cpu", "bandwidth", "storage"];
-    let lanes = (0..sc.num_resources)
-        .map(|_| {
-            let single = BatchScenario {
-                num_groups: sc.num_groups,
-                group_size: sc.group_size,
-                beta: sc.beta,
-                avail: Vec::new(),
-                reqs: Vec::new(),
-                split: 0,
-                new_share: 0.0,
-            };
-            build_sched(&single, parallel)
-        })
-        .collect();
-    MultiAdmission::new(NAMES[..sc.num_resources].to_vec(), lanes).unwrap()
+/// One uniform-block scheduler per resource lane.
+fn build_lanes(sc: &MultiBatchScenario) -> Vec<HierarchicalScheduler> {
+    let single = BatchScenario {
+        num_groups: sc.num_groups,
+        group_size: sc.group_size,
+        beta: sc.beta,
+        avail: Vec::new(),
+        reqs: Vec::new(),
+        split: 0,
+        new_share: 0.0,
+    };
+    (0..sc.num_resources).map(|_| build_sched(&single)).collect()
 }
 
-fn to_multi_reqs(pairs: &[(usize, Vec<f64>)]) -> Vec<MultiAdmissionRequest> {
-    pairs
-        .iter()
-        .map(|(requester, amounts)| MultiAdmissionRequest {
-            requester: *requester,
-            amounts: amounts.clone(),
-        })
-        .collect()
+/// The reference multi-lane decision: each lane's `allocate` in resource
+/// order, stopping at the first refusal (its capacity rejection tagged
+/// with the lane's name); only a grant in every lane commits, in every
+/// lane.
+fn reference_admit_multi(
+    lanes: &[HierarchicalScheduler],
+    avail: &mut [Vec<f64>],
+    requester: usize,
+    amounts: &[f64],
+) -> Result<MultiAllocation, SchedError> {
+    let mut grants = Vec::with_capacity(lanes.len());
+    for (r, (sched, lane_avail)) in lanes.iter().zip(avail.iter()).enumerate() {
+        match sched.allocate(lane_avail, requester, amounts[r]) {
+            Ok(alloc) => grants.push(alloc),
+            Err(SchedError::InsufficientCapacity { requester, capacity, requested, .. }) => {
+                let resource = Some(NAMES[r]);
+                return Err(SchedError::InsufficientCapacity {
+                    requester,
+                    capacity,
+                    requested,
+                    resource,
+                });
+            }
+            Err(other) => return Err(other),
+        }
+    }
+    for (lane_avail, alloc) in avail.iter_mut().zip(&grants) {
+        for (v, d) in lane_avail.iter_mut().zip(&alloc.draws) {
+            *v = (*v - *d).max(0.0);
+        }
+    }
+    Ok(MultiAllocation { lanes: grants })
 }
 
 /// Bitwise comparison of two multi-resource decision streams.
@@ -287,7 +312,7 @@ fn assert_multi_decisions_identical(
             }
             (a, b) => {
                 return Err(TestCaseError::fail(format!(
-                    "slot {i}: verdicts diverge: one-by-one {a:?} vs batched {b:?}"
+                    "slot {i}: verdicts diverge: reference {a:?} vs front door {b:?}"
                 )));
             }
         }
@@ -306,40 +331,26 @@ fn assert_lanes_bitwise(a: &[Vec<f64>], b: &[Vec<f64>]) -> Result<(), TestCaseEr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Multi-resource force-parallel admit_batch ≡ sequential admit_one
-    /// per request, with every lane's availability compared bitwise.
+    /// `MultiAdmission::admit_one` ≡ the hand-written conjunction and
+    /// commit over per-lane schedulers, with every lane's availability
+    /// compared bitwise.
     #[test]
-    fn multi_batched_parallel_equals_sequential_one_by_one(sc in arb_multi_batch()) {
-        let reference = build_multi(&sc, false);
-        let subject = build_multi(&sc, true);
-        let reqs = to_multi_reqs(&sc.reqs);
+    fn multi_front_door_equals_per_lane_conjunction(sc in arb_multi_batch()) {
+        let reference = build_lanes(&sc);
+        let subject =
+            MultiAdmission::new(NAMES[..sc.num_resources].to_vec(), build_lanes(&sc)).unwrap();
 
-        let mut avail_one = sc.avail.clone();
-        let one: Vec<_> = reqs
+        let mut avail_ref = sc.avail.clone();
+        let want: Vec<_> = sc
+            .reqs
             .iter()
-            .map(|q| reference.admit_one(&mut avail_one, q.requester, &q.amounts))
+            .map(|(r, x)| reference_admit_multi(&reference, &mut avail_ref, *r, x))
             .collect();
-        let mut avail_bat = sc.avail.clone();
-        let bat = subject.admit_batch(&mut avail_bat, &reqs);
+        let mut avail_sub = sc.avail.clone();
+        let got: Vec<_> =
+            sc.reqs.iter().map(|(r, x)| subject.admit_one(&mut avail_sub, *r, x)).collect();
 
-        assert_multi_decisions_identical(&one, &bat)?;
-        assert_lanes_bitwise(&avail_one, &avail_bat)?;
-    }
-
-    /// Multi-resource admit_batch on sequential lanes (the internal
-    /// fallback loop) ≡ admit_batch on force-parallel lanes.
-    #[test]
-    fn multi_batched_sequential_equals_batched_parallel(sc in arb_multi_batch()) {
-        let seq = build_multi(&sc, false);
-        let par = build_multi(&sc, true);
-        let reqs = to_multi_reqs(&sc.reqs);
-
-        let mut avail_seq = sc.avail.clone();
-        let a = seq.admit_batch(&mut avail_seq, &reqs);
-        let mut avail_par = sc.avail.clone();
-        let b = par.admit_batch(&mut avail_par, &reqs);
-
-        assert_multi_decisions_identical(&a, &b)?;
-        assert_lanes_bitwise(&avail_seq, &avail_par)?;
+        assert_multi_decisions_identical(&want, &got)?;
+        assert_lanes_bitwise(&avail_ref, &avail_sub)?;
     }
 }

@@ -3,10 +3,10 @@
 //! A single-resource config routed through [`MultiAdmission`] with one
 //! named lane must be **bit-identical** to the single-resource
 //! [`BatchedAdmission`] entry — verdicts, grants (amount, theta, every
-//! draw), the availability vector left behind, and the executor
-//! fallback stats. Both are entries into one wave loop, so this compares
-//! two call paths (grant shapes, request types, the lane tag) through one
-//! implementation. The one sanctioned difference: the named lane's
+//! draw) and the availability vector left behind. Both are entries into
+//! one `MultiAdmission::decide`, so this compares two call paths (grant
+//! shapes, the lane tag) through one implementation. The one sanctioned
+//! difference: the named lane's
 //! capacity rejections carry `resource: Some("cpu")` where the unnamed
 //! one says `None` — the payload is otherwise identical, which is
 //! exactly what these properties check after substituting the tag out.
@@ -17,8 +17,8 @@
 
 use agreements_flow::AgreementMatrix;
 use agreements_sched::{
-    AdmissionRequest, Allocation, BatchedAdmission, HierarchicalScheduler, MultiAdmission,
-    MultiAdmissionRequest, MultiAllocation, SchedError,
+    Allocation, BatchedAdmission, HierarchicalScheduler, MultiAdmission, MultiAllocation,
+    SchedError,
 };
 use proptest::prelude::*;
 
@@ -51,7 +51,7 @@ fn arb_degen() -> impl Strategy<Value = DegenScenario> {
     })
 }
 
-fn build_sched(sc: &DegenScenario, parallel: bool) -> HierarchicalScheduler {
+fn build_sched(sc: &DegenScenario) -> HierarchicalScheduler {
     let g = sc.num_groups;
     let mut inter = AgreementMatrix::zeros(g);
     for i in 0..g {
@@ -63,13 +63,11 @@ fn build_sched(sc: &DegenScenario, parallel: bool) -> HierarchicalScheduler {
     }
     let groups: Vec<Vec<usize>> =
         (0..g).map(|gi| (gi * sc.group_size..(gi + 1) * sc.group_size).collect()).collect();
-    let mut sched = HierarchicalScheduler::new(groups, &inter, 1).unwrap();
-    sched.set_parallel_fine(parallel);
-    sched
+    HierarchicalScheduler::new(groups, &inter, 1).unwrap()
 }
 
-fn build_multi(sc: &DegenScenario, parallel: bool) -> MultiAdmission {
-    MultiAdmission::new(vec!["cpu"], vec![build_sched(sc, parallel)]).unwrap()
+fn build_multi(sc: &DegenScenario) -> MultiAdmission {
+    MultiAdmission::new(vec!["cpu"], vec![build_sched(sc)]).unwrap()
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -125,65 +123,15 @@ fn assert_degenerate_identical(
     Ok(())
 }
 
-fn to_single(pairs: &[(usize, f64)]) -> Vec<AdmissionRequest> {
-    pairs.iter().map(|&(requester, amount)| AdmissionRequest { requester, amount }).collect()
-}
-
-fn to_multi(pairs: &[(usize, f64)]) -> Vec<MultiAdmissionRequest> {
-    pairs
-        .iter()
-        .map(|&(requester, amount)| MultiAdmissionRequest { requester, amounts: vec![amount] })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Parallel batched: one-lane multi admit_batch ≡ single-resource
-    /// admit_batch, including the executor fallback counters.
-    #[test]
-    fn single_lane_batch_is_bit_identical(sc in arb_degen()) {
-        let single = BatchedAdmission::new(build_sched(&sc, true));
-        let multi = build_multi(&sc, true);
-        let mut avail_s = sc.avail.clone();
-        let s = single.admit_batch(&mut avail_s, &to_single(&sc.reqs));
-        let mut avail_m = vec![sc.avail.clone()];
-        let m = multi.admit_batch(&mut avail_m, &to_multi(&sc.reqs));
-
-        assert_degenerate_identical(&s, &m)?;
-        prop_assert_eq!(bits(&avail_s), bits(&avail_m[0]), "availability diverged");
-        prop_assert_eq!(
-            single.scheduler().executor_fallbacks(),
-            multi.lane(0).executor_fallbacks(),
-            "fallback stats diverged"
-        );
-    }
-
-    /// Sequential batched (the internal fallback loop): same identity.
-    #[test]
-    fn single_lane_sequential_batch_is_bit_identical(sc in arb_degen()) {
-        let single = BatchedAdmission::new(build_sched(&sc, false));
-        let multi = build_multi(&sc, false);
-        let mut avail_s = sc.avail.clone();
-        let s = single.admit_batch(&mut avail_s, &to_single(&sc.reqs));
-        let mut avail_m = vec![sc.avail.clone()];
-        let m = multi.admit_batch(&mut avail_m, &to_multi(&sc.reqs));
-
-        assert_degenerate_identical(&s, &m)?;
-        prop_assert_eq!(bits(&avail_s), bits(&avail_m[0]), "availability diverged");
-        prop_assert_eq!(
-            single.scheduler().executor_fallbacks(),
-            multi.lane(0).executor_fallbacks(),
-            "fallback stats diverged"
-        );
-    }
 
     /// One-by-one: admit_one through one lane ≡ the single-resource
     /// admit_one, request for request.
     #[test]
     fn single_lane_admit_one_is_bit_identical(sc in arb_degen()) {
-        let single = BatchedAdmission::new(build_sched(&sc, false));
-        let multi = build_multi(&sc, false);
+        let single = BatchedAdmission::new(build_sched(&sc));
+        let multi = build_multi(&sc);
         let mut avail_s = sc.avail.clone();
         let mut avail_m = vec![sc.avail.clone()];
         for &(requester, amount) in &sc.reqs {
@@ -198,9 +146,9 @@ proptest! {
     }
 }
 
-/// Deterministic regression case: the exact mixed stream `batch.rs`
-/// uses (fine grants, a coarse stall, an unknown principal, an invalid
-/// amount, a capacity rejection, a zero request) through both engines.
+/// Deterministic regression case: one mixed stream (fine grants, a
+/// coarse overflow, an unknown principal, an invalid amount, a capacity
+/// rejection, a zero request) through both entries.
 #[test]
 fn degeneracy_regression_case() {
     let sc = DegenScenario {
@@ -212,7 +160,7 @@ fn degeneracy_regression_case() {
             (0, 2.0),
             (4, 3.0),
             (1, 4.5),
-            (2, 9.0),  // stalls onto the coarse path
+            (2, 9.0),  // overflows onto the coarse path
             (9, 1.0),  // unknown principal
             (5, -1.0), // invalid amount
             (3, 2.0),
@@ -220,12 +168,13 @@ fn degeneracy_regression_case() {
             (5, 0.0),
         ],
     };
-    let single = BatchedAdmission::new(build_sched(&sc, true));
-    let multi = build_multi(&sc, true);
+    let single = BatchedAdmission::new(build_sched(&sc));
+    let multi = build_multi(&sc);
     let mut avail_s = sc.avail.clone();
-    let s = single.admit_batch(&mut avail_s, &to_single(&sc.reqs));
+    let s: Vec<_> = sc.reqs.iter().map(|&(r, x)| single.admit_one(&mut avail_s, r, x)).collect();
     let mut avail_m = vec![sc.avail.clone()];
-    let m = multi.admit_batch(&mut avail_m, &to_multi(&sc.reqs));
+    let m: Vec<Result<MultiAllocation, _>> =
+        sc.reqs.iter().map(|&(r, x)| multi.admit_one(&mut avail_m, r, &[x])).collect();
 
     assert_degenerate_identical(&s, &m).unwrap();
     assert_eq!(bits(&avail_s), bits(&avail_m[0]));

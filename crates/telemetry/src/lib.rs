@@ -53,8 +53,9 @@ pub enum HistKind {
     RequestLatencySeconds,
     /// Dirty rows recomputed by one `IncrementalFlow::set` repair.
     FlowDirtyRows,
-    /// Allocation requests decided per contiguous request run the GRM
-    /// core executes (the batched-admission front door).
+    /// Allocation requests per batch of the GRM's former batched-admission
+    /// door. Nothing records it since every request is decided on its own;
+    /// it stays until benchmark revision 2a retires it.
     BatchSize,
     /// Time an allocation request spent in the GRM's former serve-thread
     /// mailbox. Nothing records it since the GRM executes on its callers;

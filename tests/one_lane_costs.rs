@@ -11,10 +11,6 @@
 //! pinned as integers: a change that makes the one-lane path allocate
 //! more fails here, on any host, with no benchmark run. The debug and
 //! release profiles count the same, so one pin serves both.
-//!
-//! The forced-parallel hierarchical engine is left out: its calling thread
-//! sends one job per group run into the workers' channels, whose block
-//! allocations depend on how many workers the host's core count gives.
 
 use sharing_agreements::flow::AgreementMatrix;
 use sharing_agreements::grm::{Call, GrmServer, RequestId};
@@ -160,11 +156,9 @@ fn complete(n: usize, share: f64) -> AgreementMatrix {
 }
 
 /// Four groups of sixteen, each group sharing 30 % with every other.
-fn hierarchical64(parallel: bool) -> HierarchicalScheduler {
+fn hierarchical64() -> HierarchicalScheduler {
     let groups: Vec<Vec<usize>> = (0..4).map(|g| (g * 16..(g + 1) * 16).collect()).collect();
-    let mut sched = HierarchicalScheduler::new(groups, &complete(4, 0.3), 1).unwrap();
-    sched.set_parallel_fine(parallel);
-    sched
+    HierarchicalScheduler::new(groups, &complete(4, 0.3), 1).unwrap()
 }
 
 /// Assert `got` is within the pinned `(allocations, bytes)`.
@@ -186,7 +180,7 @@ fn assert_within(engine: &str, got: (u64, u64), pinned: (u64, u64)) {
 #[test]
 fn flat_n10_request_path_allocations_are_pinned() {
     let got = decision_costs(GrmServer::spawn(complete(10, 0.3), 2), 10, 7);
-    assert_within("flat n = 10", got, (10_979, 1_838_814));
+    assert_within("flat n = 10", got, (10_979, 1_806_046));
 }
 
 /// Pinned exactly: the whole handle call runs on the calling thread, so
@@ -194,11 +188,25 @@ fn flat_n10_request_path_allocations_are_pinned() {
 #[test]
 fn flat_n10_handle_request_path_allocations_are_pinned() {
     let got = handle_costs(GrmServer::spawn(complete(10, 0.3), 2), 10, 7);
-    assert_eq!(got, (19_043, 3_526_366), "flat n = 10 through the handle, over {DECISIONS} calls");
+    assert_eq!(got, (19_043, 3_493_598), "flat n = 10 through the handle, over {DECISIONS} calls");
 }
 
+/// Pinned exactly: the hierarchical engine decides on the calling
+/// thread, with no worker threads whose allocations could escape the
+/// counter.
 #[test]
 fn sequential_hierarchical_n64_request_path_allocations_are_pinned() {
-    let got = decision_costs(GrmServer::spawn_hierarchical(hierarchical64(false)), 64, 11);
-    assert_within("hierarchical n = 64", got, (16_194, 5_205_124));
+    let got = decision_costs(GrmServer::spawn_hierarchical(hierarchical64()), 64, 11);
+    assert_eq!(got, (15_554, 4_770_948), "hierarchical n = 64, over {DECISIONS} decisions");
+}
+
+/// Pinned exactly, like the flat handle path.
+#[test]
+fn hierarchical_n64_handle_request_path_allocations_are_pinned() {
+    let got = handle_costs(GrmServer::spawn_hierarchical(hierarchical64()), 64, 11);
+    assert_eq!(
+        got,
+        (23_618, 6_458_500),
+        "hierarchical n = 64 through the handle, over {DECISIONS} calls"
+    );
 }
