@@ -9,7 +9,8 @@
 //! hourly admit-rate series plus telemetry counters (home-group hits vs
 //! coarse escalations), then exercises the *federation* path by routing
 //! a slice of the same workload through [`TwoLevelGrm::new_auto`] at
-//! `min(n, 256)` principals (one OS thread per group GRM).
+//! `min(n, 256)` principals (one GRM core per group, each executing on
+//! its caller's thread).
 //!
 //! Flags:
 //!
@@ -218,8 +219,8 @@ fn main() {
         eprintln!("check: re-run bit-identical (checksum {:#018x})", result.draws_checksum);
     }
 
-    // Federation path: cap the principal count (one OS thread per group
-    // GRM) and the demand volume.
+    // Federation path: a reduced slice of the day, the principal count
+    // capped at 256 and the demand volume cut.
     let fed_n = n.min(256);
     let fed_cfg = ScaleConfig { n: fed_n, ..cfg.clone() };
     let fed_workload = if fed_n == n { workload } else { fed_cfg.generate() };

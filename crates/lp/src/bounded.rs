@@ -22,9 +22,41 @@
 //! Solves `min c·x` s.t. `A x = b`, `0 ≤ x_j ≤ u_j` (`u_j = ∞` allowed),
 //! `b ≥ 0`. Phase 1 uses artificials exactly like the row-based solver.
 //! `A` arrives as [`SparseRows`]: the tableau is built by zero-filling it
-//! and scattering the entries, and the initial slack basis is found from
-//! the entries alone, so building costs O(m·n) writes plus O(nonzeros),
-//! with no column-strided scan.
+//! and scattering the entries into their columns, and the initial slack
+//! basis is found from the entries alone, so building costs O(m·n) writes
+//! plus O(nonzeros).
+//!
+//! # Tableau layout and the zero-sign contract
+//!
+//! The tableau is stored column-major: each variable owns one contiguous
+//! `m`-long column, and the rhs column comes last. A pivot normalises the
+//! pivot row (stride `m`), gathers the columns where it is nonzero, copies
+//! the entering column as the factor vector `f` (with `f[row] = 0`) and
+//! updates each gathered column by one branch-free pass,
+//! `t[i][j] -= f[i]·s_j` over every row. The rhs column keeps the dense
+//! rule and skips the rows where `f[i] == 0`; the entering column becomes
+//! the unit column. The ratio test and the nonbasic flip read one
+//! contiguous column; the basic-row flip reads a row at stride `m`.
+//!
+//! Against the dense Gauss–Jordan update (every row with a nonzero
+//! factor, every column), the cells whose bits can differ are signed
+//! zeros outside the rhs column, and nothing else:
+//!
+//! - a skipped column has `s_j = ±0`, where the dense update subtracts
+//!   `f[i]·(±0)`; a row with `f[i] = ±0`, which the dense update skips,
+//!   here subtracts `(±0)·s_j`. Either way `x ± 0 = x` for nonzero `x`,
+//!   so only a zero's sign can change;
+//! - every branch on a tableau cell tests `== 0.0`, `> tol` or `< -tol`,
+//!   so no pivot choice, bound flip or ratio reads a zero's sign;
+//! - the rhs column, and so `x`, the objective and θ, is bit-identical;
+//!   the duals may differ only in the sign of a zero, so they stay `==`.
+//!
+//! The branch-free pass needs finite tableau entries, since `0·∞` is NaN;
+//! `solve_bounded_with` debug-asserts a finite `A` and `b`. Pricing
+//! computes the reduced cost of each column allowed to enter only, one
+//! column at a time, over the rows whose basic variable has a nonzero
+//! cost, in ascending row order: the same sum, term for term, as a pass
+//! over the whole row.
 //!
 //! # Workspaces
 //!
@@ -40,7 +72,6 @@
 //! (property-tested anyway).
 
 use crate::error::LpError;
-use crate::matrix::Matrix;
 use crate::simplex::{PivotRule, SimplexOptions, SimplexStats, StandardSolution};
 use crate::sparse::SparseRows;
 
@@ -76,9 +107,15 @@ pub fn solve_bounded(
 /// each thread its own.
 #[derive(Debug)]
 pub struct SimplexWorkspace {
-    /// `m × (total + 1)`; the last column is the rhs in *current*
-    /// (possibly flipped) coordinates.
-    t: Matrix,
+    /// The tableau, column-major: `m` rows by `total + 1` columns, column
+    /// `j` at `t[j * m..(j + 1) * m]`. The last column is the rhs in
+    /// *current* (possibly flipped) coordinates.
+    t: Vec<f64>,
+    /// Rows of the tableau.
+    m: usize,
+    /// Variable columns (structural, slack, artificial); the rhs is
+    /// column `total`.
+    total: usize,
     basis: Vec<usize>,
     /// Upper bound per column, in its own (unflipped) units; artificials
     /// get ∞ (0 after phase 1).
@@ -94,11 +131,17 @@ pub struct SimplexWorkspace {
     unit_row: Vec<u32>,
     art_start: usize,
     num_artificial: usize,
-    // Pricing/ratio-test scratch, reused across iterations.
-    z: Vec<f64>,
     work_cost: Vec<f64>,
+    /// Pricing scratch: `(row, cost)` for each row whose basic variable
+    /// has a nonzero cost, ascending.
+    cost_rows: Vec<(usize, f64)>,
+    /// Whether column `j` is basic, kept in step with `basis`.
     basic: Vec<bool>,
     art_rows: Vec<usize>,
+    // Pivot scratch: the entering column's factors (zero in the pivot
+    // row) and the normalised pivot row's nonzero columns.
+    factor: Vec<f64>,
+    pivot_cols: Vec<usize>,
 }
 
 impl Default for SimplexWorkspace {
@@ -111,7 +154,9 @@ impl SimplexWorkspace {
     /// An empty workspace (no buffers allocated until the first solve).
     pub fn new() -> Self {
         SimplexWorkspace {
-            t: Matrix::zeros(0, 0),
+            t: Vec::new(),
+            m: 0,
+            total: 0,
             basis: Vec::new(),
             upper: Vec::new(),
             flipped: Vec::new(),
@@ -120,23 +165,22 @@ impl SimplexWorkspace {
             unit_row: Vec::new(),
             art_start: 0,
             num_artificial: 0,
-            z: Vec::new(),
             work_cost: Vec::new(),
+            cost_rows: Vec::new(),
             basic: Vec::new(),
             art_rows: Vec::new(),
+            factor: Vec::new(),
+            pivot_cols: Vec::new(),
         }
     }
 
-    fn m(&self) -> usize {
-        self.t.rows()
-    }
-
-    fn total_cols(&self) -> usize {
-        self.t.cols() - 1
+    /// Tableau column `j`; `j == total` is the rhs.
+    fn col(&self, j: usize) -> &[f64] {
+        &self.t[j * self.m..(j + 1) * self.m]
     }
 
     fn rhs(&self, i: usize) -> f64 {
-        self.t[(i, self.t.cols() - 1)]
+        self.t[self.total * self.m + i]
     }
 
     /// Build (or rebuild) the tableau for a model, reusing all buffers.
@@ -183,17 +227,22 @@ impl SimplexWorkspace {
         self.art_rows.extend((0..m).filter(|&i| self.basis[i] == usize::MAX));
         let num_artificial = self.art_rows.len();
         let total = n + num_artificial;
-        self.t.reset(m, total + 1);
+        self.m = m;
+        self.total = total;
+        // Zero-fill, then scatter the entries into their columns.
+        self.t.clear();
+        self.t.resize(m * (total + 1), 0.0);
         for i in 0..m {
-            let row = self.t.row_mut(i);
-            a.scatter(i, row);
-            row[total] = b[i];
+            for (j, v) in a.row(i) {
+                self.t[j * m + i] = v;
+            }
         }
+        self.t[total * m..].copy_from_slice(b);
         self.marker.clear();
         self.marker.extend_from_slice(&self.basis);
         for k in 0..num_artificial {
             let i = self.art_rows[k];
-            self.t[(i, n + k)] = 1.0;
+            self.t[(n + k) * m + i] = 1.0;
             self.basis[i] = n + k;
             self.marker[i] = n + k;
         }
@@ -208,29 +257,30 @@ impl SimplexWorkspace {
         self.art_start = n;
         self.num_artificial = num_artificial;
         // Scratch sized once per shape.
-        self.z.clear();
-        self.z.resize(total, 0.0);
+        self.cost_rows.clear();
+        self.cost_rows.reserve_exact(m);
         self.work_cost.clear();
         self.work_cost.resize(total, 0.0);
         self.basic.clear();
         self.basic.resize(total, false);
+        for &j in &self.basis {
+            self.basic[j] = true;
+        }
+        self.factor.clear();
+        self.factor.resize(m, 0.0);
+        self.pivot_cols.clear();
+        self.pivot_cols.reserve_exact(total);
     }
 
-    /// Reduced costs for `work_cost` written into `z`.
-    fn reduced_costs_into_z(&mut self) {
-        let total = self.total_cols();
-        self.z.clear();
-        self.z.extend_from_slice(&self.work_cost);
-        for i in 0..self.m() {
-            let cb = self.work_cost[self.basis[i]];
-            if cb == 0.0 {
-                continue;
-            }
-            let row = self.t.row(i);
-            for j in 0..total {
-                self.z[j] -= cb * row[j];
-            }
+    /// Column `j`'s reduced cost `c_j − Σ_i c_B(i)·t[i][j]`, the sum taken
+    /// over `cost_rows` in ascending row order.
+    fn reduced_cost(&self, j: usize, cj: f64) -> f64 {
+        let column = self.col(j);
+        let mut zj = cj;
+        for &(i, cb) in &self.cost_rows {
+            zj -= cb * column[i];
         }
+        zj
     }
 
     /// Substitute a **nonbasic** column: `x = u − x̃`. Adjusts the rhs for
@@ -238,12 +288,12 @@ impl SimplexWorkspace {
     fn flip_nonbasic(&mut self, j: usize) {
         let u = self.upper[j];
         debug_assert!(u.is_finite(), "cannot flip an unbounded column");
-        let cols = self.t.cols();
-        for i in 0..self.m() {
-            let a = self.t[(i, j)];
-            if a != 0.0 {
-                self.t[(i, cols - 1)] -= a * u;
-                self.t[(i, j)] = -a;
+        let m = self.m;
+        let (cols, rhs) = self.t.split_at_mut(self.total * m);
+        for (a, r) in cols[j * m..(j + 1) * m].iter_mut().zip(rhs) {
+            if *a != 0.0 {
+                *r -= *a * u;
+                *a = -*a;
             }
         }
         self.flipped[j] = !self.flipped[j];
@@ -257,14 +307,14 @@ impl SimplexWorkspace {
         let bj = self.basis[row];
         let u = self.upper[bj];
         debug_assert!(u.is_finite());
-        let cols = self.t.cols();
-        for jj in 0..cols - 1 {
+        let mut cells = self.t[row..].iter_mut().step_by(self.m);
+        for (jj, v) in cells.by_ref().take(self.total).enumerate() {
             if jj != bj {
-                self.t[(row, jj)] = -self.t[(row, jj)];
+                *v = -*v;
             }
         }
-        let old = self.t[(row, cols - 1)];
-        self.t[(row, cols - 1)] = u - old;
+        let rhs = cells.next().expect("the rhs column follows the variables");
+        *rhs = u - *rhs;
         self.flipped[bj] = !self.flipped[bj];
         self.cost[bj] = -self.cost[bj];
     }
@@ -279,20 +329,18 @@ impl SimplexWorkspace {
             if iters >= opts.max_iters {
                 return Err(LpError::IterationLimit { limit: opts.max_iters });
             }
-            self.reduced_costs_into_z();
+            // Pricing: reduced costs of the columns allowed to enter only
+            // (phase 2 bars the artificials).
+            load_cost_rows(&mut self.cost_rows, &self.basis, &self.work_cost);
             let use_bland = opts.pivot_rule == PivotRule::Bland || iters >= opts.bland_after;
-            for flag in self.basic.iter_mut() {
-                *flag = false;
-            }
-            for &j in &self.basis {
-                self.basic[j] = true;
-            }
             let mut enter = usize::MAX;
             let mut best = -tol;
-            for (j, &zj) in self.z.iter().enumerate() {
-                if self.basic[j] || (phase2 && j >= art_start) {
+            let candidates = if phase2 { art_start } else { self.total };
+            for j in 0..candidates {
+                if self.basic[j] {
                     continue;
                 }
+                let zj = self.reduced_cost(j, self.work_cost[j]);
                 if zj < best {
                     enter = j;
                     best = zj;
@@ -305,15 +353,16 @@ impl SimplexWorkspace {
                 return Ok(iters);
             }
 
-            // Ratio test: entering increases from 0 by t.
+            // Ratio test: entering increases from 0 by t, down one
+            // contiguous column beside the rhs column.
             let mut limit = self.upper[enter];
             let mut leave = usize::MAX;
             let mut leave_at_upper = false;
-            for i in 0..self.m() {
-                let alpha = self.t[(i, enter)];
+            let rhs = self.col(self.total);
+            for (i, (&alpha, &bi_rhs)) in self.col(enter).iter().zip(rhs).enumerate() {
                 let bi = self.basis[i];
                 if alpha > tol {
-                    let ratio = self.rhs(i) / alpha;
+                    let ratio = bi_rhs / alpha;
                     if ratio < limit - tol
                         || (ratio < limit + tol && leave != usize::MAX && bi < self.basis[leave])
                     {
@@ -322,7 +371,7 @@ impl SimplexWorkspace {
                         leave_at_upper = false;
                     }
                 } else if alpha < -tol && self.upper[bi].is_finite() {
-                    let headroom = (self.upper[bi] - self.rhs(i)).max(0.0);
+                    let headroom = (self.upper[bi] - bi_rhs).max(0.0);
                     let ratio = headroom / (-alpha);
                     if ratio < limit - tol
                         || (ratio < limit + tol && leave != usize::MAX && bi < self.basis[leave])
@@ -358,32 +407,64 @@ impl SimplexWorkspace {
         }
     }
 
+    /// Gauss–Jordan pivot on `(row, col)`, one column at a time: only the
+    /// columns where the normalised pivot row is nonzero change, each by
+    /// one branch-free pass over its rows (see the module docs for why
+    /// that moves no bit outside the signs of zeros).
     fn pivot(&mut self, row: usize, col: usize) {
-        let cols = self.t.cols();
-        let piv = self.t[(row, col)];
+        let m = self.m;
+        let total = self.total;
+        let t = &mut self.t;
+        let piv = t[col * m + row];
         debug_assert!(piv.abs() > 0.0, "zero pivot");
-        {
-            let r = self.t.row_mut(row);
-            let inv = 1.0 / piv;
-            for v in r.iter_mut() {
+        let inv = 1.0 / piv;
+        // Normalise the pivot row and gather its nonzero columns, 64 at a
+        // time through a bit mask: no branch per cell, whose pattern is
+        // data and mispredicts on small, dense rows. The entering cell,
+        // zeroed first, is not gathered, and ends at 1 as in the dense
+        // update.
+        t[col * m + row] = 0.0;
+        self.pivot_cols.clear();
+        let mut cells = t[row..].iter_mut().step_by(m);
+        let mut base = 0;
+        while base < total {
+            let mut mask = 0u64;
+            for (bit, v) in cells.by_ref().take((total - base).min(64)).enumerate() {
                 *v *= inv;
+                mask |= u64::from(*v != 0.0) << bit;
             }
-            r[col] = 1.0;
+            while mask != 0 {
+                self.pivot_cols.push(base + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
+            }
+            base += 64;
         }
-        for i in 0..self.m() {
-            if i == row {
-                continue;
+        *cells.next().expect("the rhs column follows the variables") *= inv;
+        t[col * m + row] = 1.0;
+        let factor = &mut self.factor[..];
+        factor.copy_from_slice(&t[col * m..(col + 1) * m]);
+        factor[row] = 0.0;
+        for &j in &self.pivot_cols {
+            let column = &mut t[j * m..(j + 1) * m];
+            let s = column[row];
+            for (v, &f) in column.iter_mut().zip(&*factor) {
+                *v -= f * s;
             }
-            let factor = self.t[(i, col)];
-            if factor == 0.0 {
-                continue;
-            }
-            let (src, dst) = self.t.row_pair_mut(row, i);
-            for j in 0..cols {
-                dst[j] -= factor * src[j];
-            }
-            dst[col] = 0.0;
         }
+        // The rhs keeps the dense rule, rows with a zero factor untouched,
+        // so its bits (and `x`, the objective, θ) are exact; the entering
+        // column becomes the unit column.
+        let (cols, rhs) = t.split_at_mut(total * m);
+        let entering = &mut cols[col * m..(col + 1) * m];
+        let s = rhs[row];
+        for ((r, e), &f) in rhs.iter_mut().zip(entering).zip(&*factor) {
+            if f != 0.0 {
+                *r -= f * s;
+                *e = 0.0;
+            }
+        }
+        self.basic[self.basis[row]] = false;
+        self.basic[col] = true;
         self.basis[row] = col;
     }
 
@@ -391,12 +472,11 @@ impl SimplexWorkspace {
         if self.num_artificial == 0 {
             return Ok(0);
         }
-        let total = self.total_cols();
-        for j in 0..total {
+        for j in 0..self.total {
             self.work_cost[j] = if j >= self.art_start { 1.0 } else { 0.0 };
         }
         let iters = self.optimize(false, opts)?;
-        let residual: f64 = (0..self.m())
+        let residual: f64 = (0..self.m)
             .filter(|&i| self.basis[i] >= self.art_start)
             .map(|i| self.rhs(i).abs())
             .sum();
@@ -409,7 +489,7 @@ impl SimplexWorkspace {
         // lets the ratio test wave moves through its row). With an upper
         // bound of 0, the headroom test blocks any such move and
         // degenerate pivots push the artificial out instead.
-        for j in self.art_start..self.total_cols() {
+        for j in self.art_start..self.total {
             self.upper[j] = 0.0;
         }
         Ok(iters)
@@ -424,9 +504,9 @@ impl SimplexWorkspace {
     }
 
     fn extract(&self, n: usize) -> Vec<f64> {
-        let mut current = vec![0.0; self.total_cols()];
-        for i in 0..self.m() {
-            current[self.basis[i]] = self.rhs(i).max(0.0);
+        let mut current = vec![0.0; self.total];
+        for (i, &r) in self.col(self.total).iter().enumerate() {
+            current[self.basis[i]] = r.max(0.0);
         }
         (0..n)
             .map(
@@ -441,22 +521,23 @@ impl SimplexWorkspace {
             .collect()
     }
 
-    fn duals(&self) -> Vec<f64> {
-        // Reduced costs of the phase-2 objective; work_cost still holds
-        // it after optimize() returned optimal.
-        let total = self.total_cols();
-        let mut z: Vec<f64> = self.cost.clone();
-        for i in 0..self.m() {
-            let cb = self.cost[self.basis[i]];
-            if cb == 0.0 {
-                continue;
-            }
-            let row = self.t.row(i);
-            for j in 0..total {
-                z[j] -= cb * row[j];
-            }
+    /// The rows' duals: minus the phase-2 reduced cost of each row's
+    /// starting basic column.
+    fn duals(&mut self) -> Vec<f64> {
+        load_cost_rows(&mut self.cost_rows, &self.basis, &self.cost);
+        self.marker.iter().map(|&mk| -self.reduced_cost(mk, self.cost[mk])).collect()
+    }
+}
+
+/// Fill `rows` with `(row, cost)` for each row whose basic variable has a
+/// nonzero cost under `costs`, ascending.
+fn load_cost_rows(rows: &mut Vec<(usize, f64)>, basis: &[usize], costs: &[f64]) {
+    rows.clear();
+    for (i, &bj) in basis.iter().enumerate() {
+        let cb = costs[bj];
+        if cb != 0.0 {
+            rows.push((i, cb));
         }
-        self.marker.iter().map(|&mk| -z[mk]).collect()
     }
 }
 
@@ -477,6 +558,10 @@ pub fn solve_bounded_with(
     debug_assert_eq!(b.len(), m, "one right-hand side per row");
     debug_assert!((0..m).all(|i| a.row(i).all(|(j, _)| j < n)), "every entry inside the columns");
     debug_assert!(b.iter().all(|&bi| bi >= 0.0), "standard form requires b >= 0");
+    debug_assert!(
+        b.iter().all(|bi| bi.is_finite()) && (0..m).all(|i| a.row(i).all(|(_, v)| v.is_finite())),
+        "the branch-free pivot needs a finite tableau (0·∞ is NaN)"
+    );
     if upper.iter().any(|&u| u < 0.0 || u.is_nan()) {
         return Err(LpError::InvalidModel("negative or NaN upper bound".into()));
     }
@@ -788,6 +873,123 @@ mod tests {
         assert!((sum - 6.0).abs() < 1e-9);
         for j in 0..3 {
             assert!(s.x[j] <= 2.0 + 1e-9, "draw {} = {}", j, s.x[j]);
+        }
+    }
+
+    // --- the signed-zero boundary ---
+
+    /// The allocation LP's rows as the flat solver assembles them, every
+    /// principal with a positive bound: requester 0 over `bound.len()`
+    /// principals, `inflow[k][i]` the share of `k`'s pool `i` may draw.
+    #[allow(clippy::type_complexity)]
+    fn allocation_rows(
+        bound: &[f64],
+        inflow: &[[f64; 4]],
+        x: f64,
+    ) -> (SparseRows, Vec<f64>, Vec<f64>, Vec<f64>, usize) {
+        let n = bound.len();
+        let theta = n;
+        let num_structural = n + 1;
+        let total = num_structural + n - 1;
+        let mut upper = vec![INF; total];
+        upper[..n].copy_from_slice(bound);
+        let mut c = vec![0.0; total];
+        c[theta] = 1.0;
+        let mut b = vec![0.0; n];
+        b[0] = x;
+        let mut rows = SparseRows::new();
+        for j in 0..n {
+            rows.push(j, 1.0);
+        }
+        rows.end_row();
+        for (slack, i) in (num_structural..).zip(1..n) {
+            rows.push(i, 1.0);
+            for (k, shares) in inflow.iter().enumerate() {
+                if k != i && shares[i] != 0.0 {
+                    rows.push(k, shares[i]);
+                }
+            }
+            rows.push(theta, -1.0);
+            rows.push(slack, 1.0);
+            rows.end_row();
+        }
+        (rows, b, c, upper, num_structural)
+    }
+
+    /// Two allocation LPs on which a leave-at-upper substitution negates
+    /// zero cells of the leaving row, and the pivot on that row then
+    /// writes zeros whose sign depends on whether the update visits every
+    /// row and column (the dense Gauss–Jordan update) or only the columns
+    /// where the pivot row is nonzero (this module's). `x`, the objective
+    /// and θ are pinned by their bits and the duals by value, as the dense
+    /// kernel produced them: the zero-sign contract in the module docs.
+    #[test]
+    fn signed_zeros_of_a_leave_at_upper_flip_move_no_result_bit() {
+        struct Case {
+            bound: [f64; 4],
+            inflow: [[f64; 4]; 4],
+            x: f64,
+            iters: (usize, usize),
+            x_bits: [u64; 8],
+            objective_bits: u64,
+            duals: [f64; 4],
+        }
+        let cases = [
+            Case {
+                bound: [5.0, 1.0, 1.0, 1.0],
+                inflow: [
+                    [0.0, 0.5, 0.25, 0.25],
+                    [0.25, 0.0, 0.0, 0.25],
+                    [0.25, 0.25, 0.0, 0.25],
+                    [0.25, 0.0, 0.25, 0.0],
+                ],
+                x: 7.0,
+                iters: (5, 2),
+                x_bits: [
+                    0x4014_0000_0000_0000,
+                    0,
+                    0x3ff0_0000_0000_0000,
+                    0x3ff0_0000_0000_0000,
+                    0x4006_0000_0000_0000,
+                    0,
+                    0x3fd0_0000_0000_0000,
+                    0x3fd0_0000_0000_0000,
+                ],
+                objective_bits: 0x4006_0000_0000_0000,
+                duals: [0.5, -1.0, -0.0, -0.0],
+            },
+            Case {
+                bound: [4.0, 3.0, 4.0, 3.0],
+                inflow: [
+                    [0.0, 0.5, 0.0, 0.0],
+                    [0.25, 0.0, 0.0, 0.25],
+                    [0.0, 0.0, 0.0, 0.0],
+                    [0.25, 0.0, 0.25, 0.0],
+                ],
+                x: 7.0,
+                iters: (4, 3),
+                x_bits: [
+                    0x400d_dddd_dddd_ddde,
+                    0,
+                    0x3ff6_6666_6666_6666,
+                    0x3ffd_dddd_dddd_ddde,
+                    0x3ffd_dddd_dddd_ddde,
+                    0,
+                    0,
+                    0,
+                ],
+                objective_bits: 0x3ffd_dddd_dddd_ddde,
+                duals: [0.26666666666666666, -0.5333333333333334, -0.26666666666666666, -0.2],
+            },
+        ];
+        for (k, case) in cases.iter().enumerate() {
+            let (a, b, c, u, ns) = allocation_rows(&case.bound, &case.inflow, case.x);
+            let s = solve_bounded(&a, &b, &c, &u, ns, &SimplexOptions::default()).unwrap();
+            assert_eq!((s.stats.phase1_iters, s.stats.phase2_iters), case.iters, "case {k}");
+            let x_bits: Vec<u64> = s.x.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(x_bits, case.x_bits, "case {k}: x");
+            assert_eq!(s.objective.to_bits(), case.objective_bits, "case {k}: objective");
+            assert_eq!(s.duals, case.duals, "case {k}: duals, equal up to the sign of a zero");
         }
     }
 

@@ -12,7 +12,7 @@
 /// Equality-constraint rows as `(column, value)` entries, row by row.
 ///
 /// Within a row each column appears at most once. The solver scatters
-/// the entries into a zero-filled tableau row, so a row reads back as the
+/// the entries into a zero-filled tableau, so a row reads back as the
 /// dense row whose other cells are `+0.0`. Columns and row ends are held
 /// as `u32`, which bounds a model at 2³² columns and entries.
 #[derive(Debug, Clone, Default)]
@@ -98,14 +98,6 @@ impl SparseRows {
         }
         rows
     }
-
-    /// Write row `i`'s entries into `out`, a row that is `+0.0` elsewhere.
-    #[inline]
-    pub(crate) fn scatter(&self, i: usize, out: &mut [f64]) {
-        for (j, v) in self.row(i) {
-            out[j] = v;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +124,9 @@ mod tests {
         assert_eq!(rows.row(1).len(), 0);
         for (i, dense) in a.iter().enumerate() {
             let mut out = vec![0.0; dense.len()];
-            rows.scatter(i, &mut out);
+            for (j, v) in rows.row(i) {
+                out[j] = v;
+            }
             assert_eq!(bits(&out), bits(dense), "row {i} round-trips bit for bit");
         }
     }

@@ -539,6 +539,11 @@ fn put_sched_error(w: &mut Writer, e: &SchedError) {
             w.u8(6);
             put_flow_error(w, e);
         }
+        SchedError::PartitionMismatch { lane, resource } => {
+            w.u8(7);
+            w.u64(*lane as u64);
+            w.str(resource);
+        }
     }
 }
 
@@ -560,6 +565,7 @@ fn get_sched_error(r: &mut Reader) -> WireResult<SchedError> {
         4 => SchedError::DimensionMismatch { expected: r.u64()? as usize, got: r.u64()? as usize },
         5 => SchedError::EmptyGroup { group: r.u64()? as usize },
         6 => SchedError::Flow(get_flow_error(r)?),
+        7 => SchedError::PartitionMismatch { lane: r.u64()? as usize, resource: intern(&r.str()?) },
         t => return Err(format!("bad SchedError tag {t}")),
     })
 }
@@ -1023,6 +1029,42 @@ mod tests {
     }
 
     #[test]
+    fn sched_error_tags_are_pinned() {
+        // Each kind's leading tag byte; a new kind takes the next tag and
+        // leaves every existing kind's bytes as they were.
+        let kinds = [
+            (
+                SchedError::InsufficientCapacity {
+                    requester: 1,
+                    capacity: 2.0,
+                    requested: 3.0,
+                    resource: None,
+                },
+                0,
+            ),
+            (SchedError::UnknownPrincipal { index: 1, n: 2 }, 1),
+            (SchedError::InvalidRequest { amount: -1.0 }, 2),
+            (SchedError::Lp(LpError::IterationLimit { limit: 5 }), 3),
+            (SchedError::DimensionMismatch { expected: 2, got: 1 }, 4),
+            (SchedError::EmptyGroup { group: 1 }, 5),
+            (SchedError::Flow(FlowError::InvalidShare { value: 2.0 }), 6),
+            (SchedError::PartitionMismatch { lane: 1, resource: "bw" }, 7),
+        ];
+        for (e, tag) in kinds {
+            let mut w = Writer::new();
+            put_sched_error(&mut w, &e);
+            assert_eq!(w.into_bytes()[0], tag, "{e:?}");
+        }
+        let mut w = Writer::new();
+        put_sched_error(&mut w, &SchedError::PartitionMismatch { lane: 1, resource: "bw" });
+        let mut want = vec![7];
+        want.extend_from_slice(&1u64.to_le_bytes());
+        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(b"bw");
+        assert_eq!(w.into_bytes(), want, "tag, lane, then the resource name");
+    }
+
+    #[test]
     fn response_round_trips_full_error_taxonomy() {
         let errors = vec![
             GrmError::Sched(SchedError::InsufficientCapacity {
@@ -1040,6 +1082,7 @@ mod tests {
             GrmError::Sched(SchedError::Lp(LpError::Infeasible { residual: 1e-6 })),
             GrmError::Sched(SchedError::Lp(LpError::InvalidModel("nan coeff".into()))),
             GrmError::Sched(SchedError::Flow(FlowError::RowSumExceeded { row: 2, sum: 1.5 })),
+            GrmError::Sched(SchedError::PartitionMismatch { lane: 2, resource: "bandwidth" }),
             GrmError::Flow(FlowError::InvalidPartition { reason: "empty" }),
             GrmError::UnknownLrm(42),
             GrmError::Disconnected,

@@ -46,6 +46,15 @@ pub enum SchedError {
         /// Actual dimension supplied.
         got: usize,
     },
+    /// A multi-resource scheduler's lanes do not share one principal
+    /// partition: lane `lane` groups the principals differently from
+    /// lane 0.
+    PartitionMismatch {
+        /// The first lane, in resource order, whose partition differs.
+        lane: usize,
+        /// That lane's resource name.
+        resource: &'static str,
+    },
     /// A hierarchical partition contained an empty group.
     EmptyGroup {
         /// Index of the offending group.
@@ -94,6 +103,9 @@ impl fmt::Display for SchedError {
             SchedError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
+            SchedError::PartitionMismatch { lane, resource } => {
+                write!(f, "resource lane {lane} ({resource}) is partitioned unlike lane 0")
+            }
             SchedError::EmptyGroup { group } => {
                 write!(f, "group {group} of the hierarchical partition is empty")
             }
@@ -139,6 +151,8 @@ mod tests {
             resource: Some("bandwidth"),
         };
         assert!(tagged.to_string().contains("binding resource: bandwidth"));
+        let lanes = SchedError::PartitionMismatch { lane: 1, resource: "bandwidth" };
+        assert!(lanes.to_string().contains("lane 1 (bandwidth)"));
         let lp = SchedError::Lp(LpError::IterationLimit { limit: 5 });
         assert!(std::error::Error::source(&lp).is_some());
         assert!(std::error::Error::source(&e).is_none());

@@ -153,8 +153,10 @@ impl MultiAdmission {
     /// Wrap one scheduler per named resource — or a single scheduler
     /// with no name, whose capacity rejections stay untagged. Fails with
     /// [`SchedError::DimensionMismatch`] if names and lanes disagree in
-    /// count, no lanes are given, or the lanes' group partitions differ
-    /// (a group renegotiation names the same groups in every lane).
+    /// count or no lanes are given, and with
+    /// [`SchedError::PartitionMismatch`], naming the first differing lane,
+    /// if the lanes' group partitions differ (a group renegotiation names
+    /// the same groups in every lane).
     pub fn new(
         names: Vec<&'static str>,
         lanes: Vec<HierarchicalScheduler>,
@@ -166,13 +168,8 @@ impl MultiAdmission {
         if lanes.is_empty() {
             return Err(SchedError::DimensionMismatch { expected: 1, got: 0 });
         }
-        for lane in &lanes[1..] {
-            if lane.groups() != lanes[0].groups() {
-                return Err(SchedError::DimensionMismatch {
-                    expected: lanes[0].num_principals(),
-                    got: lane.num_principals(),
-                });
-            }
+        if let Some(lane) = (1..lanes.len()).find(|&r| lanes[r].groups() != lanes[0].groups()) {
+            return Err(SchedError::PartitionMismatch { lane, resource: names[lane] });
         }
         Ok(MultiAdmission { names, lanes })
     }
@@ -322,7 +319,7 @@ mod tests {
         let b = HierarchicalScheduler::new(groups, &inter, 1).unwrap();
         assert!(matches!(
             MultiAdmission::new(vec!["cpu", "bandwidth"], vec![a, b]),
-            Err(SchedError::DimensionMismatch { .. })
+            Err(SchedError::PartitionMismatch { lane: 1, resource: "bandwidth" })
         ));
     }
 }

@@ -180,7 +180,7 @@ fn assert_within(engine: &str, got: (u64, u64), pinned: (u64, u64)) {
 #[test]
 fn flat_n10_request_path_allocations_are_pinned() {
     let got = decision_costs(GrmServer::spawn(complete(10, 0.3), 2), 10, 7);
-    assert_within("flat n = 10", got, (10_979, 1_806_046));
+    assert_within("flat n = 10", got, (9_181, 1_549_254));
 }
 
 /// Pinned exactly: the whole handle call runs on the calling thread, so
@@ -188,7 +188,7 @@ fn flat_n10_request_path_allocations_are_pinned() {
 #[test]
 fn flat_n10_handle_request_path_allocations_are_pinned() {
     let got = handle_costs(GrmServer::spawn(complete(10, 0.3), 2), 10, 7);
-    assert_eq!(got, (19_043, 3_493_598), "flat n = 10 through the handle, over {DECISIONS} calls");
+    assert_eq!(got, (17_245, 3_236_806), "flat n = 10 through the handle, over {DECISIONS} calls");
 }
 
 /// Pinned exactly: the hierarchical engine decides on the calling
@@ -197,7 +197,7 @@ fn flat_n10_handle_request_path_allocations_are_pinned() {
 #[test]
 fn sequential_hierarchical_n64_request_path_allocations_are_pinned() {
     let got = decision_costs(GrmServer::spawn_hierarchical(hierarchical64()), 64, 11);
-    assert_eq!(got, (15_554, 4_770_948), "hierarchical n = 64, over {DECISIONS} decisions");
+    assert_eq!(got, (13_781, 4_288_148), "hierarchical n = 64, over {DECISIONS} decisions");
 }
 
 /// Pinned exactly, like the flat handle path.
@@ -206,7 +206,7 @@ fn hierarchical_n64_handle_request_path_allocations_are_pinned() {
     let got = handle_costs(GrmServer::spawn_hierarchical(hierarchical64()), 64, 11);
     assert_eq!(
         got,
-        (23_618, 6_458_500),
+        (21_845, 5_975_700),
         "hierarchical n = 64 through the handle, over {DECISIONS} calls"
     );
 }
