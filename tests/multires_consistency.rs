@@ -1,13 +1,14 @@
 //! The two-resource simulator must degenerate to the single-resource one
 //! when the network is effectively infinite: service times, thresholds,
 //! scheduling, and redirection all coincide (at unit CPU capacity the
-//! bundle unit equals a work-second).
+//! bundle unit equals a work-second). A golden fingerprint pins one
+//! coupled two-resource run bit for bit.
 
 use sharing_agreements::flow::Structure;
 use sharing_agreements::proxysim::{
     run_multires, MultiResConfig, PolicyKind, SharingConfig, SimConfig, Simulator,
 };
-use sharing_agreements::trace::{ProxyTrace, Request, ServiceModel};
+use sharing_agreements::trace::{ProxyTrace, Request, ServiceModel, TraceConfig};
 
 fn burst(proxy: usize, t0: f64, count: usize, spacing: f64, len: u64) -> ProxyTrace {
     ProxyTrace {
@@ -75,5 +76,59 @@ fn multires_degenerates_to_single_resource() {
         "waits diverged: single {} vs multi {}",
         single.total_wait,
         multi.total_wait
+    );
+}
+
+/// FNV-1a over f64 bit patterns: the repo's determinism fingerprint.
+fn fnv_f64(acc: u64, v: f64) -> u64 {
+    (acc ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Golden fingerprint of a two-resource run with coupled sharing: every
+/// proxy's per-slot waits and redirects plus the run totals, folded.
+/// Holds the coupled consultation loop to the bits the stateless
+/// `LpPolicy` produced, whichever allocation solver serves it.
+#[test]
+fn golden_multires_run_checksum() {
+    const N: usize = 10;
+    const REQUESTS: usize = 20_000;
+    let traces = TraceConfig::paper(REQUESTS, 99).generate(N, 3600.0);
+    let base = SimConfig::calibrated(N, REQUESTS, 0.105, 1.05);
+    let cfg = MultiResConfig {
+        n: N,
+        cpu_capacity: base.capacity,
+        net_capacity: base.capacity * 0.5, // tail responses bind here
+        service: ServiceModel::PAPER,
+        epoch: 60.0,
+        threshold_epochs: 1.0,
+        sharing: Some(SharingConfig {
+            agreements: Structure::Complete { n: N, share: 0.10 }.build().unwrap(),
+            level: N - 1,
+            policy: PolicyKind::Lp,
+            redirect_cost: 0.0,
+            schedule: Vec::new(),
+        }),
+        warmup_days: 0,
+        max_drain: 4.0 * 86_400.0,
+    };
+    let r = run_multires(&cfg, &traces).unwrap();
+    assert!(r.consultations > 0 && r.redirected > 0, "sharing exercised");
+    let mut sum = 0xcbf2_9ce4_8422_2325;
+    for slots in &r.proxy_slots {
+        for s in slots {
+            for v in [s.arrivals as f64, s.served as f64, s.total_wait, s.max_wait] {
+                sum = fnv_f64(sum, v);
+            }
+            sum = fnv_f64(sum, s.redirected as f64);
+        }
+    }
+    for v in [r.served, r.redirected, r.consultations, r.unserved] {
+        sum = fnv_f64(sum, v as f64);
+    }
+    sum = fnv_f64(fnv_f64(sum, r.total_wait), r.worst_wait);
+    assert_eq!(
+        sum, 0xe8f2_4bf6_2661_46d2,
+        "multires run fingerprint drifted: got {sum:#018x} \
+         (re-pin only if the change to the pipeline is intentional)"
     );
 }
