@@ -21,7 +21,7 @@ use crate::config::SharingConfig;
 use crate::metrics::SimResult;
 use agreements_flow::TransitiveFlow;
 use agreements_sched::multi::bind_coupled;
-use agreements_sched::{AllocationPolicy, LpPolicy, SystemState};
+use agreements_sched::{AllocationPolicy, CachedLpPolicy, SystemState};
 use agreements_trace::{ProxyTrace, ServiceModel, DAY_SECONDS};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -108,8 +108,9 @@ pub fn run_multires(
         return Err(SimError::InvalidConfig("capacities and epoch must be positive"));
     }
     // The two per-resource states share one `Arc` snapshot: neither
-    // consultation clones the flow matrix.
-    let (flow, policy): (Option<Arc<TransitiveFlow>>, Option<LpPolicy>) = match &cfg.sharing {
+    // consultation clones the flow matrix, and the composite the binding
+    // builds keeps it, so the policy's inflow index is built once a run.
+    let (flow, policy): (Option<Arc<TransitiveFlow>>, Option<CachedLpPolicy>) = match &cfg.sharing {
         None => (None, None),
         Some(sh) => {
             if sh.agreements.n() != n {
@@ -117,7 +118,7 @@ pub fn run_multires(
             }
             (
                 Some(Arc::new(TransitiveFlow::compute(&sh.agreements, sh.level))),
-                Some(LpPolicy::reduced()),
+                Some(CachedLpPolicy::reduced()),
             )
         }
     };

@@ -31,9 +31,16 @@
 //!   maintained through [`IncrementalFlow`], so an agreement renegotiation
 //!   ([`HierarchicalScheduler::set_inter`]) repairs only the dirty rows
 //!   instead of recomputing the closure.
+//! - **Cached coarse solver**: the inter-group LP is solved by one
+//!   persistent [`AllocationSolver`], whose inflow index is rebuilt only
+//!   when a renegotiation hands it a new flow snapshot and whose workspace
+//!   is reused. It keeps no basis between solves, so each coarse solve is
+//!   bit-identical to the stateless
+//!   [`solve_allocation`](crate::lp_model::solve_allocation).
 
 use crate::error::SchedError;
-use crate::lp_model::{solve_allocation, Formulation, DRAW_EPS};
+use crate::lp_model::{Formulation, DRAW_EPS};
+use crate::solver::AllocationSolver;
 use crate::state::{Allocation, SystemState};
 use agreements_flow::partition::{auto_partition, PartitionOptions};
 use agreements_flow::{AgreementMatrix, IncrementalFlow};
@@ -156,17 +163,25 @@ impl GroupSolver {
     }
 }
 
+/// The coarse step: the group-level transitive flow, incrementally
+/// maintained across [`HierarchicalScheduler::set_inter`] renegotiations,
+/// and the solver of the inter-group LP over its snapshot. The solver's
+/// telemetry stays disabled: the scheduler's own span times the solve.
+struct Coarse {
+    flow: IncrementalFlow,
+    solver: AllocationSolver,
+}
+
 /// Hierarchical scheduler: a partition of principals into groups plus the
 /// group-level agreement matrix (see module docs).
 pub struct HierarchicalScheduler {
     groups: Vec<Vec<usize>>,
     /// Which group each principal belongs to.
     member_of: Vec<usize>,
-    /// Group-level transitive flow, incrementally maintained across
-    /// [`Self::set_inter`] renegotiations. Behind a mutex because
-    /// `snapshot()` caches through `&mut self` while `allocate` takes
-    /// `&self` (the GRM serves through a shared handle).
-    coarse: Mutex<IncrementalFlow>,
+    /// The coarse flow and its solver. Behind a mutex because both cache
+    /// through `&mut self` while `allocate` takes `&self` (the GRM serves
+    /// through a shared handle).
+    coarse: Mutex<Coarse>,
     /// One pooled fine solver per group, behind a mutex for the same
     /// reason as `coarse`.
     fine: Vec<Mutex<GroupSolver>>,
@@ -210,14 +225,18 @@ impl HierarchicalScheduler {
         if member_of.contains(&usize::MAX) {
             return Err(SchedError::DimensionMismatch { expected: n, got: 0 });
         }
-        let coarse = Mutex::new(IncrementalFlow::new(inter.clone(), level));
+        let opts = SimplexOptions::default();
+        let coarse = Mutex::new(Coarse {
+            flow: IncrementalFlow::new(inter.clone(), level),
+            solver: AllocationSolver::new(Formulation::Reduced, opts.clone()),
+        });
         let fine = groups.iter().map(|_| Mutex::new(GroupSolver::new())).collect();
         Ok(HierarchicalScheduler {
             groups,
             member_of,
             coarse,
             fine,
-            opts: SimplexOptions::default(),
+            opts,
             telemetry: Telemetry::default(),
         })
     }
@@ -271,7 +290,7 @@ impl HierarchicalScheduler {
         to_group: usize,
         share: f64,
     ) -> Result<usize, SchedError> {
-        self.coarse.get_mut().set(from_group, to_group, share).map_err(SchedError::Flow)
+        self.coarse.get_mut().flow.set(from_group, to_group, share).map_err(SchedError::Flow)
     }
 
     /// Allocate `x` units to `requester` given current per-principal
@@ -312,28 +331,7 @@ impl HierarchicalScheduler {
             return Ok(Allocation { requester, amount: x, draws, theta });
         }
 
-        // Coarse LP over group aggregates: the home group "requests" the
-        // total, drawing on other groups via inter-group agreements.
-        let g = self.groups.len();
-        let group_avail: Vec<f64> =
-            (0..g).map(|gi| self.groups[gi].iter().map(|&m| availability[m]).sum()).collect();
-        let coarse_flow = self.coarse.lock().snapshot();
-        let coarse_state = SystemState::new(coarse_flow, None, group_avail.clone())?;
-        self.telemetry.add("hier.coarse_solves", 1);
-        let span = self.telemetry.start();
-        let coarse = solve_allocation(&coarse_state, home, x, Formulation::Reduced, &self.opts)
-            .map_err(|e| match e {
-                SchedError::InsufficientCapacity { capacity, .. } => {
-                    SchedError::InsufficientCapacity {
-                        requester,
-                        capacity,
-                        requested: x,
-                        resource: None,
-                    }
-                }
-                other => other,
-            })?;
-        self.telemetry.stop(HistKind::LpSolveSeconds, span);
+        let (coarse, group_avail) = self.solve_coarse(availability, home, requester, x)?;
 
         // Refine each group's share among its members, in ascending group
         // order. Shares are clamped to the group's availability: the
@@ -346,6 +344,39 @@ impl HierarchicalScheduler {
         }
         let theta = coarse.theta;
         Ok(Allocation { requester, amount: x, draws, theta })
+    }
+
+    /// The coarse LP over group aggregates: the home group "requests" the
+    /// total, drawing on other groups via inter-group agreements. Returns
+    /// the per-group split and the group availabilities it was solved
+    /// over; a capacity refusal names the real `requester`.
+    fn solve_coarse(
+        &self,
+        availability: &[f64],
+        home: usize,
+        requester: usize,
+        x: f64,
+    ) -> Result<(Allocation, Vec<f64>), SchedError> {
+        let group_avail: Vec<f64> = self
+            .groups
+            .iter()
+            .map(|members| members.iter().map(|&m| availability[m]).sum())
+            .collect();
+        let mut coarse = self.coarse.lock();
+        let state = SystemState::new(coarse.flow.snapshot(), None, group_avail)?;
+        self.telemetry.add("hier.coarse_solves", 1);
+        let span = self.telemetry.start();
+        let split = coarse.solver.allocate(&state, home, x).map_err(|e| match e {
+            SchedError::InsufficientCapacity { capacity, .. } => SchedError::InsufficientCapacity {
+                requester,
+                capacity,
+                requested: x,
+                resource: None,
+            },
+            other => other,
+        })?;
+        self.telemetry.stop(HistKind::LpSolveSeconds, span);
+        Ok((split, state.availability))
     }
 
     /// Split `amount` among members of group `gi`, minimizing the largest
@@ -532,6 +563,166 @@ mod tests {
         inter.set(0, 1, 0.5).unwrap();
         let err = HierarchicalScheduler::new(vec![vec![0, 1], vec![]], &inter, 1).unwrap_err();
         assert!(matches!(err, SchedError::EmptyGroup { group: 1 }));
+    }
+
+    /// Bits of an allocation or the `Debug` text of an error (`Debug`
+    /// prints each `f64` in a form that round-trips to the same bits).
+    fn fingerprint(r: &Result<Allocation, SchedError>) -> String {
+        match r {
+            Ok(a) => {
+                let bits: Vec<u64> = a.draws.iter().map(|d| d.to_bits()).collect();
+                format!(
+                    "{} {:x} {:x} {bits:x?}",
+                    a.requester,
+                    a.amount.to_bits(),
+                    a.theta.to_bits()
+                )
+            }
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    /// The cached coarse step against the stateless `solve_allocation` on
+    /// the same group-level `SystemState`, over random partitions (2–8
+    /// groups of 1–8 members), random inter-group matrices and request
+    /// streams that switch requester every request, empty whole groups so
+    /// zero-bound draws are substituted out, renegotiate once midway and
+    /// end on a poisoned pool. Draws, θ, amount and the error payload must
+    /// agree bit for bit, and the inflow index must be built once per
+    /// coarse snapshot.
+    #[test]
+    fn coarse_step_is_bit_identical_to_the_stateless_solve() {
+        use crate::lp_model::solve_allocation;
+        use agreements_flow::TransitiveFlow;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::Arc;
+
+        const REQUESTS: usize = 24;
+        let (mut solves, mut refusals, mut substituted, mut rebuilt) = (0, 0, 0, 0);
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = rng.gen_range(2..9usize);
+            let sizes: Vec<usize> = (0..g).map(|_| rng.gen_range(1..9usize)).collect();
+            let n: usize = sizes.iter().sum();
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+            let mut rest = order.as_slice();
+            let groups: Vec<Vec<usize>> = sizes
+                .iter()
+                .map(|&k| {
+                    let (head, tail) = rest.split_at(k);
+                    rest = tail;
+                    let mut members = head.to_vec();
+                    members.sort_unstable();
+                    members
+                })
+                .collect();
+            let mut inter = AgreementMatrix::zeros(g);
+            for i in 0..g {
+                for j in (0..g).filter(|&j| j != i) {
+                    if rng.gen_bool(0.6) {
+                        inter.set(i, j, rng.gen_range(1..21u32) as f64 / 20.0).unwrap();
+                    }
+                }
+            }
+            let level = rng.gen_range(1..g);
+            let mut s = HierarchicalScheduler::new(groups.clone(), &inter, level).unwrap();
+            let mut avail: Vec<f64> = (0..n)
+                .map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.gen_range(1..41u32) as f64 / 4.0 })
+                .collect();
+            // Every snapshot, and those an LP was solved over (a refusal
+            // or an empty request never reaches the index).
+            let (mut snapshots, mut solved_over) = (Vec::new(), Vec::new());
+            for step in 0..REQUESTS {
+                if step == REQUESTS / 2 {
+                    let (from, to) = (rng.gen_range(0..g), rng.gen_range(0..g - 1));
+                    let to = if to >= from { to + 1 } else { to };
+                    let share = if inter.get(from, to) == 0.5 { 0.25 } else { 0.5 };
+                    s.set_inter(from, to, share).unwrap();
+                }
+                // Empty one group, or refill one as a fresh report would.
+                let (empty, gi) = (rng.gen_bool(0.2), rng.gen_range(0..g));
+                if empty || rng.gen_bool(0.4) {
+                    for &m in &groups[gi] {
+                        avail[m] = if empty { 0.0 } else { rng.gen_range(1..41u32) as f64 / 4.0 };
+                    }
+                }
+                if step == REQUESTS - 1 {
+                    avail[rng.gen_range(0..n)] = if seed % 2 == 0 { f64::NAN } else { -1.0 };
+                }
+                let requester = rng.gen_range(0..n);
+                let home = s.member_of[requester];
+                let home_avail: f64 = groups[home].iter().map(|&m| avail[m]).sum();
+                let x = home_avail.max(1.0) * rng.gen_range(1..9u32) as f64 / 4.0;
+
+                let snapshot = s.coarse.lock().flow.snapshot();
+                let seen =
+                    |list: &[Arc<TransitiveFlow>]| list.iter().any(|p| Arc::ptr_eq(p, &snapshot));
+                if !seen(&snapshots) {
+                    snapshots.push(Arc::clone(&snapshot));
+                }
+                let sums: Vec<f64> =
+                    groups.iter().map(|members| members.iter().map(|&m| avail[m]).sum()).collect();
+                substituted += sums.iter().filter(|&&v| v == 0.0).count();
+                let want = SystemState::new(Arc::clone(&snapshot), None, sums)
+                    .and_then(|st| {
+                        solve_allocation(
+                            &st,
+                            home,
+                            x,
+                            Formulation::Reduced,
+                            &SimplexOptions::default(),
+                        )
+                    })
+                    .map_err(|e| match e {
+                        SchedError::InsufficientCapacity { capacity, .. } => {
+                            SchedError::InsufficientCapacity {
+                                requester,
+                                capacity,
+                                requested: x,
+                                resource: None,
+                            }
+                        }
+                        other => other,
+                    });
+                let got = s.solve_coarse(&avail, home, requester, x).map(|(split, _)| split);
+                assert_eq!(fingerprint(&got), fingerprint(&want), "seed {seed} step {step}");
+                solves += 1;
+                refusals += usize::from(want.is_err());
+                if want.as_ref().is_ok_and(|a| a.amount > 0.0) && !seen(&solved_over) {
+                    solved_over.push(Arc::clone(&snapshot));
+                }
+
+                // The scheduler's own decision takes the same coarse step
+                // whenever the home group falls short.
+                let decided = s.allocate(&avail, requester, x);
+                if home_avail + 1e-12 < x || home_avail.is_nan() {
+                    match (&decided, &want) {
+                        (Ok(a), Ok(w)) => assert_eq!(a.theta.to_bits(), w.theta.to_bits()),
+                        (Err(a), Err(w)) => assert_eq!(format!("{a:?}"), format!("{w:?}")),
+                        _ => panic!("seed {seed} step {step}: {decided:?} against {want:?}"),
+                    }
+                }
+                if let Ok(a) = decided {
+                    for (v, d) in avail.iter_mut().zip(&a.draws) {
+                        *v = (*v - d).max(0.0);
+                    }
+                }
+            }
+            assert_eq!(snapshots.len(), 2, "the renegotiation makes one new snapshot");
+            assert_eq!(
+                s.coarse.lock().solver.stats().index_builds,
+                solved_over.len() as u64,
+                "seed {seed}: one index build per coarse snapshot solved over"
+            );
+            rebuilt += usize::from(solved_over.len() == 2);
+        }
+        assert!(rebuilt >= 190, "only {rebuilt} of 200 streams solved on both sides of set_inter");
+        assert!(refusals > 0 && refusals < solves, "{refusals} of {solves} refused");
+        assert!(substituted > 0, "no group ever ran dry");
     }
 
     #[test]

@@ -197,7 +197,7 @@ fn flat_n10_handle_request_path_allocations_are_pinned() {
 #[test]
 fn sequential_hierarchical_n64_request_path_allocations_are_pinned() {
     let got = decision_costs(GrmServer::spawn_hierarchical(hierarchical64()), 64, 11);
-    assert_eq!(got, (13_781, 4_288_148), "hierarchical n = 64, over {DECISIONS} decisions");
+    assert_eq!(got, (13_248, 4_271_092), "hierarchical n = 64, over {DECISIONS} decisions");
 }
 
 /// Pinned exactly, like the flat handle path.
@@ -206,7 +206,7 @@ fn hierarchical_n64_handle_request_path_allocations_are_pinned() {
     let got = handle_costs(GrmServer::spawn_hierarchical(hierarchical64()), 64, 11);
     assert_eq!(
         got,
-        (21_845, 5_975_700),
+        (21_312, 5_958_644),
         "hierarchical n = 64 through the handle, over {DECISIONS} calls"
     );
 }
