@@ -116,10 +116,10 @@ fn golden_multires_run_checksum() {
     let mut sum = 0xcbf2_9ce4_8422_2325;
     for slots in &r.proxy_slots {
         for s in slots {
-            for v in [s.arrivals as f64, s.served as f64, s.total_wait, s.max_wait] {
+            let redirected = s.redirected as f64;
+            for v in [s.arrivals as f64, s.served as f64, s.total_wait, s.max_wait, redirected] {
                 sum = fnv_f64(sum, v);
             }
-            sum = fnv_f64(sum, s.redirected as f64);
         }
     }
     for v in [r.served, r.redirected, r.consultations, r.unserved] {
