@@ -8,9 +8,11 @@
 //!   files `segment-NNNNNN.log`. Every segment *begins with a full
 //!   snapshot record* (matrix, availability, dedup window, replay
 //!   cursor), so recovery reads exactly one segment: the newest one
-//!   whose snapshot is intact. Compaction is therefore just "start a new
-//!   segment, then delete the old ones" — no rewrite-in-place, no
-//!   window where the only copy of the state is mid-edit.
+//!   whose snapshot is intact. Compaction is therefore just "roll to a
+//!   new segment, then retire the old ones": the roll makes the new
+//!   segment durable, file and directory, and only then may the retire
+//!   unlink what it superseded, with no lock held. No rewrite-in-place,
+//!   no window where the only copy of the state is mid-edit.
 //! - **Records.** Each record is one CRC-framed blob (the same
 //!   [`crate::frame`] envelope the wire uses). A torn tail — the bytes a
 //!   crash left half-written — fails CRC or length validation, is
@@ -228,18 +230,57 @@ fn get_unit_res(r: &mut Reader) -> Result<Result<(), GrmError>, String> {
     }
 }
 
-/// A snapshot record's payload, from the borrow.
-fn put_snapshot(w: &mut Writer, s: &Snapshot) {
+/// A snapshot record's payload, from borrows: the matrix, level and
+/// replay cursor of `cold`, then `availability` and the `dedup_len`
+/// entries of `dedup`, oldest first. Whether the hot part is `cold`'s own
+/// or a live core's, the bytes are those of the owned snapshot.
+fn put_snapshot<'a>(
+    w: &mut Writer,
+    cold: &Snapshot,
+    availability: &[f64],
+    dedup_len: usize,
+    dedup: impl Iterator<Item = (&'a RequestId, &'a RecordedDecision)>,
+) {
     w.u8(0);
-    put_matrix(w, &s.matrix);
-    w.u64(s.level as u64);
-    w.f64s(&s.availability);
-    w.u64(s.next_seq);
-    w.u32(s.dedup.len() as u32);
-    for (id, d) in &s.dedup {
+    put_matrix(w, &cold.matrix);
+    w.u64(cold.level as u64);
+    w.f64s(availability);
+    w.u64(cold.next_seq);
+    w.u32(dedup_len as u32);
+    for (id, d) in dedup {
         put_request_id(w, id);
         w.len_prefixed(|w| put_decision(w, d.into()));
     }
+}
+
+impl Snapshot {
+    /// This snapshot's record payload.
+    fn put(&self, w: &mut Writer) {
+        let dedup = self.dedup.iter().map(|(id, d)| (id, d));
+        put_snapshot(w, self, &self.availability, self.dedup.len(), dedup);
+    }
+
+    /// This snapshot's record, framed.
+    fn framed(&self) -> io::Result<Vec<u8>> {
+        let mut framed = Vec::new();
+        frame_record(&mut framed, |w| self.put(w))?;
+        Ok(framed)
+    }
+}
+
+/// Encode into `framed` (cleared first) the journal frame of the snapshot
+/// a live GRM's state makes: the matrix, level and replay cursor of
+/// `cold`, and the core's `availability` and `dedup` window. Encoded from
+/// the borrows; the bytes are the frame of
+/// `JournalRecord::Snapshot(Snapshot { availability, dedup, ..cold })`.
+pub(crate) fn frame_live_snapshot(
+    framed: &mut Vec<u8>,
+    cold: &Snapshot,
+    availability: &[f64],
+    dedup: &DedupWindow,
+) -> io::Result<()> {
+    framed.clear();
+    frame_record(framed, |w| put_snapshot(w, cold, availability, dedup.len(), dedup.iter()))
 }
 
 impl JournalRecord {
@@ -253,7 +294,7 @@ impl JournalRecord {
     /// [`JournalRecord::encode`]'s bytes, appended to `w`.
     fn put(&self, w: &mut Writer) {
         match self {
-            JournalRecord::Snapshot(s) => put_snapshot(w, s),
+            JournalRecord::Snapshot(s) => s.put(w),
             JournalRecord::AgreementSet { from, to, share } => {
                 w.u8(1);
                 w.u64(*from);
@@ -667,7 +708,7 @@ impl DurableJournal {
             bytes_written: 0,
             failed: false,
         };
-        j.write_snapshot(snapshot)?;
+        j.write_frames(&snapshot.framed()?, 1)?;
         j.sync()?;
         sync_dir(dir)?;
         Ok(j)
@@ -813,13 +854,6 @@ impl DurableJournal {
         Ok(())
     }
 
-    /// Roll-over and creation: one snapshot record, from the borrow.
-    fn write_snapshot(&mut self, snapshot: &Snapshot) -> io::Result<()> {
-        let mut framed = Vec::new();
-        frame_record(&mut framed, |w| put_snapshot(w, snapshot))?;
-        self.write_frames(&framed, 1)
-    }
-
     /// Durability barrier: fsync anything appended since the last sync.
     pub fn sync(&mut self) -> io::Result<()> {
         if self.pending == 0 {
@@ -849,11 +883,10 @@ impl DurableJournal {
 
     /// A duplicate handle to the current segment file, for fsyncing
     /// *outside* whatever lock guards the journal. Safe with compaction:
-    /// [`DurableJournal::compact`] syncs everything before rolling
-    /// segments, so any record not in the current file is already
-    /// durable — fsyncing a clone taken together with
-    /// [`DurableJournal::appended_lsn`] therefore covers every record up
-    /// to that LSN.
+    /// a roll syncs everything before it switches segments, so any record
+    /// not in the current file is already durable — fsyncing a clone
+    /// taken together with [`DurableJournal::appended_lsn`] therefore
+    /// covers every record up to that LSN.
     pub fn sync_handle(&self) -> io::Result<File> {
         self.file.try_clone()
     }
@@ -866,28 +899,30 @@ impl DurableJournal {
     }
 
     /// Roll to a new segment seeded with `snapshot`, then delete every
-    /// older segment. The new segment is durable (file and directory
-    /// synced) *before* anything is deleted, so a crash at any point
-    /// leaves at least one recoverable segment.
+    /// older segment: the listener's roll and retire, in one call. The
+    /// new segment is durable (file and directory synced) *before*
+    /// anything is deleted, so a crash at any point leaves at least one
+    /// recoverable segment.
     pub fn compact(&mut self, snapshot: &Snapshot) -> io::Result<()> {
+        self.roll(&snapshot.framed()?)?.run()
+    }
+
+    /// Roll to a new segment whose first record is `snapshot`, one framed
+    /// snapshot record: sync the old tail, create the segment, write the
+    /// frame, fsync it and sync the directory. The superseded segments
+    /// stay on disk until the returned [`Retire`] runs; a crash between
+    /// the two leaves both, and recovery reads the newer.
+    pub(crate) fn roll(&mut self, snapshot: &[u8]) -> io::Result<Retire> {
         self.sync()?;
         let next = self.segment + 1;
         let path = segment_path(&self.dir, next);
-        let file = OpenOptions::new().create_new(true).append(true).open(&path)?;
-        let old_segment = self.segment;
-        self.file = file;
+        self.file = OpenOptions::new().create_new(true).append(true).open(&path)?;
         self.segment = next;
         self.seg_records = 0;
-        self.write_snapshot(snapshot)?;
+        self.write_frames(snapshot, 1)?;
         self.sync()?;
         sync_dir(&self.dir)?;
-        for seg in list_segments(&self.dir)? {
-            if seg <= old_segment {
-                let _ = fs::remove_file(segment_path(&self.dir, seg));
-            }
-        }
-        sync_dir(&self.dir)?;
-        Ok(())
+        Ok(Retire { dir: self.dir.clone(), below: next })
     }
 
     /// The fsync policy this journal was opened with.
@@ -915,6 +950,28 @@ impl DurableJournal {
     #[cfg(test)]
     pub(crate) fn break_writes(&mut self) {
         self.file = File::open(segment_path(&self.dir, self.segment)).expect("segment exists");
+    }
+}
+
+/// The segments a [`DurableJournal::roll`] superseded: every one below
+/// the segment it created. The journal never appends to nor reads them
+/// again, so they can go with no lock held; segments a retire never
+/// removes (a crash came first) go with the next one.
+#[must_use = "superseded segments stay on disk until the retire runs"]
+pub(crate) struct Retire {
+    dir: PathBuf,
+    below: u64,
+}
+
+impl Retire {
+    /// Unlink the superseded segments, then sync the directory.
+    pub(crate) fn run(self) -> io::Result<()> {
+        for seg in list_segments(&self.dir)? {
+            if seg < self.below {
+                let _ = fs::remove_file(segment_path(&self.dir, seg));
+            }
+        }
+        sync_dir(&self.dir)
     }
 }
 
@@ -1064,6 +1121,167 @@ mod tests {
             prop_assert_eq!(&bytes, &put_matrix_elementwise(&m));
             prop_assert_eq!(get_matrix(&mut Reader::new(&bytes)).unwrap(), m);
         }
+    }
+
+    fn alloc(requester: usize, amount: f64) -> Allocation {
+        Allocation { requester, amount, draws: vec![amount, -0.0, 0.25], theta: 0.5 }
+    }
+
+    fn denied() -> GrmError {
+        GrmError::Sched(agreements_sched::SchedError::InsufficientCapacity {
+            requester: 1,
+            capacity: 0.5,
+            requested: 2.0,
+            resource: None,
+        })
+    }
+
+    /// A window holding every decision kind, one id re-decided so the
+    /// recency order is not the insertion order.
+    fn mixed_window() -> DedupWindow {
+        let id = |client, seq| RequestId { client, seq };
+        let mut w = DedupWindow::default();
+        w.insert(id(1, 0), RecordedDecision::Grant(Ok(alloc(0, 2.0))));
+        w.insert(id(1, 1), RecordedDecision::Grant(Err(denied())));
+        w.insert(id(2, 0), RecordedDecision::Release(Ok(())));
+        w.insert(id(2, 1), RecordedDecision::Release(Err(GrmError::UnknownLrm(7))));
+        w.insert(id(3, 0), RecordedDecision::Replay(Ok(())));
+        w.insert(id(3, 1), RecordedDecision::Replay(Err(GrmError::UnknownLrm(9))));
+        let multi = MultiAllocation { lanes: vec![alloc(1, 1.0), alloc(1, 0.5)] };
+        w.insert(id(4, 0), RecordedDecision::GrantMulti(Ok(multi)));
+        w.insert(id(4, 1), RecordedDecision::GrantMulti(Err(denied())));
+        w.insert(id(1, 0), RecordedDecision::Grant(Ok(alloc(2, 3.0))));
+        w
+    }
+
+    /// The snapshot frame as compaction wrote it before it encoded from
+    /// borrows: the owned snapshot assembled, then its record framed.
+    fn owned_frame(cold: &Snapshot, availability: &[f64], dedup: &DedupWindow) -> Vec<u8> {
+        let owned = Snapshot {
+            availability: availability.to_vec(),
+            dedup: dedup.iter().map(|(id, d)| (*id, d.clone())).collect(),
+            ..cold.clone()
+        };
+        let mut framed = Vec::new();
+        crate::frame::encode_frame_limited(
+            &JournalRecord::Snapshot(owned).encode(),
+            &mut framed,
+            MAX_JOURNAL_FRAME_LEN,
+        )
+        .unwrap();
+        framed
+    }
+
+    #[test]
+    fn a_live_snapshot_frames_to_the_owned_snapshots_bytes() {
+        // The listener's cold part: no pools, no window, and a replay
+        // cursor a sequenced run bumped past its event.
+        let cold = Snapshot {
+            matrix: complete(4, 0.25),
+            level: 2,
+            availability: Vec::new(),
+            next_seq: 42,
+            dedup: Vec::new(),
+        };
+        let pools = [40.0, -0.0, 1.5e-310, 7.25];
+        // One buffer for every case, as the listener keeps it: a smaller
+        // snapshot after a larger one must leave no stale tail.
+        let mut framed = Vec::new();
+        for (window, pools) in [
+            (mixed_window(), &pools[..]),
+            (DedupWindow::default(), &pools[..]),
+            (mixed_window(), &[][..]),
+        ] {
+            frame_live_snapshot(&mut framed, &cold, pools, &window).unwrap();
+            assert!(framed == owned_frame(&cold, pools, &window), "{} entries", window.len());
+            let (_, payload) = framed.split_at(6);
+            let rec = JournalRecord::decode(&payload[..payload.len() - 4]).unwrap();
+            let JournalRecord::Snapshot(back) = rec else { panic!("a snapshot record") };
+            assert_eq!(back.next_seq, 42);
+            assert_eq!(back.dedup.len(), window.len());
+        }
+    }
+
+    /// A journal in `dir` past a few records, and the state it folds to.
+    fn journal_with_history(dir: &Path) -> (DurableJournal, RecoveredState) {
+        let mut j =
+            DurableJournal::create(dir, &snap(3), FsyncPolicy::EveryOp, Telemetry::disabled())
+                .unwrap();
+        let mut live = RecoveredState::from_snapshot(&snap(3));
+        let recs = [
+            JournalRecord::Report { seq: Some(0), lrm: 0, available: 5.0 },
+            JournalRecord::Decision {
+                seq: Some(1),
+                id: Some(RequestId { client: 1, seq: 0 }),
+                body: DecisionBody::Grant(Ok(alloc(0, 0.5))),
+            },
+            JournalRecord::Decision {
+                seq: Some(2),
+                id: Some(RequestId { client: 1, seq: 1 }),
+                body: DecisionBody::Replay { lrm: 2, amount: 1.0, result: Ok(()) },
+            },
+        ];
+        for rec in &recs {
+            j.append(rec).unwrap();
+            live.apply(rec);
+        }
+        (j, live)
+    }
+
+    fn assert_recovers_to(got: &RecoveredState, want: &RecoveredState) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.availability), bits(&want.availability), "availability");
+        assert_eq!(got.next_seq, want.next_seq, "next_seq");
+        assert_eq!(got.dedup, want.dedup, "dedup window");
+        assert_eq!(got.matrix, want.matrix, "matrix");
+    }
+
+    #[test]
+    fn between_roll_and_retire_recovery_reads_the_new_segment() {
+        let dir = tmpdir("roll-unretired");
+        let (mut j, mut live) = journal_with_history(&dir);
+        let mut framed = Vec::new();
+        let cold = Snapshot { availability: Vec::new(), dedup: Vec::new(), ..live.snapshot() };
+        frame_live_snapshot(&mut framed, &cold, &live.availability, &live.dedup).unwrap();
+        let retire = j.roll(&framed).unwrap();
+        // Appended to the new segment only: the old one cannot hold it.
+        let rec = JournalRecord::Report { seq: Some(3), lrm: 1, available: 2.5 };
+        j.append(&rec).unwrap();
+        live.apply(&rec);
+        assert!(segment_path(&dir, 0).exists() && segment_path(&dir, 1).exists());
+
+        let (reopened, state) =
+            DurableJournal::open(&dir, FsyncPolicy::EveryOp, Telemetry::disabled()).unwrap();
+        assert_eq!(reopened.segment_index(), 1, "recovery reads the newer segment");
+        assert_eq!(state.records, 2, "its snapshot, then the report");
+        assert_recovers_to(&state, &live);
+        drop(reopened);
+
+        retire.run().unwrap();
+        assert_eq!(list_segments(&dir).unwrap(), vec![1]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_retire_lost_to_a_crash_is_done_by_the_next_compaction() {
+        let dir = tmpdir("roll-crash");
+        let (mut j, live) = journal_with_history(&dir);
+        // The crash: the roll is durable, its retire never runs.
+        drop(j.roll(&live.snapshot().framed().unwrap()).unwrap());
+        drop(j);
+        assert_eq!(list_segments(&dir).unwrap(), vec![0, 1]);
+
+        let (mut j, state) =
+            DurableJournal::open(&dir, FsyncPolicy::EveryOp, Telemetry::disabled()).unwrap();
+        assert_eq!(j.segment_index(), 1);
+        assert_recovers_to(&state, &live);
+        j.compact(&state.snapshot()).unwrap();
+        assert_eq!(list_segments(&dir).unwrap(), vec![2], "the leftover segment is retired too");
+        drop(j);
+        let (_, again) =
+            DurableJournal::open(&dir, FsyncPolicy::EveryOp, Telemetry::disabled()).unwrap();
+        assert_recovers_to(&again, &live);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -56,9 +56,18 @@
 //! A replayed duplicate's reply still gates on the append cursor, since
 //! its *original*'s covering fsync may be outstanding. Past
 //! [`ListenerConfig::compact_every`] records the journal rolls to a
-//! segment seeded with a snapshot taken under both locks: pools and
-//! dedup window from the core, matrix and level as bound (no daemon
-//! path appends an agreement or membership record).
+//! segment seeded with a snapshot, in three steps that hold only what
+//! each must:
+//!
+//! - under both locks, the snapshot is framed from borrows into a buffer
+//!   the journal's holder keeps across compactions: pools and dedup
+//!   window from the core, matrix and level as bound (no daemon path
+//!   appends an agreement or membership record). Nothing is copied
+//!   first;
+//! - under the journal lock only, the roll: sync the old tail, create the
+//!   segment, write the frame, fsync it, sync the directory;
+//! - under no lock, once the run's replies are queued, its reader unlinks
+//!   the superseded segments and syncs the directory.
 //!
 //! # Sequenced replay mode
 //!
@@ -87,13 +96,14 @@ use std::sync::{Arc, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use agreements_grm::{Answer, Call, DedupWindow, GrmCore, GrmError, GrmServer, GrmStats};
+use agreements_grm::{Answer, Call, GrmCore, GrmError, GrmServer, GrmStats};
 use agreements_telemetry::{HistKind, Telemetry};
 use parking_lot::Mutex;
 
 use crate::frame::{FrameDecoder, FRAME_OVERHEAD, MAX_FRAME_LEN};
 use crate::journal::{
-    DecisionBody, DurableJournal, FsyncPolicy, JournalRecord, RecoveredState, Snapshot,
+    frame_live_snapshot, DecisionBody, DurableJournal, FsyncPolicy, JournalRecord, RecoveredState,
+    Snapshot,
 };
 use crate::wire::{frame_with, RequestFrame, ResponseFrame, WireRequest, WireResponse};
 
@@ -249,17 +259,9 @@ impl Durability {
 struct Log {
     journal: DurableJournal,
     cold: Snapshot,
-}
-
-impl Log {
-    /// The journaled state, given the core's hot state.
-    fn snapshot(&self, availability: &[f64], dedup: &DedupWindow) -> Snapshot {
-        Snapshot {
-            availability: availability.to_vec(),
-            dedup: dedup.iter().map(|(id, d)| (*id, d.clone())).collect(),
-            ..self.cold.clone()
-        }
-    }
+    /// The last compaction's snapshot frame, kept as the buffer the next
+    /// one is encoded into.
+    snapshot: Vec<u8>,
 }
 
 struct Shared {
@@ -450,7 +452,7 @@ impl GrmListener {
             Snapshot { matrix, level, availability: Vec::new(), next_seq, dedup: Vec::new() };
         let shared = Arc::new(Shared {
             core,
-            log: Mutex::new(Log { journal, cold }),
+            log: Mutex::new(Log { journal, cold, snapshot: Vec::new() }),
             sequencer,
             durability: Durability::default(),
             telemetry: config.telemetry,
@@ -511,13 +513,17 @@ impl GrmListener {
     }
 
     /// A snapshot of the journaled state — what a compaction right now
-    /// would write: the core's pools and dedup window, taken under both
+    /// would write: the core's pools and dedup window, copied under both
     /// locks, plus the cold part. Lease expiry and multi-lane reports are
     /// never journaled, so the pools may differ from what the journal
     /// folds to there.
     pub fn mirror_snapshot(&self) -> Snapshot {
         let shared = &self.shared;
-        shared.core.execute(&[], |_, pools, dedup| shared.log.lock().snapshot(pools, dedup))
+        shared.core.execute(&[], |_, pools, dedup| Snapshot {
+            availability: pools.to_vec(),
+            dedup: dedup.iter().map(|(id, d)| (*id, d.clone())).collect(),
+            ..shared.log.lock().cold.clone()
+        })
     }
 
     /// Frames that passed CRC but failed request decoding.
@@ -677,6 +683,10 @@ fn syncer_loop(shared: &Shared, max_pending: usize, max_hold: Duration) {
 /// One reply-queue entry: a run's durability gate (0 = none) and its
 /// already framed responses, back to back.
 type QueuedReplies = (u64, Vec<u8>);
+
+/// One frame of a run: its correlation id, how to refuse it, and its
+/// reply if it never reaches the core.
+type RunFrame = (u64, fn(GrmError) -> WireResponse, Option<WireResponse>);
 
 fn serve_conn(mut stream: Box<dyn Stream>, shared: &Arc<Shared>) {
     let Ok(writer_stream) = stream.try_clone_box() else { return };
@@ -913,9 +923,11 @@ impl Shared {
 
     /// Execute one run (see module docs): execute on the core, take the
     /// journal lock before releasing the core lock, append (and maybe
-    /// compact), then queue the replies as one entry gated on the run's
-    /// last LSN. `seq` (the replay sequence) and `stale` (below the
-    /// replay cursor) are only ever set on a sequenced run of one.
+    /// roll to a new segment), then queue the replies as one entry gated
+    /// on the run's last LSN, and last retire the segments a roll
+    /// superseded, with no lock held. `seq` (the replay sequence) and
+    /// `stale` (below the replay cursor) are only ever set on a sequenced
+    /// run of one.
     fn execute_run(
         &self,
         run: &mut Vec<RequestFrame>,
@@ -927,10 +939,10 @@ impl Shared {
             return Ok(());
         }
         let down = self.durability.state.lock().expect("durability poisoned").failed;
-        // Per frame: its correlation id, how to refuse it, and its reply
-        // if it never reaches the core; the others' calls, in order.
+        // Per frame, a `RunFrame`; the calls of those that reach the
+        // core, in order.
         let mut calls = Vec::with_capacity(run.len());
-        let frames: Vec<_> = run
+        let frames: Vec<RunFrame> = run
             .drain(..)
             .map(|rf| {
                 let refuse = refusal(&rf.req);
@@ -943,26 +955,33 @@ impl Shared {
             if outcomes.iter().all(|o| matches!(o, Outcome::Plain(_))) {
                 return (outcomes, None);
             }
-            let mut log = self.log.lock();
+            let mut guard = self.log.lock();
+            let log = &mut *guard;
             let records = outcomes.iter().filter_map(Outcome::record).count();
             if let (Some(s), true) = (seq, records > 0) {
                 log.cold.next_seq = log.cold.next_seq.max(s + 1);
             }
             let due = self.compact_every > 0
                 && log.journal.records_in_segment() + records as u64 >= self.compact_every;
-            // A snapshot is the state this run's append leaves: take its
-            // hot part from the core before the next run executes.
-            let snapshot = due.then(|| log.snapshot(pools, dedup));
-            (outcomes, Some((log, snapshot)))
+            // A snapshot is the state this run's append leaves: encode
+            // its hot part from the core before the next run executes.
+            let framed =
+                due.then(|| frame_live_snapshot(&mut log.snapshot, &log.cold, pools, dedup));
+            (outcomes, Some((guard, framed)))
         });
         let mut committed = Ok(0);
-        if let Some((mut log, snapshot)) = log {
+        let mut retire = None;
+        if let Some((mut guard, framed)) = log {
+            let log = &mut *guard;
             // One write. The gate is the run's last record's LSN — for a
             // run of replayed duplicates alone, a cursor covering their
             // originals.
             let records: Vec<_> = outcomes.iter().filter_map(Outcome::record).collect();
             committed = log.journal.append_run(&records).and_then(|gate| {
-                snapshot.map_or(Ok(()), |snapshot| log.journal.compact(&snapshot))?;
+                if let Some(framed) = framed {
+                    framed?;
+                    retire = Some(log.journal.roll(&log.snapshot)?);
+                }
                 Ok(gate)
             });
             self.publish_durability(&log.journal);
@@ -973,6 +992,27 @@ impl Shared {
         if failed {
             self.durability.fail();
         }
+        let queued = self.queue_replies(frames, outcomes, failed, committed.unwrap_or(0), tx);
+        if let Some(retire) = retire {
+            // The new segment is durable already. A segment this leaves
+            // behind is older than the live one: recovery reads the
+            // newer, and the next retire unlinks it.
+            let _ = retire.run();
+        }
+        queued
+    }
+
+    /// Frame a run's replies in frame order and queue them as one entry
+    /// gated on `gate`; once the journal `failed`, every journaled or
+    /// replayed decision is refused instead.
+    fn queue_replies(
+        &self,
+        frames: Vec<RunFrame>,
+        outcomes: Vec<Outcome>,
+        failed: bool,
+        gate: u64,
+        tx: &mpsc::Sender<QueuedReplies>,
+    ) -> io::Result<()> {
         let mut outcomes = outcomes.into_iter();
         let mut bytes = Vec::new();
         for (corr, refuse, inline) in frames {
@@ -989,8 +1029,7 @@ impl Shared {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
             self.telemetry.observe(HistKind::FrameBytes, (bytes.len() - at) as f64);
         }
-        tx.send((committed.unwrap_or(0), bytes))
-            .map_err(|_| io::Error::from(io::ErrorKind::BrokenPipe))
+        tx.send((gate, bytes)).map_err(|_| io::Error::from(io::ErrorKind::BrokenPipe))
     }
 }
 

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use agreements_flow::AgreementMatrix;
-use agreements_grm::RequestId;
+use agreements_grm::{GrmClient, RequestId};
 use agreements_telemetry::Telemetry;
 
 use super::*;
@@ -207,6 +207,42 @@ fn a_compaction_snapshot_carries_the_replay_cursor_past_its_run() {
     assert!(journal.segment_index() >= 2, "the journal compacted");
     assert_eq!(recovered.next_seq, 6, "a retry of event 5 must be stale after a restart");
     assert_eq!(recovered.availability, vec![53.0, 54.0, 55.0]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_compaction_writes_the_owned_snapshots_bytes() {
+    // Every journaled run compacts, so the newest segment holds the
+    // snapshot the last run encoded from the core's borrows: it must be
+    // the frame of the owned snapshot of the state that run left.
+    let config = ListenerConfig { sequenced: true, compact_every: 2, ..ListenerConfig::default() };
+    let (dir, listener) = listen_with(FsyncPolicy::EveryOp, "snapbytes", config);
+    let client = NetGrmClient::uds(&dir.join("grm.sock"));
+    let id = |seq| RequestId { client: 9, seq };
+    client.report_seq(0, 0, 80.0).unwrap();
+    let alloc = client.issue_request(0, 5.0, Some(id(0))).unwrap().recv().unwrap().unwrap();
+    let denied = client.issue_request(1, 1e6, Some(id(1))).unwrap().recv().unwrap();
+    assert!(denied.is_err(), "more than the economy holds is refused");
+    client.issue_release(alloc, Some(id(2))).unwrap().recv().unwrap().unwrap();
+    client.issue_replay(id(3), 2, 1.0).unwrap().recv().unwrap().unwrap();
+    // The last run bumps the replay cursor it snapshots.
+    client.report_seq(1, 1, 70.0).unwrap();
+    let mirror = listener.mirror_snapshot();
+    drop(client);
+    listener.shutdown();
+
+    assert_eq!(mirror.next_seq, 2);
+    assert_eq!(mirror.dedup.len(), 4, "grant, denial, release and replay");
+    let journal = dir.join("journal");
+    let newest = std::fs::read_dir(&journal).unwrap().map(|e| e.unwrap().path()).max().unwrap();
+    let mut want = Vec::new();
+    crate::frame::encode_frame_limited(
+        &JournalRecord::Snapshot(mirror).encode(),
+        &mut want,
+        crate::journal::MAX_JOURNAL_FRAME_LEN,
+    )
+    .unwrap();
+    assert!(std::fs::read(newest).unwrap() == want, "the compaction snapshot's bytes differ");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

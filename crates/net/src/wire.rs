@@ -207,18 +207,19 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// A `u32` count, then the vector's bit patterns, reserved as one
-    /// block.
+    /// A `u32` count, then the vector's bit patterns.
     pub(crate) fn f64s(&mut self, vs: &[f64]) {
         self.u32(vs.len() as u32);
-        self.buf.reserve(vs.len() * 8);
         self.f64_block(vs);
     }
 
-    /// The values' bit patterns back to back, with no count.
+    /// The values' bit patterns back to back, with no count: the buffer
+    /// grows once, then each 8-byte slot is filled in place.
     pub(crate) fn f64_block(&mut self, vs: &[f64]) {
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        let at = self.buf.len();
+        self.buf.resize(at + vs.len() * 8, 0);
+        for (slot, v) in self.buf[at..].chunks_exact_mut(8).zip(vs) {
+            slot.copy_from_slice(&v.to_le_bytes());
         }
     }
 }
@@ -1303,6 +1304,39 @@ mod tests {
             prop_assert!(Reader::new(&inflated).f64s().is_err());
             inflated[..4].copy_from_slice(&u32::MAX.to_le_bytes());
             prop_assert!(Reader::new(&inflated).f64s().is_err());
+        }
+    }
+
+    #[test]
+    fn bulk_block_equals_the_per_element_loop_at_every_length() {
+        // The edge patterns, cycled: signed zeros, NaNs with payloads of
+        // either sign, both infinities, subnormals at both ends.
+        let edges = [
+            (-0.0f64).to_bits(),
+            0,
+            0x7FF8_0000_0000_0001,
+            0xFFF0_0000_0000_0001,
+            0x7FF4_0000_DEAD_BEEF,
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            1,
+            0x800F_FFFF_FFFF_FFFF,
+            f64::MIN_POSITIVE.to_bits(),
+            1.5f64.to_bits(),
+        ];
+        let all: Vec<f64> = edges.iter().cycle().take(1025).map(|&b| f64::from_bits(b)).collect();
+        for len in 0..=all.len() {
+            let vs = &all[..len];
+            // After a byte already in the buffer, so the block starts at
+            // an odd offset.
+            let mut w = Writer::new();
+            w.u8(0xAB);
+            w.f64_block(vs);
+            let mut want = vec![0xAB];
+            for v in vs {
+                want.extend_from_slice(&v.to_le_bytes());
+            }
+            assert_eq!(w.into_bytes(), want, "length {len}");
         }
     }
 

@@ -7,7 +7,7 @@
 //!   executed, so the reopened journal folds to the live GRM's
 //!   availability and dedup window bit for bit, the GRM's counters are
 //!   the clients' books, and no `RequestId` settles twice — also with
-//!   compactions landing mid-race.
+//!   compactions landing mid-race, after which one segment is left.
 //! - Only what the core applied is journaled: a dropped report is not
 //!   folded on recovery, and a refused release moves no pool.
 //! - The reports a respawn seeds land before the first run.
@@ -361,6 +361,10 @@ fn racing_connections(conns: u64, compact_every: u64) {
     let stats = listener.stats();
     let live_window = listener.mirror_snapshot().dedup;
     listener.shutdown();
+    // Each roll's retire ran on the reader that rolled, before shutdown
+    // joined it: no superseded segment outlives the listener.
+    let segments = std::fs::read_dir(dir.join("journal")).unwrap().count();
+    assert_eq!(segments, 1, "a superseded segment was never retired");
 
     // The daemon's counters are the clients' books. `respawn` seeds the
     // pools with one report per principal.

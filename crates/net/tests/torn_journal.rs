@@ -151,6 +151,87 @@ fn recovery_from_every_byte_offset_of_the_final_record() {
     let _ = fs::remove_dir_all(&master);
 }
 
+/// Compaction rolls to a new segment before it retires the old one, so a
+/// crash mid-roll leaves the old segment whole beside a new one that ends
+/// anywhere inside its snapshot. At every byte of that snapshot, recovery
+/// falls back to the old segment and loses nothing that was synced, drops
+/// the stillborn one, and compacts again cleanly; the whole snapshot
+/// recovers to the same state from the new segment alone.
+#[test]
+fn a_torn_rolled_snapshot_falls_back_to_the_old_segment() {
+    let snap = Snapshot {
+        matrix: complete(3, 0.4),
+        level: 1,
+        availability: vec![10.0, 10.0, 10.0],
+        next_seq: 0,
+        dedup: Vec::new(),
+    };
+    let records: Vec<JournalRecord> = (0..6u64)
+        .map(|k| match k % 3 {
+            0 => JournalRecord::Report { seq: Some(k), lrm: k % 3, available: 6.0 + k as f64 },
+            1 => JournalRecord::Decision {
+                seq: Some(k),
+                id: Some(RequestId { client: 7, seq: k }),
+                body: DecisionBody::Grant(Ok(Allocation {
+                    requester: 1,
+                    amount: 1.5,
+                    draws: vec![0.5, 0.5, 0.5],
+                    theta: 0.25,
+                })),
+            },
+            _ => JournalRecord::Decision {
+                seq: Some(k),
+                id: Some(RequestId { client: 8, seq: k }),
+                body: DecisionBody::Release { draws: vec![0.0, 1.0, 0.0], result: Ok(()) },
+            },
+        })
+        .collect();
+    let master = scratch("roll-master");
+    let mut j = DurableJournal::create(&master, &snap, FsyncPolicy::EveryOp, Telemetry::disabled())
+        .unwrap();
+    let mut want = RecoveredState::from_snapshot(&snap);
+    for rec in &records {
+        j.append(rec).unwrap();
+        want.apply(rec);
+    }
+    // Every record is synced (`EveryOp`): the old segment as a crash
+    // mid-roll leaves it, and the new segment's whole snapshot.
+    let old = fs::read(master.join("segment-000000.log")).unwrap();
+    j.compact(&want.snapshot()).unwrap();
+    drop(j);
+    let new = fs::read(master.join("segment-000001.log")).unwrap();
+    assert_eq!(new.len(), FRAME_OVERHEAD + JournalRecord::Snapshot(want.snapshot()).encode().len());
+
+    let dir = scratch("roll-cut");
+    for cut in 0..=new.len() {
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("segment-000000.log"), &old).unwrap();
+        fs::write(dir.join("segment-000001.log"), &new[..cut]).unwrap();
+
+        let (mut journal, state) =
+            DurableJournal::open(&dir, FsyncPolicy::EveryOp, Telemetry::disabled())
+                .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
+        let torn = cut < new.len();
+        let ctx = format!("snapshot cut at byte {cut}");
+        if torn {
+            assert_eq!(journal.segment_index(), 0, "{ctx}: fell back to the old segment");
+            assert!(!dir.join("segment-000001.log").exists(), "{ctx}: stillborn segment kept");
+            assert_states_equal(&state, &want, &ctx);
+            // The journal compacts again where the crash left it.
+            journal.compact(&state.snapshot()).unwrap();
+            assert!(!dir.join("segment-000000.log").exists(), "{ctx}: old segment not retired");
+        } else {
+            assert_eq!(journal.segment_index(), 1, "{ctx}: the whole snapshot is read");
+            let mut from_new = want.clone();
+            from_new.records = 1;
+            assert_states_equal(&state, &from_new, &ctx);
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&master);
+}
+
 /// The listener appends a whole run of records with one `write_all`
 /// ([`DurableJournal::append_run`]), so a power cut can tear the write
 /// anywhere inside *several* records. A record stays the unit of
